@@ -34,7 +34,6 @@ from .mesh import (
 )
 from .noise import (
     NoiseStream,
-    ProjectedIncrement,
     aggregate_increment,
     fine_increment,
     restrict_increment,
@@ -50,7 +49,6 @@ __all__ = [
     "FemOperators",
     "NoiseStream",
     "PathState",
-    "ProjectedIncrement",
     "QuadratureSpec",
     "ScalarDriver",
     "SchemeConfig",

@@ -8,8 +8,9 @@ verify           Monte Carlo inequality and metric checks (CSV + alarm log)
 holder           dyadic Hölder-exponent estimates for solution paths
 simulate         one path of the scheme, final state dumped as text
 
-Configuration is a JSON document (see README for the schema); flags override
-file values.  Exit codes: 0 success, 1 validation failure, 2 numerical
+Configuration is a JSON document checked against the command's table in
+``SCHEMAS`` (see README), which rejects unknown keys; flags override file
+values.  Exit codes: 0 success, 1 validation failure, 2 numerical
 failure, 3 statistical alarm.  Runs are reproducible from their manifest:
 the same config and master seed yield byte-identical CSV payloads.
 """
@@ -55,32 +56,122 @@ EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 EXIT_ALARM = 3
 
-#: bdg estimators are meaningless below this many paths (documented pre).
-MIN_BDG_PATHS = 1000
+REQUIRED = object()  # schema default of a key that must be given
 
 
-def _load_config(path: str | None, overrides: dict) -> dict:
+def _is_int(val) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
+def _is_number(val) -> bool:
+    return _is_int(val) or isinstance(val, float)
+
+
+def _list_of(check):
+    return lambda val: isinstance(val, list) and all(map(check, val))
+
+
+# (check, description) per value type; JSON true/false is never a number
+INT = (_is_int, "an integer")
+NUMBER = (_is_number, "a number")
+STR = (lambda val: isinstance(val, str), "a string")
+INTS = (_list_of(_is_int), "a list of integers")
+NUMBERS = (_list_of(_is_number), "a list of numbers")
+
+# command -> config key -> (type, default); a None default marks an optional
+# key that stays absent.  Keys outside the table are rejected.
+SCHEMAS = {
+    "convergence": {
+        "dim": (INT, REQUIRED),
+        "axis": (STR, REQUIRED),
+        "gamma": (NUMBER, None),  # one of gamma / gammas is required
+        "gammas": (NUMBERS, None),
+        "coarse_levels": (INTS, REQUIRED),
+        "ref_level": (INT, REQUIRED),
+        "time_exp": (INT, None),  # required for axis "space"
+        "space_level": (INT, None),  # required for axis "time"
+        "n_paths": (INT, REQUIRED),
+        "master_seed": (INT, REQUIRED),
+        "k": (NUMBER, 0.5),
+        "n_modes": (INT, 1000),
+        "beta": (NUMBER, 1.0),
+        "n_workers": (INT, 1),
+        "out_dir": (STR, None),
+    },
+    "verify": {
+        "n_paths": (INT, 100_000),
+        "master_seed": (INT, 1),
+        "p_values": (NUMBERS, (1.0, 2.0, 4.0)),
+        "steps": (INT, 64),
+        "dim_q": (INT, 1),
+        "out_dir": (STR, None),
+    },
+    "holder": {
+        "dim": (INT, 1),
+        "gamma": (NUMBER, 0.75),
+        "k": (NUMBER, 0.5),
+        "space_level": (INT, 5),
+        "time_exp": (INT, 13),  # must be >= m_max
+        "m_max": (INT, 13),
+        "m_min": (INT, 6),
+        "bm_m_max": (INT, 16),
+        "bm_m_min": (INT, 8),
+        "n_seeds": (INT, 20),
+        "n_modes": (INT, 1000),
+        "master_seed": (INT, 3),
+        "out_dir": (STR, None),
+    },
+    "simulate": {
+        "dim": (INT, REQUIRED),
+        "gamma": (NUMBER, REQUIRED),
+        "space_level": (INT, REQUIRED),
+        "time_exp": (INT, REQUIRED),
+        "master_seed": (INT, REQUIRED),
+        "k": (NUMBER, 0.5),
+        "n_modes": (INT, 1000),
+        "mode": (STR, "per_step"),
+        "snapshot_level": (INT, None),
+        "out_dir": (STR, None),
+    },
+}
+
+# command-line flag (argparse dest) -> the config key it overrides
+FLAG_KEYS = {
+    "seed": "master_seed",
+    "out": "out_dir",
+    "workers": "n_workers",
+    "axis": "axis",
+    "paths": "n_paths",
+}
+
+
+def _load_config(args) -> dict:
+    """The command's config file with flags applied, checked against its schema."""
+    schema = SCHEMAS[args.command]
     cfg = {}
-    if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+    if args.config is not None:
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                cfg = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise DomainError(f"cannot read config {args.config}: {exc}")
         if not isinstance(cfg, dict):
             raise DomainError("config root must be a JSON object")
-    for key, val in overrides.items():
-        if val is not None:
-            cfg[key] = val
+    for dest, key in FLAG_KEYS.items():
+        if getattr(args, dest, None) is not None:
+            cfg[key] = getattr(args, dest)
+    unknown = sorted(set(cfg) - set(schema))
+    if unknown:
+        raise DomainError(f"unknown config keys {unknown}; known: {sorted(schema)}")
+    for key, ((check, what), default) in schema.items():
+        if key not in cfg:
+            if default is REQUIRED:
+                raise DomainError(f"config missing required key {key!r} ({what})")
+            if default is not None:
+                cfg[key] = default
+        elif not check(cfg[key]):
+            raise DomainError(f"config key {key!r} must be {what}, got {cfg[key]!r}")
     return cfg
-
-
-def _require(cfg: dict, key: str, kind, what: str):
-    if key not in cfg:
-        raise DomainError(f"config missing required key {key!r} ({what})")
-    val = cfg[key]
-    if kind is float and isinstance(val, int):
-        val = float(val)
-    if not isinstance(val, kind):
-        raise DomainError(f"config key {key!r} must be {what}, got {val!r}")
-    return val
 
 
 def _out_dir(cfg: dict) -> Path:
@@ -142,31 +233,14 @@ def cmd_assemble_check(args) -> int:
 
 
 def _convergence_config(args) -> dict:
-    cfg = _load_config(
-        args.config,
-        {
-            "master_seed": args.seed,
-            "out_dir": args.out,
-            "n_workers": args.workers,
-            "axis": args.axis,
-        },
-    )
-    cfg.setdefault("k", 0.5)
-    cfg.setdefault("n_modes", 1000)
-    cfg.setdefault("beta", 1.0)
-    cfg.setdefault("n_workers", 1)
+    cfg = _load_config(args)
     if "gammas" not in cfg:
-        cfg["gammas"] = [_require(cfg, "gamma", (int, float), "a number")]
-    _require(cfg, "dim", int, "1 or 2")
-    _require(cfg, "axis", str, "'space' or 'time'")
-    _require(cfg, "coarse_levels", list, "a list of integers")
-    _require(cfg, "ref_level", int, "an integer")
-    _require(cfg, "n_paths", int, "an integer")
-    _require(cfg, "master_seed", int, "an integer")
-    if cfg["axis"] == "space":
-        _require(cfg, "time_exp", int, "shared dt exponent (dt = 2^-time_exp)")
-    else:
-        _require(cfg, "space_level", int, "the fixed mesh level")
+        if "gamma" not in cfg:
+            raise DomainError("config needs 'gamma' (a number) or 'gammas'")
+        cfg["gammas"] = [cfg["gamma"]]
+    need = "time_exp" if cfg["axis"] == "space" else "space_level"
+    if need not in cfg:
+        raise DomainError(f"axis {cfg['axis']!r} needs config key {need!r}")
     return cfg
 
 
@@ -269,31 +343,18 @@ def cmd_convergence(args) -> int:
     return EXIT_OK
 
 
-def _verify_config(args) -> dict:
-    cfg = _load_config(
-        args.config,
-        {"master_seed": args.seed, "out_dir": args.out, "n_paths": args.paths},
-    )
-    cfg.setdefault("n_paths", 100_000)
-    cfg.setdefault("master_seed", 1)
-    cfg.setdefault("p_values", [1.0, 2.0, 4.0])
-    cfg.setdefault("steps", 64)
-    cfg.setdefault("dim_q", 1)
-    return cfg
-
-
 def cmd_verify(args) -> int:
-    cfg = _verify_config(args)
+    cfg = _load_config(args)
     out = _out_dir(cfg)
     seed = cfg["master_seed"]
     n_paths = cfg["n_paths"]
     t0 = time.perf_counter()
 
-    enforce = n_paths >= MIN_BDG_PATHS
+    enforce = n_paths >= l0.MIN_PATHS
     if not enforce:
         print(
             f"warning: {n_paths} paths gives too little statistical power; "
-            f"estimators run at the {MIN_BDG_PATHS}-path minimum and "
+            f"estimators run at the {l0.MIN_PATHS}-path minimum and "
             "pass/fail is suppressed"
         )
 
@@ -319,7 +380,7 @@ def cmd_verify(args) -> int:
     unit = l0.ElementaryIntegrand(
         dim_q=1, partition=np.array([0.0, 1.0]), family="deterministic_const"
     )
-    sample = l0.ito_integral_elementary(unit, seed, max(n_paths, MIN_BDG_PATHS))
+    sample = l0.ito_integral_elementary(unit, seed, max(n_paths, l0.MIN_PATHS))
     var = float(np.var(sample.values[:, -1, 0]))
     metric_rows.append(("ito_isometry_variance", 1.0, var))
     if enforce and abs(var - 1.0) > 0.03:
@@ -327,7 +388,7 @@ def cmd_verify(args) -> int:
     _write_csv(out / "verify_metric.csv", ["check", "parameter", "value"], metric_rows)
 
     # truncated BDG ratios: finite and stable across independent seeds
-    bdg_paths = max(n_paths, MIN_BDG_PATHS)
+    bdg_paths = max(n_paths, l0.MIN_PATHS)
     partition = np.linspace(0.0, 1.0, cfg["steps"] + 1)
     bdg_rows: list[tuple] = []
     for family in l0.FAMILIES:
@@ -387,29 +448,10 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _holder_config(args) -> dict:
-    cfg = _load_config(
-        args.config, {"master_seed": args.seed, "out_dir": args.out}
-    )
-    cfg.setdefault("dim", 1)
-    cfg.setdefault("gamma", 0.75)
-    cfg.setdefault("k", 0.5)
-    cfg.setdefault("space_level", 5)
-    cfg.setdefault("time_exp", 13)
-    cfg.setdefault("m_max", 13)
-    cfg.setdefault("m_min", 6)
-    cfg.setdefault("bm_m_max", 16)
-    cfg.setdefault("bm_m_min", 8)
-    cfg.setdefault("n_seeds", 20)
-    cfg.setdefault("n_modes", 1000)
-    cfg.setdefault("master_seed", 3)
+def cmd_holder(args) -> int:
+    cfg = _load_config(args)
     if cfg["time_exp"] < cfg["m_max"]:
         raise DomainError("time_exp must be >= m_max to snapshot dyadic times")
-    return cfg
-
-
-def cmd_holder(args) -> int:
-    cfg = _holder_config(args)
     out = _out_dir(cfg)
     t0 = time.perf_counter()
     ops = assemble(build_mesh(cfg["dim"], cfg["space_level"]))
@@ -455,21 +497,8 @@ def cmd_holder(args) -> int:
     return EXIT_OK
 
 
-def _simulate_config(args) -> dict:
-    cfg = _load_config(args.config, {"master_seed": args.seed, "out_dir": args.out})
-    _require(cfg, "dim", int, "1 or 2")
-    _require(cfg, "gamma", (int, float), "a number")
-    _require(cfg, "space_level", int, "an integer")
-    _require(cfg, "time_exp", int, "dt exponent")
-    _require(cfg, "master_seed", int, "an integer")
-    cfg.setdefault("k", 0.5)
-    cfg.setdefault("n_modes", 1000)
-    cfg.setdefault("mode", "per_step")
-    return cfg
-
-
 def cmd_simulate(args) -> int:
-    cfg = _simulate_config(args)
+    cfg = _load_config(args)
     out = _out_dir(cfg)
     t0 = time.perf_counter()
     config = SchemeConfig(

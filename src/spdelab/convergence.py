@@ -9,6 +9,7 @@ slopes in log2-log2 coordinates of the mean error against the resolution.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -198,29 +199,19 @@ def plan_study(
     )
 
 
-# Per-process cache of assembled operators and restriction matrices, keyed by
-# structural parameters; lets worker processes rebuild each level only once.
-_OPS_CACHE: dict = {}
-
-
+# Per-process caches of assembled operators and restriction matrices, keyed
+# by structural parameters; let worker processes build each level only once.
+@functools.cache
 def _cached_ops(dim: int, level: int):
-    key = ("ops", dim, level)
-    ops = _OPS_CACHE.get(key)
-    if ops is None:
-        ops = assemble(build_mesh(dim, level))
-        _OPS_CACHE[key] = ops
-    return ops
+    return assemble(build_mesh(dim, level))
 
 
+@functools.cache
 def _cached_restriction(dim: int, coarse_level: int, fine_level: int):
     if coarse_level == fine_level:
         return None
-    key = ("restr", dim, coarse_level, fine_level)
-    a = _OPS_CACHE.get(key)
-    if a is None:
-        a = restriction_matrix(build_mesh(dim, coarse_level), build_mesh(dim, fine_level))
-        _OPS_CACHE[key] = a
-    return a
+    coarse, fine = build_mesh(dim, coarse_level), build_mesh(dim, fine_level)
+    return restriction_matrix(coarse, fine)
 
 
 def path_errors(plan: StudyPlan, seed: int) -> np.ndarray:

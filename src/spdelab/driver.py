@@ -12,7 +12,6 @@ the coarse grid directly, with zero discrepancy.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -31,15 +30,6 @@ class ScalarDriver:
     seed: int
     n_modes: int
     coeffs: np.ndarray  # xi_0 .. xi_{n_modes}, iid standard normal
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "seed": self.seed,
-                "n_modes": self.n_modes,
-                "coeffs": self.coeffs.tolist(),
-            }
-        )
 
 
 def sample_driver(seed: int, n_modes: int = DEFAULT_N_MODES) -> ScalarDriver:
@@ -86,8 +76,3 @@ def eval_b(driver: ScalarDriver, t: float) -> float:
 
 def eval_b_grid(driver: ScalarDriver, times: np.ndarray) -> np.ndarray:
     return np.exp(eval_f_grid(driver, times) ** 2)
-
-
-def truncation_tail_bound(n_modes: int) -> float:
-    """Upper bound on the sup-norm of the omitted expansion tail."""
-    return math.sqrt(2.0) / (math.pi**2 * n_modes)

@@ -17,7 +17,6 @@ so the gamma = 0 map is M^{-1}.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -51,18 +50,6 @@ class QuadratureSpec:
     def is_full_inverse(self) -> bool:
         return self.gamma == 1.0
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "gamma": self.gamma,
-                "k": self.k,
-                "n_pos": self.n_pos,
-                "n_neg": self.n_neg,
-                "nodes": self.nodes.tolist(),
-                "weights": self.weights.tolist(),
-            }
-        )
-
 
 def make_spec(gamma: float, k: float) -> QuadratureSpec:
     """Build the quadrature spec for exponent ``gamma`` and resolution ``k``."""
@@ -79,7 +66,7 @@ def make_spec(gamma: float, k: float) -> QuadratureSpec:
     nodes = j * k
     # the raw weights can overflow for gamma near 0 (huge positive nodes);
     # every computation below recombines them stably, so inf entries here
-    # only ever appear in the informational dump
+    # never reach a result
     with np.errstate(over="ignore"):
         weights = (k * math.sin(math.pi * gamma) / math.pi) * np.exp(
             (1.0 - gamma) * nodes
@@ -135,15 +122,6 @@ class _PencilSolver:
         return out
 
 
-def _pencil_solver(ops: FemOperators, spec: QuadratureSpec) -> _PencilSolver:
-    key = (spec.gamma, spec.k)
-    solver = ops._frac_cache.get(key)
-    if solver is None:
-        solver = _PencilSolver(ops, spec)
-        ops._frac_cache[key] = solver
-    return solver
-
-
 def apply_qgamma(
     spec: QuadratureSpec, ops: FemOperators, g: np.ndarray
 ) -> np.ndarray:
@@ -160,27 +138,8 @@ def apply_qgamma(
             f"operand has {g.shape[0]} entries, mesh has {ops.n_dof} vertices"
         )
     if spec.is_identity:
-        lu = ops._frac_cache.get("mass_lu")
-        if lu is None:
-            lu = splu(ops.mass.tocsc())
-            ops._frac_cache["mass_lu"] = lu
-        return lu.solve(g)
+        return ops.cached("mass_lu", lambda: splu(ops.mass.tocsc())).solve(g)
     if spec.is_full_inverse:
-        lu = ops._frac_cache.get("a2_lu")
-        if lu is None:
-            lu = splu(ops.a2_matrix.tocsc())
-            ops._frac_cache["a2_lu"] = lu
-        return lu.solve(g)
-    return _pencil_solver(ops, spec).apply(g)
-
-
-def admissible_resolution(h: float, gamma: float) -> float:
-    """Largest k coupling the quadrature to mesh size h in the strong-rate bound.
-
-    Config helper only; the experiments fix k = 0.5 directly.
-    """
-    if not 0.0 < h < 1.0:
-        raise DomainError(f"h must lie in (0, 1), got {h}")
-    if gamma <= 0.0:
-        raise DomainError("coupling bound applies to gamma > 0")
-    return -(math.pi**2 / 2.0) / ((2.0 * gamma + 1.0) * math.log(h))
+        return ops.cached("a2_lu", lambda: splu(ops.a2_matrix.tocsc())).solve(g)
+    key = ("pencil", spec.gamma, spec.k)
+    return ops.cached(key, lambda: _PencilSolver(ops, spec)).apply(g)

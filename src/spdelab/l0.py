@@ -23,6 +23,9 @@ from .rng import L0_MARK_TAG, L0_WIENER_TAG, keyed_generator
 
 FAMILIES = ("deterministic_const", "wiener_functional", "heavy_tailed_scale")
 
+#: Fewest Monte Carlo paths for which the ratio estimators are meaningful.
+MIN_PATHS = 1000
+
 
 @dataclass(frozen=True)
 class ElementaryIntegrand:
@@ -150,8 +153,8 @@ def bdg_ratio(
     """
     if p <= 0.0:
         raise DomainError(f"p must be positive, got {p}")
-    if n_paths < 1000:
-        raise DomainError(f"need at least 1000 paths, got {n_paths}")
+    if n_paths < MIN_PATHS:
+        raise DomainError(f"need at least {MIN_PATHS} paths, got {n_paths}")
     for attempt_paths in (n_paths, 10 * n_paths):
         sample = ito_integral_elementary(phi, seed, attempt_paths)
         lhs = float(np.mean(np.minimum(1.0, sample.sup_norm**p)))

@@ -10,7 +10,6 @@ assembled from closed forms, without numerical quadrature.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,16 +44,6 @@ class DyadicMesh:
     @property
     def n_cells(self) -> int:
         return self.cells.shape[0]
-
-    def summary(self) -> dict:
-        return {
-            "dim": self.dim,
-            "level": self.level,
-            "cell_size": self.cell_size,
-            "n_vertices": self.n_vertices,
-            "n_cells": self.n_cells,
-            "h": self.h,
-        }
 
 
 def build_mesh(dim: int, level: int) -> DyadicMesh:
@@ -176,9 +165,10 @@ class FemOperators:
 
     Holds the mass matrix M, the stiffness matrix T (zero Neumann, so
     constants lie in its kernel), the second-operator matrix K = M + T,
-    and the lower Cholesky factor of M.  System factorizations of
-    (M + dt T) and shifted-pencil solvers are cached; the object is
-    immutable apart from those caches and safe to share across threads.
+    and the lower Cholesky factor of M.  Every factorization built from
+    them (the (M + dt T) systems, the shifted-pencil solvers, the M and K
+    LUs) lives in the one keyed cache behind ``cached``; the object is
+    immutable apart from that cache and safe to share across threads.
     """
 
     def __init__(self, mesh: DyadicMesh):
@@ -190,27 +180,30 @@ class FemOperators:
         # a2(u, v) = (u, v) + (grad u, grad v) in the implemented case
         self.a2_matrix = (self.mass + self.stiffness).tocsr()
         self.mass_chol = mass_factor(self.mass)
-        self._sys_cache: dict[float, object] = {}
-        self._frac_cache: dict = {}
+        self._cache: dict = {}
 
     @property
     def n_dof(self) -> int:
         return self.mesh.n_vertices
 
-    def sys_factor(self, dt: float):
-        """Cached sparse LU factorization of (M + dt * T)."""
-        lu = self._sys_cache.get(dt)
-        if lu is None:
-            system = (self.mass + dt * self.stiffness).tocsc()
-            lu = splu(system)
-            self._sys_cache[dt] = (lu, system)
-        else:
-            lu, system = lu
-        return lu, system
+    def cached(self, key, build):
+        """The value stored under ``key``, made by ``build()`` on first request."""
+        value = self._cache.get(key)
+        if value is None:
+            value = self._cache[key] = build()
+        return value
+
+    def _factor_system(self, dt: float):
+        system = (self.mass + dt * self.stiffness).tocsc()
+        return splu(system), system
 
     def system_solve(self, dt: float, rhs: np.ndarray) -> np.ndarray:
         """Solve (M + dt T) x = rhs with a relative residual check."""
-        lu, system = self.sys_factor(dt)
+        # one lookup on the hot path; the closure is built only on a miss
+        entry = self._cache.get(("system", dt))
+        if entry is None:
+            entry = self.cached(("system", dt), lambda: self._factor_system(dt))
+        lu, system = entry
         x = lu.solve(rhs)
         rhs_norm = np.linalg.norm(rhs)
         if rhs_norm > 0.0:
@@ -287,18 +280,3 @@ def restriction_matrix(coarse: DyadicMesh, fine: DyadicMesh) -> sp.csr_matrix:
     ).tocsr()
     a.eliminate_zeros()
     return a
-
-
-def export_matrix_triplets(matrix: sp.spmatrix, path: str) -> None:
-    """Write a matrix as one ``row col value`` triplet per line."""
-    coo = matrix.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w", encoding="utf-8") as fh:
-        for i in order:
-            fh.write(f"{coo.row[i]} {coo.col[i]} {coo.data[i]:.17g}\n")
-
-
-def export_mesh_summary(mesh: DyadicMesh, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(mesh.summary(), fh, indent=2)
-        fh.write("\n")

@@ -45,29 +45,15 @@ class NoiseStream:
         return keyed_normals(self.seed, WIENER_TAG, n, size)
 
 
-@dataclass(frozen=True)
-class ProjectedIncrement:
-    """Load-vector representation of a projected Wiener increment."""
-
-    values: np.ndarray
-    level: int
-    step_range: tuple[int, int]  # half-open fine-step interval
-
-
-def fine_increment(
-    stream: NoiseStream, n: int, l_mass: sp.spmatrix
-) -> ProjectedIncrement:
-    """Increment for one fine step: sqrt(fine_dt) * L_M @ rho_n."""
+def fine_increment(stream: NoiseStream, n: int, l_mass: sp.spmatrix) -> np.ndarray:
+    """Load vector of one fine step's increment: sqrt(fine_dt) * L_M @ rho_n."""
     rho = stream.normals(n, l_mass.shape[1])
-    values = math.sqrt(stream.fine_dt) * (l_mass @ rho)
-    return ProjectedIncrement(
-        values=values, level=stream.fine_level, step_range=(n, n + 1)
-    )
+    return math.sqrt(stream.fine_dt) * (l_mass @ rho)
 
 
 def aggregate_increment(
     stream: NoiseStream, coarse_step: int, ratio: int, l_mass: sp.spmatrix
-) -> ProjectedIncrement:
+) -> np.ndarray:
     """Sum of the ``ratio`` fine increments making up one coarse step.
 
     Summation is in fine-step order, so the result is bit-identical to
@@ -81,25 +67,17 @@ def aggregate_increment(
     if not 0 <= coarse_step < n_coarse:
         raise DomainError(f"coarse step {coarse_step} outside [0, {n_coarse})")
     start = coarse_step * ratio
-    values = fine_increment(stream, start, l_mass).values
+    values = fine_increment(stream, start, l_mass)
     for m in range(start + 1, start + ratio):
-        values = values + fine_increment(stream, m, l_mass).values
-    return ProjectedIncrement(
-        values=values, level=stream.fine_level, step_range=(start, start + ratio)
-    )
+        values = values + fine_increment(stream, m, l_mass)
+    return values
 
 
-def restrict_increment(
-    a: sp.spmatrix, g_fine: ProjectedIncrement, level: int | None = None
-) -> ProjectedIncrement:
-    """Transfer a fine-level increment to the coarse level: values -> A @ values."""
-    if a.shape[1] != g_fine.values.shape[0]:
+def restrict_increment(a: sp.spmatrix, g_fine: np.ndarray) -> np.ndarray:
+    """Transfer a fine-level increment to the coarse level: A @ g_fine."""
+    if a.shape[1] != g_fine.shape[0]:
         raise DomainError(
             f"restriction has {a.shape[1]} columns, increment has "
-            f"{g_fine.values.shape[0]} entries"
+            f"{g_fine.shape[0]} entries"
         )
-    return ProjectedIncrement(
-        values=a @ g_fine.values,
-        level=g_fine.level if level is None else level,
-        step_range=g_fine.step_range,
-    )
+    return a @ g_fine

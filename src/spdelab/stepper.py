@@ -26,7 +26,7 @@ from .driver import ScalarDriver, eval_b_grid
 from .exceptions import DomainError
 from .fracpow import QuadratureSpec, apply_qgamma, make_spec
 from .mesh import FemOperators, assemble, build_mesh
-from .noise import NoiseStream, ProjectedIncrement, aggregate_increment, restrict_increment
+from .noise import NoiseStream, aggregate_increment, restrict_increment
 
 
 @dataclass(frozen=True)
@@ -79,18 +79,16 @@ def step(
     ops: FemOperators,
     spec: QuadratureSpec,
     b_n: float,
-    g_n: ProjectedIncrement,
+    g_n: np.ndarray,
     dt: float,
 ) -> PathState:
-    """One backward Euler step with colored noise."""
-    if g_n.values.shape[0] != ops.n_dof:
-        raise DomainError(
-            f"increment has {g_n.values.shape[0]} entries, mesh has {ops.n_dof}"
-        )
+    """One backward Euler step with colored noise from the load vector ``g_n``."""
+    if g_n.shape[0] != ops.n_dof:
+        raise DomainError(f"increment has {g_n.shape[0]} entries, mesh has {ops.n_dof}")
     if spec.is_identity:
-        noise = b_n * g_n.values
+        noise = b_n * g_n
     else:
-        noise = b_n * (ops.mass @ apply_qgamma(spec, ops, g_n.values))
+        noise = b_n * (ops.mass @ apply_qgamma(spec, ops, g_n))
     rhs = ops.mass @ state.alpha + noise
     alpha = ops.system_solve(dt, rhs)
     return PathState(alpha=alpha, n=state.n + 1, t=state.t + dt)
@@ -142,12 +140,9 @@ def _coarse_increment(
     ratio: int,
     fine_l_mass: sp.spmatrix,
     a: sp.spmatrix | None,
-    level: int,
-) -> ProjectedIncrement:
+) -> np.ndarray:
     g = aggregate_increment(stream, n, ratio, fine_l_mass)
-    if a is not None:
-        g = restrict_increment(a, g, level=level)
-    return g
+    return g if a is None else restrict_increment(a, g)
 
 
 def _snapshot_stride(config: SchemeConfig, snapshot_level: int | None) -> int | None:
@@ -186,7 +181,7 @@ def evolve(
     state = PathState(alpha=alpha, n=0, t=0.0)
     snaps = [alpha.copy()] if stride else None
     for n in range(config.time_steps):
-        g = _coarse_increment(stream, n, ratio, fine_l_mass, a, config.space_level)
+        g = _coarse_increment(stream, n, ratio, fine_l_mass, a)
         state = step(state, ops, spec, float(b[n]), g, dt)
         if stride and state.n % stride == 0:
             snaps.append(state.alpha)
@@ -227,8 +222,8 @@ def evolve_fast(
     raw_snaps = [beta.copy()] if stride else None
     hom_snaps = [hom.copy()] if stride and hom is not None else None
     for n in range(config.time_steps):
-        g = _coarse_increment(stream, n, ratio, fine_l_mass, a, config.space_level)
-        beta = ops.system_solve(dt, ops.mass @ beta + float(b[n]) * g.values)
+        g = _coarse_increment(stream, n, ratio, fine_l_mass, a)
+        beta = ops.system_solve(dt, ops.mass @ beta + float(b[n]) * g)
         if hom is not None:
             hom = ops.system_solve(dt, ops.mass @ hom)
         if stride and (n + 1) % stride == 0:

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from spdelab.cli import main
 
 
@@ -21,6 +23,15 @@ SMALL_CONVERGENCE = {
     "n_paths": 2,
     "master_seed": 99,
     "n_modes": 100,
+}
+
+
+SMALL_SIMULATE = {
+    "dim": 1,
+    "gamma": 0.5,
+    "space_level": 2,
+    "time_exp": 3,
+    "master_seed": 1,
 }
 
 
@@ -235,3 +246,82 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+_DROP = object()
+
+
+def _with(base, **changes):
+    doc = dict(base)
+    for key, val in changes.items():
+        if val is _DROP:
+            del doc[key]
+        else:
+            doc[key] = val
+    return doc
+
+
+# (command, config document or a raw file body); every one is a user error
+BAD_CONFIGS = {
+    "bool_dim": ("convergence", _with(SMALL_CONVERGENCE, dim=True)),
+    "bool_n_paths": ("convergence", _with(SMALL_CONVERGENCE, n_paths=True)),
+    "misspelled_n_path": ("convergence", _with(SMALL_CONVERGENCE, n_path=3)),
+    "misspelled_refe_level": (
+        "convergence", _with(SMALL_CONVERGENCE, ref_level=_DROP, refe_level=5)
+    ),
+    "misspelled_gama": ("holder", {"gama": 0.5}),
+    "scalar_gammas": ("convergence", _with(SMALL_CONVERGENCE, gammas=0.5)),
+    "mixed_coarse_levels": (
+        "convergence", _with(SMALL_CONVERGENCE, coarse_levels=[2, "3"])
+    ),
+    "string_n_modes": ("convergence", _with(SMALL_CONVERGENCE, n_modes="100")),
+    "no_gamma": ("convergence", _with(SMALL_CONVERGENCE, gammas=_DROP)),
+    "space_axis_without_time_exp": (
+        "convergence", _with(SMALL_CONVERGENCE, time_exp=_DROP)
+    ),
+    "string_verify_n_paths": ("verify", {"n_paths": "100"}),
+    "scalar_p_values": ("verify", {"p_values": 2.0}),
+    "string_holder_n_seeds": ("holder", {"n_seeds": "2"}),
+    "string_snapshot_level": ("simulate", _with(SMALL_SIMULATE, snapshot_level="2")),
+    "bool_simulate_gamma": ("simulate", _with(SMALL_SIMULATE, gamma=False)),
+    "list_root": ("simulate", [SMALL_SIMULATE]),
+    "malformed_json": ("convergence", '{"dim": 1,'),
+    "missing_file": ("simulate", None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_bad_config_is_validation_error(case, tmp_path, capsys):
+    command, doc = BAD_CONFIGS[case]
+    path = tmp_path / "config.json"
+    if isinstance(doc, str):
+        path.write_text(doc)
+    elif doc is not None:
+        path.write_text(json.dumps(doc))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
+
+
+def test_bad_config_exits_1_without_traceback(tmp_path):
+    cfg = write_config(tmp_path, _with(SMALL_SIMULATE, dim=True))
+    proc = subprocess.run(
+        [sys.executable, "-m", "spdelab.cli", "simulate", "--config", cfg],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("validation error: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_manifest_config_round_trip(tmp_path):
+    cfg = write_config(tmp_path, SMALL_CONVERGENCE)
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert main(["convergence", "--config", cfg, "--out", str(out_a)]) == 0
+    manifest = json.loads((out_a / "manifest.json").read_text())
+    replay = write_config(tmp_path, manifest["config"], name="replay.json")
+    assert main(["convergence", "--config", replay, "--out", str(out_b)]) == 0
+    assert (out_a / "errors.csv").read_bytes() == (out_b / "errors.csv").read_bytes()

@@ -4,13 +4,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from spdelab import fracpow
 from spdelab.exceptions import DomainError
-from spdelab.fracpow import (
-    admissible_resolution,
-    apply_qgamma,
-    make_spec,
-    scalar_qgamma,
-)
+from spdelab.fracpow import apply_qgamma, make_spec, scalar_qgamma
 from spdelab.mesh import assemble, build_mesh
 
 
@@ -44,12 +40,10 @@ class TestMakeSpec:
         with pytest.raises(DomainError):
             make_spec(0.5, 0.0)
 
-    def test_json_dump(self):
-        import json
-
-        doc = json.loads(make_spec(0.5, 1.0).to_json())
-        assert doc["n_pos"] == doc["n_neg"] == 10
-        assert len(doc["nodes"]) == 21
+    def test_node_counts_unit_resolution(self):
+        spec = make_spec(0.5, 1.0)
+        assert spec.n_pos == spec.n_neg == 10
+        assert spec.nodes.size == spec.weights.size == 21
 
 
 class TestScalarQgamma:
@@ -104,7 +98,9 @@ class TestApplyQgamma:
             mass = sp.csr_matrix(np.array([[1.0]]))
             a2_matrix = sp.csr_matrix(np.array([[2.0]]))
             n_dof = 1
-            _frac_cache: dict = {}
+
+            def cached(self, key, build):
+                return build()
 
         spec = make_spec(0.5, 0.25)
         got = apply_qgamma(spec, TinyOps(), np.array([1.0]))
@@ -159,18 +155,19 @@ class TestApplyQgamma:
         with pytest.raises(DomainError):
             apply_qgamma(make_spec(0.5, 0.5), ops, np.ones(4))
 
-    def test_solver_cache_reused(self):
+    def test_solver_cache_reused(self, monkeypatch):
+        # the pencil is factored once per (operators, gamma, k), then reused
+        built = []
+
+        def counting_solver(ops, spec):
+            built.append((spec.gamma, spec.k))
+            return solver_class(ops, spec)
+
+        solver_class = fracpow._PencilSolver
+        monkeypatch.setattr(fracpow, "_PencilSolver", counting_solver)
         ops = assemble(build_mesh(1, 3))
-        spec = make_spec(0.5, 0.5)
-        apply_qgamma(spec, ops, np.ones(ops.n_dof))
-        solver = ops._frac_cache[(0.5, 0.5)]
-        apply_qgamma(spec, ops, np.ones(ops.n_dof))
-        assert ops._frac_cache[(0.5, 0.5)] is solver
-
-
-def test_admissible_resolution_helper():
-    # coupling bound k <= (pi^2/2) / ((2 gamma + 1) |log h|)
-    k = admissible_resolution(2.0**-9, 0.75)
-    assert k == pytest.approx(math.pi**2 / 2.0 / (2.5 * 9.0 * math.log(2.0)))
-    with pytest.raises(DomainError):
-        admissible_resolution(1.5, 0.5)
+        first = apply_qgamma(make_spec(0.5, 0.5), ops, np.ones(ops.n_dof))
+        again = apply_qgamma(make_spec(0.5, 0.5), ops, np.ones(ops.n_dof))
+        np.testing.assert_array_equal(first, again)
+        apply_qgamma(make_spec(0.25, 0.5), ops, np.ones(ops.n_dof))
+        assert built == [(0.5, 0.5), (0.25, 0.5)]

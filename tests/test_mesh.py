@@ -7,8 +7,6 @@ from spdelab.exceptions import CapacityError, DomainError, FactorizationError
 from spdelab.mesh import (
     assemble,
     build_mesh,
-    export_matrix_triplets,
-    export_mesh_summary,
     mass_factor,
     restriction_matrix,
 )
@@ -27,6 +25,12 @@ class TestBuildMesh:
         assert mesh.n_vertices == 9
         assert mesh.n_cells == 8
         assert mesh.h == 1.0 / 8.0
+
+    def test_2d_level_2_counts(self):
+        mesh = build_mesh(2, 2)
+        assert mesh.dim == 2
+        assert mesh.n_vertices == 25
+        assert mesh.h == pytest.approx(np.sqrt(2.0) / 4.0)
 
     def test_2d_level_1_hand_enumeration(self):
         # 2x2 squares, each split along its lower-left/upper-right diagonal
@@ -140,6 +144,37 @@ class TestAssemble:
         rel = np.linalg.norm(system @ x - rhs) / np.linalg.norm(rhs)
         assert rel <= 1e-10
 
+    def test_cached_builds_once_per_key(self):
+        ops = assemble(build_mesh(1, 2))
+        built = []
+
+        def build():
+            built.append(1)
+            return object()
+
+        first = ops.cached(("probe", 1), build)
+        assert ops.cached(("probe", 1), build) is first
+        assert ops.cached(("probe", 2), build) is not first
+        assert len(built) == 2
+
+    def test_system_solve_factors_once_per_dt(self, monkeypatch):
+        import spdelab.mesh as mesh_module
+
+        factored = []
+        real_splu = mesh_module.splu
+
+        def counting_splu(a):
+            factored.append(a.shape)
+            return real_splu(a)
+
+        monkeypatch.setattr(mesh_module, "splu", counting_splu)
+        ops = assemble(build_mesh(1, 3))
+        rhs = np.cos(np.arange(ops.n_dof, dtype=float))
+        x1 = ops.system_solve(0.25, rhs)
+        np.testing.assert_array_equal(ops.system_solve(0.25, rhs), x1)
+        ops.system_solve(0.5, rhs)
+        assert len(factored) == 2
+
 
 class TestMassFactor:
     def test_identity(self):
@@ -197,31 +232,6 @@ class TestRestriction:
             restriction_matrix(build_mesh(1, 2), build_mesh(2, 2))
         with pytest.raises(DomainError):
             restriction_matrix(build_mesh(1, 3), build_mesh(1, 2))
-
-
-class TestExports:
-    def test_triplet_round_trip(self, tmp_path):
-        ops = assemble(build_mesh(1, 2))
-        path = tmp_path / "mass.txt"
-        export_matrix_triplets(ops.mass, str(path))
-        rows, cols, vals = [], [], []
-        for line in path.read_text().splitlines():
-            r, c, v = line.split()
-            rows.append(int(r))
-            cols.append(int(c))
-            vals.append(float(v))
-        rebuilt = sp.coo_matrix((vals, (rows, cols)), shape=ops.mass.shape)
-        np.testing.assert_array_equal(rebuilt.toarray(), ops.mass.toarray())
-
-    def test_mesh_summary(self, tmp_path):
-        import json
-
-        path = tmp_path / "mesh.json"
-        export_mesh_summary(build_mesh(2, 2), str(path))
-        doc = json.loads(path.read_text())
-        assert doc["dim"] == 2
-        assert doc["n_vertices"] == 25
-        assert doc["h"] == pytest.approx(np.sqrt(2.0) / 4.0)
 
 
 class TestChecks:

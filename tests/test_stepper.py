@@ -6,7 +6,7 @@ from spdelab.driver import ScalarDriver, sample_driver
 from spdelab.exceptions import DomainError
 from spdelab.fracpow import make_spec
 from spdelab.mesh import assemble, build_mesh
-from spdelab.noise import NoiseStream, ProjectedIncrement
+from spdelab.noise import NoiseStream
 from spdelab.stepper import (
     PathState,
     SchemeConfig,
@@ -51,7 +51,7 @@ class TestStep:
     def test_zero_noise_zero_state(self, ops3):
         spec = make_spec(0.5, 0.5)
         state = PathState(alpha=np.zeros(ops3.n_dof), n=0, t=0.0)
-        g = ProjectedIncrement(np.zeros(ops3.n_dof), level=3, step_range=(0, 1))
+        g = np.zeros(ops3.n_dof)
         out = step(state, ops3, spec, 1.0, g, 0.125)
         np.testing.assert_array_equal(out.alpha, 0.0)
         assert out.n == 1
@@ -60,7 +60,7 @@ class TestStep:
         # T 1 = 0, so (M + dt T) 1 = M 1 and the constant survives each step
         spec = make_spec(0.5, 0.5)
         state = PathState(alpha=np.ones(ops3.n_dof), n=0, t=0.0)
-        g = ProjectedIncrement(np.zeros(ops3.n_dof), level=3, step_range=(0, 1))
+        g = np.zeros(ops3.n_dof)
         for _ in range(4):
             state = step(state, ops3, spec, 2.0, g, 0.25)
         np.testing.assert_allclose(state.alpha, 1.0, atol=1e-12)
@@ -71,12 +71,11 @@ class TestStep:
         spec = make_spec(0.0, 0.5)
         rng = np.random.default_rng(8)
         alpha = rng.standard_normal(ops.n_dof)
-        g_vals = rng.standard_normal(ops.n_dof)
-        g = ProjectedIncrement(g_vals, level=2, step_range=(0, 1))
+        g = rng.standard_normal(ops.n_dof)
         dt = 0.125
         out = step(PathState(alpha=alpha, n=0, t=0.0), ops, spec, 1.0, g, dt)
         dense = np.linalg.solve(
-            (ops.mass + dt * ops.stiffness).toarray(), ops.mass @ alpha + g_vals
+            (ops.mass + dt * ops.stiffness).toarray(), ops.mass @ alpha + g
         )
         np.testing.assert_allclose(out.alpha, dense, atol=1e-10)
 
@@ -84,7 +83,7 @@ class TestStep:
         spec = make_spec(0.5, 0.5)
         rng = np.random.default_rng(3)
         state = PathState(alpha=rng.standard_normal(ops3.n_dof), n=0, t=0.0)
-        g = ProjectedIncrement(np.zeros(ops3.n_dof), level=3, step_range=(0, 1))
+        g = np.zeros(ops3.n_dof)
         norms = [ops3.m_norm(state.alpha)]
         for _ in range(6):
             state = step(state, ops3, spec, 1.0, g, 1.0 / 6.0)
