@@ -73,6 +73,7 @@ def _list_of(check):
 
 # (check, description) per value type; JSON true/false is never a number
 INT = (_is_int, "an integer")
+COUNT = (lambda val: _is_int(val) and val >= 1, "a positive integer")
 NUMBER = (_is_number, "a number")
 STR = (lambda val: isinstance(val, str), "a string")
 INTS = (_list_of(_is_int), "a list of integers")
@@ -90,7 +91,7 @@ SCHEMAS = {
         "ref_level": (INT, REQUIRED),
         "time_exp": (INT, None),  # required for axis "space"
         "space_level": (INT, None),  # required for axis "time"
-        "n_paths": (INT, REQUIRED),
+        "n_paths": (COUNT, REQUIRED),
         "master_seed": (INT, REQUIRED),
         "k": (NUMBER, 0.5),
         "n_modes": (INT, 1000),
@@ -116,7 +117,7 @@ SCHEMAS = {
         "m_min": (INT, 6),
         "bm_m_max": (INT, 16),
         "bm_m_min": (INT, 8),
-        "n_seeds": (INT, 20),
+        "n_seeds": (COUNT, 20),
         "n_modes": (INT, 1000),
         "master_seed": (INT, 3),
         "out_dir": (STR, None),

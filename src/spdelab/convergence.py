@@ -3,7 +3,10 @@
 A study fixes a reference resolution, simulates each path once at the
 reference and once per coarse level on the *same* driving noise (via time
 aggregation and spatial restriction of the increments), and measures the
-relative error at t = 1 in the reference mass norm.  Rates are least-squares
+relative error at t = 1 in the reference mass norm.  One path is one sweep
+over the fine time steps: ``evolve_fast`` advances the reference with every
+coarse run passed as ``coupled``, so each fine increment is drawn once and
+the driver is evaluated once per distinct time grid.  Rates are least-squares
 slopes in log2-log2 coordinates of the mean error against the resolution.
 """
 
@@ -214,51 +217,51 @@ def _cached_restriction(dim: int, coarse_level: int, fine_level: int):
     return restriction_matrix(coarse, fine)
 
 
-def path_errors(plan: StudyPlan, seed: int) -> np.ndarray:
-    """Relative errors of every coarse run of one path against its reference."""
-    ref_ops = _cached_ops(plan.dim, plan.ref_space_level)
-    spec = make_spec(plan.gamma, plan.k)
-    driver = sample_driver(seed, plan.n_modes)
-    stream = NoiseStream(
-        seed=seed, fine_level=plan.ref_space_level, fine_steps=plan.noise_steps
-    )
-    ref_cfg = SchemeConfig(
+def _final_time_config(plan: StudyPlan, space_level: int, time_steps: int, seed: int):
+    return SchemeConfig(
         dim=plan.dim,
         gamma=plan.gamma,
-        space_level=plan.ref_space_level,
-        time_steps=plan.ref_time_steps,
+        space_level=space_level,
+        time_steps=time_steps,
         master_seed=seed,
         k=plan.k,
         mode="final_time",
         n_modes=plan.n_modes,
     )
-    ref = evolve_fast(ref_cfg, stream, driver, ops=ref_ops, spec=spec)
 
-    errors = np.empty(len(plan.coarse))
-    for i, (space_level, time_steps, _res, _label) in enumerate(plan.coarse):
-        ops = _cached_ops(plan.dim, space_level)
-        a = _cached_restriction(plan.dim, space_level, plan.ref_space_level)
-        cfg = SchemeConfig(
-            dim=plan.dim,
-            gamma=plan.gamma,
-            space_level=space_level,
-            time_steps=time_steps,
-            master_seed=seed,
-            k=plan.k,
-            mode="final_time",
-            n_modes=plan.n_modes,
+
+def path_errors(plan: StudyPlan, seed: int) -> np.ndarray:
+    """Relative errors of every coarse run of one path against its reference.
+
+    The reference and all coarse runs advance in one ``evolve_fast`` sweep,
+    so each fine increment is drawn once per path.
+    """
+    ref_ops = _cached_ops(plan.dim, plan.ref_space_level)
+    stream = NoiseStream(
+        seed=seed, fine_level=plan.ref_space_level, fine_steps=plan.noise_steps
+    )
+    coupled = tuple(
+        (
+            _final_time_config(plan, space_level, time_steps, seed),
+            _cached_ops(plan.dim, space_level),
+            _cached_restriction(plan.dim, space_level, plan.ref_space_level),
         )
-        state = evolve_fast(
-            cfg,
-            stream,
-            driver,
-            a,
-            ops=ops,
-            spec=spec,
-            fine_l_mass=ref_ops.mass_chol if a is not None else None,
-        )
-        errors[i] = relative_error(state.alpha, ref.alpha, a, ref_ops.mass)
-    return errors
+        for space_level, time_steps, _res, _label in plan.coarse
+    )
+    ref = evolve_fast(
+        _final_time_config(plan, plan.ref_space_level, plan.ref_time_steps, seed),
+        stream,
+        sample_driver(seed, plan.n_modes),
+        ops=ref_ops,
+        spec=make_spec(plan.gamma, plan.k),
+        coupled=coupled,
+    )
+    return np.array(
+        [
+            relative_error(alpha, ref.alpha, a, ref_ops.mass)
+            for alpha, (_cfg, _ops, a) in zip(ref.coupled, coupled)
+        ]
+    )
 
 
 def convergence_study(
@@ -278,6 +281,8 @@ def convergence_study(
     whose mean error sits at the solver-tolerance floor are flagged as
     saturated and excluded from the fit.
     """
+    if n_paths < 1:
+        raise DomainError(f"n_paths must be >= 1, got {n_paths}")
     plan = plan_study(base, axis, coarse_levels, ref_level, noise_steps)
     seeds = tuple(base.master_seed + i for i in range(n_paths))
 

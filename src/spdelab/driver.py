@@ -22,6 +22,12 @@ from .rng import DRIVER_TAG, keyed_normals
 
 DEFAULT_N_MODES = 1000
 
+#: Grid points per block of ``eval_f_grid``: a block's cosine matrix is
+#: 16 x 1000 doubles (128 KB) at the default modes.  Larger temporaries
+#: raise glibc's mmap threshold, after which freed blocks stay in the heap
+#: and the peak resident size grows.
+BLOCK_ROWS = 16
+
 
 @dataclass(frozen=True)
 class ScalarDriver:
@@ -59,14 +65,29 @@ def eval_f(driver: ScalarDriver, t: float) -> float:
 
 
 def eval_f_grid(driver: ScalarDriver, times: np.ndarray) -> np.ndarray:
-    """Vectorized ``eval_f`` over a time grid in [0, 1]."""
-    times = np.asarray(times, dtype=float)
+    """Vectorized ``eval_f`` over a time grid in [0, 1].
+
+    The cosine matrix is built ``BLOCK_ROWS`` grid points at a time, so
+    memory stays bounded on any grid.  With single-threaded BLAS every
+    value is bit-identical to the dense
+    ``cos(pi * outer(times, n)) * weights @ coeffs`` product.
+    """
+    times = np.asarray(times, dtype=float).ravel()
     if times.size and (times.min() < 0.0 or times.max() > 1.0):
         raise DomainError("times must lie in [0, 1]")
     n = np.arange(1, driver.n_modes + 1)
     weights = math.sqrt(2.0) / (1.0 + math.pi**2 * n**2)
-    basis = np.cos(math.pi * np.outer(times, n)) * weights
-    return driver.coeffs[0] + basis @ driver.coeffs[1:]
+    # a lone last row would be a dot product, not BLAS gemv, and round
+    # differently; it joins the block before it
+    edges = [*range(0, max(times.size - 1, 1), BLOCK_ROWS), times.size]
+    out = np.empty(times.size)
+    for lo, hi in zip(edges, edges[1:]):
+        basis = np.outer(times[lo:hi], n)
+        basis *= math.pi
+        np.cos(basis, out=basis)
+        basis *= weights
+        out[lo:hi] = basis @ driver.coeffs[1:]
+    return driver.coeffs[0] + out
 
 
 def eval_b(driver: ScalarDriver, t: float) -> float:

@@ -282,6 +282,8 @@ BAD_CONFIGS = {
     "string_verify_n_paths": ("verify", {"n_paths": "100"}),
     "scalar_p_values": ("verify", {"p_values": 2.0}),
     "string_holder_n_seeds": ("holder", {"n_seeds": "2"}),
+    "zero_n_paths": ("convergence", _with(SMALL_CONVERGENCE, n_paths=0)),
+    "zero_holder_n_seeds": ("holder", {"n_seeds": 0}),
     "string_snapshot_level": ("simulate", _with(SMALL_SIMULATE, snapshot_level="2")),
     "bool_simulate_gamma": ("simulate", _with(SMALL_SIMULATE, gamma=False)),
     "list_root": ("simulate", [SMALL_SIMULATE]),

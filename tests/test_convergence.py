@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spdelab import noise
 from spdelab.convergence import (
     ConvergenceReport,
     convergence_study,
@@ -15,7 +16,11 @@ from spdelab.exceptions import (
     DomainError,
     InsufficientDataError,
 )
+from spdelab.driver import eval_b_grid, sample_driver
+from spdelab.fracpow import apply_qgamma, make_spec
 from spdelab.mesh import assemble, build_mesh, restriction_matrix
+from spdelab.noise import NoiseStream, aggregate_increment, restrict_increment
+from spdelab.rng import keyed_normals
 from spdelab.stepper import SchemeConfig
 
 
@@ -223,3 +228,105 @@ def test_path_errors_shares_noise_across_levels():
     errs = path_errors(plan, 3)
     assert errs[1] <= 1e-12
     assert errs[0] > 1e-6
+
+
+def _per_level_path_errors(plan, seed):
+    """Reference for ``path_errors``: every level run on its own.
+
+    Each run builds its coarse increments with ``aggregate_increment`` and
+    ``restrict_increment`` and colors its final raw state, as ``evolve_fast``
+    did before runs were coupled into one sweep.
+    """
+    ref_mesh = build_mesh(plan.dim, plan.ref_space_level)
+    ref_ops = assemble(ref_mesh)
+    spec = make_spec(plan.gamma, plan.k)
+    drv = sample_driver(seed, plan.n_modes)
+    stream = NoiseStream(
+        seed=seed, fine_level=plan.ref_space_level, fine_steps=plan.noise_steps
+    )
+
+    def final_state(time_steps, ops, a):
+        ratio = plan.noise_steps // time_steps
+        dt = 1.0 / time_steps
+        b = eval_b_grid(drv, dt * np.arange(time_steps))
+        beta = np.zeros(ops.n_dof)
+        for n in range(time_steps):
+            g = aggregate_increment(stream, n, ratio, ref_ops.mass_chol)
+            if a is not None:
+                g = restrict_increment(a, g)
+            beta = ops.system_solve(dt, ops.mass @ beta + float(b[n]) * g)
+        if spec.is_identity:
+            return beta
+        return apply_qgamma(spec, ops, ops.mass @ beta)
+
+    ref = final_state(plan.ref_time_steps, ref_ops, None)
+    errors = []
+    for space_level, time_steps, _res, _label in plan.coarse:
+        if space_level == plan.ref_space_level:
+            ops, a = ref_ops, None
+        else:
+            mesh = build_mesh(plan.dim, space_level)
+            ops, a = assemble(mesh), restriction_matrix(mesh, ref_mesh)
+        alpha = final_state(time_steps, ops, a)
+        errors.append(relative_error(alpha, ref, a, ref_ops.mass))
+    return np.array(errors)
+
+
+# name -> (dim, axis, coarse levels, ref level, space level, time exponent,
+# noise steps); the space lists end at the reference level, a run on the
+# noise's own mesh (no restriction)
+SWEEP_STUDIES = {
+    "space1d": (1, "space", [2, 3, 5], 5, 5, 5, None),
+    # noise at twice the reference steps, so the reference aggregates too
+    "time1d": (1, "time", [2, 3, 4], 5, 4, 5, 2**6),
+    # every run both aggregates and restricts
+    "space2d": (2, "space", [1, 2, 3], 3, 3, 4, 2**5),
+}
+
+
+@pytest.mark.parametrize(
+    "name,gamma",
+    [
+        (name, gamma)
+        for name in sorted(SWEEP_STUDIES)
+        for gamma in (0.0, 0.5, 1.0)
+        if not (name == "space2d" and gamma == 0.0)  # inadmissible in 2-d
+    ],
+)
+def test_one_sweep_matches_per_level_runs(name, gamma):
+    dim, axis, coarse, ref, space_level, time_exp, noise_steps = SWEEP_STUDIES[name]
+    base = SchemeConfig(
+        dim=dim, gamma=gamma, space_level=space_level, time_steps=2**time_exp,
+        master_seed=0, mode="final_time", n_modes=100,
+    )
+    plan = plan_study(base, axis, coarse, ref, noise_steps)
+    for seed in (17, 18):
+        np.testing.assert_array_equal(
+            path_errors(plan, seed), _per_level_path_errors(plan, seed)
+        )
+
+
+def test_path_draws_each_fine_increment_once(monkeypatch):
+    draws = []
+
+    def counting(*args):
+        draws.append(args)
+        return keyed_normals(*args)
+
+    monkeypatch.setattr(noise, "keyed_normals", counting)
+    base = SchemeConfig(
+        dim=1, gamma=0.5, space_level=3, time_steps=2**5, master_seed=0,
+        mode="final_time", n_modes=50,
+    )
+    plan = plan_study(base, "time", [2, 3, 4], 5, noise_steps=2**6)
+    path_errors(plan, 9)
+    assert len(draws) == plan.noise_steps
+
+
+def test_study_needs_a_path():
+    base = SchemeConfig(
+        dim=1, gamma=0.5, space_level=4, time_steps=2**4, master_seed=0,
+        mode="final_time",
+    )
+    with pytest.raises(DomainError):
+        convergence_study(base, "space", [2, 3], 4, 0)

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from spdelab.driver import (
+    BLOCK_ROWS,
     ScalarDriver,
     eval_b,
     eval_b_grid,
@@ -69,6 +71,31 @@ class TestEvalF:
         ts = np.linspace(0.0, 1.0, 17)
         grid = eval_f_grid(drv, ts)
         np.testing.assert_allclose(grid, [eval_f(drv, t) for t in ts], atol=1e-14)
+
+    @pytest.mark.parametrize("tail", [1, 5])
+    def test_blocked_grid_matches_dense(self, tail):
+        # several full blocks and a partial last one
+        drv = sample_driver(8, 1000)
+        ts = np.linspace(0.0, 1.0, 3 * BLOCK_ROWS + tail)
+        n = np.arange(1, drv.n_modes + 1)
+        weights = math.sqrt(2.0) / (1.0 + math.pi**2 * n**2)
+        basis = np.cos(math.pi * np.outer(ts, n)) * weights
+        dense = drv.coeffs[0] + basis @ drv.coeffs[1:]
+        grid = eval_f_grid(drv, ts)
+        np.testing.assert_allclose(grid, dense, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(grid, [eval_f(drv, t) for t in ts], atol=1e-14)
+
+    def test_grid_memory_is_bounded(self):
+        # the dense cosine matrix at 2^14 points and 1000 modes is 131 MB
+        drv = sample_driver(9, 1000)
+        ts = np.arange(2**14) / 2**14
+        tracemalloc.start()
+        try:
+            eval_f_grid(drv, ts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_domain_check(self):
         drv = sample_driver(1, 5)

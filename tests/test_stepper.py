@@ -230,3 +230,53 @@ class TestFastPath:
         out = simulate_path(cfg, stream, drv, ops=ops3)
         fast = evolve_fast(cfg, stream, drv, ops=ops3)
         np.testing.assert_array_equal(out.alpha, fast.alpha)
+
+
+class TestCoupledRuns:
+    def test_no_coupled_runs_by_default(self, ops3):
+        cfg = SchemeConfig(
+            dim=1, gamma=0.5, space_level=3, time_steps=8, master_seed=5
+        )
+        stream = NoiseStream(seed=5, fine_level=3, fine_steps=8)
+        assert evolve_fast(cfg, stream, sample_driver(5, 50), ops=ops3).coupled == ()
+
+    def test_coupled_run_matches_its_own_run(self, ops3):
+        # a coupled run of another gamma on a coarser time grid gets its own
+        # quadrature and driver grid; the main run is unaffected by it
+        drv = sample_driver(6, 50)
+        stream = NoiseStream(seed=6, fine_level=3, fine_steps=16)
+        main = SchemeConfig(
+            dim=1, gamma=0.5, space_level=3, time_steps=16, master_seed=6
+        )
+        other = SchemeConfig(
+            dim=1, gamma=0.75, space_level=3, time_steps=4, master_seed=6
+        )
+        out = evolve_fast(main, stream, drv, ops=ops3, coupled=((other, ops3, None),))
+        np.testing.assert_array_equal(
+            out.alpha, evolve_fast(main, stream, drv, ops=ops3).alpha
+        )
+        np.testing.assert_array_equal(
+            out.coupled[0], evolve_fast(other, stream, drv, ops=ops3).alpha
+        )
+
+    def test_coupled_run_checks(self, ops3):
+        drv = sample_driver(7, 50)
+        stream = NoiseStream(seed=7, fine_level=3, fine_steps=8)
+        main = SchemeConfig(
+            dim=1, gamma=0.5, space_level=3, time_steps=8, master_seed=7
+        )
+        bad = {
+            "initial data": SchemeConfig(
+                dim=1, gamma=0.5, space_level=3, time_steps=8, master_seed=7,
+                initial=np.ones(ops3.n_dof),
+            ),
+            "grid not dividing": SchemeConfig(
+                dim=1, gamma=0.5, space_level=3, time_steps=3, master_seed=7
+            ),
+            "other mesh, no restriction": SchemeConfig(
+                dim=1, gamma=0.5, space_level=2, time_steps=8, master_seed=7
+            ),
+        }
+        for what, cfg in bad.items():
+            with pytest.raises(DomainError):
+                evolve_fast(main, stream, drv, ops=ops3, coupled=((cfg, ops3, None),))
