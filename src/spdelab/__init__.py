@@ -38,7 +38,7 @@ from .noise import (
     fine_increment,
     restrict_increment,
 )
-from .stepper import PathState, SchemeConfig, evolve, evolve_fast, step
+from .stepper import PathState, SchemeConfig, evolve, evolve_fast
 
 __version__ = "0.1.0"
 
@@ -75,6 +75,5 @@ __all__ = [
     "restriction_matrix",
     "sample_driver",
     "scalar_qgamma",
-    "step",
     "theoretical_rates",
 ]

@@ -41,7 +41,7 @@ from .exceptions import (
 from .mesh import assemble, build_mesh
 from .noise import NoiseStream
 from .rng import DRIVER_TAG, L0_MARK_TAG, L0_WIENER_TAG, WIENER_TAG
-from .stepper import SchemeConfig, evolve_fast, simulate_path
+from .stepper import MODES, SchemeConfig, evolve_fast
 from .svgplot import GuideLine, Series, loglog_svg, write_svg
 
 STREAM_TAGS = {
@@ -68,7 +68,7 @@ def _is_number(val) -> bool:
 
 
 def _list_of(check):
-    return lambda val: isinstance(val, list) and all(map(check, val))
+    return lambda val: isinstance(val, list) and len(val) > 0 and all(map(check, val))
 
 
 # (check, description) per value type; JSON true/false is never a number
@@ -76,8 +76,8 @@ INT = (_is_int, "an integer")
 COUNT = (lambda val: _is_int(val) and val >= 1, "a positive integer")
 NUMBER = (_is_number, "a number")
 STR = (lambda val: isinstance(val, str), "a string")
-INTS = (_list_of(_is_int), "a list of integers")
-NUMBERS = (_list_of(_is_number), "a list of numbers")
+INTS = (_list_of(_is_int), "a non-empty list of integers")
+NUMBERS = (_list_of(_is_number), "a non-empty list of numbers")
 
 # command -> config key -> (type, default); a None default marks an optional
 # key that stays absent.  Keys outside the table are rejected.
@@ -518,7 +518,7 @@ def cmd_simulate(args) -> int:
         fine_steps=config.time_steps,
     )
     driver = sample_driver(cfg["master_seed"], cfg["n_modes"])
-    state = simulate_path(
+    state = MODES[config.mode](
         config, stream, driver, snapshot_level=cfg.get("snapshot_level")
     )
     with open(out / "final_state.txt", "w", encoding="utf-8") as fh:

@@ -26,7 +26,6 @@ from .exceptions import (
     DomainError,
     InsufficientDataError,
 )
-from .fracpow import make_spec
 from .mesh import SOLVER_TOL, assemble, build_mesh, restriction_matrix
 from .noise import NoiseStream
 from .stepper import SchemeConfig, evolve_fast
@@ -253,7 +252,6 @@ def path_errors(plan: StudyPlan, seed: int) -> np.ndarray:
         stream,
         sample_driver(seed, plan.n_modes),
         ops=ref_ops,
-        spec=make_spec(plan.gamma, plan.k),
         coupled=coupled,
     )
     return np.array(

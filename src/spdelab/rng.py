@@ -28,9 +28,11 @@ def keyed_generator(seed: int, tag: int, counter: int = 0) -> np.random.Generato
     the third 64-bit counter word, leaving 2^128 draws of headroom per block
     so consecutive blocks can never overlap.
     """
+    # uint64 arrays: numpy converts a Python int word >= 2^63 through float64,
+    # which would make distinct seeds (e.g. -1 and -2) share a key
     bg = np.random.Philox(
-        counter=[0, 0, counter & _MASK64, 0],
-        key=[seed & _MASK64, tag & _MASK64],
+        counter=np.array([0, 0, counter & _MASK64, 0], dtype=np.uint64),
+        key=np.array([seed & _MASK64, tag & _MASK64], dtype=np.uint64),
     )
     return np.random.Generator(bg)
 

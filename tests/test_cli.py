@@ -223,13 +223,14 @@ class TestSimulateCommand:
 
 
 def test_numerical_failure_exit_code(tmp_path, monkeypatch):
-    import spdelab.cli as cli
     from spdelab.exceptions import NumericalError
+    from spdelab.stepper import MODES
 
     def explode(*args, **kwargs):
         raise NumericalError("synthetic solver failure")
 
-    monkeypatch.setattr(cli, "simulate_path", explode)
+    # the config below runs in the default per-step mode
+    monkeypatch.setitem(MODES, "per_step", explode)
     cfg = write_config(
         tmp_path,
         {"dim": 1, "gamma": 0.5, "space_level": 2, "time_exp": 3, "master_seed": 1},
@@ -285,6 +286,9 @@ BAD_CONFIGS = {
     "zero_n_paths": ("convergence", _with(SMALL_CONVERGENCE, n_paths=0)),
     "zero_holder_n_seeds": ("holder", {"n_seeds": 0}),
     "string_snapshot_level": ("simulate", _with(SMALL_SIMULATE, snapshot_level="2")),
+    "negative_snapshot_level": ("simulate", _with(SMALL_SIMULATE, snapshot_level=-1)),
+    "empty_gammas": ("convergence", _with(SMALL_CONVERGENCE, gammas=[])),
+    "empty_p_values": ("verify", {"p_values": []}),
     "bool_simulate_gamma": ("simulate", _with(SMALL_SIMULATE, gamma=False)),
     "list_root": ("simulate", [SMALL_SIMULATE]),
     "malformed_json": ("convergence", '{"dim": 1,'),

@@ -16,7 +16,7 @@ import pytest
 from spdelab.convergence import convergence_study
 from spdelab.driver import sample_driver
 from spdelab.noise import NoiseStream
-from spdelab.stepper import SchemeConfig, simulate_path
+from spdelab.stepper import MODES, SchemeConfig
 
 FIXTURE = Path(__file__).parent / "data" / "golden_errors.json"
 MASTER_SEED = 20261018
@@ -71,7 +71,7 @@ def path_outputs(name: str) -> dict:
         initial=initial,
     )
     stream = NoiseStream(seed=MASTER_SEED, fine_level=level, fine_steps=2**time_exp)
-    state = simulate_path(
+    state = MODES[mode](
         config, stream, sample_driver(MASTER_SEED, 200), snapshot_level=snapshot_level
     )
     snaps = None if state.snapshots is None else state.snapshots.tolist()

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 
 from spdelab.rng import (
@@ -49,3 +51,14 @@ def test_generator_is_standard_normal():
     assert abs(draws.mean()) < 0.01
     assert abs(draws.var() - 1.0) < 0.02
     assert abs((draws**3).mean()) < 0.03
+
+
+def test_seeds_beyond_int64_disjoint():
+    # key words >= 2^63 once went through float64, so these seeds collided
+    seeds = (-1, -2, 2**63, 2**63 + 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        draws = [keyed_normals(seed, WIENER_TAG, 0, 32) for seed in seeds]
+    for i in range(len(draws)):
+        for j in range(i + 1, len(draws)):
+            assert not np.allclose(draws[i], draws[j])

@@ -2,19 +2,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from spdelab.driver import ScalarDriver, sample_driver
+from spdelab.driver import ScalarDriver, eval_b, eval_b_grid, sample_driver
 from spdelab.exceptions import DomainError
-from spdelab.fracpow import make_spec
+from spdelab.fracpow import apply_qgamma, make_spec
 from spdelab.mesh import assemble, build_mesh
-from spdelab.noise import NoiseStream
-from spdelab.stepper import (
-    PathState,
-    SchemeConfig,
-    evolve,
-    evolve_fast,
-    simulate_path,
-    step,
-)
+from spdelab.noise import NoiseStream, aggregate_increment, fine_increment
+from spdelab.stepper import MODES, SchemeConfig, evolve, evolve_fast
 
 
 @pytest.fixture(scope="module")
@@ -22,8 +15,12 @@ def ops3():
     return assemble(build_mesh(1, 3))
 
 
-def zero_l_mass(n):
-    return sp.csr_matrix((n, n))
+@pytest.fixture(scope="module")
+def quiet3():
+    """Level-3 operators with a zero mass factor: every noise increment is 0."""
+    ops = assemble(build_mesh(1, 3))
+    ops.mass_chol = sp.csr_matrix(ops.mass_chol.shape)
+    return ops
 
 
 def flat_driver(value=0.0):
@@ -48,60 +45,62 @@ class TestSchemeConfig:
 
 
 class TestStep:
-    def test_zero_noise_zero_state(self, ops3):
-        spec = make_spec(0.5, 0.5)
-        state = PathState(alpha=np.zeros(ops3.n_dof), n=0, t=0.0)
-        g = np.zeros(ops3.n_dof)
-        out = step(state, ops3, spec, 1.0, g, 0.125)
-        np.testing.assert_array_equal(out.alpha, 0.0)
-        assert out.n == 1
+    def test_zero_noise_zero_state(self, quiet3):
+        # whatever the driver, zero increments keep the zero state
+        cfg = SchemeConfig(dim=1, gamma=0.5, space_level=3, time_steps=8, master_seed=0)
+        stream = NoiseStream(seed=0, fine_level=3, fine_steps=8)
+        out = evolve(cfg, stream, sample_driver(0, 50), ops=quiet3, snapshot_level=3)
+        np.testing.assert_array_equal(out.snapshots, 0.0)
+        assert out.n == 8
 
-    def test_constants_invariant(self, ops3):
+    def test_constants_invariant(self, quiet3):
         # T 1 = 0, so (M + dt T) 1 = M 1 and the constant survives each step
-        spec = make_spec(0.5, 0.5)
-        state = PathState(alpha=np.ones(ops3.n_dof), n=0, t=0.0)
-        g = np.zeros(ops3.n_dof)
-        for _ in range(4):
-            state = step(state, ops3, spec, 2.0, g, 0.25)
-        np.testing.assert_allclose(state.alpha, 1.0, atol=1e-12)
+        cfg = SchemeConfig(
+            dim=1, gamma=0.5, space_level=3, time_steps=4, master_seed=0,
+            initial=np.ones(quiet3.n_dof),
+        )
+        stream = NoiseStream(seed=0, fine_level=3, fine_steps=4)
+        out = evolve(cfg, stream, sample_driver(0, 50), ops=quiet3)
+        np.testing.assert_allclose(out.alpha, 1.0, atol=1e-12)
 
     def test_single_step_dense_oracle(self):
         # gamma = 0: alpha' = (M + dt T)^{-1} (M alpha + b g), cross-checked densely
         ops = assemble(build_mesh(1, 2))
-        spec = make_spec(0.0, 0.5)
-        rng = np.random.default_rng(8)
-        alpha = rng.standard_normal(ops.n_dof)
-        g = rng.standard_normal(ops.n_dof)
-        dt = 0.125
-        out = step(PathState(alpha=alpha, n=0, t=0.0), ops, spec, 1.0, g, dt)
-        dense = np.linalg.solve(
-            (ops.mass + dt * ops.stiffness).toarray(), ops.mass @ alpha + g
+        alpha = np.random.default_rng(8).standard_normal(ops.n_dof)
+        cfg = SchemeConfig(
+            dim=1, gamma=0.0, space_level=2, time_steps=8, master_seed=8,
+            initial=alpha,
         )
-        np.testing.assert_allclose(out.alpha, dense, atol=1e-10)
+        stream = NoiseStream(seed=8, fine_level=2, fine_steps=8)
+        drv = sample_driver(8, 50)
+        out = evolve(cfg, stream, drv, ops=ops, snapshot_level=3)
+        dt = 0.125
+        b0 = eval_b(drv, 0.0)
+        g = fine_increment(stream, 0, ops.mass_chol)
+        dense = np.linalg.solve(
+            (ops.mass + dt * ops.stiffness).toarray(), ops.mass @ alpha + b0 * g
+        )
+        np.testing.assert_array_equal(out.snapshots[0], alpha)
+        np.testing.assert_allclose(out.snapshots[1], dense, atol=1e-10)
 
-    def test_non_expansive_in_mass_norm(self, ops3):
-        spec = make_spec(0.5, 0.5)
+    def test_non_expansive_in_mass_norm(self, quiet3):
         rng = np.random.default_rng(3)
-        state = PathState(alpha=rng.standard_normal(ops3.n_dof), n=0, t=0.0)
-        g = np.zeros(ops3.n_dof)
-        norms = [ops3.m_norm(state.alpha)]
-        for _ in range(6):
-            state = step(state, ops3, spec, 1.0, g, 1.0 / 6.0)
-            norms.append(ops3.m_norm(state.alpha))
+        cfg = SchemeConfig(
+            dim=1, gamma=0.5, space_level=3, time_steps=8, master_seed=3,
+            initial=rng.standard_normal(quiet3.n_dof),
+        )
+        stream = NoiseStream(seed=3, fine_level=3, fine_steps=8)
+        out = evolve(cfg, stream, flat_driver(), ops=quiet3, snapshot_level=3)
+        norms = [quiet3.m_norm(snap) for snap in out.snapshots]
+        assert len(norms) == 9
         assert all(b <= a + 1e-14 for a, b in zip(norms, norms[1:]))
 
 
 class TestEvolve:
-    def test_single_homogeneous_step(self, ops3):
+    def test_single_homogeneous_step(self, quiet3):
         cfg = SchemeConfig(dim=1, gamma=0.5, space_level=3, time_steps=1, master_seed=0)
         stream = NoiseStream(seed=0, fine_level=3, fine_steps=1)
-        out = evolve(
-            cfg,
-            stream,
-            flat_driver(),
-            ops=ops3,
-            fine_l_mass=zero_l_mass(ops3.n_dof),
-        )
+        out = evolve(cfg, stream, flat_driver(), ops=quiet3)
         np.testing.assert_array_equal(out.alpha, 0.0)
         assert out.t == 1.0
 
@@ -118,23 +117,23 @@ class TestEvolve:
         cfg = SchemeConfig(dim=1, gamma=0.5, space_level=3, time_steps=8, master_seed=6)
         stream = NoiseStream(seed=6, fine_level=3, fine_steps=8)
         drv = sample_driver(6)
-        base = evolve(cfg, stream, drv, ops=ops3, fine_l_mass=ops3.mass_chol)
-        scaled = evolve(cfg, stream, drv, ops=ops3, fine_l_mass=2.0 * ops3.mass_chol)
+        doubled = assemble(build_mesh(1, 3))
+        doubled.mass_chol = 2.0 * doubled.mass_chol
+        base = evolve(cfg, stream, drv, ops=ops3)
+        scaled = evolve(cfg, stream, drv, ops=doubled)
         np.testing.assert_allclose(scaled.alpha, 2.0 * base.alpha, rtol=1e-12)
 
-    def test_initial_data_propagates(self, ops3):
+    def test_initial_data_propagates(self, quiet3):
         cfg = SchemeConfig(
             dim=1,
             gamma=0.5,
             space_level=3,
             time_steps=4,
             master_seed=0,
-            initial=np.ones(ops3.n_dof),
+            initial=np.ones(quiet3.n_dof),
         )
         stream = NoiseStream(seed=0, fine_level=3, fine_steps=4)
-        out = evolve(
-            cfg, stream, flat_driver(), ops=ops3, fine_l_mass=zero_l_mass(ops3.n_dof)
-        )
+        out = evolve(cfg, stream, flat_driver(), ops=quiet3)
         np.testing.assert_allclose(out.alpha, 1.0, atol=1e-12)
 
     def test_mean_zero(self):
@@ -220,16 +219,55 @@ class TestFastPath:
         rel = ops3.m_norm(slow.alpha - fast.alpha) / ops3.m_norm(slow.alpha)
         assert rel <= 1e-8
 
-    def test_simulate_path_dispatch(self, ops3):
+    def test_modes_dispatch(self, ops3):
+        assert MODES == {"per_step": evolve, "final_time": evolve_fast}
         cfg = SchemeConfig(
             dim=1, gamma=0.5, space_level=3, time_steps=8, master_seed=4,
             mode="final_time",
         )
         stream = NoiseStream(seed=4, fine_level=3, fine_steps=8)
         drv = sample_driver(4)
-        out = simulate_path(cfg, stream, drv, ops=ops3)
+        out = MODES[cfg.mode](cfg, stream, drv, ops=ops3)
         fast = evolve_fast(cfg, stream, drv, ops=ops3)
         np.testing.assert_array_equal(out.alpha, fast.alpha)
+
+
+def per_step_loop(cfg, stream, drv, ops, snapshot_level):
+    """Per-step mode as a plain loop over coarse steps: aggregate, color, solve."""
+    spec = make_spec(cfg.gamma, cfg.k)
+    ratio = stream.fine_steps // cfg.time_steps
+    stride = cfg.time_steps // 2**snapshot_level
+    b = eval_b_grid(drv, cfg.dt * np.arange(cfg.time_steps))
+    alpha = np.zeros(ops.n_dof) if cfg.initial is None else cfg.initial
+    snaps = [alpha]
+    for n in range(cfg.time_steps):
+        g = aggregate_increment(stream, n, ratio, ops.mass_chol)
+        if not spec.is_identity:
+            g = ops.mass @ apply_qgamma(spec, ops, g)
+        alpha = ops.system_solve(cfg.dt, ops.mass @ alpha + float(b[n]) * g)
+        if (n + 1) % stride == 0:
+            snaps.append(alpha)
+    return alpha, np.array(snaps)
+
+
+@pytest.mark.parametrize(
+    "dim,gamma,level,with_initial",
+    [(1, 0.0, 3, False), (1, 0.5, 3, True), (1, 0.0, 3, True), (2, 0.5, 2, True)],
+)
+@pytest.mark.parametrize("noise_mult", [1, 4])
+def test_per_step_matches_step_loop(dim, gamma, level, with_initial, noise_mult):
+    ops = assemble(build_mesh(dim, level))
+    initial = np.cos(np.linspace(0.0, 3.0, ops.n_dof)) if with_initial else None
+    cfg = SchemeConfig(
+        dim=dim, gamma=gamma, space_level=level, time_steps=8, master_seed=21,
+        initial=initial,
+    )
+    stream = NoiseStream(seed=21, fine_level=level, fine_steps=8 * noise_mult)
+    drv = sample_driver(21, 50)
+    out = evolve(cfg, stream, drv, ops=ops, snapshot_level=2)
+    alpha, snaps = per_step_loop(cfg, stream, drv, ops, snapshot_level=2)
+    np.testing.assert_array_equal(out.alpha, alpha)
+    np.testing.assert_array_equal(out.snapshots, snaps)
 
 
 class TestCoupledRuns:
