@@ -40,7 +40,7 @@ from .exceptions import (
 )
 from .mesh import assemble, build_mesh
 from .noise import NoiseStream
-from .rng import DRIVER_TAG, L0_MARK_TAG, L0_WIENER_TAG, WIENER_TAG
+from .rng import DRIVER_TAG, L0_MARK_TAG, L0_WIENER_TAG, WIENER_TAG, keyed_generator
 from .stepper import MODES, SchemeConfig, evolve_fast
 from .svgplot import GuideLine, Series, loglog_svg, write_svg
 
@@ -96,7 +96,7 @@ SCHEMAS = {
         "k": (NUMBER, 0.5),
         "n_modes": (INT, 1000),
         "beta": (NUMBER, 1.0),
-        "n_workers": (INT, 1),
+        "n_workers": (COUNT, 1),
         "out_dir": (STR, None),
     },
     "verify": {
@@ -176,13 +176,18 @@ def _load_config(args) -> dict:
 
 
 def _out_dir(cfg: dict) -> Path:
-    out = Path(cfg.get("out_dir", "."))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    # created by the first write (_create), so a rejected run leaves nothing
+    return Path(cfg.get("out_dir", "."))
+
+
+def _create(path: Path) -> Path:
+    """``path``, after creating the directory it goes in."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open(_create(path), "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -191,7 +196,7 @@ def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
 def _write_manifest(path: Path, command: str, cfg: dict, extra: dict) -> None:
     doc = {"command": command, "config": cfg, "stream_tags": STREAM_TAGS}
     doc.update(extra)
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(_create(path), "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, default=str)
         fh.write("\n")
 
@@ -369,7 +374,7 @@ def cmd_verify(args) -> int:
     if abs(spot - 0.5) > 1e-12:
         failures.append("dp_metric spot value")
     # convergence in probability: x_n = |N(0,1)| / n
-    gen = np.random.Generator(np.random.Philox(key=[seed, 0xD0]))
+    gen = keyed_generator(seed, 0xD0)
     base_samples = np.abs(gen.standard_normal(10_000))
     dps = [l0.dp_metric(base_samples / n, 1.0) for n in (1, 10, 100)]
     for n, val in zip((1, 10, 100), dps):
@@ -521,7 +526,7 @@ def cmd_simulate(args) -> int:
     state = MODES[config.mode](
         config, stream, driver, snapshot_level=cfg.get("snapshot_level")
     )
-    with open(out / "final_state.txt", "w", encoding="utf-8") as fh:
+    with open(_create(out / "final_state.txt"), "w", encoding="utf-8") as fh:
         for value in state.alpha:
             fh.write(f"{value:.17g}\n")
     outputs = ["final_state.txt"]

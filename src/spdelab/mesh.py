@@ -197,22 +197,28 @@ class FemOperators:
         system = (self.mass + dt * self.stiffness).tocsc()
         return splu(system), system
 
+    def system_factor(self, dt: float):
+        """The LU of (M + dt T) and the matrix itself, built once per dt."""
+        return self.cached(("system", dt), lambda: self._factor_system(dt))
+
+    def check_solves(self, dt: float, x: np.ndarray, rhs: np.ndarray) -> None:
+        """Raise ``NumericalError`` unless each row of ``x`` solves
+        (M + dt T) x = rhs to ``SOLVER_TOL``; a zero rhs is not checked."""
+        res = (self.system_factor(dt)[1] @ x.T).T - rhs
+        rhs_norm = np.sqrt(np.einsum("ij,ij->i", rhs, rhs))
+        checked = rhs_norm > 0.0
+        rel = np.sqrt(np.einsum("ij,ij->i", res, res))[checked] / rhs_norm[checked]
+        bad = rel[~(rel <= SOLVER_TOL)]
+        if bad.size:
+            raise NumericalError(
+                f"backward Euler solve residual {bad[0]:.3e} exceeds "
+                f"{SOLVER_TOL:.0e} (n={self.n_dof}, dt={dt})"
+            )
+
     def system_solve(self, dt: float, rhs: np.ndarray) -> np.ndarray:
         """Solve (M + dt T) x = rhs with a relative residual check."""
-        # one lookup on the hot path; the closure is built only on a miss
-        entry = self._cache.get(("system", dt))
-        if entry is None:
-            entry = self.cached(("system", dt), lambda: self._factor_system(dt))
-        lu, system = entry
-        x = lu.solve(rhs)
-        rhs_norm = np.linalg.norm(rhs)
-        if rhs_norm > 0.0:
-            rel = np.linalg.norm(system @ x - rhs) / rhs_norm
-            if not rel <= SOLVER_TOL:
-                raise NumericalError(
-                    f"backward Euler solve residual {rel:.3e} exceeds "
-                    f"{SOLVER_TOL:.0e} (n={self.n_dof}, dt={dt})"
-                )
+        x = self.system_factor(dt)[0].solve(rhs)
+        self.check_solves(dt, x[None], rhs[None])
         return x
 
     def m_norm(self, v: np.ndarray) -> float:

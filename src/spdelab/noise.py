@@ -19,7 +19,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from .exceptions import DomainError
-from .rng import WIENER_TAG, keyed_normals
+from .rng import WIENER_TAG, keyed_normal_rows
+
+# unused here, but perfbench/tracing.py wraps the keyed draw under this name,
+# so the binding stays
+from .rng import keyed_normals  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -38,17 +42,26 @@ class NoiseStream:
     def fine_dt(self) -> float:
         return 1.0 / self.fine_steps
 
-    def normals(self, n: int, size: int) -> np.ndarray:
-        """Standard normal vector for fine step ``n``; pure in (seed, n)."""
-        if not 0 <= n < self.fine_steps:
-            raise DomainError(f"step {n} outside [0, {self.fine_steps})")
-        return keyed_normals(self.seed, WIENER_TAG, n, size)
+    def normals(self, start: int, stop: int, size: int) -> np.ndarray:
+        """Standard normals of fine steps ``start .. stop - 1`` as rows; row
+        ``i`` is pure in (seed, start + i), whatever block it is drawn in."""
+        if not 0 <= start < stop <= self.fine_steps:
+            raise DomainError(f"steps [{start}, {stop}) outside [0, {self.fine_steps})")
+        return keyed_normal_rows(self.seed, WIENER_TAG, start, stop, size)
+
+
+def fine_increments(
+    stream: NoiseStream, start: int, stop: int, l_mass: sp.spmatrix
+) -> np.ndarray:
+    """``fine_increment`` of fine steps ``start .. stop - 1`` as columns,
+    bit for bit, from one multi-column product."""
+    rho = stream.normals(start, stop, l_mass.shape[1])
+    return math.sqrt(stream.fine_dt) * (l_mass @ rho.T)
 
 
 def fine_increment(stream: NoiseStream, n: int, l_mass: sp.spmatrix) -> np.ndarray:
     """Load vector of one fine step's increment: sqrt(fine_dt) * L_M @ rho_n."""
-    rho = stream.normals(n, l_mass.shape[1])
-    return math.sqrt(stream.fine_dt) * (l_mass @ rho)
+    return fine_increments(stream, n, n + 1, l_mass)[:, 0]
 
 
 def aggregate_increment(

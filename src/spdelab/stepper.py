@@ -8,14 +8,17 @@ where ``g_n`` is the projected Wiener increment for the step (already
 carrying its sqrt(dt) scaling), ``b_n`` the scalar driver sampled at the
 left endpoint, and ``Q`` the fractional-inverse quadrature.
 
-Both modes run one sweep over the fine steps of the noise stream: each fine
-increment is drawn once, and a run sums the increments of its current step
-in fine-step order (bit-identical to ``aggregate_increment``), restricts the
-sum to its mesh when the step completes and takes its backward Euler step.
-The modes differ only in where ``Q`` is applied:
+Both modes run one sweep over the fine steps of the noise stream in blocks
+of ``BLOCK_STEPS``.  A block draws its fine increments, each from its own
+key, in one ``L_M @ R`` product.  Each run sums them into its steps in
+fine-step order (bit-identical to ``aggregate_increment``; a step still open
+at the end of a block carries over), restricts the completed sums in one
+product, takes their backward Euler steps one by one and checks all their
+residuals at once, so it holds at most ``BLOCK_STEPS`` states.  The modes
+differ only in where ``Q`` is applied:
 
 * ``evolve`` (``per_step``) colors each completed increment, ``M Q g_n``,
-  before its solve, starting from the initial data.
+  one at a time before its solve, starting from the initial data.
 * ``evolve_fast`` (``final_time``) runs on raw increments and applies ``Q``
   once to the load representation of each state it returns.  Because
   K = M + T here, the coloring commutes with the time stepping; this cuts
@@ -46,6 +49,9 @@ from .noise import NoiseStream, restrict_increment
 # unused here, but perfbench/tracing.py wraps the per-step aggregation under
 # this name, so the binding stays
 from .noise import aggregate_increment  # noqa: F401
+
+# fine steps drawn, colored and solved per block of the sweep
+BLOCK_STEPS = 16
 
 
 @dataclass(frozen=True)
@@ -135,20 +141,48 @@ class _Run:
     b: np.ndarray  # driver on this run's time grid
     beta: np.ndarray
     per_step: bool = False  # color each increment before its solve
-    acc: np.ndarray | None = None  # fine increments of the current step so far
+    acc: np.ndarray | None = None  # fine increments of an open step so far
 
-    def take(self, m: int, f: np.ndarray) -> None:
-        """Add fine increment ``m``; step once it completes a coarse step."""
-        # summed in fine-step order, bit-identical to aggregate_increment
-        self.acc = f if m % self.ratio == 0 else self.acc + f
-        if (m + 1) % self.ratio == 0:
-            g = self.acc if self.a is None else restrict_increment(self.a, self.acc)
-            if self.per_step and not self.spec.is_identity:
-                g = self.ops.mass @ apply_qgamma(self.spec, self.ops, g)
-            n = m // self.ratio
-            self.beta = self.ops.system_solve(
-                self.dt, self.ops.mass @ self.beta + float(self.b[n]) * g
+    def _step_sums(self, m0: int, f: np.ndarray) -> np.ndarray:
+        """Sums of the steps that the fine increments ``f`` complete, as columns."""
+        if self.ratio == 1:
+            return f
+        sums = []
+        for c in range(f.shape[1]):
+            m = m0 + c
+            # fine-step order, bit-identical to aggregate_increment
+            self.acc = f[:, c] if m % self.ratio == 0 else self.acc + f[:, c]
+            if (m + 1) % self.ratio == 0:
+                sums.append(self.acc)
+        return np.column_stack(sums) if sums else f[:, :0]
+
+    def take(self, m0: int, f: np.ndarray) -> np.ndarray:
+        """Advance over the fine increments ``f``, the columns of fine steps
+        ``m0`` on; returns the states of the steps they complete, as rows."""
+        g = self._step_sums(m0, f)
+        n0 = m0 // self.ratio
+        n1 = n0 + g.shape[1]
+        states = np.empty((n1 - n0, self.ops.n_dof))
+        if n1 == n0:
+            return states
+        mass = self.ops.mass
+        if self.a is not None:
+            g = restrict_increment(self.a, g)
+        if self.per_step and not self.spec.is_identity:
+            # one column at a time: batched pencil solves can round differently
+            g = np.column_stack(
+                [mass @ apply_qgamma(self.spec, self.ops, c) for c in g.T]
             )
+        bg = g * self.b[n0:n1]
+        lu = self.ops.system_factor(self.dt)[0]
+        rhs = np.empty_like(states)
+        beta = self.beta
+        for j in range(n1 - n0):
+            rhs[j] = mass @ beta + bg[:, j]
+            beta = states[j] = lu.solve(rhs[j])
+        self.ops.check_solves(self.dt, states, rhs)
+        self.beta = beta
+        return states
 
     def color(self, raw: np.ndarray) -> np.ndarray:
         # raw states stacked as columns; one batched quadrature application
@@ -206,18 +240,19 @@ def _sweep(
 
     snaps = [main.beta] if stride else None
     hom_snaps = [hom] if stride and hom is not None else None
-    for m in range(stream.fine_steps):
-        f = noise.fine_increment(stream, m, ops.mass_chol)
-        for r in runs:
-            r.take(m, f)
-        if (m + 1) % main.ratio:
-            continue
-        if hom is not None:
-            hom = ops.system_solve(config.dt, ops.mass @ hom)
-        if stride and ((m + 1) // main.ratio) % stride == 0:
-            snaps.append(main.beta)
+    for m0 in range(0, stream.fine_steps, BLOCK_STEPS):
+        m1 = min(m0 + BLOCK_STEPS, stream.fine_steps)
+        f = noise.fine_increments(stream, m0, m1, ops.mass_chol)
+        states = main.take(m0, f)
+        for r in runs[1:]:
+            r.take(m0, f)
+        for j, n in enumerate(range(m0 // main.ratio, m1 // main.ratio)):
             if hom is not None:
-                hom_snaps.append(hom)
+                hom = ops.system_solve(config.dt, ops.mass @ hom)
+            if stride and (n + 1) % stride == 0:
+                snaps.append(states[j].copy())  # a view would keep the block
+                if hom is not None:
+                    hom_snaps.append(hom)
 
     alpha = main.color(main.beta)
     if hom is not None:

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -145,6 +146,21 @@ class TestVerifyCommand:
         assert "synthetic alarm" in (tmp_path / "alarms.log").read_text()
 
 
+    def test_seeds_beyond_int64_draw_distinct_samples(self, tmp_path):
+        # seeds 2^63 and 2^63 + 5 share no Philox key
+        rows = []
+        for seed in (2**63, 2**63 + 5):
+            out = tmp_path / str(seed)
+            args = ["verify", "--paths", "10", "--out", str(out), "--seed", str(seed)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(args) == 0
+            lines = (out / "verify_metric.csv").read_text().splitlines()
+            rows.append([ln for ln in lines if ln.startswith("dp_convergence")])
+        assert len(rows[0]) == 3
+        assert rows[0] != rows[1]
+
+
 class TestHolderCommand:
     def test_small_run(self, tmp_path, capsys):
         cfg = write_config(
@@ -284,6 +300,7 @@ BAD_CONFIGS = {
     "scalar_p_values": ("verify", {"p_values": 2.0}),
     "string_holder_n_seeds": ("holder", {"n_seeds": "2"}),
     "zero_n_paths": ("convergence", _with(SMALL_CONVERGENCE, n_paths=0)),
+    "zero_n_workers": ("convergence", _with(SMALL_CONVERGENCE, n_workers=0)),
     "zero_holder_n_seeds": ("holder", {"n_seeds": 0}),
     "string_snapshot_level": ("simulate", _with(SMALL_SIMULATE, snapshot_level="2")),
     "negative_snapshot_level": ("simulate", _with(SMALL_SIMULATE, snapshot_level=-1)),
@@ -308,7 +325,30 @@ def test_bad_config_is_validation_error(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("validation error: ")
     assert "Traceback" not in err
-    assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
+    assert not (tmp_path / "o").exists()
+
+
+# configs that pass the schema and are rejected by the run itself
+REJECTED_RUNS = {
+    "negative_time_exp": ("simulate", _with(SMALL_SIMULATE, time_exp=-1)),
+    "zero_n_modes": ("simulate", _with(SMALL_SIMULATE, n_modes=0)),
+    "negative_n_modes": ("simulate", _with(SMALL_SIMULATE, n_modes=-3)),
+    "negative_space_level": ("simulate", _with(SMALL_SIMULATE, space_level=-1)),
+    "2d_space_level_9": ("simulate", _with(SMALL_SIMULATE, dim=2, space_level=9)),
+    "holder_m_min_above_m_max": (
+        "holder",
+        {"space_level": 2, "time_exp": 4, "m_max": 4, "m_min": 5, "n_seeds": 1,
+         "n_modes": 10},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED_RUNS))
+def test_rejected_run_creates_no_out_dir(case, tmp_path):
+    command, doc = REJECTED_RUNS[case]
+    cfg = write_config(tmp_path, doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert not (tmp_path / "o").exists()
 
 
 def test_bad_config_exits_1_without_traceback(tmp_path):

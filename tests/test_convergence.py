@@ -20,7 +20,7 @@ from spdelab.driver import eval_b_grid, sample_driver
 from spdelab.fracpow import apply_qgamma, make_spec
 from spdelab.mesh import assemble, build_mesh, restriction_matrix
 from spdelab.noise import NoiseStream, aggregate_increment, restrict_increment
-from spdelab.rng import keyed_normals
+from spdelab.rng import keyed_normal_rows
 from spdelab.stepper import SchemeConfig
 
 
@@ -281,6 +281,12 @@ SWEEP_STUDIES = {
     "time1d": (1, "time", [2, 3, 4], 5, 4, 5, 2**6),
     # every run both aggregates and restricts
     "space2d": (2, "space", [1, 2, 3], 3, 3, 4, 2**5),
+    # ratios 32, 16 and 8: a step of the coarsest run spans two blocks of
+    # the sweep, so its partial sum is carried from one block to the next
+    "time1d_long_steps": (1, "time", [2, 3, 4], 5, 4, 5, 2**7),
+    # 24 fine steps, so the last block is short, and ratio 3, so steps
+    # straddle the block edge
+    "space1d_short_blocks": (1, "space", [2, 3, 4], 4, 4, 3, 24),
 }
 
 
@@ -307,20 +313,20 @@ def test_one_sweep_matches_per_level_runs(name, gamma):
 
 
 def test_path_draws_each_fine_increment_once(monkeypatch):
-    draws = []
+    draws = []  # the key block (fine step) of every row drawn
 
-    def counting(*args):
-        draws.append(args)
-        return keyed_normals(*args)
+    def counting(seed, tag, start, stop, n):
+        draws.extend(range(start, stop))
+        return keyed_normal_rows(seed, tag, start, stop, n)
 
-    monkeypatch.setattr(noise, "keyed_normals", counting)
+    monkeypatch.setattr(noise, "keyed_normal_rows", counting)
     base = SchemeConfig(
         dim=1, gamma=0.5, space_level=3, time_steps=2**5, master_seed=0,
         mode="final_time", n_modes=50,
     )
     plan = plan_study(base, "time", [2, 3, 4], 5, noise_steps=2**6)
     path_errors(plan, 9)
-    assert len(draws) == plan.noise_steps
+    assert sorted(draws) == list(range(plan.noise_steps))
 
 
 def test_study_needs_a_path():

@@ -3,7 +3,12 @@ import pytest
 import scipy.sparse as sp
 
 from spdelab.checks import assembly_checks, expected_1d_matrices, expected_2d_matrices
-from spdelab.exceptions import CapacityError, DomainError, FactorizationError
+from spdelab.exceptions import (
+    CapacityError,
+    DomainError,
+    FactorizationError,
+    NumericalError,
+)
 from spdelab.mesh import (
     assemble,
     build_mesh,
@@ -174,6 +179,24 @@ class TestAssemble:
         np.testing.assert_array_equal(ops.system_solve(0.25, rhs), x1)
         ops.system_solve(0.5, rhs)
         assert len(factored) == 2
+
+
+    def test_check_solves_checks_each_row(self):
+        ops = assemble(build_mesh(1, 3))
+        lu, _system = ops.system_factor(0.25)
+        rhs = np.vstack(
+            [np.ones(ops.n_dof), np.zeros(ops.n_dof), np.arange(ops.n_dof, dtype=float)]
+        )
+        x = np.vstack([lu.solve(r) for r in rhs])
+        ops.check_solves(0.25, x, rhs)
+        x[1] = 1.0  # a row with a zero right-hand side is not checked
+        ops.check_solves(0.25, x, rhs)
+        x[2] *= 1.0 + 1e-6
+        with pytest.raises(NumericalError):
+            ops.check_solves(0.25, x, rhs)
+        x[2] = np.nan
+        with pytest.raises(NumericalError):
+            ops.check_solves(0.25, x, rhs)
 
 
 class TestMassFactor:

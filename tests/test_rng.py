@@ -8,6 +8,7 @@ from spdelab.rng import (
     L0_WIENER_TAG,
     WIENER_TAG,
     keyed_generator,
+    keyed_normal_rows,
     keyed_normals,
 )
 
@@ -62,3 +63,27 @@ def test_seeds_beyond_int64_disjoint():
     for i in range(len(draws)):
         for j in range(i + 1, len(draws)):
             assert not np.allclose(draws[i], draws[j])
+
+
+def fresh_philox_normals(seed, tag, counter, n):
+    """One Philox per counter block, as every draw was made before blocks."""
+    words = [0, 0, counter, 0]
+    bg = np.random.Philox(
+        counter=np.array(words, dtype=np.uint64),
+        key=np.array([seed % 2**64, tag], dtype=np.uint64),
+    )
+    return np.random.Generator(bg).standard_normal(n)
+
+
+def test_rows_are_the_keyed_draws():
+    # each row equals its own freshly keyed Philox's draw, also right after
+    # a block for another seed and for an odd row length
+    for seed, start, stop, n in ((99, 0, 3, 8), (5, 10, 26, 41), (2**63, 7, 8, 16)):
+        rows = keyed_normal_rows(seed, WIENER_TAG, start, stop, n)
+        assert rows.shape == (stop - start, n)
+        for i, row in enumerate(rows):
+            want = fresh_philox_normals(seed, WIENER_TAG, start + i, n)
+            np.testing.assert_array_equal(row, want)
+            np.testing.assert_array_equal(
+                keyed_normals(seed, WIENER_TAG, start + i, n), want
+            )

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from spdelab.driver import ScalarDriver, eval_b, eval_b_grid, sample_driver
-from spdelab.exceptions import DomainError
+from spdelab.exceptions import DomainError, NumericalError
 from spdelab.fracpow import apply_qgamma, make_spec
 from spdelab.mesh import assemble, build_mesh
 from spdelab.noise import NoiseStream, aggregate_increment, fine_increment
@@ -254,7 +254,10 @@ def per_step_loop(cfg, stream, drv, ops, snapshot_level):
     "dim,gamma,level,with_initial",
     [(1, 0.0, 3, False), (1, 0.5, 3, True), (1, 0.0, 3, True), (2, 0.5, 2, True)],
 )
-@pytest.mark.parametrize("noise_mult", [1, 4])
+# 8 steps on 8, 24, 32 or 256 fine steps: ratio 3 puts step edges inside the
+# sweep's 16-step blocks and leaves a short last block; ratio 32 carries each
+# step's partial sum across two blocks
+@pytest.mark.parametrize("noise_mult", [1, 3, 4, 32])
 def test_per_step_matches_step_loop(dim, gamma, level, with_initial, noise_mult):
     ops = assemble(build_mesh(dim, level))
     initial = np.cos(np.linspace(0.0, 3.0, ops.n_dof)) if with_initial else None
@@ -318,3 +321,44 @@ class TestCoupledRuns:
         for what, cfg in bad.items():
             with pytest.raises(DomainError):
                 evolve_fast(main, stream, drv, ops=ops3, coupled=((cfg, ops3, None),))
+
+
+class SpoiledLU:
+    """An LU whose solve number ``bad`` (from 0) is off by a relative 1e-6."""
+
+    def __init__(self, lu, bad):
+        self.lu, self.bad, self.calls = lu, bad, 0
+
+    def solve(self, rhs):
+        x = self.lu.solve(rhs)
+        self.calls += 1
+        return x * (1.0 + 1e-6) if self.calls == self.bad + 1 else x
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+@pytest.mark.parametrize("bad", [0, 5, 15, 16, 31])
+def test_guard_checks_every_solve_of_a_block(mode, bad, monkeypatch):
+    # 32 steps are two blocks of 16; solve 5 is the 6th of the first block
+    ops = assemble(build_mesh(1, 3))
+    cfg = SchemeConfig(
+        dim=1, gamma=0.5, space_level=3, time_steps=32, master_seed=8, mode=mode
+    )
+    lu, system = ops.system_factor(cfg.dt)
+    spoiled = SpoiledLU(lu, bad)
+    monkeypatch.setattr(ops, "system_factor", lambda dt: (spoiled, system))
+    stream = NoiseStream(seed=8, fine_level=3, fine_steps=32)
+    with pytest.raises(NumericalError):
+        MODES[mode](cfg, stream, sample_driver(8, 50), ops=ops)
+    assert spoiled.calls > bad
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_guard_skips_zero_right_hand_sides(mode, quiet3):
+    # zero noise and zero initial data: every right-hand side of every block
+    # is 0, whose relative residual is undefined and not checked
+    cfg = SchemeConfig(
+        dim=1, gamma=0.5, space_level=3, time_steps=32, master_seed=9, mode=mode
+    )
+    stream = NoiseStream(seed=9, fine_level=3, fine_steps=32)
+    out = MODES[mode](cfg, stream, flat_driver(), ops=quiet3)
+    assert not np.any(out.alpha)
