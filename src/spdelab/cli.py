@@ -103,8 +103,8 @@ SCHEMAS = {
         "n_paths": (INT, 100_000),
         "master_seed": (INT, 1),
         "p_values": (NUMBERS, (1.0, 2.0, 4.0)),
-        "steps": (INT, 64),
-        "dim_q": (INT, 1),
+        "steps": (COUNT, 64),
+        "dim_q": (COUNT, 1),
         "out_dir": (STR, None),
     },
     "holder": {
@@ -351,6 +351,8 @@ def cmd_convergence(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _load_config(args)
+    if not all(p > 0 for p in cfg["p_values"]):
+        raise DomainError(f"p_values must be positive, got {cfg['p_values']}")
     out = _out_dir(cfg)
     seed = cfg["master_seed"]
     n_paths = cfg["n_paths"]

@@ -63,12 +63,14 @@ def theoretical_rates(
 
     The spatial rate is the supremum of admissible error exponents,
     min(2, 2 gamma + 1 - dim/2); the temporal rate is half of that, capped
-    by the temporal regularity ``beta`` of the scalar driver.
+    by the temporal regularity ``beta > 0`` of the scalar driver.
     """
     if dim not in (1, 2):
         raise DomainError(f"dim must be 1 or 2, got {dim}")
     if not gamma > dim / 4.0 - 0.5:
         raise DomainError(f"gamma {gamma} not admissible for dim {dim}")
+    if not beta > 0.0:
+        raise DomainError(f"driver exponent beta must be positive, got {beta}")
     space_rate = min(2.0, 2.0 * gamma + 1.0 - dim / 2.0)
     time_rate = min(space_rate / 2.0, beta)
     return space_rate, time_rate
@@ -279,8 +281,9 @@ def convergence_study(
     whose mean error sits at the solver-tolerance floor are flagged as
     saturated and excluded from the fit.
     """
-    if n_paths < 1:
-        raise DomainError(f"n_paths must be >= 1, got {n_paths}")
+    if n_paths < 1 or n_workers < 1:
+        raise DomainError(f"n_paths {n_paths} and n_workers {n_workers} must be >= 1")
+    space_rate, time_rate = theoretical_rates(base.gamma, base.dim, beta)
     plan = plan_study(base, axis, coarse_levels, ref_level, noise_steps)
     seeds = tuple(base.master_seed + i for i in range(n_paths))
 
@@ -307,8 +310,6 @@ def convergence_study(
 
     usable = [(lv.resolution, lv.mean_error) for lv in levels if not lv.saturated]
     fitted = fit_rate(usable) if len(usable) >= 3 else None
-
-    space_rate, time_rate = theoretical_rates(base.gamma, base.dim, beta)
     return ConvergenceReport(
         axis=axis,
         dim=base.dim,

@@ -10,11 +10,13 @@ left endpoint, and ``Q`` the fractional-inverse quadrature.
 
 Both modes run one sweep over the fine steps of the noise stream in blocks
 of ``BLOCK_STEPS``.  A block draws its fine increments, each from its own
-key, in one ``L_M @ R`` product.  Each run sums them into its steps in
-fine-step order (bit-identical to ``aggregate_increment``; a step still open
-at the end of a block carries over), restricts the completed sums in one
-product, takes their backward Euler steps one by one and checks all their
-residuals at once, so it holds at most ``BLOCK_STEPS`` states.  The modes
+key, in one ``L_M @ R`` product.  The runs sharing a time grid advance as
+one group, whose state stacks theirs: it sums the increments into its steps
+in fine-step order (bit-identical to ``aggregate_increment``; a step still
+open at the end of a block carries over), restricts the completed sums to
+every run's mesh in one product, takes their backward Euler steps one by
+one with one block-diagonal solve each and checks all their residuals at
+once, per run, so it holds at most ``BLOCK_STEPS`` states.  The modes
 differ only in where ``Q`` is applied:
 
 * ``evolve`` (``per_step``) colors each completed increment, ``M Q g_n``,
@@ -26,8 +28,7 @@ differ only in where ``Q`` is applied:
   backward Euler solve.  Initial data follow a separate homogeneous
   recursion, so they are never colored.  ``evolve_fast`` also advances
   further runs on the same noise in the same sweep (``coupled``), as a
-  coupled convergence study needs; the driver is evaluated once per
-  distinct time grid.
+  coupled convergence study needs.
 
 ``MODES`` maps ``SchemeConfig.mode`` to its entry point.
 """
@@ -42,7 +43,7 @@ import scipy.sparse as sp
 from . import noise
 from .driver import ScalarDriver, eval_b_grid
 from .exceptions import DomainError
-from .fracpow import QuadratureSpec, apply_qgamma, make_spec
+from .fracpow import apply_qgamma, make_spec
 from .mesh import FemOperators, assemble, build_mesh
 from .noise import NoiseStream, restrict_increment
 
@@ -101,21 +102,6 @@ class PathState:
     coupled: tuple[np.ndarray, ...] = ()
 
 
-def _ratio(config: SchemeConfig, stream: NoiseStream, a: sp.spmatrix | None) -> int:
-    """Fine steps per step of a run; checks that the run fits the stream."""
-    if stream.fine_steps % config.time_steps != 0:
-        raise DomainError(
-            f"time_steps {config.time_steps} does not divide reference "
-            f"fine_steps {stream.fine_steps}"
-        )
-    if a is None and stream.fine_level != config.space_level:
-        raise DomainError(
-            "restriction matrix required when the run level differs "
-            "from the stream's fine level"
-        )
-    return stream.fine_steps // config.time_steps
-
-
 def _snapshot_stride(config: SchemeConfig, snapshot_level: int | None) -> int | None:
     if snapshot_level is None:
         return None
@@ -129,19 +115,36 @@ def _snapshot_stride(config: SchemeConfig, snapshot_level: int | None) -> int | 
     return config.time_steps // n_snap
 
 
-@dataclass
-class _Run:
-    """State of one run during the sweep over fine steps."""
+class _Group:
+    """The runs ``(config, ops, a)`` of one sweep on one time grid, advanced
+    as one state that stacks theirs in order (run ``i`` at
+    ``offsets[i]:offsets[i + 1]``) with block-diagonal operators."""
 
-    ops: FemOperators
-    spec: QuadratureSpec
-    a: sp.spmatrix | None  # restriction to this run's mesh; None on the stream's
-    ratio: int  # fine steps per step of this run
-    dt: float
-    b: np.ndarray  # driver on this run's time grid
-    beta: np.ndarray
-    per_step: bool = False  # color each increment before its solve
-    acc: np.ndarray | None = None  # fine increments of an open step so far
+    def __init__(self, runs: list, stream: NoiseStream, driver: ScalarDriver):
+        cfg = runs[0][0]
+        if stream.fine_steps % cfg.time_steps != 0:
+            raise DomainError(
+                f"time_steps {cfg.time_steps} does not divide reference "
+                f"fine_steps {stream.fine_steps}"
+            )
+        if any(a is None and stream.fine_level != c.space_level for c, _o, a in runs):
+            raise DomainError(
+                "restriction matrix required when the run level differs "
+                "from the stream's fine level"
+            )
+        self.ops = tuple(run_ops for _c, run_ops, _a in runs)
+        self.specs = tuple(make_spec(c.gamma, c.k) for c, _o, _a in runs)
+        self.a = runs[0][2]  # None: one run, on the stream's mesh
+        if len(runs) > 1:  # an identity block restricts exactly
+            blocks = [sp.identity(o.n_dof) if a is None else a for _c, o, a in runs]
+            self.a = sp.vstack(blocks, "csr")
+        self.ratio = stream.fine_steps // cfg.time_steps
+        self.dt = cfg.dt
+        self.b = eval_b_grid(driver, cfg.dt * np.arange(cfg.time_steps))
+        self.offsets = np.cumsum([0] + [o.n_dof for o in self.ops])
+        self.beta = np.zeros(self.offsets[-1])
+        self.per_step = False  # color each increment before its solve (one run)
+        self.acc = None  # fine increments of an open step so far
 
     def _step_sums(self, m0: int, f: np.ndarray) -> np.ndarray:
         """Sums of the steps that the fine increments ``f`` complete, as columns."""
@@ -158,37 +161,39 @@ class _Run:
 
     def take(self, m0: int, f: np.ndarray) -> np.ndarray:
         """Advance over the fine increments ``f``, the columns of fine steps
-        ``m0`` on; returns the states of the steps they complete, as rows."""
+        ``m0`` on; returns the stacked states of the steps they complete."""
         g = self._step_sums(m0, f)
         n0 = m0 // self.ratio
         n1 = n0 + g.shape[1]
-        states = np.empty((n1 - n0, self.ops.n_dof))
+        states = np.empty((n1 - n0, self.offsets[-1]))
         if n1 == n0:
             return states
-        mass = self.ops.mass
+        main, others = self.ops[0], self.ops[1:]
+        lu, _system, mass, perm = main.stacked_factor(self.dt, others)
         if self.a is not None:
             g = restrict_increment(self.a, g)
-        if self.per_step and not self.spec.is_identity:
+        if self.per_step and not self.specs[0].is_identity:
             # one column at a time: batched pencil solves can round differently
             g = np.column_stack(
-                [mass @ apply_qgamma(self.spec, self.ops, c) for c in g.T]
+                [mass @ apply_qgamma(self.specs[0], main, c) for c in g.T]
             )
         bg = g * self.b[n0:n1]
-        lu = self.ops.system_factor(self.dt)[0]
         rhs = np.empty_like(states)
         beta = self.beta
         for j in range(n1 - n0):
             rhs[j] = mass @ beta + bg[:, j]
-            beta = states[j] = lu.solve(rhs[j])
-        self.ops.check_solves(self.dt, states, rhs)
+            beta = states[j] = lu.solve(rhs[j])[perm]
+        main.check_solves(self.dt, states, rhs, others)
         self.beta = beta
         return states
 
-    def color(self, raw: np.ndarray) -> np.ndarray:
-        # raw states stacked as columns; one batched quadrature application
-        if self.per_step or self.spec.is_identity:
+    def color(self, i: int, raw: np.ndarray | None = None) -> np.ndarray:
+        # run i's raw states as columns (default: its final state), colored at once
+        if raw is None:
+            raw = self.beta[self.offsets[i] : self.offsets[i + 1]]
+        if self.per_step or self.specs[i].is_identity:
             return raw
-        return apply_qgamma(self.spec, self.ops, self.ops.mass @ raw)
+        return apply_qgamma(self.specs[i], self.ops[i], self.ops[i].mass @ raw)
 
 
 def _sweep(
@@ -213,39 +218,28 @@ def _sweep(
             f"initial data has {initial.shape[0]} entries, mesh has {ops.n_dof}"
         )
     stride = _snapshot_stride(config, snapshot_level)
-    grids: dict[int, np.ndarray] = {}
-
-    def run(cfg: SchemeConfig, run_ops: FemOperators, a) -> _Run:
-        ratio = _ratio(cfg, stream, a)
-        # the driver once per distinct time grid
-        b = grids.get(cfg.time_steps)
-        if b is None:
-            b = grids[cfg.time_steps] = eval_b_grid(
-                driver, cfg.dt * np.arange(cfg.time_steps)
-            )
-        spec = make_spec(cfg.gamma, cfg.k)
-        return _Run(run_ops, spec, a, ratio, cfg.dt, b, np.zeros(run_ops.n_dof))
-
-    main = run(config, ops, None)
+    runs = [(config, ops, None), *coupled]
+    if any(cfg.initial is not None for cfg, _o, _a in coupled):
+        raise DomainError("initial data belongs to the main run only")
+    grids: dict[int, list[int]] = {}  # time steps -> its runs, the main run first
+    for i, (cfg, _o, _a) in enumerate(runs):
+        grids.setdefault(cfg.time_steps, []).append(i)
+    groups = [_Group([runs[i] for i in m], stream, driver) for m in grids.values()]
+    main = groups[0]
     hom = None  # homogeneous part of the final-time mode, never colored
     if per_step:
         main.per_step, main.beta = True, initial
     elif np.any(initial):
         hom = initial
-    runs = [main]
-    for cfg, run_ops, a in coupled:
-        if cfg.initial is not None:
-            raise DomainError("initial data belongs to the main run only")
-        runs.append(run(cfg, run_ops, a))
 
-    snaps = [main.beta] if stride else None
+    snaps = [main.beta[: ops.n_dof]] if stride else None
     hom_snaps = [hom] if stride and hom is not None else None
     for m0 in range(0, stream.fine_steps, BLOCK_STEPS):
         m1 = min(m0 + BLOCK_STEPS, stream.fine_steps)
         f = noise.fine_increments(stream, m0, m1, ops.mass_chol)
-        states = main.take(m0, f)
-        for r in runs[1:]:
-            r.take(m0, f)
+        states = main.take(m0, f)[:, : ops.n_dof]
+        for group in groups[1:]:
+            group.take(m0, f)
         for j, n in enumerate(range(m0 // main.ratio, m1 // main.ratio)):
             if hom is not None:
                 hom = ops.system_solve(config.dt, ops.mass @ hom)
@@ -254,12 +248,13 @@ def _sweep(
                 if hom is not None:
                     hom_snaps.append(hom)
 
-    alpha = main.color(main.beta)
+    place = {i: (g, k) for g, m in zip(groups, grids.values()) for k, i in enumerate(m)}
+    alpha = main.color(0)
     if hom is not None:
         alpha = alpha + hom
     snapshots = None
     if stride:
-        snapshots = main.color(np.array(snaps).T).T
+        snapshots = main.color(0, np.array(snaps).T).T
         if hom_snaps is not None:
             snapshots = snapshots + np.array(hom_snaps)
     return PathState(
@@ -267,7 +262,7 @@ def _sweep(
         n=config.time_steps,
         t=1.0,
         snapshots=snapshots,
-        coupled=tuple(r.color(r.beta) for r in runs[1:]),
+        coupled=tuple(g.color(k) for g, k in map(place.get, range(1, len(runs)))),
     )
 
 

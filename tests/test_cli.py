@@ -301,6 +301,7 @@ BAD_CONFIGS = {
     "string_holder_n_seeds": ("holder", {"n_seeds": "2"}),
     "zero_n_paths": ("convergence", _with(SMALL_CONVERGENCE, n_paths=0)),
     "zero_n_workers": ("convergence", _with(SMALL_CONVERGENCE, n_workers=0)),
+    "negative_beta": ("convergence", _with(SMALL_CONVERGENCE, beta=-1)),
     "zero_holder_n_seeds": ("holder", {"n_seeds": 0}),
     "string_snapshot_level": ("simulate", _with(SMALL_SIMULATE, snapshot_level="2")),
     "negative_snapshot_level": ("simulate", _with(SMALL_SIMULATE, snapshot_level=-1)),
@@ -328,8 +329,12 @@ def test_bad_config_is_validation_error(case, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-# configs that pass the schema and are rejected by the run itself
+# configs that a run rejects, by the schema or by itself; the verify ones are
+# rejected before its first write
 REJECTED_RUNS = {
+    "verify_zero_steps": ("verify", {"steps": 0}),
+    "verify_zero_dim_q": ("verify", {"dim_q": 0}),
+    "verify_negative_p": ("verify", {"p_values": [-1]}),
     "negative_time_exp": ("simulate", _with(SMALL_SIMULATE, time_exp=-1)),
     "zero_n_modes": ("simulate", _with(SMALL_SIMULATE, n_modes=0)),
     "negative_n_modes": ("simulate", _with(SMALL_SIMULATE, n_modes=-3)),

@@ -84,6 +84,11 @@ class TestTheoreticalRates:
         with pytest.raises(DomainError):
             theoretical_rates(0.0, 2)
 
+    @pytest.mark.parametrize("beta", [0.0, -1.0, float("nan")])
+    def test_non_positive_beta(self, beta):
+        with pytest.raises(DomainError):
+            theoretical_rates(0.75, 1, beta=beta)
+
 
 class TestFitRate:
     def test_exact_slope_one(self):
@@ -287,6 +292,9 @@ SWEEP_STUDIES = {
     # 24 fine steps, so the last block is short, and ratio 3, so steps
     # straddle the block edge
     "space1d_short_blocks": (1, "space", [2, 3, 4], 4, 4, 3, 24),
+    # mixed groups: two coupled runs on the reference grid stack with it,
+    # the coarsest advances alone
+    "time1d_mixed_groups": (1, "time", [3, 5, 5], 5, 4, 5, 2**6),
 }
 
 
@@ -336,3 +344,13 @@ def test_study_needs_a_path():
     )
     with pytest.raises(DomainError):
         convergence_study(base, "space", [2, 3], 4, 0)
+
+
+@pytest.mark.parametrize("n_workers", [0, -4])
+def test_study_needs_a_worker(n_workers):
+    base = SchemeConfig(
+        dim=1, gamma=0.5, space_level=4, time_steps=2**4, master_seed=0,
+        mode="final_time",
+    )
+    with pytest.raises(DomainError):
+        convergence_study(base, "space", [2, 3], 4, 1, n_workers=n_workers)

@@ -198,6 +198,20 @@ class TestAssemble:
         with pytest.raises(NumericalError):
             ops.check_solves(0.25, x, rhs)
 
+    def test_check_solves_checks_each_level_of_a_stack(self):
+        ops, coarse = assemble(build_mesh(1, 4)), assemble(build_mesh(1, 2))
+        _lu, system, _mass, _perm = ops.stacked_factor(0.25, (coarse,))
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((3, ops.n_dof + coarse.n_dof))
+        x[1, ops.n_dof :] = 0.0  # a zero slice is not checked
+        rhs = (system @ x.T).T
+        ops.check_solves(0.25, x, rhs, (coarse,))
+        x[1, ops.n_dof :] = 1.0
+        ops.check_solves(0.25, x, rhs, (coarse,))
+        x[2, ops.n_dof :] *= 1.0 + 1e-6
+        with pytest.raises(NumericalError, match=f"n={coarse.n_dof},"):
+            ops.check_solves(0.25, x, rhs, (coarse,))
+
 
 class TestMassFactor:
     def test_identity(self):
@@ -267,3 +281,60 @@ class TestChecks:
         failed = [r for r in results if not r.passed]
         assert failed
         assert "diff" in failed[0].detail
+
+
+# (dim, stream level, coarse levels, dt): the stacks of the space studies
+STACKS = [(1, 9, (2, 3, 4, 5, 6), 2.0**-14), (2, 6, (2, 3, 4), 2.0**-6)]
+
+
+@pytest.mark.parametrize("dim,fine,coarse,dt", STACKS)
+def test_stacked_solves_match_each_level(dim, fine, coarse, dt):
+    # guards the pre-permuted natural-order factorization (a plain splu of
+    # the block diagonal rounds differently in 1-d) and the column orders
+    # read off incomplete LUs, which must be those of each level's own LU
+    levels = [assemble(build_mesh(dim, lv)) for lv in (fine, *coarse)]
+    lu, system, mass, perm = levels[0].stacked_factor(dt, tuple(levels[1:]))
+    starts = np.cumsum([0] + [o.n_dof for o in levels])
+    for o, s0, s1 in zip(levels, starts, starts[1:]):
+        assert (system[s0:s1, s0:s1] != o.system_factor(dt)[1]).nnz == 0
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        rhs = rng.standard_normal(starts[-1])
+        x = lu.solve(rhs)[perm]
+        for o, s0, s1 in zip(levels, starts, starts[1:]):
+            np.testing.assert_array_equal(
+                x[s0:s1], o.system_factor(dt)[0].solve(rhs[s0:s1])
+            )
+            np.testing.assert_array_equal((mass @ x)[s0:s1], o.mass @ x[s0:s1])
+
+
+def test_stacked_factor_built_once_per_dt_and_levels(monkeypatch):
+    import spdelab.mesh as mesh_module
+
+    factored = []  # (kind, size) of every factorization
+
+    def counting(kind, real):
+        def factor(a, **options):
+            factored.append((kind, a.shape[0]))
+            return real(a, **options)
+
+        return factor
+
+    monkeypatch.setattr(mesh_module, "splu", counting("lu", mesh_module.splu))
+    monkeypatch.setattr(mesh_module, "spilu", counting("ilu", mesh_module.spilu))
+    ops, c2, c3 = (assemble(build_mesh(1, lv)) for lv in (4, 2, 3))
+    first = ops.stacked_factor(0.25, (c2, c3))
+    # one LU of the stack; each level's column order is read off an
+    # incomplete LU, and no level keeps an LU of its own
+    assert sorted(factored) == [("ilu", 5), ("ilu", 9), ("ilu", 17), ("lu", 31)]
+    assert ops.stacked_factor(0.25, (c2, c3)) is first
+    assert len(factored) == 4
+    ops.stacked_factor(0.5, (c2, c3))
+    ops.stacked_factor(0.25, (c3, c2))
+    ops.stacked_factor(0.25, (c2,))
+    assert len(factored) == 4 + 4 + 4 + 3
+    # one level alone is its own cached system factor: no stack, no gather
+    lu, system, mass, perm = ops.stacked_factor(0.25)
+    assert (lu, system) == ops.system_factor(0.25) and mass is ops.mass
+    assert perm == slice(None)
+    assert len(factored) == 4 + 4 + 4 + 3 + 1

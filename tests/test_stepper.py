@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from spdelab.driver import ScalarDriver, eval_b, eval_b_grid, sample_driver
 from spdelab.exceptions import DomainError, NumericalError
 from spdelab.fracpow import apply_qgamma, make_spec
-from spdelab.mesh import assemble, build_mesh
+from spdelab.mesh import SOLVER_TOL, assemble, build_mesh, restriction_matrix
 from spdelab.noise import NoiseStream, aggregate_increment, fine_increment
 from spdelab.stepper import MODES, SchemeConfig, evolve, evolve_fast
 
@@ -362,3 +362,77 @@ def test_guard_skips_zero_right_hand_sides(mode, quiet3):
     stream = NoiseStream(seed=9, fine_level=3, fine_steps=32)
     out = MODES[mode](cfg, stream, flat_driver(), ops=quiet3)
     assert not np.any(out.alpha)
+
+
+class SpoiledSlice:
+    """A stacked LU whose solve number ``bad`` (from 0) is off by a relative
+    ``eps`` on the entries ``span``, one run's slice of the stack."""
+
+    def __init__(self, lu, bad, span, eps):
+        self.lu, self.bad, self.span, self.eps, self.calls = lu, bad, span, eps, 0
+
+    def solve(self, rhs):
+        y = self.lu.solve(rhs)
+        self.calls += 1
+        if self.calls == self.bad + 1:
+            y[self.span] *= 1.0 + self.eps
+        return y
+
+
+@pytest.mark.parametrize("spoiled", [False, True])
+def test_guard_checks_each_run_of_a_group(spoiled, monkeypatch):
+    # a level-6 run with coupled levels 2..5 on its time grid is one stacked
+    # group; solve 21 is the 6th of the second block of 16.  Spoiling the
+    # level-5 run's slice by 2e-10 puts its own relative residual above
+    # SOLVER_TOL but the stacked vector's below it: the guard must use the
+    # run's own norm
+    fine = build_mesh(1, 6)
+    ops = assemble(fine)
+    others = tuple(assemble(build_mesh(1, lv)) for lv in (2, 3, 4, 5))
+    cfg = {
+        o.mesh.level: SchemeConfig(
+            dim=1, gamma=0.5, space_level=o.mesh.level, time_steps=32,
+            master_seed=8, mode="final_time",
+        )
+        for o in (ops, *others)
+    }
+    coupled = tuple(
+        (cfg[o.mesh.level], o, restriction_matrix(o.mesh, fine)) for o in others
+    )
+    lu, system, mass, perm = ops.stacked_factor(cfg[6].dt, others)
+    starts = np.cumsum([0] + [o.n_dof for o in (ops, *others)])
+    level5 = slice(starts[4], starts[5])
+    spoiled_lu = SpoiledSlice(lu, 21 if spoiled else -1, level5, 2e-10)
+    monkeypatch.setattr(
+        ops, "stacked_factor", lambda dt, oth: (spoiled_lu, system, mass, perm)
+    )
+    blocks = []  # (states, right-hand sides) of each guard check
+    check = ops.check_solves
+
+    def recording(dt, x, rhs, oth=()):
+        blocks.append((x.copy(), rhs.copy()))
+        check(dt, x, rhs, oth)
+
+    monkeypatch.setattr(ops, "check_solves", recording)
+
+    def run():
+        stream = NoiseStream(seed=8, fine_level=6, fine_steps=32)
+        evolve_fast(cfg[6], stream, sample_driver(8, 50), ops=ops, coupled=coupled)
+
+    def rel(x, rhs, part=slice(None)):
+        return np.linalg.norm((system @ x - rhs)[part]) / np.linalg.norm(rhs[part])
+
+    if not spoiled:
+        run()
+        assert len(blocks) == 2 and spoiled_lu.calls == 32
+        for x, rhs in blocks:
+            for j in range(16):
+                for s0, s1 in zip(starts, starts[1:]):
+                    assert rel(x[j], rhs[j], slice(s0, s1)) <= SOLVER_TOL
+        return
+    with pytest.raises(NumericalError, match="n=33,"):
+        run()
+    assert len(blocks) == 2 and spoiled_lu.calls == 32
+    x, rhs = blocks[1][0][5], blocks[1][1][5]
+    assert rel(x, rhs, level5) > SOLVER_TOL
+    assert rel(x, rhs) <= SOLVER_TOL
