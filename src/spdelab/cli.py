@@ -38,10 +38,10 @@ from .exceptions import (
     SpdeLabError,
     StatisticalAlarm,
 )
-from .mesh import assemble, build_mesh
+from .mesh import MAX_MODES, MAX_TIME_EXP, assemble, build_mesh
 from .noise import NoiseStream
 from .rng import DRIVER_TAG, L0_MARK_TAG, L0_WIENER_TAG, WIENER_TAG, keyed_generator
-from .stepper import MODES, SchemeConfig, evolve_fast
+from .stepper import MODES, SchemeConfig
 from .svgplot import GuideLine, Series, loglog_svg, write_svg
 
 STREAM_TAGS = {
@@ -71,6 +71,10 @@ def _list_of(check):
     return lambda val: isinstance(val, list) and len(val) > 0 and all(map(check, val))
 
 
+def _int_in(lo: int, hi: int):
+    return (lambda val: _is_int(val) and lo <= val <= hi, f"an integer in [{lo}, {hi}]")
+
+
 # (check, description) per value type; JSON true/false is never a number
 INT = (_is_int, "an integer")
 COUNT = (lambda val: _is_int(val) and val >= 1, "a positive integer")
@@ -78,6 +82,8 @@ NUMBER = (_is_number, "a number")
 STR = (lambda val: isinstance(val, str), "a string")
 INTS = (_list_of(_is_int), "a non-empty list of integers")
 NUMBERS = (_list_of(_is_number), "a non-empty list of numbers")
+TIME_EXP = _int_in(0, MAX_TIME_EXP)  # a dyadic time grid of 2**val steps
+N_MODES = _int_in(1, MAX_MODES)
 
 # command -> config key -> (type, default); a None default marks an optional
 # key that stays absent.  Keys outside the table are rejected.
@@ -88,13 +94,14 @@ SCHEMAS = {
         "gamma": (NUMBER, None),  # one of gamma / gammas is required
         "gammas": (NUMBERS, None),
         "coarse_levels": (INTS, REQUIRED),
-        "ref_level": (INT, REQUIRED),
-        "time_exp": (INT, None),  # required for axis "space"
+        # a time exponent (axis "time") or a mesh level, which MAX_LEVEL bounds
+        "ref_level": (TIME_EXP, REQUIRED),
+        "time_exp": (TIME_EXP, None),  # required for axis "space"
         "space_level": (INT, None),  # required for axis "time"
         "n_paths": (COUNT, REQUIRED),
         "master_seed": (INT, REQUIRED),
         "k": (NUMBER, 0.5),
-        "n_modes": (INT, 1000),
+        "n_modes": (N_MODES, 1000),
         "beta": (NUMBER, 1.0),
         "n_workers": (COUNT, 1),
         "out_dir": (STR, None),
@@ -112,13 +119,13 @@ SCHEMAS = {
         "gamma": (NUMBER, 0.75),
         "k": (NUMBER, 0.5),
         "space_level": (INT, 5),
-        "time_exp": (INT, 13),  # must be >= m_max
-        "m_max": (INT, 13),
+        "time_exp": (TIME_EXP, 13),  # must be >= m_max
+        "m_max": (TIME_EXP, 13),
         "m_min": (INT, 6),
-        "bm_m_max": (INT, 16),
+        "bm_m_max": (TIME_EXP, 16),
         "bm_m_min": (INT, 8),
         "n_seeds": (COUNT, 20),
-        "n_modes": (INT, 1000),
+        "n_modes": (N_MODES, 1000),
         "master_seed": (INT, 3),
         "out_dir": (STR, None),
     },
@@ -126,15 +133,19 @@ SCHEMAS = {
         "dim": (INT, REQUIRED),
         "gamma": (NUMBER, REQUIRED),
         "space_level": (INT, REQUIRED),
-        "time_exp": (INT, REQUIRED),
+        "time_exp": (TIME_EXP, REQUIRED),
         "master_seed": (INT, REQUIRED),
         "k": (NUMBER, 0.5),
-        "n_modes": (INT, 1000),
+        "n_modes": (N_MODES, 1000),
         "mode": (STR, "per_step"),
         "snapshot_level": (INT, None),
         "out_dir": (STR, None),
     },
 }
+
+# config keys that are SchemeConfig fields of the same name; "time_exp"
+# sets time_steps = 2**time_exp
+SCHEME_KEYS = ("dim", "gamma", "space_level", "master_seed", "k", "mode", "n_modes")
 
 # command-line flag (argparse dest) -> the config key it overrides
 FLAG_KEYS = {
@@ -173,6 +184,23 @@ def _load_config(args) -> dict:
         elif not check(cfg[key]):
             raise DomainError(f"config key {key!r} must be {what}, got {cfg[key]!r}")
     return cfg
+
+
+def _scheme(cfg: dict, **fields) -> SchemeConfig:
+    """The run that the validated ``cfg`` describes, with ``fields`` set on top."""
+    keys = {key: cfg[key] for key in SCHEME_KEYS if key in cfg}
+    if "time_exp" in cfg:
+        keys["time_steps"] = 2 ** cfg["time_exp"]
+    return SchemeConfig(**{**keys, **fields})
+
+
+def _run_path(config: SchemeConfig, seed: int, **kw):
+    """One path of ``config`` on the noise and driver of ``seed``."""
+    stream = NoiseStream(
+        seed=seed, fine_level=config.space_level, fine_steps=config.time_steps
+    )
+    driver = sample_driver(seed, config.n_modes)
+    return MODES[config.mode](config, stream, driver, **kw)
 
 
 def _out_dir(cfg: dict) -> Path:
@@ -259,33 +287,23 @@ def cmd_convergence(args) -> int:
     axis = cfg["axis"]
     t0 = time.perf_counter()
 
-    reports = []
-    for gamma in cfg["gammas"]:
-        if axis == "space":
-            space_level, time_steps = cfg["ref_level"], 2 ** cfg["time_exp"]
-        else:
-            space_level, time_steps = cfg["space_level"], 2 ** cfg["ref_level"]
-        base = SchemeConfig(
-            dim=cfg["dim"],
-            gamma=float(gamma),
-            space_level=space_level,
-            time_steps=time_steps,
-            master_seed=cfg["master_seed"],
-            k=cfg["k"],
-            mode="final_time",
-            n_modes=cfg["n_modes"],
+    # the reference resolution on the study's axis (plan_study sets it too)
+    if axis == "space":
+        ref = {"space_level": cfg["ref_level"]}
+    else:
+        ref = {"time_steps": 2 ** cfg["ref_level"]}
+    reports = [
+        convergence_study(
+            _scheme(cfg, gamma=float(gamma), **ref),
+            axis,
+            list(cfg["coarse_levels"]),
+            cfg["ref_level"],
+            cfg["n_paths"],
+            n_workers=cfg["n_workers"],
+            beta=cfg["beta"],
         )
-        reports.append(
-            convergence_study(
-                base,
-                axis,
-                list(cfg["coarse_levels"]),
-                cfg["ref_level"],
-                cfg["n_paths"],
-                n_workers=cfg["n_workers"],
-                beta=cfg["beta"],
-            )
-        )
+        for gamma in cfg["gammas"]
+    ]
 
     error_rows = [row for rep in reports for row in rep.error_rows()]
     _write_csv(
@@ -460,30 +478,21 @@ def cmd_holder(args) -> int:
     cfg = _load_config(args)
     if cfg["time_exp"] < cfg["m_max"]:
         raise DomainError("time_exp must be >= m_max to snapshot dyadic times")
+    for lo, hi in (("m_min", "m_max"), ("bm_m_min", "bm_m_max")):
+        if not 0 <= cfg[lo] <= cfg[hi] - 3:
+            raise DomainError(
+                f"{lo} must lie in [0, {hi} - 3] to span 4 dyadic levels, "
+                f"got {lo} {cfg[lo]} and {hi} {cfg[hi]}"
+            )
     out = _out_dir(cfg)
     t0 = time.perf_counter()
-    ops = assemble(build_mesh(cfg["dim"], cfg["space_level"]))
+    config = _scheme(cfg, mode="final_time")
+    ops = assemble(build_mesh(config.dim, config.space_level))
     rows: list[tuple] = []
     spde_exps, bm_exps = [], []
     for i in range(cfg["n_seeds"]):
         seed = cfg["master_seed"] + i
-        config = SchemeConfig(
-            dim=cfg["dim"],
-            gamma=cfg["gamma"],
-            space_level=cfg["space_level"],
-            time_steps=2 ** cfg["time_exp"],
-            master_seed=seed,
-            k=cfg["k"],
-            mode="final_time",
-            n_modes=cfg["n_modes"],
-        )
-        stream = NoiseStream(
-            seed=seed, fine_level=cfg["space_level"], fine_steps=config.time_steps
-        )
-        driver = sample_driver(seed, cfg["n_modes"])
-        state = evolve_fast(
-            config, stream, driver, ops=ops, snapshot_level=cfg["m_max"]
-        )
+        state = _run_path(config, seed, ops=ops, snapshot_level=cfg["m_max"])
         est = l0.holder_exponent(state.snapshots, cfg["m_min"], norm=ops.m_norm)
         rows.append(("spde", seed, est.exponent))
         spde_exps.append(est.exponent)
@@ -509,24 +518,8 @@ def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(cfg)
     t0 = time.perf_counter()
-    config = SchemeConfig(
-        dim=cfg["dim"],
-        gamma=float(cfg["gamma"]),
-        space_level=cfg["space_level"],
-        time_steps=2 ** cfg["time_exp"],
-        master_seed=cfg["master_seed"],
-        k=cfg["k"],
-        mode=cfg["mode"],
-        n_modes=cfg["n_modes"],
-    )
-    stream = NoiseStream(
-        seed=cfg["master_seed"],
-        fine_level=cfg["space_level"],
-        fine_steps=config.time_steps,
-    )
-    driver = sample_driver(cfg["master_seed"], cfg["n_modes"])
-    state = MODES[config.mode](
-        config, stream, driver, snapshot_level=cfg.get("snapshot_level")
+    state = _run_path(
+        _scheme(cfg), cfg["master_seed"], snapshot_level=cfg.get("snapshot_level")
     )
     with open(_create(out / "final_state.txt"), "w", encoding="utf-8") as fh:
         for value in state.alpha:

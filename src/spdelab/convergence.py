@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -93,17 +93,17 @@ class StudyPlan:
     """Picklable description of one convergence study."""
 
     axis: str  # "space" or "time"
-    dim: int
-    gamma: float
-    k: float
-    n_modes: int
-    ref_space_level: int
-    ref_time_steps: int
+    # the reference run; each coarse run is this run at its own resolution
+    ref: SchemeConfig
     # the driving noise is generated at this time resolution and aggregated
     # down to every run, so refining the reference keeps the same Wiener path
     noise_steps: int
     # one (space_level, time_steps, resolution, label) per coarse run
     coarse: tuple[tuple[int, int, float, int], ...]
+
+    @property
+    def gamma(self) -> float:
+        return self.ref.gamma
 
 
 @dataclass(frozen=True)
@@ -162,6 +162,8 @@ def plan_study(
     exponents (time step 2**-level) at the fixed mesh level of ``base``.
     ``noise_steps`` fixes the time resolution of the driving noise
     independently of the reference (default: the reference's own grid).
+    Every run is ``base`` in final-time mode at its own resolution; ``base``
+    carries no initial data, because a study starts from u(0) = 0.
     """
     if axis not in ("space", "time"):
         raise DomainError(f"axis must be 'space' or 'time', got {axis!r}")
@@ -171,6 +173,8 @@ def plan_study(
         raise DomainError("coarse levels must not exceed the reference level")
     if sorted(coarse_levels) != list(coarse_levels):
         raise DomainError("coarse levels must be ordered coarse to fine")
+    if base.initial is not None:
+        raise DomainError("a study starts from u(0) = 0; base carries initial data")
 
     if axis == "space":
         ref_space, ref_steps = ref_level, base.time_steps
@@ -183,6 +187,7 @@ def plan_study(
         coarse = tuple(
             (base.space_level, 2**lv, 2.0**-lv, lv) for lv in coarse_levels
         )
+    ref = replace(base, space_level=ref_space, time_steps=ref_steps, mode="final_time")
     if noise_steps is None:
         noise_steps = ref_steps
     if noise_steps % ref_steps != 0:
@@ -190,17 +195,7 @@ def plan_study(
             f"noise_steps {noise_steps} must be a multiple of the reference "
             f"steps {ref_steps}"
         )
-    return StudyPlan(
-        axis=axis,
-        dim=base.dim,
-        gamma=base.gamma,
-        k=base.k,
-        n_modes=base.n_modes,
-        ref_space_level=ref_space,
-        ref_time_steps=ref_steps,
-        noise_steps=noise_steps,
-        coarse=coarse,
-    )
+    return StudyPlan(axis=axis, ref=ref, noise_steps=noise_steps, coarse=coarse)
 
 
 # Per-process caches of assembled operators and restriction matrices, keyed
@@ -218,48 +213,31 @@ def _cached_restriction(dim: int, coarse_level: int, fine_level: int):
     return restriction_matrix(coarse, fine)
 
 
-def _final_time_config(plan: StudyPlan, space_level: int, time_steps: int, seed: int):
-    return SchemeConfig(
-        dim=plan.dim,
-        gamma=plan.gamma,
-        space_level=space_level,
-        time_steps=time_steps,
-        master_seed=seed,
-        k=plan.k,
-        mode="final_time",
-        n_modes=plan.n_modes,
-    )
-
-
 def path_errors(plan: StudyPlan, seed: int) -> np.ndarray:
     """Relative errors of every coarse run of one path against its reference.
 
     The reference and all coarse runs advance in one ``evolve_fast`` sweep,
     so each fine increment is drawn once per path.
     """
-    ref_ops = _cached_ops(plan.dim, plan.ref_space_level)
+    ref = plan.ref
+    ref_ops = _cached_ops(ref.dim, ref.space_level)
     stream = NoiseStream(
-        seed=seed, fine_level=plan.ref_space_level, fine_steps=plan.noise_steps
+        seed=seed, fine_level=ref.space_level, fine_steps=plan.noise_steps
     )
     coupled = tuple(
         (
-            _final_time_config(plan, space_level, time_steps, seed),
-            _cached_ops(plan.dim, space_level),
-            _cached_restriction(plan.dim, space_level, plan.ref_space_level),
+            replace(ref, space_level=space_level, time_steps=time_steps),
+            _cached_ops(ref.dim, space_level),
+            _cached_restriction(ref.dim, space_level, ref.space_level),
         )
         for space_level, time_steps, _res, _label in plan.coarse
     )
-    ref = evolve_fast(
-        _final_time_config(plan, plan.ref_space_level, plan.ref_time_steps, seed),
-        stream,
-        sample_driver(seed, plan.n_modes),
-        ops=ref_ops,
-        coupled=coupled,
-    )
+    driver = sample_driver(seed, ref.n_modes)
+    state = evolve_fast(ref, stream, driver, ops=ref_ops, coupled=coupled)
     return np.array(
         [
-            relative_error(alpha, ref.alpha, a, ref_ops.mass)
-            for alpha, (_cfg, _ops, a) in zip(ref.coupled, coupled)
+            relative_error(alpha, state.alpha, a, ref_ops.mass)
+            for alpha, (_cfg, _ops, a) in zip(state.coupled, coupled)
         ]
     )
 

@@ -29,10 +29,10 @@ from .mesh import FemOperators
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Nodes and weights of the fractional-power quadrature.
+    """Nodes of the fractional-power quadrature.
 
     For gamma in {0, 1} the spec is a sentinel (identity / full inverse)
-    with empty node and weight arrays.
+    with an empty node array.
     """
 
     gamma: float
@@ -40,7 +40,6 @@ class QuadratureSpec:
     n_pos: int
     n_neg: int
     nodes: np.ndarray
-    weights: np.ndarray
 
     @property
     def is_identity(self) -> bool:
@@ -58,20 +57,11 @@ def make_spec(gamma: float, k: float) -> QuadratureSpec:
     if not k > 0.0:
         raise DomainError(f"k must be positive, got {k}")
     if gamma in (0.0, 1.0):
-        empty = np.array([])
-        return QuadratureSpec(gamma, k, 0, 0, empty, empty)
+        return QuadratureSpec(gamma, k, 0, 0, np.array([]))
     n_pos = math.ceil(math.pi**2 / (2.0 * gamma * k**2))
     n_neg = math.ceil(math.pi**2 / (2.0 * (1.0 - gamma) * k**2))
-    j = np.arange(-n_neg, n_pos + 1)
-    nodes = j * k
-    # the raw weights can overflow for gamma near 0 (huge positive nodes);
-    # every computation below recombines them stably, so inf entries here
-    # never reach a result
-    with np.errstate(over="ignore"):
-        weights = (k * math.sin(math.pi * gamma) / math.pi) * np.exp(
-            (1.0 - gamma) * nodes
-        )
-    return QuadratureSpec(gamma, k, n_pos, n_neg, nodes, weights)
+    nodes = np.arange(-n_neg, n_pos + 1) * k
+    return QuadratureSpec(gamma, k, n_pos, n_neg, nodes)
 
 
 def scalar_qgamma(spec: QuadratureSpec, a: float) -> float:

@@ -20,8 +20,11 @@ from scipy.sparse.linalg import spilu, splu
 
 from .exceptions import CapacityError, DomainError, FactorizationError, NumericalError
 
-# Memory guards: finest admissible level per dimension.
+# Memory guards: finest admissible level per dimension, finest dyadic time
+# grid (2**MAX_TIME_EXP steps) and most scalar-driver modes.
 MAX_LEVEL = {1: 14, 2: 8}
+MAX_TIME_EXP = 20
+MAX_MODES = 2**16
 
 #: Relative residual above which a direct solve is considered failed.
 SOLVER_TOL = 1e-10

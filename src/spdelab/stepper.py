@@ -92,11 +92,10 @@ class SchemeConfig:
 
 @dataclass(frozen=True)
 class PathState:
-    """Nodal coefficients of the discrete solution at one time."""
+    """What one run produced: its nodal coefficients at t = 1 and, where
+    asked for, its snapshots and the final states of its coupled runs."""
 
     alpha: np.ndarray
-    n: int
-    t: float
     snapshots: np.ndarray | None = None  # (n_snapshots, n_dof) at dyadic times
     # final states of the runs coupled to this one, in the order given
     coupled: tuple[np.ndarray, ...] = ()
@@ -259,8 +258,6 @@ def _sweep(
             snapshots = snapshots + np.array(hom_snaps)
     return PathState(
         alpha=alpha,
-        n=config.time_steps,
-        t=1.0,
         snapshots=snapshots,
         coupled=tuple(g.color(k) for g, k in map(place.get, range(1, len(runs)))),
     )

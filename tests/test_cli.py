@@ -3,9 +3,16 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
+from spdelab import cli, l0
 from spdelab.cli import main
+from spdelab.driver import sample_driver
+from spdelab.exceptions import NumericalError
+from spdelab.mesh import assemble, build_mesh
+from spdelab.noise import NoiseStream
+from spdelab.stepper import SchemeConfig, evolve, evolve_fast
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -309,6 +316,14 @@ BAD_CONFIGS = {
     "empty_p_values": ("verify", {"p_values": []}),
     "bool_simulate_gamma": ("simulate", _with(SMALL_SIMULATE, gamma=False)),
     "list_root": ("simulate", [SMALL_SIMULATE]),
+    # sizes outside the value ranges, rejected before any array is allocated
+    "huge_time_exp": ("simulate", _with(SMALL_SIMULATE, time_exp=62)),
+    "huge_n_modes": ("simulate", _with(SMALL_SIMULATE, n_modes=2**62)),
+    "huge_time_ref_level": (
+        "convergence",
+        _with(SMALL_CONVERGENCE, axis="time", space_level=3, ref_level=62),
+    ),
+    "huge_bm_m_max": ("holder", {"bm_m_max": 62}),
     "malformed_json": ("convergence", '{"dim": 1,'),
     "missing_file": ("simulate", None),
 }
@@ -345,6 +360,21 @@ REJECTED_RUNS = {
         {"space_level": 2, "time_exp": 4, "m_max": 4, "m_min": 5, "n_seeds": 1,
          "n_modes": 10},
     ),
+    "holder_three_levels": (
+        "holder",
+        {"space_level": 2, "time_exp": 4, "m_max": 4, "m_min": 2, "n_seeds": 1,
+         "n_modes": 10},
+    ),
+    "holder_negative_m_min": (
+        "holder",
+        {"space_level": 2, "time_exp": 4, "m_max": 4, "m_min": -1, "n_seeds": 1,
+         "n_modes": 10},
+    ),
+    "holder_three_bm_levels": (
+        "holder",
+        {"space_level": 2, "time_exp": 4, "m_max": 4, "m_min": 1, "n_seeds": 1,
+         "n_modes": 10, "bm_m_min": 9, "bm_m_max": 10},
+    ),
 }
 
 
@@ -354,6 +384,19 @@ def test_rejected_run_creates_no_out_dir(case, tmp_path):
     cfg = write_config(tmp_path, doc)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "case", sorted(case for case in REJECTED_RUNS if case.startswith("holder"))
+)
+def test_holder_checks_levels_before_the_first_path(case, tmp_path, monkeypatch):
+    def path_ran(*args, **kwargs):
+        raise NumericalError("a path ran")
+
+    monkeypatch.setattr(cli, "_run_path", path_ran)
+    command, doc = REJECTED_RUNS[case]
+    cfg = write_config(tmp_path, doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
 
 def test_bad_config_exits_1_without_traceback(tmp_path):
@@ -376,3 +419,51 @@ def test_manifest_config_round_trip(tmp_path):
     replay = write_config(tmp_path, manifest["config"], name="replay.json")
     assert main(["convergence", "--config", replay, "--out", str(out_b)]) == 0
     assert (out_a / "errors.csv").read_bytes() == (out_b / "errors.csv").read_bytes()
+
+
+def _values(path):
+    return np.array([float(ln) for ln in path.read_text().splitlines()
+                     if not ln.startswith("#")])
+
+
+# non-default gamma, k and n_modes, so every value changes if one of them
+# does not reach the run
+SCHEME = {"dim": 1, "gamma": 0.6, "k": 0.7, "n_modes": 40, "space_level": 3}
+
+
+@pytest.mark.parametrize(
+    "mode,run", [("per_step", evolve), ("final_time", evolve_fast)]
+)
+def test_simulate_runs_its_scheme_config(mode, run, tmp_path):
+    doc = {**SCHEME, "time_exp": 6, "master_seed": 5, "mode": mode,
+           "snapshot_level": 3}
+    assert main(["simulate", "--config", write_config(tmp_path, doc),
+                 "--out", str(tmp_path)]) == 0
+    config = SchemeConfig(dim=1, gamma=0.6, space_level=3, time_steps=64,
+                          master_seed=5, k=0.7, mode=mode, n_modes=40)
+    stream = NoiseStream(seed=5, fine_level=3, fine_steps=64)
+    state = run(config, stream, sample_driver(5, 40), snapshot_level=3)
+    np.testing.assert_array_equal(_values(tmp_path / "final_state.txt"), state.alpha)
+    np.testing.assert_array_equal(
+        _values(tmp_path / "snapshots.txt"), state.snapshots.ravel()
+    )
+
+
+def test_holder_runs_its_scheme_config(tmp_path):
+    doc = {**SCHEME, "time_exp": 6, "m_max": 5, "m_min": 1, "bm_m_max": 6,
+           "bm_m_min": 2, "n_seeds": 2, "master_seed": 8}
+    assert main(["holder", "--config", write_config(tmp_path, doc),
+                 "--out", str(tmp_path)]) == 0
+    ops = assemble(build_mesh(1, 3))
+    expected = []
+    for seed in (8, 9):
+        config = SchemeConfig(dim=1, gamma=0.6, space_level=3, time_steps=64,
+                              master_seed=seed, k=0.7, mode="final_time", n_modes=40)
+        stream = NoiseStream(seed=seed, fine_level=3, fine_steps=64)
+        state = evolve_fast(config, stream, sample_driver(seed, 40), ops=ops,
+                            snapshot_level=5)
+        spde = l0.holder_exponent(state.snapshots, 1, norm=ops.m_norm)
+        bm = l0.holder_exponent(l0.brownian_path(seed, 6), 2)
+        expected += [f"spde,{seed},{spde.exponent!r}",
+                     f"brownian,{seed},{bm.exponent!r}"]
+    assert (tmp_path / "holder.csv").read_text().splitlines()[1:] == expected

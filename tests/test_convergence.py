@@ -124,8 +124,9 @@ class TestPlanStudy:
             dim=1, gamma=0.5, space_level=5, time_steps=64, master_seed=0
         )
         plan = plan_study(base, "space", [2, 3], 5)
-        assert plan.ref_space_level == 5
-        assert plan.ref_time_steps == 64
+        assert plan.ref.space_level == 5
+        assert plan.ref.time_steps == 64
+        assert plan.ref.mode == "final_time"
         assert plan.coarse[0][:2] == (2, 64)
         assert plan.coarse[0][2] == pytest.approx(0.25)
 
@@ -134,7 +135,7 @@ class TestPlanStudy:
             dim=1, gamma=0.5, space_level=4, time_steps=256, master_seed=0
         )
         plan = plan_study(base, "time", [3, 4, 5], 8)
-        assert plan.ref_time_steps == 256
+        assert (plan.ref.space_level, plan.ref.time_steps) == (4, 256)
         assert plan.coarse[1][:3] == (4, 16, 0.0625)
 
     def test_rejects_finer_than_reference(self):
@@ -145,6 +146,15 @@ class TestPlanStudy:
             plan_study(base, "space", [3, 5], 4)
         with pytest.raises(DomainError):
             plan_study(base, "space", [], 4)
+
+    def test_rejects_initial_data(self):
+        # a study starts from u(0) = 0
+        base = SchemeConfig(
+            dim=1, gamma=0.5, space_level=4, time_steps=16, master_seed=0,
+            initial=np.ones(17),
+        )
+        with pytest.raises(DomainError, match="initial data"):
+            plan_study(base, "space", [2, 3], 4)
 
 
 @pytest.fixture(scope="module")
@@ -242,12 +252,12 @@ def _per_level_path_errors(plan, seed):
     ``restrict_increment`` and colors its final raw state, as ``evolve_fast``
     did before runs were coupled into one sweep.
     """
-    ref_mesh = build_mesh(plan.dim, plan.ref_space_level)
+    ref_mesh = build_mesh(plan.ref.dim, plan.ref.space_level)
     ref_ops = assemble(ref_mesh)
-    spec = make_spec(plan.gamma, plan.k)
-    drv = sample_driver(seed, plan.n_modes)
+    spec = make_spec(plan.ref.gamma, plan.ref.k)
+    drv = sample_driver(seed, plan.ref.n_modes)
     stream = NoiseStream(
-        seed=seed, fine_level=plan.ref_space_level, fine_steps=plan.noise_steps
+        seed=seed, fine_level=plan.ref.space_level, fine_steps=plan.noise_steps
     )
 
     def final_state(time_steps, ops, a):
@@ -264,13 +274,13 @@ def _per_level_path_errors(plan, seed):
             return beta
         return apply_qgamma(spec, ops, ops.mass @ beta)
 
-    ref = final_state(plan.ref_time_steps, ref_ops, None)
+    ref = final_state(plan.ref.time_steps, ref_ops, None)
     errors = []
     for space_level, time_steps, _res, _label in plan.coarse:
-        if space_level == plan.ref_space_level:
+        if space_level == plan.ref.space_level:
             ops, a = ref_ops, None
         else:
-            mesh = build_mesh(plan.dim, space_level)
+            mesh = build_mesh(plan.ref.dim, space_level)
             ops, a = assemble(mesh), restriction_matrix(mesh, ref_mesh)
         alpha = final_state(time_steps, ops, a)
         errors.append(relative_error(alpha, ref, a, ref_ops.mass))

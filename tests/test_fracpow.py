@@ -26,10 +26,9 @@ class TestMakeSpec:
         assert spec.is_identity
         assert spec.nodes.size == 0
 
-    def test_nodes_increasing_weights_nonnegative(self):
+    def test_nodes_increasing(self):
         spec = make_spec(0.3, 0.4)
         assert np.all(np.diff(spec.nodes) > 0.0)
-        assert np.all(spec.weights >= 0.0)
         np.testing.assert_allclose(spec.nodes, np.arange(-spec.n_neg, spec.n_pos + 1) * 0.4)
 
     def test_domain_errors(self):
@@ -43,7 +42,7 @@ class TestMakeSpec:
     def test_node_counts_unit_resolution(self):
         spec = make_spec(0.5, 1.0)
         assert spec.n_pos == spec.n_neg == 10
-        assert spec.nodes.size == spec.weights.size == 21
+        assert spec.nodes.size == 21
 
 
 class TestScalarQgamma:
