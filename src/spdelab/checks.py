@@ -11,7 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exceptions import CapacityError
 from .mesh import DyadicMesh, assemble, build_mesh, restriction_matrix
+
+#: Most vertices the dense oracles take on: they hold four n x n float arrays,
+#: 134 MB at 1-d level 11 (2049 vertices); 2-d level 5 has 1089.
+MAX_DENSE_VERTICES = 2**11 + 1
 
 
 @dataclass(frozen=True)
@@ -68,6 +73,11 @@ def assembly_checks(dim: int, level: int, corrupt: bool = False) -> list[CheckRe
     comparison actually detects mismatches.
     """
     mesh = build_mesh(dim, level)
+    if mesh.n_vertices > MAX_DENSE_VERTICES:
+        raise CapacityError(
+            f"dense oracles need n x n arrays; {mesh.n_vertices} vertices exceed "
+            f"the guard of {MAX_DENSE_VERTICES}"
+        )
     ops = assemble(mesh)
     mass = ops.mass.toarray()
     stiff = ops.stiffness.toarray()

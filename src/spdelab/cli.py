@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -64,7 +65,8 @@ def _is_int(val) -> bool:
 
 
 def _is_number(val) -> bool:
-    return _is_int(val) or isinstance(val, float)
+    # json.load reads Infinity and NaN as floats
+    return _is_int(val) or (isinstance(val, float) and math.isfinite(val))
 
 
 def _list_of(check):
@@ -78,10 +80,10 @@ def _int_in(lo: int, hi: int):
 # (check, description) per value type; JSON true/false is never a number
 INT = (_is_int, "an integer")
 COUNT = (lambda val: _is_int(val) and val >= 1, "a positive integer")
-NUMBER = (_is_number, "a number")
+NUMBER = (_is_number, "a finite number")
 STR = (lambda val: isinstance(val, str), "a string")
 INTS = (_list_of(_is_int), "a non-empty list of integers")
-NUMBERS = (_list_of(_is_number), "a non-empty list of numbers")
+NUMBERS = (_list_of(_is_number), "a non-empty list of finite numbers")
 TIME_EXP = _int_in(0, MAX_TIME_EXP)  # a dyadic time grid of 2**val steps
 N_MODES = _int_in(1, MAX_MODES)
 
@@ -253,9 +255,11 @@ def _gnuplot_script(series: list, guides: list, xlabel: str) -> str:
 
 
 def cmd_assemble_check(args) -> int:
-    cases = [(1, args.level if args.dim == 1 else 3), (2, 2)]
+    cases = [(1, 3), (2, 2)]
     if args.dim is not None:
-        cases = [(args.dim, args.level)]
+        cases = [(args.dim, 3 if args.level is None else args.level)]
+    elif args.level is not None:
+        raise DomainError("--level needs --dim")
     failed = False
     for dim, level in cases:
         results = assembly_checks(dim, level, corrupt=args.inject_corruption)
@@ -374,6 +378,9 @@ def cmd_verify(args) -> int:
     out = _out_dir(cfg)
     seed = cfg["master_seed"]
     n_paths = cfg["n_paths"]
+    mc_paths = max(n_paths, l0.MIN_PATHS)
+    # the largest first batches: the BDG families, and block sums of >= 64 steps
+    l0.check_draws(mc_paths, max(cfg["steps"], 64), cfg["dim_q"])
     t0 = time.perf_counter()
 
     enforce = n_paths >= l0.MIN_PATHS
@@ -406,7 +413,7 @@ def cmd_verify(args) -> int:
     unit = l0.ElementaryIntegrand(
         dim_q=1, partition=np.array([0.0, 1.0]), family="deterministic_const"
     )
-    sample = l0.ito_integral_elementary(unit, seed, max(n_paths, l0.MIN_PATHS))
+    sample = l0.ito_integral_elementary(unit, seed, mc_paths)
     var = float(np.var(sample.values[:, -1, 0]))
     metric_rows.append(("ito_isometry_variance", 1.0, var))
     if enforce and abs(var - 1.0) > 0.03:
@@ -414,7 +421,6 @@ def cmd_verify(args) -> int:
     _write_csv(out / "verify_metric.csv", ["check", "parameter", "value"], metric_rows)
 
     # truncated BDG ratios: finite and stable across independent seeds
-    bdg_paths = max(n_paths, l0.MIN_PATHS)
     partition = np.linspace(0.0, 1.0, cfg["steps"] + 1)
     bdg_rows: list[tuple] = []
     for family in l0.FAMILIES:
@@ -425,7 +431,7 @@ def cmd_verify(args) -> int:
             ratios = []
             for i in range(2):
                 try:
-                    ratios.append(l0.bdg_ratio(phi, float(p), bdg_paths, seed + 101 * i))
+                    ratios.append(l0.bdg_ratio(phi, float(p), mc_paths, seed + 101 * i))
                 except StatisticalAlarm as exc:
                     alarms.append(f"bdg_ratio {family} p={p}: {exc}")
                     ratios.append(float("nan"))
@@ -441,7 +447,7 @@ def cmd_verify(args) -> int:
     for m in (1, 4, 16):
         phis = l0.block_integrands("wiener_functional", m, max(4, cfg["steps"] // m))
         try:
-            ratio = l0.bdg_sum_ratio(phis, 2.0, bdg_paths, seed)
+            ratio = l0.bdg_sum_ratio(phis, 2.0, mc_paths, seed)
         except StatisticalAlarm as exc:
             alarms.append(f"bdg_sum_ratio m={m}: {exc}")
             ratio = float("nan")
@@ -552,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("assemble-check", help="run the operator oracles")
     p_check.add_argument("--dim", type=int, choices=(1, 2), default=None)
-    p_check.add_argument("--level", type=int, default=3)
+    p_check.add_argument("--level", type=int, default=None)  # 3 with --dim
     p_check.add_argument("--inject-corruption", action="store_true")
     p_check.set_defaults(func=cmd_assemble_check)
 

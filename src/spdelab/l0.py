@@ -18,13 +18,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DomainError, InsufficientDataError, StatisticalAlarm
+from .exceptions import (
+    CapacityError,
+    DomainError,
+    InsufficientDataError,
+    StatisticalAlarm,
+)
 from .rng import L0_MARK_TAG, L0_WIENER_TAG, keyed_generator
 
 FAMILIES = ("deterministic_const", "wiener_functional", "heavy_tailed_scale")
 
 #: Fewest Monte Carlo paths for which the ratio estimators are meaningful.
 MIN_PATHS = 1000
+
+#: Most Wiener increments (paths x steps x dim_q) one batch may draw: the
+#: 10x rerun of the default 1e5-path, 64-step check draws 6.4e7 of them.
+MAX_DRAWS = 2**26
 
 
 @dataclass(frozen=True)
@@ -88,8 +97,18 @@ class IntegralSample:
     quad_var: np.ndarray  # (n_paths,) integral of the squared HS norm
 
 
+def check_draws(n_paths: int, steps: int, dim_q: int) -> None:
+    """Raise ``CapacityError`` if one batch would exceed ``MAX_DRAWS``."""
+    if n_paths * steps * dim_q > MAX_DRAWS:
+        raise CapacityError(
+            f"{n_paths} paths x {steps} steps x dim_q {dim_q} exceed the "
+            f"guard of {MAX_DRAWS} Wiener increments"
+        )
+
+
 def _draw_increments(phi: ElementaryIntegrand, seed: int, n_paths: int):
     dts = np.diff(phi.partition)
+    check_draws(n_paths, dts.size, phi.dim_q)
     gen = keyed_generator(seed, L0_WIENER_TAG)
     dw = gen.standard_normal((n_paths, dts.size, phi.dim_q)) * np.sqrt(dts)[:, None]
     marks = keyed_generator(seed, L0_MARK_TAG).standard_normal(n_paths)

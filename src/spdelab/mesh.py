@@ -11,7 +11,6 @@ assembled from closed forms, without numerical quadrature.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 import scipy.sparse as sp
@@ -170,9 +169,10 @@ class FemOperators:
     Holds the mass matrix M, the stiffness matrix T (zero Neumann, so
     constants lie in its kernel), the second-operator matrix K = M + T,
     and the lower Cholesky factor of M.  Every factorization built from
-    them (the (M + dt T) systems, the shifted-pencil solvers, the M and K
-    LUs) lives in the one keyed cache behind ``cached``; the object is
-    immutable apart from that cache and safe to share across threads.
+    them (the backward Euler ``BlockSystem``s, the shifted-pencil solvers,
+    the M and K LUs) lives in the one keyed cache behind ``cached``; the
+    object is immutable apart from that cache and safe to share across
+    threads.
     """
 
     def __init__(self, mesh: DyadicMesh):
@@ -197,63 +197,63 @@ class FemOperators:
             value = self._cache[key] = build()
         return value
 
-    def _factor_system(self, dt: float):
-        system = (self.mass + dt * self.stiffness).tocsc()
-        return splu(system), system
-
-    def system_factor(self, dt: float):
-        """The LU of (M + dt T) and the matrix itself, built once per dt."""
-        return self.cached(("system", dt), lambda: self._factor_system(dt))
-
-    def stacked_factor(self, dt: float, others: tuple = ()):
-        """``(lu, system, mass, perm)`` of the block-diagonal (M + dt T) of this
-        level and ``others``, built once: ``lu.solve(rhs)[perm]`` is, bit for
-        bit, each level's own ``system_factor(dt)`` solve of its slice."""
-        if not others:
-            return (*self.system_factor(dt), self.mass, slice(None))
-
-        def build():
-            # each block pre-permuted by its own COLAMD order, which a plain splu
-            # of the stack would not use; a no-fill incomplete LU reads it cheaply
-            levels = (self, *others)
-            systems = [(o.mass + dt * o.stiffness).tocsc() for o in levels]
-            orders = [spilu(s, drop_tol=1.0, fill_factor=1.0).perm_c for s in systems]
-            blocks = [s[:, np.argsort(q)] for s, q in zip(systems, orders)]
-            lu = splu(sp.block_diag(blocks, "csc"), permc_spec="NATURAL")
-            starts = np.cumsum([0] + [o.n_dof for o in levels])
-            perm = np.concatenate([q + s for q, s in zip(orders, starts)])
-            mass = sp.block_diag([o.mass for o in levels], "csr")
-            return lu, sp.block_diag(systems, "csc"), mass, perm
-
-        return self.cached(("stacked", dt, others), build)
-
-    def check_solves(self, dt: float, x: np.ndarray, rhs: np.ndarray, others=()):
-        """Raise ``NumericalError`` unless each row of ``x`` solves the system
-        of ``stacked_factor(dt, others)`` to ``SOLVER_TOL``, relative to each
-        level's own slice of the row; a zero slice is not checked."""
-        sizes = [self.n_dof] + [o.n_dof for o in others]
-        starts = [0, *accumulate(sizes[:-1])]
-        res = (self.stacked_factor(dt, others)[1] @ x.T).T - rhs
-        rhs_sq, res_sq = (np.add.reduceat(v * v, starts, axis=1) for v in (rhs, res))
-        checked = rhs_sq > 0.0
-        rel = np.sqrt(res_sq[checked] / rhs_sq[checked])
-        bad = np.flatnonzero(~(rel <= SOLVER_TOL))
-        if bad.size:
-            n = np.broadcast_to(sizes, checked.shape)[checked][bad[0]]
-            raise NumericalError(
-                f"backward Euler solve residual {rel[bad[0]]:.3e} exceeds "
-                f"{SOLVER_TOL:.0e} (n={n}, dt={dt})"
-            )
+    def system(self, dt: float, others: tuple = ()) -> BlockSystem:
+        """The backward Euler system of this level and ``others``, built once."""
+        levels = (self, *others)
+        return self.cached(("system", dt, others), lambda: BlockSystem(levels, dt))
 
     def system_solve(self, dt: float, rhs: np.ndarray) -> np.ndarray:
         """Solve (M + dt T) x = rhs with a relative residual check."""
-        x = self.system_factor(dt)[0].solve(rhs)
-        self.check_solves(dt, x[None], rhs[None])
+        system = self.system(dt)
+        x = system.solve(rhs)
+        system.check(x[None], rhs[None])
         return x
 
     def m_norm(self, v: np.ndarray) -> float:
         """Mass-weighted norm, the discrete L2 norm of the P1 function."""
         return float(np.sqrt(v @ (self.mass @ v)))
+
+
+class BlockSystem:
+    """The block-diagonal (M + dt T) of a stack of levels, run ``i`` at
+    ``offsets[i]:offsets[i + 1]``, with its mass matrix and LU.
+
+    Each block is pre-permuted by its own COLAMD order (read off a no-fill
+    incomplete LU) and the stack is factored in natural order, so ``solve``
+    gives every level's slice bit for bit as that level's own ``splu`` would;
+    a plain ``splu`` of the stack rounds differently in 1-d.
+    """
+
+    def __init__(self, levels: tuple, dt: float):
+        self.dt = dt
+        self.offsets = np.cumsum([0] + [o.n_dof for o in levels])
+        systems = [(o.mass + dt * o.stiffness).tocsc() for o in levels]
+        orders = [spilu(s, drop_tol=1.0, fill_factor=1.0).perm_c for s in systems]
+        blocks = [s[:, np.argsort(q)] for s, q in zip(systems, orders)]
+        self._lu = splu(sp.block_diag(blocks, "csc"), permc_spec="NATURAL")
+        self._perm = np.concatenate([q + s for q, s in zip(orders, self.offsets)])
+        self.matrix = sp.block_diag(systems, "csc")
+        self.mass = sp.block_diag([o.mass for o in levels], "csr")
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        return self._lu.solve(rhs)[self._perm]
+
+    def check(self, x: np.ndarray, rhs: np.ndarray) -> None:
+        """Raise ``NumericalError`` unless each row of ``x`` solves the system
+        for that row of ``rhs`` to ``SOLVER_TOL``, relative to each level's
+        own slice of the row; a zero slice is not checked."""
+        res = (self.matrix @ x.T).T - rhs
+        starts = self.offsets[:-1]
+        rhs_sq, res_sq = (np.add.reduceat(v * v, starts, axis=1) for v in (rhs, res))
+        checked = rhs_sq > 0.0
+        rel = np.sqrt(res_sq[checked] / rhs_sq[checked])
+        bad = np.flatnonzero(~(rel <= SOLVER_TOL))
+        if bad.size:
+            sizes = np.broadcast_to(np.diff(self.offsets), checked.shape)
+            raise NumericalError(
+                f"backward Euler solve residual {rel[bad[0]]:.3e} exceeds "
+                f"{SOLVER_TOL:.0e} (n={sizes[checked][bad[0]]}, dt={self.dt})"
+            )
 
 
 def assemble(mesh: DyadicMesh) -> FemOperators:

@@ -116,10 +116,12 @@ def _snapshot_stride(config: SchemeConfig, snapshot_level: int | None) -> int | 
 
 class _Group:
     """The runs ``(config, ops, a)`` of one sweep on one time grid, advanced
-    as one state that stacks theirs in order (run ``i`` at
-    ``offsets[i]:offsets[i + 1]``) with block-diagonal operators."""
+    as one state that stacks theirs in the order of its ``system``, starting
+    from ``beta`` (default zero); ``per_step`` colors each increment before
+    its solve (one run only)."""
 
-    def __init__(self, runs: list, stream: NoiseStream, driver: ScalarDriver):
+    def __init__(self, runs: list, stream: NoiseStream, driver: ScalarDriver,
+                 beta: np.ndarray | None = None, per_step: bool = False):
         cfg = runs[0][0]
         if stream.fine_steps % cfg.time_steps != 0:
             raise DomainError(
@@ -138,11 +140,10 @@ class _Group:
             blocks = [sp.identity(o.n_dof) if a is None else a for _c, o, a in runs]
             self.a = sp.vstack(blocks, "csr")
         self.ratio = stream.fine_steps // cfg.time_steps
-        self.dt = cfg.dt
         self.b = eval_b_grid(driver, cfg.dt * np.arange(cfg.time_steps))
-        self.offsets = np.cumsum([0] + [o.n_dof for o in self.ops])
-        self.beta = np.zeros(self.offsets[-1])
-        self.per_step = False  # color each increment before its solve (one run)
+        self.system = self.ops[0].system(cfg.dt, self.ops[1:])
+        self.beta = np.zeros(self.system.offsets[-1]) if beta is None else beta
+        self.per_step = per_step
         self.acc = None  # fine increments of an open step so far
 
     def _step_sums(self, m0: int, f: np.ndarray) -> np.ndarray:
@@ -164,32 +165,32 @@ class _Group:
         g = self._step_sums(m0, f)
         n0 = m0 // self.ratio
         n1 = n0 + g.shape[1]
-        states = np.empty((n1 - n0, self.offsets[-1]))
+        system = self.system
+        states = np.empty((n1 - n0, system.offsets[-1]))
         if n1 == n0:
             return states
-        main, others = self.ops[0], self.ops[1:]
-        lu, _system, mass, perm = main.stacked_factor(self.dt, others)
         if self.a is not None:
             g = restrict_increment(self.a, g)
         if self.per_step and not self.specs[0].is_identity:
             # one column at a time: batched pencil solves can round differently
+            main = self.ops[0]
             g = np.column_stack(
-                [mass @ apply_qgamma(self.specs[0], main, c) for c in g.T]
+                [main.mass @ apply_qgamma(self.specs[0], main, c) for c in g.T]
             )
         bg = g * self.b[n0:n1]
         rhs = np.empty_like(states)
         beta = self.beta
         for j in range(n1 - n0):
-            rhs[j] = mass @ beta + bg[:, j]
-            beta = states[j] = lu.solve(rhs[j])[perm]
-        main.check_solves(self.dt, states, rhs, others)
+            rhs[j] = system.mass @ beta + bg[:, j]
+            beta = states[j] = system.solve(rhs[j])
+        system.check(states, rhs)
         self.beta = beta
         return states
 
     def color(self, i: int, raw: np.ndarray | None = None) -> np.ndarray:
         # run i's raw states as columns (default: its final state), colored at once
         if raw is None:
-            raw = self.beta[self.offsets[i] : self.offsets[i + 1]]
+            raw = self.beta[self.system.offsets[i] : self.system.offsets[i + 1]]
         if self.per_step or self.specs[i].is_identity:
             return raw
         return apply_qgamma(self.specs[i], self.ops[i], self.ops[i].mass @ raw)
@@ -223,16 +224,12 @@ def _sweep(
     grids: dict[int, list[int]] = {}  # time steps -> its runs, the main run first
     for i, (cfg, _o, _a) in enumerate(runs):
         grids.setdefault(cfg.time_steps, []).append(i)
-    groups = [_Group([runs[i] for i in m], stream, driver) for m in grids.values()]
-    main = groups[0]
-    hom = None  # homogeneous part of the final-time mode, never colored
-    if per_step:
-        main.per_step, main.beta = True, initial
-    elif np.any(initial):
-        hom = initial
+    main_runs, *other_runs = ([runs[i] for i in m] for m in grids.values())
+    # the final-time mode sets the initial data apart, on a homogeneous recursion
+    main = _Group(main_runs, stream, driver, initial if per_step else None, per_step)
+    groups = [main, *(_Group(r, stream, driver) for r in other_runs)]
 
     snaps = [main.beta[: ops.n_dof]] if stride else None
-    hom_snaps = [hom] if stride and hom is not None else None
     for m0 in range(0, stream.fine_steps, BLOCK_STEPS):
         m1 = min(m0 + BLOCK_STEPS, stream.fine_steps)
         f = noise.fine_increments(stream, m0, m1, ops.mass_chol)
@@ -240,22 +237,21 @@ def _sweep(
         for group in groups[1:]:
             group.take(m0, f)
         for j, n in enumerate(range(m0 // main.ratio, m1 // main.ratio)):
-            if hom is not None:
-                hom = ops.system_solve(config.dt, ops.mass @ hom)
             if stride and (n + 1) % stride == 0:
                 snaps.append(states[j].copy())  # a view would keep the block
-                if hom is not None:
-                    hom_snaps.append(hom)
 
-    place = {i: (g, k) for g, m in zip(groups, grids.values()) for k, i in enumerate(m)}
     alpha = main.color(0)
-    if hom is not None:
+    snapshots = main.color(0, np.array(snaps).T).T if stride else None
+    if not per_step and np.any(initial):  # never colored
+        hom, hom_snaps = initial, [initial]
+        for n in range(config.time_steps):
+            hom = ops.system_solve(config.dt, ops.mass @ hom)
+            if stride and (n + 1) % stride == 0:
+                hom_snaps.append(hom)
         alpha = alpha + hom
-    snapshots = None
-    if stride:
-        snapshots = main.color(0, np.array(snaps).T).T
-        if hom_snaps is not None:
+        if stride:
             snapshots = snapshots + np.array(hom_snaps)
+    place = {i: (g, k) for g, m in zip(groups, grids.values()) for k, i in enumerate(m)}
     return PathState(
         alpha=alpha,
         snapshots=snapshots,

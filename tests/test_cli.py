@@ -57,6 +57,25 @@ class TestAssembleCheck:
     def test_2d_level_3(self, capsys):
         assert main(["assemble-check", "--dim", "2", "--level", "3"]) == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--level", "5"],  # a level needs its dimension
+            ["--dim", "1", "--level", "12"],  # dense oracles of 4097 vertices
+            ["--dim", "2", "--level", "6"],  # dense oracles of 4225 vertices
+        ],
+    )
+    def test_rejected(self, argv, capsys, monkeypatch):
+        from spdelab import checks
+
+        def oracle_ran(*args, **kwargs):
+            raise AssertionError("an oracle ran")
+
+        for name in ("assemble", "expected_1d_matrices", "expected_2d_matrices"):
+            monkeypatch.setattr(checks, name, oracle_ran)
+        assert main(["assemble-check", *argv]) == 1
+        assert capsys.readouterr().err.startswith("validation error: ")
+
 
 class TestConvergenceCommand:
     def test_dry_run_echoes_config(self, tmp_path, capsys):
@@ -324,6 +343,12 @@ BAD_CONFIGS = {
         _with(SMALL_CONVERGENCE, axis="time", space_level=3, ref_level=62),
     ),
     "huge_bm_m_max": ("holder", {"bm_m_max": 62}),
+    "verify_huge_steps": ("verify", {"n_paths": 1000, "steps": 2**62}),
+    "verify_huge_n_paths": ("verify", {"n_paths": 2**62}),
+    # json.load reads Infinity; quadratures of 2e15 and 2e13 nodes
+    "infinite_k": ("simulate", _with(SMALL_SIMULATE, k=float("inf"))),
+    "tiny_k": ("simulate", _with(SMALL_SIMULATE, k=1e-7)),
+    "tiny_gamma": ("simulate", _with(SMALL_SIMULATE, gamma=1e-12)),
     "malformed_json": ("convergence", '{"dim": 1,'),
     "missing_file": ("simulate", None),
 }

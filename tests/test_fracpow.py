@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from spdelab import fracpow
-from spdelab.exceptions import DomainError
+from spdelab.exceptions import CapacityError, DomainError
 from spdelab.fracpow import apply_qgamma, make_spec, scalar_qgamma
 from spdelab.mesh import assemble, build_mesh
 
@@ -38,6 +38,24 @@ class TestMakeSpec:
             make_spec(1.1, 0.5)
         with pytest.raises(DomainError):
             make_spec(0.5, 0.0)
+        for k in (math.inf, math.nan):
+            with pytest.raises(DomainError):
+                make_spec(0.5, k)
+
+    @pytest.mark.parametrize(
+        "gamma,k",
+        # nodes ~ pi^2 / (2 gamma k^2): 2e13 and 2e15; k**2 underflows to 0;
+        # the count overflows to inf
+        [(1e-12, 0.5), (0.5, 1e-7), (0.5, 1e-200), (1e-320, 0.5)],
+    )
+    def test_node_guard(self, gamma, k):
+        with pytest.raises(CapacityError):
+            make_spec(gamma, k)
+
+    def test_node_guard_admits_the_studied_resolutions(self):
+        # the finest quadratures of the tests and acceptance criteria
+        for gamma in (1e-3, 0.25, 0.5, 0.75, 1.0 - 1e-3):
+            assert make_spec(gamma, 0.25).nodes.size <= fracpow.MAX_NODES
 
     def test_node_counts_unit_resolution(self):
         spec = make_spec(0.5, 1.0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spdelab import l0
-from spdelab.exceptions import DomainError, InsufficientDataError
+from spdelab.exceptions import CapacityError, DomainError, InsufficientDataError
 
 
 def unit_integrand(steps=1, q=1, family="deterministic_const", scale=1.0):
@@ -135,6 +135,18 @@ class TestBdgRatio:
             l0.bdg_ratio(unit_integrand(), 2.0, 999)
         with pytest.raises(DomainError):
             l0.bdg_ratio(unit_integrand(), 0.0, 1000)
+
+    def test_draw_guard(self):
+        # criterion 08 and the default verify config (1e5 paths, 64 steps)
+        # fit, with their 10x reruns; larger batches are refused before drawing
+        l0.check_draws(10 * 100_000, 64, 1)
+        l0.check_draws(l0.MAX_DRAWS, 1, 1)
+        with pytest.raises(CapacityError):
+            l0.check_draws(l0.MAX_DRAWS + 1, 1, 1)
+        with pytest.raises(CapacityError):
+            l0.bdg_ratio(unit_integrand(steps=64), 2.0, l0.MAX_DRAWS // 64 + 1)
+        with pytest.raises(CapacityError):
+            l0.ito_integral_elementary(unit_integrand(q=2), 0, 2**62)
 
 
 class TestBdgSumRatio:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from spdelab.checks import assembly_checks, expected_1d_matrices, expected_2d_matrices
 from spdelab.exceptions import (
@@ -168,9 +169,9 @@ class TestAssemble:
         factored = []
         real_splu = mesh_module.splu
 
-        def counting_splu(a):
+        def counting_splu(a, **options):
             factored.append(a.shape)
-            return real_splu(a)
+            return real_splu(a, **options)
 
         monkeypatch.setattr(mesh_module, "splu", counting_splu)
         ops = assemble(build_mesh(1, 3))
@@ -183,34 +184,34 @@ class TestAssemble:
 
     def test_check_solves_checks_each_row(self):
         ops = assemble(build_mesh(1, 3))
-        lu, _system = ops.system_factor(0.25)
+        system = ops.system(0.25)
         rhs = np.vstack(
             [np.ones(ops.n_dof), np.zeros(ops.n_dof), np.arange(ops.n_dof, dtype=float)]
         )
-        x = np.vstack([lu.solve(r) for r in rhs])
-        ops.check_solves(0.25, x, rhs)
+        x = np.vstack([system.solve(r) for r in rhs])
+        system.check(x, rhs)
         x[1] = 1.0  # a row with a zero right-hand side is not checked
-        ops.check_solves(0.25, x, rhs)
+        system.check(x, rhs)
         x[2] *= 1.0 + 1e-6
         with pytest.raises(NumericalError):
-            ops.check_solves(0.25, x, rhs)
+            system.check(x, rhs)
         x[2] = np.nan
         with pytest.raises(NumericalError):
-            ops.check_solves(0.25, x, rhs)
+            system.check(x, rhs)
 
     def test_check_solves_checks_each_level_of_a_stack(self):
         ops, coarse = assemble(build_mesh(1, 4)), assemble(build_mesh(1, 2))
-        _lu, system, _mass, _perm = ops.stacked_factor(0.25, (coarse,))
+        system = ops.system(0.25, (coarse,))
         rng = np.random.default_rng(3)
         x = rng.standard_normal((3, ops.n_dof + coarse.n_dof))
         x[1, ops.n_dof :] = 0.0  # a zero slice is not checked
-        rhs = (system @ x.T).T
-        ops.check_solves(0.25, x, rhs, (coarse,))
+        rhs = (system.matrix @ x.T).T
+        system.check(x, rhs)
         x[1, ops.n_dof :] = 1.0
-        ops.check_solves(0.25, x, rhs, (coarse,))
+        system.check(x, rhs)
         x[2, ops.n_dof :] *= 1.0 + 1e-6
         with pytest.raises(NumericalError, match=f"n={coarse.n_dof},"):
-            ops.check_solves(0.25, x, rhs, (coarse,))
+            system.check(x, rhs)
 
 
 class TestMassFactor:
@@ -283,8 +284,15 @@ class TestChecks:
         assert "diff" in failed[0].detail
 
 
-# (dim, stream level, coarse levels, dt): the stacks of the space studies
-STACKS = [(1, 9, (2, 3, 4, 5, 6), 2.0**-14), (2, 6, (2, 3, 4), 2.0**-6)]
+# (dim, stream level, coarse levels, dt): the stacks of the space studies,
+# then runs alone on their time grid (the references and a time-study run)
+STACKS = [
+    (1, 9, (2, 3, 4, 5, 6), 2.0**-14),
+    (2, 6, (2, 3, 4), 2.0**-6),
+    (1, 9, (), 2.0**-14),
+    (2, 6, (), 2.0**-6),
+    (1, 9, (), 2.0**-6),
+]
 
 
 @pytest.mark.parametrize("dim,fine,coarse,dt", STACKS)
@@ -293,22 +301,25 @@ def test_stacked_solves_match_each_level(dim, fine, coarse, dt):
     # the block diagonal rounds differently in 1-d) and the column orders
     # read off incomplete LUs, which must be those of each level's own LU
     levels = [assemble(build_mesh(dim, lv)) for lv in (fine, *coarse)]
-    lu, system, mass, perm = levels[0].stacked_factor(dt, tuple(levels[1:]))
-    starts = np.cumsum([0] + [o.n_dof for o in levels])
-    for o, s0, s1 in zip(levels, starts, starts[1:]):
-        assert (system[s0:s1, s0:s1] != o.system_factor(dt)[1]).nnz == 0
+    system = levels[0].system(dt, tuple(levels[1:]))
+    offsets = system.offsets
+    np.testing.assert_array_equal(offsets, np.cumsum([0] + [o.n_dof for o in levels]))
+    own = [(o.mass + dt * o.stiffness).tocsc() for o in levels]
+    for a, s0, s1 in zip(own, offsets, offsets[1:]):
+        assert (system.matrix[s0:s1, s0:s1] != a).nnz == 0
+    lus = [splu(a) for a in own]
     rng = np.random.default_rng(11)
     for _ in range(20):
-        rhs = rng.standard_normal(starts[-1])
-        x = lu.solve(rhs)[perm]
-        for o, s0, s1 in zip(levels, starts, starts[1:]):
+        rhs = rng.standard_normal(offsets[-1])
+        x = system.solve(rhs)
+        for o, lu, s0, s1 in zip(levels, lus, offsets, offsets[1:]):
+            np.testing.assert_array_equal(x[s0:s1], lu.solve(rhs[s0:s1]))
             np.testing.assert_array_equal(
-                x[s0:s1], o.system_factor(dt)[0].solve(rhs[s0:s1])
+                (system.mass @ x)[s0:s1], o.mass @ x[s0:s1]
             )
-            np.testing.assert_array_equal((mass @ x)[s0:s1], o.mass @ x[s0:s1])
 
 
-def test_stacked_factor_built_once_per_dt_and_levels(monkeypatch):
+def test_system_built_once_per_dt_and_levels(monkeypatch):
     import spdelab.mesh as mesh_module
 
     factored = []  # (kind, size) of every factorization
@@ -323,18 +334,21 @@ def test_stacked_factor_built_once_per_dt_and_levels(monkeypatch):
     monkeypatch.setattr(mesh_module, "splu", counting("lu", mesh_module.splu))
     monkeypatch.setattr(mesh_module, "spilu", counting("ilu", mesh_module.spilu))
     ops, c2, c3 = (assemble(build_mesh(1, lv)) for lv in (4, 2, 3))
-    first = ops.stacked_factor(0.25, (c2, c3))
+    first = ops.system(0.25, (c2, c3))
     # one LU of the stack; each level's column order is read off an
     # incomplete LU, and no level keeps an LU of its own
     assert sorted(factored) == [("ilu", 5), ("ilu", 9), ("ilu", 17), ("lu", 31)]
-    assert ops.stacked_factor(0.25, (c2, c3)) is first
+    assert ops.system(0.25, (c2, c3)) is first
     assert len(factored) == 4
-    ops.stacked_factor(0.5, (c2, c3))
-    ops.stacked_factor(0.25, (c3, c2))
-    ops.stacked_factor(0.25, (c2,))
+    ops.system(0.5, (c2, c3))
+    ops.system(0.25, (c3, c2))
+    ops.system(0.25, (c2,))
     assert len(factored) == 4 + 4 + 4 + 3
-    # one level alone is its own cached system factor: no stack, no gather
-    lu, system, mass, perm = ops.stacked_factor(0.25)
-    assert (lu, system) == ops.system_factor(0.25) and mass is ops.mass
-    assert perm == slice(None)
-    assert len(factored) == 4 + 4 + 4 + 3 + 1
+    # one level is a stack of one, cached under the same key shape, and
+    # system_solve uses it
+    alone = ops.system(0.25)
+    assert factored[-2:] == [("ilu", 17), ("lu", 17)]
+    assert ops.system(0.25, ()) is alone
+    rhs = np.arange(ops.n_dof, dtype=float)
+    np.testing.assert_array_equal(ops.system_solve(0.25, rhs), alone.solve(rhs))
+    assert len(factored) == 4 + 4 + 4 + 3 + 2

@@ -322,16 +322,19 @@ class TestCoupledRuns:
                 evolve_fast(main, stream, drv, ops=ops3, coupled=((cfg, ops3, None),))
 
 
-class SpoiledLU:
-    """An LU whose solve number ``bad`` (from 0) is off by a relative 1e-6."""
+class SpoiledSolve:
+    """A solve whose call number ``bad`` (from 0) is off by a relative ``eps``
+    on the entries ``span`` (say one run's slice of a stacked state)."""
 
-    def __init__(self, lu, bad):
-        self.lu, self.bad, self.calls = lu, bad, 0
+    def __init__(self, solve, bad, span=slice(None), eps=1e-6):
+        self.solve, self.bad, self.span, self.eps, self.calls = solve, bad, span, eps, 0
 
-    def solve(self, rhs):
-        x = self.lu.solve(rhs)
+    def __call__(self, rhs):
+        y = self.solve(rhs)
         self.calls += 1
-        return x * (1.0 + 1e-6) if self.calls == self.bad + 1 else x
+        if self.calls == self.bad + 1:
+            y[self.span] *= 1.0 + self.eps
+        return y
 
 
 @pytest.mark.parametrize("mode", sorted(MODES))
@@ -342,9 +345,9 @@ def test_guard_checks_every_solve_of_a_block(mode, bad, monkeypatch):
     cfg = SchemeConfig(
         dim=1, gamma=0.5, space_level=3, time_steps=32, master_seed=8, mode=mode
     )
-    lu, system = ops.system_factor(cfg.dt)
-    spoiled = SpoiledLU(lu, bad)
-    monkeypatch.setattr(ops, "system_factor", lambda dt: (spoiled, system))
+    system = ops.system(cfg.dt)  # cached: the run solves with this object
+    spoiled = SpoiledSolve(system.solve, bad)
+    monkeypatch.setattr(system, "solve", spoiled)
     stream = NoiseStream(seed=8, fine_level=3, fine_steps=32)
     with pytest.raises(NumericalError):
         MODES[mode](cfg, stream, sample_driver(8, 50), ops=ops)
@@ -361,21 +364,6 @@ def test_guard_skips_zero_right_hand_sides(mode, quiet3):
     stream = NoiseStream(seed=9, fine_level=3, fine_steps=32)
     out = MODES[mode](cfg, stream, flat_driver(), ops=quiet3)
     assert not np.any(out.alpha)
-
-
-class SpoiledSlice:
-    """A stacked LU whose solve number ``bad`` (from 0) is off by a relative
-    ``eps`` on the entries ``span``, one run's slice of the stack."""
-
-    def __init__(self, lu, bad, span, eps):
-        self.lu, self.bad, self.span, self.eps, self.calls = lu, bad, span, eps, 0
-
-    def solve(self, rhs):
-        y = self.lu.solve(rhs)
-        self.calls += 1
-        if self.calls == self.bad + 1:
-            y[self.span] *= 1.0 + self.eps
-        return y
 
 
 @pytest.mark.parametrize("spoiled", [False, True])
@@ -398,32 +386,31 @@ def test_guard_checks_each_run_of_a_group(spoiled, monkeypatch):
     coupled = tuple(
         (cfg[o.mesh.level], o, restriction_matrix(o.mesh, fine)) for o in others
     )
-    lu, system, mass, perm = ops.stacked_factor(cfg[6].dt, others)
-    starts = np.cumsum([0] + [o.n_dof for o in (ops, *others)])
+    system = ops.system(cfg[6].dt, others)
+    starts = system.offsets
     level5 = slice(starts[4], starts[5])
-    spoiled_lu = SpoiledSlice(lu, 21 if spoiled else -1, level5, 2e-10)
-    monkeypatch.setattr(
-        ops, "stacked_factor", lambda dt, oth: (spoiled_lu, system, mass, perm)
-    )
+    spoiled_solve = SpoiledSolve(system.solve, 21 if spoiled else -1, level5, 2e-10)
+    monkeypatch.setattr(system, "solve", spoiled_solve)
     blocks = []  # (states, right-hand sides) of each guard check
-    check = ops.check_solves
+    check = system.check
 
-    def recording(dt, x, rhs, oth=()):
+    def recording(x, rhs):
         blocks.append((x.copy(), rhs.copy()))
-        check(dt, x, rhs, oth)
+        check(x, rhs)
 
-    monkeypatch.setattr(ops, "check_solves", recording)
+    monkeypatch.setattr(system, "check", recording)
 
     def run():
         stream = NoiseStream(seed=8, fine_level=6, fine_steps=32)
         evolve_fast(cfg[6], stream, sample_driver(8, 50), ops=ops, coupled=coupled)
 
     def rel(x, rhs, part=slice(None)):
-        return np.linalg.norm((system @ x - rhs)[part]) / np.linalg.norm(rhs[part])
+        res = system.matrix @ x - rhs
+        return np.linalg.norm(res[part]) / np.linalg.norm(rhs[part])
 
     if not spoiled:
         run()
-        assert len(blocks) == 2 and spoiled_lu.calls == 32
+        assert len(blocks) == 2 and spoiled_solve.calls == 32
         for x, rhs in blocks:
             for j in range(16):
                 for s0, s1 in zip(starts, starts[1:]):
@@ -431,7 +418,7 @@ def test_guard_checks_each_run_of_a_group(spoiled, monkeypatch):
         return
     with pytest.raises(NumericalError, match="n=33,"):
         run()
-    assert len(blocks) == 2 and spoiled_lu.calls == 32
+    assert len(blocks) == 2 and spoiled_solve.calls == 32
     x, rhs = blocks[1][0][5], blocks[1][1][5]
     assert rel(x, rhs, level5) > SOLVER_TOL
     assert rel(x, rhs) <= SOLVER_TOL
