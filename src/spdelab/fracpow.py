@@ -31,6 +31,15 @@ from .mesh import FemOperators
 #: and 79,038 at k 0.25 and gamma 1e-3.
 MAX_NODES = 2**17
 
+#: Most stored entries of the L and U factors over all nodes of one spec,
+#: 12 bytes each (3 GiB).  One 2-d level-7 pencil LU has about 1.8M entries,
+#: so 81 nodes of it fit; 1,995 nodes (gamma 0.01, k 0.5) of level 6 do not.
+MAX_PENCIL_NNZ = 2**28
+
+#: Columns of a block colored per pass: a node's right-hand side and
+#: solution then stay in cache, and SuperLU costs less per column.
+COLOR_COLUMNS = 256
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -100,7 +109,11 @@ class _PencilSolver:
     and path touching that level; immutable after construction.  Each node
     is factored in whichever scaling keeps its coefficients finite:
     positive nodes as e^{-gamma y} (M + e^{-y} K)^{-1}, negative nodes as
-    e^{(1-gamma) y} (e^y M + K)^{-1}.
+    e^{(1-gamma) y} (e^y M + K)^{-1}.  All factors together hold at most
+    ``MAX_PENCIL_NNZ`` entries.  ``apply`` colors a block ``COLOR_COLUMNS``
+    columns at a time, each chunk through every node in node order; in 1-d
+    the pencil solves use no BLAS, so this is bit-identical to solving the
+    whole block at once, while in 2-d wide blocks may differ in the last bits.
     """
 
     def __init__(self, ops: FemOperators, spec: QuadratureSpec):
@@ -114,13 +127,27 @@ class _PencilSolver:
             else:
                 scale = c * math.exp((1.0 - spec.gamma) * y)
                 system = math.exp(y) * ops.mass + ops.a2_matrix
+            lu = splu(system.tocsc())
+            if spec.nodes.size * lu.nnz > MAX_PENCIL_NNZ:  # before the next one
+                raise CapacityError(
+                    f"{spec.nodes.size} pencil factors of {lu.nnz} entries "
+                    f"exceed the guard of {MAX_PENCIL_NNZ}"
+                )
             self._scales.append(scale)
-            self._lus.append(splu(system.tocsc()))
+            self._lus.append(lu)
 
     def apply(self, g: np.ndarray) -> np.ndarray:
         out = np.zeros_like(g)
-        for scale, lu in zip(self._scales, self._lus):
-            out += scale * lu.solve(g)  # g may carry multiple columns
+        cols = g.shape[1] if g.ndim == 2 else 1
+        # a lone last column would take the one-column solve, which rounds
+        # differently in 2-d; it joins the chunk before it
+        edges = [*range(0, max(cols - 1, 1), COLOR_COLUMNS), cols]
+        for lo, hi in zip(edges, edges[1:]):
+            part, acc = (g, out) if g.ndim == 1 else (g[:, lo:hi], out[:, lo:hi])
+            for scale, lu in zip(self._scales, self._lus):
+                x = lu.solve(part)
+                x *= scale  # the roundings of acc += scale * x
+                acc += x
         return out
 
 

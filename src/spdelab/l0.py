@@ -110,23 +110,25 @@ def _draw_increments(phi: ElementaryIntegrand, seed: int, n_paths: int):
     dts = np.diff(phi.partition)
     check_draws(n_paths, dts.size, phi.dim_q)
     gen = keyed_generator(seed, L0_WIENER_TAG)
-    dw = gen.standard_normal((n_paths, dts.size, phi.dim_q)) * np.sqrt(dts)[:, None]
+    dw = gen.standard_normal((n_paths, dts.size, phi.dim_q))
+    dw *= np.sqrt(dts)[:, None]
     marks = keyed_generator(seed, L0_MARK_TAG).standard_normal(n_paths)
     return dw, marks
 
 
 def _integrate(phi: ElementaryIntegrand, dw: np.ndarray, marks: np.ndarray):
+    # dw is shared by the integrands of a sum, so it is only read
+    n_paths, n_steps, _ = dw.shape
     dts = np.diff(phi.partition)
-    w = np.cumsum(dw, axis=1)
-    w_left = np.concatenate(
-        [np.zeros((dw.shape[0], 1)), w[:, :-1, 0]], axis=1
-    )  # first coordinate at left endpoints
+    w_left = np.zeros((n_paths, n_steps))  # first coordinate at left endpoints
+    np.cumsum(dw[:, :-1, 0], axis=1, out=w_left[:, 1:])
     scalars = phi.step_scalars(w_left, marks)
-    incr = scalars[:, :, None] * dw
-    x = np.concatenate(
-        [np.zeros((dw.shape[0], 1, phi.dim_q)), np.cumsum(incr, axis=1)], axis=1
-    )
-    sup = np.linalg.norm(x, axis=2).max(axis=1)
+    x = np.empty((n_paths, n_steps + 1, phi.dim_q))
+    x[:, 0] = 0.0
+    np.multiply(scalars[:, :, None], dw, out=x[:, 1:])
+    np.cumsum(x[:, 1:], axis=1, out=x[:, 1:])
+    # np.linalg.norm's sum, without its copy of x
+    sup = np.sqrt(np.add.reduce(x * x, axis=2)).max(axis=1)
     quad_var = ((scalars**2) * phi.dim_q) @ dts
     return IntegralSample(values=x, sup_norm=sup, quad_var=quad_var)
 
@@ -241,7 +243,9 @@ def holder_exponent(snapshots, m_min: int, norm=None) -> HolderEstimate:
     m_max the statistic S(m) is the maximum norm of the level-m dyadic
     increments; the exponent is the negated least-squares slope of
     log2 S(m) against m.  A level with S(m) = 0 marks the path as
-    degenerate (e.g. constant in time) and no slope is fitted.
+    degenerate (e.g. constant in time) and no slope is fitted.  ``norm``,
+    if given, maps a ``(k, n)`` block of increments, one per row, to their
+    k norms (e.g. ``FemOperators.m_norm``); it is called once per level.
     """
     snapshots = np.asarray(snapshots, dtype=float)
     n_pts = snapshots.shape[0]
@@ -261,7 +265,7 @@ def holder_exponent(snapshots, m_min: int, norm=None) -> HolderEstimate:
         pts = snapshots[::stride]
         diffs = np.diff(pts, axis=0)
         if norm is not None:
-            norms = np.array([norm(d) for d in diffs])
+            norms = norm(diffs)
         elif diffs.ndim == 1:
             norms = np.abs(diffs)
         else:

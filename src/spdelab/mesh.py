@@ -209,9 +209,15 @@ class FemOperators:
         system.check(x[None], rhs[None])
         return x
 
-    def m_norm(self, v: np.ndarray) -> float:
-        """Mass-weighted norm, the discrete L2 norm of the P1 function."""
-        return float(np.sqrt(v @ (self.mass @ v)))
+    def m_norm(self, v: np.ndarray) -> float | np.ndarray:
+        """Mass-weighted norm, the discrete L2 norm of the P1 function; of
+        each row of a ``(k, n_dof)`` block, bit-identical row by row."""
+        if v.ndim == 1:
+            return float(np.sqrt(v @ (self.mass @ v)))
+        # vecdot takes BLAS ddot per row, whose kernel depends on the strides:
+        # the rows of v keep theirs and those of M v are contiguous, as above
+        mv = np.ascontiguousarray((self.mass @ v.T).T)
+        return np.sqrt(np.vecdot(v, mv))
 
 
 class BlockSystem:

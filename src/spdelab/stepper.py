@@ -172,7 +172,8 @@ class _Group:
         if self.a is not None:
             g = restrict_increment(self.a, g)
         if self.per_step and not self.specs[0].is_identity:
-            # one column at a time: batched pencil solves can round differently
+            # one column at a time: in 2-d, multi-column supernodal solves
+            # go through BLAS and can round differently
             main = self.ops[0]
             g = np.column_stack(
                 [main.mass @ apply_qgamma(self.specs[0], main, c) for c in g.T]

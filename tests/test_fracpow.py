@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from spdelab import fracpow
+from spdelab import fracpow, stepper
+from spdelab.driver import sample_driver
 from spdelab.exceptions import CapacityError, DomainError
 from spdelab.fracpow import apply_qgamma, make_spec, scalar_qgamma
 from spdelab.mesh import assemble, build_mesh
+from spdelab.noise import NoiseStream
 
 
 class TestMakeSpec:
@@ -188,3 +190,75 @@ class TestApplyQgamma:
         np.testing.assert_array_equal(first, again)
         apply_qgamma(make_spec(0.25, 0.5), ops, np.ones(ops.n_dof))
         assert built == [(0.5, 0.5), (0.25, 0.5)]
+
+
+def whole_block_oracle(spec, ops, g):
+    """The quadrature of ``g`` with one solve per node of the whole block."""
+    key = ("pencil", spec.gamma, spec.k)
+    solver = ops.cached(key, lambda: fracpow._PencilSolver(ops, spec))
+    out = np.zeros_like(g)
+    for scale, lu in zip(solver._scales, solver._lus):
+        out += scale * lu.solve(g)
+    return out
+
+
+class TestChunkedColoring:
+    @pytest.mark.parametrize("level", [3, 5])
+    @pytest.mark.parametrize("cols", [1, 2, 255, 256, 257, 513, 8193])
+    def test_1d_chunks_equal_the_whole_block(self, level, cols):
+        ops = assemble(build_mesh(1, level))
+        spec = make_spec(0.75, 0.5)
+        g = np.random.default_rng(cols).standard_normal((ops.n_dof, cols))
+        np.testing.assert_array_equal(
+            apply_qgamma(spec, ops, g), whole_block_oracle(spec, ops, g)
+        )
+
+    def test_1d_snapshots_equal_the_whole_block(self, monkeypatch):
+        # 513 snapshots: chunks of 256 and 257 columns
+        ops = assemble(build_mesh(1, 3))
+        cfg = stepper.SchemeConfig(
+            dim=1, gamma=0.75, space_level=3, time_steps=2**9, master_seed=4,
+            mode="final_time",
+        )
+
+        def run():
+            stream = NoiseStream(seed=4, fine_level=3, fine_steps=2**9)
+            return stepper.evolve_fast(
+                cfg, stream, sample_driver(4, 20), ops=ops, snapshot_level=9
+            )
+
+        chunked = run()
+        monkeypatch.setattr(stepper, "apply_qgamma", whole_block_oracle)
+        whole = run()
+        np.testing.assert_array_equal(chunked.snapshots, whole.snapshots)
+        np.testing.assert_array_equal(chunked.alpha, whole.alpha)
+
+    def test_2d_chunks_match_the_whole_block(self):
+        # in 2-d the multi-column supernodal solves go through BLAS, whose
+        # kernel depends on the block width, so a 1,025-column block and its
+        # chunks of 256 may round differently in the last bits; entries that
+        # cancel to near zero make the error relative to each column's norm
+        ops = assemble(build_mesh(2, 5))
+        spec = make_spec(0.5, 0.5)
+        g = np.random.default_rng(5).standard_normal((ops.n_dof, 1025))
+        got = apply_qgamma(spec, ops, g)
+        expected = whole_block_oracle(spec, ops, g)
+        err = np.linalg.norm(got - expected, axis=0)
+        assert np.all(err <= 1e-12 * np.linalg.norm(expected, axis=0))
+
+
+def test_pencil_memory_guard(monkeypatch):
+    # 1,995 nodes x about 314k entries of L + U at 2-d level 6
+    built = []
+
+    def counting_splu(a):
+        built.append(a.shape)
+        return splu(a)
+
+    splu = fracpow.splu
+    monkeypatch.setattr(fracpow, "splu", counting_splu)
+    ops = assemble(build_mesh(2, 6))
+    with pytest.raises(CapacityError):
+        apply_qgamma(make_spec(0.01, 0.5), ops, np.ones(ops.n_dof))
+    assert len(built) == 1
+    apply_qgamma(make_spec(0.5, 0.5), ops, np.ones(ops.n_dof))  # 81 nodes fit

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from spdelab import l0
 from spdelab.exceptions import CapacityError, DomainError, InsufficientDataError
+from spdelab.mesh import assemble, build_mesh
 
 
 def unit_integrand(steps=1, q=1, family="deterministic_const", scale=1.0):
@@ -101,6 +104,40 @@ class TestItoIntegral:
         np.testing.assert_allclose(
             sample.sup_norm, np.abs(sample.values[:, :, 0]).max(axis=1)
         )
+
+    @pytest.mark.parametrize("family", l0.FAMILIES)
+    @pytest.mark.parametrize("q", [1, 3])
+    def test_equals_the_defining_sum(self, family, q):
+        # the batch written with full-size temporaries, operation by operation
+        phi = unit_integrand(steps=8, q=q, family=family)
+        sample = l0.ito_integral_elementary(phi, seed=6, n_paths=50)
+        dw, marks = l0._draw_increments(phi, 6, 50)
+        w = np.cumsum(dw, axis=1)
+        w_left = np.concatenate([np.zeros((50, 1)), w[:, :-1, 0]], axis=1)
+        scalars = phi.step_scalars(w_left, marks)
+        x = np.concatenate(
+            [np.zeros((50, 1, q)), np.cumsum(scalars[:, :, None] * dw, axis=1)],
+            axis=1,
+        )
+        np.testing.assert_array_equal(sample.values, x)
+        np.testing.assert_array_equal(
+            sample.sup_norm, np.linalg.norm(x, axis=2).max(axis=1)
+        )
+        np.testing.assert_array_equal(
+            sample.quad_var, (scalars**2 * q) @ np.diff(phi.partition)
+        )
+
+    def test_batch_memory_is_bounded(self):
+        # the full-size temporaries peaked at about 9 increment arrays
+        phi = unit_integrand(steps=64, family="wiener_functional")
+        n_paths = 10_000
+        tracemalloc.start()
+        try:
+            l0.ito_integral_elementary(phi, seed=7, n_paths=n_paths)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * n_paths * 64 * 8
 
     def test_heavy_tailed_not_square_integrable(self):
         # exp(G^2) has infinite second moment: the sample mean of quad_var
@@ -214,8 +251,19 @@ class TestHolderExponent:
     def test_custom_norm(self):
         t = np.linspace(0.0, 1.0, 2**6 + 1)
         path = np.column_stack([t, np.zeros_like(t)])
-        est = l0.holder_exponent(path, 1, norm=lambda v: abs(v[0]))
+        est = l0.holder_exponent(path, 1, norm=lambda d: np.abs(d[:, 0]))
         assert est.exponent == pytest.approx(1.0, abs=1e-12)
+
+    def test_mass_norm_equals_a_per_row_loop(self):
+        # F-ordered, as the snapshots of a sweep are
+        ops = assemble(build_mesh(1, 5))
+        path = np.random.default_rng(8).standard_normal((ops.n_dof, 2**8 + 1)).T
+        est = l0.holder_exponent(path, 2, norm=ops.m_norm)
+        expected = []
+        for m in est.levels:
+            diffs = np.diff(path[:: 2 ** (8 - m)], axis=0)
+            expected.append(max(ops.m_norm(d) for d in diffs))
+        np.testing.assert_array_equal(est.increments, expected)
 
     def test_needs_four_levels(self):
         with pytest.raises(InsufficientDataError):

@@ -150,6 +150,18 @@ class TestAssemble:
         rel = np.linalg.norm(system @ x - rhs) / np.linalg.norm(rhs)
         assert rel <= 1e-10
 
+    @pytest.mark.parametrize("dim,level", [(1, 5), (1, 9), (2, 3), (2, 5)])
+    @pytest.mark.parametrize("rows", [1, 2, 7, 300])
+    def test_m_norm_of_a_block_equals_each_row(self, dim, level, rows):
+        # BLAS ddot rounds strided rows differently from contiguous ones, so
+        # each layout is checked against the norms of its own rows
+        ops = assemble(build_mesh(dim, level))
+        w = np.random.default_rng(rows).standard_normal((rows, 2 * ops.n_dof))
+        v = w[:, ::2]  # rows with a stride of two entries
+        for block in (v.copy(), np.asfortranarray(v), v):
+            expected = [ops.m_norm(r) for r in block]
+            np.testing.assert_array_equal(ops.m_norm(block), expected)
+
     def test_cached_builds_once_per_key(self):
         ops = assemble(build_mesh(1, 2))
         built = []
