@@ -7,9 +7,12 @@ its runs through ``plan_study``, ``SchemeConfig`` and ``path_errors``; a
 refactor that breaks those calls makes every benchmark operation fail.  These
 tests load both files by path (without changing anything), resolve each
 wrapped entry the way the tracer does and run every workload at its smoke
-size.
+size.  The Monte Carlo throughput counts the paths of every
+``l0.ito_integral_elementary`` call, so ``bdg_ratio`` must make one such call
+per attempt, looked up at call time.
 """
 
+import dataclasses
 import functools
 import importlib
 import importlib.util
@@ -17,7 +20,11 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from spdelab import l0
+from spdelab.exceptions import StatisticalAlarm
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -58,3 +65,37 @@ def test_workload_runs_at_smoke_size(name):
     else:
         assert len(summary["holder_exponents"]) == 2
         assert len(summary["bdg_ratios"]) == 1
+
+
+@pytest.mark.parametrize("degenerate", [0, 1, 2])
+def test_path_counter_sees_every_bdg_attempt(monkeypatch, degenerate):
+    # the first `degenerate` attempts get quad_var = 0 with sup > 0, which
+    # makes bdg_ratio rerun at 10x the paths, then raise
+    tracing = _load("tracing")
+    real = l0.ito_integral_elementary
+    attempts = []
+
+    def ito(phi, seed, n_paths=1):
+        sample = real(phi, seed, n_paths)
+        attempts.append(n_paths)
+        if len(attempts) <= degenerate:
+            return dataclasses.replace(sample, quad_var=np.zeros(n_paths))
+        return sample
+
+    monkeypatch.setattr(l0, "ito_integral_elementary", ito)
+    phi = l0.ElementaryIntegrand(1, np.linspace(0.0, 1.0, 5), "wiener_functional")
+    tracer = tracing.Tracer(tracing.PATH_COUNTER)
+    tracer.install()
+    try:
+        with tracer.op("bdg"):
+            if degenerate == 2:
+                with pytest.raises(StatisticalAlarm):
+                    l0.bdg_ratio(phi, 2.0, 1000, seed=3)
+            else:
+                assert math.isfinite(l0.bdg_ratio(phi, 2.0, 1000, seed=3))
+    finally:
+        tracer.uninstall()
+    assert attempts == [1000, 10_000][: degenerate + 1]
+    assert tracer.counts[("bdg", "l0.paths")] == sum(attempts)
+    calls = tracer.aggregate()[("bdg", "l0.ito_integral_elementary")]["calls"]
+    assert calls == len(attempts)

@@ -6,6 +6,7 @@ import pytest
 from spdelab import l0
 from spdelab.exceptions import CapacityError, DomainError, InsufficientDataError
 from spdelab.mesh import assemble, build_mesh
+from spdelab.rng import L0_MARK_TAG, L0_WIENER_TAG, keyed_generator
 
 
 def unit_integrand(steps=1, q=1, family="deterministic_const", scale=1.0):
@@ -14,6 +15,57 @@ def unit_integrand(steps=1, q=1, family="deterministic_const", scale=1.0):
         partition=np.linspace(0.0, 1.0, steps + 1),
         family=family,
         scale=scale,
+    )
+
+
+def whole_batch_draw(phi, seed, n_paths):
+    """The batch drawn in one call per generator, with full-size arrays."""
+    dts = np.diff(phi.partition)
+    dw = keyed_generator(seed, L0_WIENER_TAG).standard_normal(
+        (n_paths, dts.size, phi.dim_q)
+    )
+    dw *= np.sqrt(dts)[:, None]
+    marks = keyed_generator(seed, L0_MARK_TAG).standard_normal(n_paths)
+    return dw, marks
+
+
+def whole_batch_integral(phi, dw, marks):
+    """Oracle: the defining sum over the whole batch, one full-size array per step."""
+    n_paths, n_steps, q = dw.shape
+    w_left = np.zeros((n_paths, n_steps))
+    np.cumsum(dw[:, :-1, 0], axis=1, out=w_left[:, 1:])
+    if phi.family == "deterministic_const":
+        scalars = np.full((n_paths, n_steps), phi.scale)
+    elif phi.family == "wiener_functional":
+        scalars = phi.scale * np.cos(w_left)
+    else:
+        scalars = phi.scale * np.exp(marks**2)[:, None] * np.ones(n_steps)
+    scalars = scalars * phi.step_mask()
+    x = np.empty((n_paths, n_steps + 1, q))
+    x[:, 0] = 0.0
+    np.multiply(scalars[:, :, None], dw, out=x[:, 1:])
+    np.cumsum(x[:, 1:], axis=1, out=x[:, 1:])
+    sup = np.sqrt(np.add.reduce(x * x, axis=2)).max(axis=1)
+    quad_var = ((scalars**2) * q) @ np.diff(phi.partition)
+    return x, sup, quad_var
+
+
+def whole_batch_bdg_ratio(phi, p, n_paths, seed):
+    _, sup, quad_var = whole_batch_integral(phi, *whole_batch_draw(phi, seed, n_paths))
+    lhs = float(np.mean(np.minimum(1.0, sup**p)))
+    return lhs / float(np.mean(np.minimum(1.0, quad_var)) ** (p / 2.0))
+
+
+def whole_batch_sum_ratio(phis, p, n_paths, seed):
+    dw, marks = whole_batch_draw(phis[0], seed, n_paths)
+    sup_sum = np.zeros(n_paths)
+    qv_sum = np.zeros(n_paths)
+    for phi in phis:
+        _, sup, quad_var = whole_batch_integral(phi, dw, marks)
+        sup_sum += sup**p
+        qv_sum += quad_var ** (p / 2.0)
+    return float(np.mean(np.minimum(1.0, sup_sum))) / float(
+        np.mean(np.minimum(1.0, qv_sum))
     )
 
 
@@ -111,7 +163,7 @@ class TestItoIntegral:
         # the batch written with full-size temporaries, operation by operation
         phi = unit_integrand(steps=8, q=q, family=family)
         sample = l0.ito_integral_elementary(phi, seed=6, n_paths=50)
-        dw, marks = l0._draw_increments(phi, 6, 50)
+        dw, marks = whole_batch_draw(phi, 6, 50)
         w = np.cumsum(dw, axis=1)
         w_left = np.concatenate([np.zeros((50, 1)), w[:, :-1, 0]], axis=1)
         scalars = phi.step_scalars(w_left, marks)
@@ -127,17 +179,39 @@ class TestItoIntegral:
             sample.quad_var, (scalars**2 * q) @ np.diff(phi.partition)
         )
 
+    @pytest.mark.parametrize("chunk", [None, 8, 24])
+    @pytest.mark.parametrize("support", [None, (0.3, 0.8)])
+    @pytest.mark.parametrize("q", [1, 3])
+    @pytest.mark.parametrize("family", l0.FAMILIES)
+    def test_chunks_equal_the_whole_batch(self, monkeypatch, family, q, support, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(l0, "CHUNK_PATHS", chunk)
+        c = l0.CHUNK_PATHS
+        for steps in (1, 8, 64, 65):
+            phi = l0.ElementaryIntegrand(
+                q, np.linspace(0.0, 1.0, steps + 1), family, 1.3, support
+            )
+            for n_paths in (1, 7, 8, 9, c - 1, c, c + 1, 3 * c + 5):
+                sample = l0.ito_integral_elementary(phi, 21, n_paths)
+                x, sup, quad_var = whole_batch_integral(
+                    phi, *whole_batch_draw(phi, 21, n_paths)
+                )
+                np.testing.assert_array_equal(sample.values, x)
+                np.testing.assert_array_equal(sample.sup_norm, sup)
+                np.testing.assert_array_equal(sample.quad_var, quad_var)
+
     def test_batch_memory_is_bounded(self):
-        # the full-size temporaries peaked at about 9 increment arrays
+        # values, one (paths, steps) array for the quad_var product and a
+        # few chunks
         phi = unit_integrand(steps=64, family="wiener_functional")
-        n_paths = 10_000
+        n_paths = 100_000
         tracemalloc.start()
         try:
             l0.ito_integral_elementary(phi, seed=7, n_paths=n_paths)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 7 * n_paths * 64 * 8
+        assert peak < 2.25 * n_paths * 64 * 8
 
     def test_heavy_tailed_not_square_integrable(self):
         # exp(G^2) has infinite second moment: the sample mean of quad_var
@@ -185,6 +259,18 @@ class TestBdgRatio:
         with pytest.raises(CapacityError):
             l0.ito_integral_elementary(unit_integrand(q=2), 0, 2**62)
 
+    @pytest.mark.parametrize("chunk", [None, 24])
+    @pytest.mark.parametrize("family", l0.FAMILIES)
+    def test_equals_the_whole_batch_ratio(self, monkeypatch, family, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(l0, "CHUNK_PATHS", chunk)
+        phi = unit_integrand(steps=64, q=2, family=family)
+        n_paths = 3 * l0.CHUNK_PATHS + 1005
+        for p in (1.0, 2.0, 4.0):
+            assert l0.bdg_ratio(phi, p, n_paths, 9) == whole_batch_bdg_ratio(
+                phi, p, n_paths, 9
+            )
+
 
 class TestBdgSumRatio:
     def test_single_element_consistent_with_bdg_ratio(self):
@@ -206,6 +292,32 @@ class TestBdgSumRatio:
         ]
         assert all(np.isfinite(r) for r in ratios)
         assert max(ratios) / min(ratios) <= 2.0
+
+    @pytest.mark.parametrize("chunk", [None, 24])
+    @pytest.mark.parametrize("q", [1, 3])
+    def test_equals_the_whole_batch_ratio(self, monkeypatch, q, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(l0, "CHUNK_PATHS", chunk)
+        n_paths = 2 * l0.CHUNK_PATHS + 5
+        for m, p in ((1, 2.0), (4, 3.0), (16, 2.0)):
+            phis = l0.block_integrands("wiener_functional", m, 64 // m, dim_q=q)
+            assert l0.bdg_sum_ratio(phis, p, n_paths, 4) == whole_batch_sum_ratio(
+                phis, p, n_paths, 4
+            )
+
+    @pytest.mark.parametrize("m", [1, 16])
+    def test_memory_is_bounded_whatever_the_blocks(self, m):
+        # the shared draw, one (paths, steps) array for each integrand's
+        # quad_var product in turn and a few chunks, whatever m is
+        phis = l0.block_integrands("wiener_functional", m, 64 // m)
+        n_paths = 100_000
+        tracemalloc.start()
+        try:
+            l0.bdg_sum_ratio(phis, 2.0, n_paths, 7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25 * n_paths * 64 * 8
 
     def test_requires_p_at_least_two(self):
         with pytest.raises(DomainError):
