@@ -104,12 +104,11 @@ SCHEMAS = {
         "master_seed": (INT, REQUIRED),
         "k": (NUMBER, 0.5),
         "n_modes": (N_MODES, 1000),
-        "beta": (NUMBER, 1.0),
         "n_workers": (COUNT, 1),
         "out_dir": (STR, None),
     },
     "verify": {
-        "n_paths": (INT, 100_000),
+        "n_paths": (COUNT, 100_000),
         "master_seed": (INT, 1),
         "p_values": (NUMBERS, (1.0, 2.0, 4.0)),
         "steps": (COUNT, 64),
@@ -304,7 +303,6 @@ def cmd_convergence(args) -> int:
             cfg["ref_level"],
             cfg["n_paths"],
             n_workers=cfg["n_workers"],
-            beta=cfg["beta"],
         )
         for gamma in cfg["gammas"]
     ]
@@ -336,16 +334,19 @@ def cmd_convergence(args) -> int:
                 anchor_y=ys[0] * 1.4,
             )
         )
-    xlabel = "mesh size h" if axis == "space" else "time step"
-    svg = loglog_svg(
-        series,
-        guides,
-        title=f"Relative pathwise error at t = 1 ({axis}, d = {cfg['dim']})",
-        xlabel=xlabel,
-        ylabel="relative error",
-    )
-    write_svg(str(out / "convergence.svg"), svg)
-    (out / "convergence.gp").write_text(_gnuplot_script(series, guides, xlabel))
+    outputs = ["errors.csv", "summary.csv"]
+    if series:  # empty when every level of every gamma is saturated
+        xlabel = "mesh size h" if axis == "space" else "time step"
+        svg = loglog_svg(
+            series,
+            guides,
+            title=f"Relative pathwise error at t = 1 ({axis}, d = {cfg['dim']})",
+            xlabel=xlabel,
+            ylabel="relative error",
+        )
+        write_svg(str(out / "convergence.svg"), svg)
+        (out / "convergence.gp").write_text(_gnuplot_script(series, guides, xlabel))
+        outputs += ["convergence.svg", "convergence.gp"]
 
     _write_manifest(
         out / "manifest.json",
@@ -354,12 +355,7 @@ def cmd_convergence(args) -> int:
         {
             "seeds": list(reports[0].seeds) if reports else [],
             "wall_time_s": time.perf_counter() - t0,
-            "outputs": [
-                "errors.csv",
-                "summary.csv",
-                "convergence.svg",
-                "convergence.gp",
-            ],
+            "outputs": outputs,
         },
     )
     for rep in reports:

@@ -6,8 +6,9 @@ aggregation and spatial restriction of the increments), and measures the
 relative error at t = 1 in the reference mass norm.  One path is one sweep
 over the fine time steps: ``evolve_fast`` advances the reference with every
 coarse run passed as ``coupled``, so each fine increment is drawn once and
-the driver is evaluated once per distinct time grid.  Rates are least-squares
-slopes in log2-log2 coordinates of the mean error against the resolution.
+the driver is evaluated once per distinct time grid.  Every run starts from
+u(0) = 0.  Rates are least-squares slopes in log2-log2 coordinates of the
+mean error against the resolution.
 """
 
 from __future__ import annotations
@@ -33,9 +34,6 @@ from .stepper import SchemeConfig, evolve_fast
 #: Mean errors below this are attributed to solver tolerance, not discretization.
 SATURATION_FLOOR = 10.0 * SOLVER_TOL
 
-#: Hölder exponent available to the scalar driver approximation (any beta < 1).
-DEFAULT_BETA = 1.0
-
 
 def relative_error(
     alpha_coarse: np.ndarray,
@@ -56,24 +54,18 @@ def relative_error(
     return float(math.sqrt(float(diff @ (m_ref @ diff)) / denom))
 
 
-def theoretical_rates(
-    gamma: float, dim: int, beta: float = DEFAULT_BETA
-) -> tuple[float, float]:
+def theoretical_rates(gamma: float, dim: int) -> tuple[float, float]:
     """Theoretical (space, time) convergence rates for the scheme.
 
     The spatial rate is the supremum of admissible error exponents,
-    min(2, 2 gamma + 1 - dim/2); the temporal rate is half of that, capped
-    by the temporal regularity ``beta > 0`` of the scalar driver.
+    min(2, 2 gamma + 1 - dim/2); the temporal rate is half of that.
     """
     if dim not in (1, 2):
         raise DomainError(f"dim must be 1 or 2, got {dim}")
     if not gamma > dim / 4.0 - 0.5:
         raise DomainError(f"gamma {gamma} not admissible for dim {dim}")
-    if not beta > 0.0:
-        raise DomainError(f"driver exponent beta must be positive, got {beta}")
     space_rate = min(2.0, 2.0 * gamma + 1.0 - dim / 2.0)
-    time_rate = min(space_rate / 2.0, beta)
-    return space_rate, time_rate
+    return space_rate, space_rate / 2.0
 
 
 def fit_rate(points: list[tuple[float, float]]) -> float:
@@ -162,8 +154,7 @@ def plan_study(
     exponents (time step 2**-level) at the fixed mesh level of ``base``.
     ``noise_steps`` fixes the time resolution of the driving noise
     independently of the reference (default: the reference's own grid).
-    Every run is ``base`` in final-time mode at its own resolution; ``base``
-    carries no initial data, because a study starts from u(0) = 0.
+    Every run is ``base`` in final-time mode at its own resolution.
     """
     if axis not in ("space", "time"):
         raise DomainError(f"axis must be 'space' or 'time', got {axis!r}")
@@ -173,8 +164,6 @@ def plan_study(
         raise DomainError("coarse levels must not exceed the reference level")
     if sorted(coarse_levels) != list(coarse_levels):
         raise DomainError("coarse levels must be ordered coarse to fine")
-    if base.initial is not None:
-        raise DomainError("a study starts from u(0) = 0; base carries initial data")
 
     if axis == "space":
         ref_space, ref_steps = ref_level, base.time_steps
@@ -250,7 +239,6 @@ def convergence_study(
     n_paths: int,
     n_workers: int = 1,
     noise_steps: int | None = None,
-    beta: float = DEFAULT_BETA,
 ) -> ConvergenceReport:
     """Run a full coupled convergence study and fit the empirical rate.
 
@@ -261,7 +249,7 @@ def convergence_study(
     """
     if n_paths < 1 or n_workers < 1:
         raise DomainError(f"n_paths {n_paths} and n_workers {n_workers} must be >= 1")
-    space_rate, time_rate = theoretical_rates(base.gamma, base.dim, beta)
+    space_rate, time_rate = theoretical_rates(base.gamma, base.dim)
     plan = plan_study(base, axis, coarse_levels, ref_level, noise_steps)
     seeds = tuple(base.master_seed + i for i in range(n_paths))
 

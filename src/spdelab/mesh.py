@@ -202,6 +202,8 @@ class FemOperators:
         levels = (self, *others)
         return self.cached(("system", dt, others), lambda: BlockSystem(levels, dt))
 
+    # unused in the package, but perfbench/tracing.py wraps the single solve
+    # under this name and the tests' step-by-step oracles call it, so it stays
     def system_solve(self, dt: float, rhs: np.ndarray) -> np.ndarray:
         """Solve (M + dt T) x = rhs with a relative residual check."""
         system = self.system(dt)

@@ -20,15 +20,16 @@ once, per run, so it holds at most ``BLOCK_STEPS`` states.  The modes
 differ only in where ``Q`` is applied:
 
 * ``evolve`` (``per_step``) colors each completed increment, ``M Q g_n``,
-  one at a time before its solve, starting from the initial data.
+  one at a time before its solve.
 * ``evolve_fast`` (``final_time``) runs on raw increments and applies ``Q``
   once to the load representation of each state it returns.  Because
   K = M + T here, the coloring commutes with the time stepping; this cuts
   the per-step cost from one shifted solve per quadrature node to a single
-  backward Euler solve.  Initial data follow a separate homogeneous
-  recursion, so they are never colored.  ``evolve_fast`` also advances
-  further runs on the same noise in the same sweep (``coupled``), as a
-  coupled convergence study needs.
+  backward Euler solve.  ``evolve_fast`` also advances further runs on the
+  same noise in the same sweep (``coupled``), as a coupled convergence
+  study needs.
+
+Every run starts from u(0) = 0, the model's initial condition.
 
 ``MODES`` maps ``SchemeConfig.mode`` to its entry point.
 """
@@ -67,7 +68,6 @@ class SchemeConfig:
     k: float = 0.5
     mode: str = "per_step"  # a key of MODES
     n_modes: int = 1000
-    initial: np.ndarray | None = None
 
     def __post_init__(self):
         if self.dim not in (1, 2):
@@ -117,11 +117,11 @@ def _snapshot_stride(config: SchemeConfig, snapshot_level: int | None) -> int | 
 class _Group:
     """The runs ``(config, ops, a)`` of one sweep on one time grid, advanced
     as one state that stacks theirs in the order of its ``system``, starting
-    from ``beta`` (default zero); ``per_step`` colors each increment before
-    its solve (one run only)."""
+    from zero; ``per_step`` colors each increment before its solve (one run
+    only)."""
 
     def __init__(self, runs: list, stream: NoiseStream, driver: ScalarDriver,
-                 beta: np.ndarray | None = None, per_step: bool = False):
+                 per_step: bool = False):
         cfg = runs[0][0]
         if stream.fine_steps % cfg.time_steps != 0:
             raise DomainError(
@@ -142,7 +142,7 @@ class _Group:
         self.ratio = stream.fine_steps // cfg.time_steps
         self.b = eval_b_grid(driver, cfg.dt * np.arange(cfg.time_steps))
         self.system = self.ops[0].system(cfg.dt, self.ops[1:])
-        self.beta = np.zeros(self.system.offsets[-1]) if beta is None else beta
+        self.beta = np.zeros(self.system.offsets[-1])
         self.per_step = per_step
         self.acc = None  # fine increments of an open step so far
 
@@ -209,25 +209,13 @@ def _sweep(
     """Advance the main run and its coupled runs to t = 1 in one pass."""
     if ops is None:
         ops = assemble(build_mesh(config.dim, config.space_level))
-    initial = (
-        np.zeros(ops.n_dof)
-        if config.initial is None
-        else np.asarray(config.initial, dtype=float)
-    )
-    if initial.shape[0] != ops.n_dof:
-        raise DomainError(
-            f"initial data has {initial.shape[0]} entries, mesh has {ops.n_dof}"
-        )
     stride = _snapshot_stride(config, snapshot_level)
     runs = [(config, ops, None), *coupled]
-    if any(cfg.initial is not None for cfg, _o, _a in coupled):
-        raise DomainError("initial data belongs to the main run only")
     grids: dict[int, list[int]] = {}  # time steps -> its runs, the main run first
     for i, (cfg, _o, _a) in enumerate(runs):
         grids.setdefault(cfg.time_steps, []).append(i)
     main_runs, *other_runs = ([runs[i] for i in m] for m in grids.values())
-    # the final-time mode sets the initial data apart, on a homogeneous recursion
-    main = _Group(main_runs, stream, driver, initial if per_step else None, per_step)
+    main = _Group(main_runs, stream, driver, per_step)
     groups = [main, *(_Group(r, stream, driver) for r in other_runs)]
 
     snaps = [main.beta[: ops.n_dof]] if stride else None
@@ -243,15 +231,6 @@ def _sweep(
 
     alpha = main.color(0)
     snapshots = main.color(0, np.array(snaps).T).T if stride else None
-    if not per_step and np.any(initial):  # never colored
-        hom, hom_snaps = initial, [initial]
-        for n in range(config.time_steps):
-            hom = ops.system_solve(config.dt, ops.mass @ hom)
-            if stride and (n + 1) % stride == 0:
-                hom_snaps.append(hom)
-        alpha = alpha + hom
-        if stride:
-            snapshots = snapshots + np.array(hom_snaps)
     place = {i: (g, k) for g, m in zip(groups, grids.values()) for k, i in enumerate(m)}
     return PathState(
         alpha=alpha,
@@ -290,15 +269,13 @@ def evolve_fast(
     Valid because K = M + T exactly, so the fractional-inverse quadrature
     commutes with the backward Euler propagator; the colored state at any
     step equals the quadrature applied to the raw state's load vector.
-    Nonzero initial data is propagated by a separate homogeneous recursion
-    so it is never colored.  Snapshots are taken as in ``evolve``.
+    Snapshots are taken as in ``evolve``.
 
     ``coupled`` lists further runs ``(config, ops, a)`` driven by the same
     fine increments and driver, each restricted by its own ``a`` (``None``
     on the stream's mesh); all runs advance in one sweep that draws every
     fine increment once.  Their colored final states are returned in
-    ``PathState.coupled``.  Initial data and snapshots belong to the main
-    run only.
+    ``PathState.coupled``.  Snapshots belong to the main run only.
     """
     return _sweep(config, stream, driver, ops, snapshot_level, coupled, per_step=False)
 

@@ -1,7 +1,9 @@
 import json
+import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -323,11 +325,13 @@ BAD_CONFIGS = {
         "convergence", _with(SMALL_CONVERGENCE, time_exp=_DROP)
     ),
     "string_verify_n_paths": ("verify", {"n_paths": "100"}),
+    "zero_verify_n_paths": ("verify", {"n_paths": 0}),
+    "negative_verify_n_paths": ("verify", {"n_paths": -5}),
     "scalar_p_values": ("verify", {"p_values": 2.0}),
     "string_holder_n_seeds": ("holder", {"n_seeds": "2"}),
     "zero_n_paths": ("convergence", _with(SMALL_CONVERGENCE, n_paths=0)),
     "zero_n_workers": ("convergence", _with(SMALL_CONVERGENCE, n_workers=0)),
-    "negative_beta": ("convergence", _with(SMALL_CONVERGENCE, beta=-1)),
+    "negative_beta": ("convergence", _with(SMALL_CONVERGENCE, beta=-1)),  # unknown key
     "zero_holder_n_seeds": ("holder", {"n_seeds": 0}),
     "string_snapshot_level": ("simulate", _with(SMALL_SIMULATE, snapshot_level="2")),
     "negative_snapshot_level": ("simulate", _with(SMALL_SIMULATE, snapshot_level=-1)),
@@ -438,6 +442,38 @@ def test_bad_config_exits_1_without_traceback(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.startswith("validation error: ")
     assert "Traceback" not in proc.stderr
+
+
+def test_fully_saturated_study_writes_no_plot(tmp_path):
+    # coarse level = reference level: every error is 0, so no level is usable
+    doc = _with(SMALL_CONVERGENCE, coarse_levels=[3], ref_level=3, time_exp=3,
+                n_paths=1)
+    out = tmp_path / "o"
+    proc = subprocess.run(
+        [sys.executable, "-m", "spdelab.cli", "convergence",
+         "--config", write_config(tmp_path, doc), "--out", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == ["errors.csv", "summary.csv"]
+    assert sorted(p.name for p in out.iterdir()) == [
+        "errors.csv", "manifest.json", "summary.csv",
+    ]
+
+
+def test_readme_names_every_config_key():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    for command, schema in cli.SCHEMAS.items():
+        for key in schema:
+            assert f"`{key}`" in readme or f'"{key}"' in readme, (command, key)
+    # the documented convergence config, the one jsonc block
+    (block,) = re.findall(r"```jsonc\n(.*?)```", readme, re.S)
+    keys = re.findall(r'^\s*"(\w+)":', block, re.M)
+    assert "dim" in keys
+    assert set(keys) <= set(cli.SCHEMAS["convergence"])
 
 
 def test_manifest_config_round_trip(tmp_path):

@@ -72,22 +72,13 @@ class TestTheoreticalRates:
         ],
     )
     def test_fig1_rate_ladder(self, gamma, dim, space, time):
-        got_space, got_time = theoretical_rates(gamma, dim, beta=1.0)
+        got_space, got_time = theoretical_rates(gamma, dim)
         assert got_space == pytest.approx(space)
         assert got_time == pytest.approx(time)
-
-    def test_beta_caps_time_rate(self):
-        _, time_rate = theoretical_rates(0.75, 1, beta=0.4)
-        assert time_rate == pytest.approx(0.4)
 
     def test_inadmissible_gamma(self):
         with pytest.raises(DomainError):
             theoretical_rates(0.0, 2)
-
-    @pytest.mark.parametrize("beta", [0.0, -1.0, float("nan")])
-    def test_non_positive_beta(self, beta):
-        with pytest.raises(DomainError):
-            theoretical_rates(0.75, 1, beta=beta)
 
 
 class TestFitRate:
@@ -146,15 +137,6 @@ class TestPlanStudy:
             plan_study(base, "space", [3, 5], 4)
         with pytest.raises(DomainError):
             plan_study(base, "space", [], 4)
-
-    def test_rejects_initial_data(self):
-        # a study starts from u(0) = 0
-        base = SchemeConfig(
-            dim=1, gamma=0.5, space_level=4, time_steps=16, master_seed=0,
-            initial=np.ones(17),
-        )
-        with pytest.raises(DomainError, match="initial data"):
-            plan_study(base, "space", [2, 3], 4)
 
 
 @pytest.fixture(scope="module")

@@ -29,11 +29,9 @@ STUDIES = {
     "space2d": (2, "space", (0.5,), (1, 2, 3), 4, 4, 5),
 }
 
-# name -> (mode, gamma, space level, time exponent, snapshot level, initial data)
+# name -> (mode, gamma, space level, time exponent, snapshot level)
 PATHS = {
-    "per_step": ("per_step", 0.5, 3, 5, 2, False),
-    "per_step_initial": ("per_step", 0.25, 3, 5, None, True),
-    "final_time_initial": ("final_time", 0.75, 3, 5, 3, True),
+    "per_step": ("per_step", 0.5, 3, 5, 2),
 }
 
 
@@ -57,9 +55,7 @@ def study_errors(name: str) -> dict:
 
 def path_outputs(name: str) -> dict:
     """Final state and snapshots of one 1-d path."""
-    mode, gamma, level, time_exp, snapshot_level, with_initial = PATHS[name]
-    n_dof = 2**level + 1
-    initial = np.cos(np.linspace(0.0, 3.0, n_dof)) if with_initial else None
+    mode, gamma, level, time_exp, snapshot_level = PATHS[name]
     config = SchemeConfig(
         dim=1,
         gamma=gamma,
@@ -68,7 +64,6 @@ def path_outputs(name: str) -> dict:
         master_seed=MASTER_SEED,
         mode=mode,
         n_modes=200,
-        initial=initial,
     )
     stream = NoiseStream(seed=MASTER_SEED, fine_level=level, fine_steps=2**time_exp)
     state = MODES[mode](

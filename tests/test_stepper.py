@@ -53,47 +53,40 @@ class TestStep:
         np.testing.assert_array_equal(out.snapshots, 0.0)
         assert out.snapshots.shape == (9, quiet3.n_dof)
 
-    def test_constants_invariant(self, quiet3):
-        # T 1 = 0, so (M + dt T) 1 = M 1 and the constant survives each step
-        cfg = SchemeConfig(
-            dim=1, gamma=0.5, space_level=3, time_steps=4, master_seed=0,
-            initial=np.ones(quiet3.n_dof),
-        )
-        stream = NoiseStream(seed=0, fine_level=3, fine_steps=4)
-        out = evolve(cfg, stream, sample_driver(0, 50), ops=quiet3)
-        np.testing.assert_allclose(out.alpha, 1.0, atol=1e-12)
+    def test_constants_invariant(self, ops3):
+        # T 1 = 0, so (M + dt T) 1 = M 1 and the propagator (M + dt T)^{-1} M
+        # keeps a constant, also on a stack of levels as the sweep solves them
+        coarse = assemble(build_mesh(1, 2))
+        for system in (ops3.system(0.25), ops3.system(0.125, (coarse,))):
+            x = np.ones(system.offsets[-1])
+            for _ in range(4):
+                x = system.solve(system.mass @ x)
+                np.testing.assert_allclose(x, 1.0, atol=1e-12)
 
     def test_single_step_dense_oracle(self):
-        # gamma = 0: alpha' = (M + dt T)^{-1} (M alpha + b g), cross-checked densely
+        # gamma = 0 from the zero state: alpha_1 = (M + dt T)^{-1} b_0 g_0,
+        # cross-checked densely
         ops = assemble(build_mesh(1, 2))
-        alpha = np.random.default_rng(8).standard_normal(ops.n_dof)
-        cfg = SchemeConfig(
-            dim=1, gamma=0.0, space_level=2, time_steps=8, master_seed=8,
-            initial=alpha,
-        )
+        cfg = SchemeConfig(dim=1, gamma=0.0, space_level=2, time_steps=8, master_seed=8)
         stream = NoiseStream(seed=8, fine_level=2, fine_steps=8)
         drv = sample_driver(8, 50)
         out = evolve(cfg, stream, drv, ops=ops, snapshot_level=3)
         dt = 0.125
         b0 = eval_b(drv, 0.0)
         g = fine_increment(stream, 0, ops.mass_chol)
-        dense = np.linalg.solve(
-            (ops.mass + dt * ops.stiffness).toarray(), ops.mass @ alpha + b0 * g
-        )
-        np.testing.assert_array_equal(out.snapshots[0], alpha)
+        dense = np.linalg.solve((ops.mass + dt * ops.stiffness).toarray(), b0 * g)
+        np.testing.assert_array_equal(out.snapshots[0], 0.0)
         np.testing.assert_allclose(out.snapshots[1], dense, atol=1e-10)
 
-    def test_non_expansive_in_mass_norm(self, quiet3):
-        rng = np.random.default_rng(3)
-        cfg = SchemeConfig(
-            dim=1, gamma=0.5, space_level=3, time_steps=8, master_seed=3,
-            initial=rng.standard_normal(quiet3.n_dof),
-        )
-        stream = NoiseStream(seed=3, fine_level=3, fine_steps=8)
-        out = evolve(cfg, stream, flat_driver(), ops=quiet3, snapshot_level=3)
-        norms = [quiet3.m_norm(snap) for snap in out.snapshots]
-        assert len(norms) == 9
+    def test_non_expansive_in_mass_norm(self, ops3):
+        # the propagator (M + dt T)^{-1} M never grows the mass norm
+        x = np.random.default_rng(3).standard_normal(ops3.n_dof)
+        norms = [ops3.m_norm(x)]
+        for _ in range(8):
+            x = ops3.system_solve(0.125, ops3.mass @ x)
+            norms.append(ops3.m_norm(x))
         assert all(b <= a + 1e-14 for a, b in zip(norms, norms[1:]))
+        assert norms[-1] < norms[0]
 
 
 class TestEvolve:
@@ -112,7 +105,7 @@ class TestEvolve:
         np.testing.assert_array_equal(a.alpha, b.alpha)
 
     def test_linear_in_noise(self, ops3):
-        # doubling the mass factor doubles the (zero-initial-data) path exactly
+        # doubling the mass factor doubles the path exactly
         cfg = SchemeConfig(dim=1, gamma=0.5, space_level=3, time_steps=8, master_seed=6)
         stream = NoiseStream(seed=6, fine_level=3, fine_steps=8)
         drv = sample_driver(6)
@@ -121,19 +114,6 @@ class TestEvolve:
         base = evolve(cfg, stream, drv, ops=ops3)
         scaled = evolve(cfg, stream, drv, ops=doubled)
         np.testing.assert_allclose(scaled.alpha, 2.0 * base.alpha, rtol=1e-12)
-
-    def test_initial_data_propagates(self, quiet3):
-        cfg = SchemeConfig(
-            dim=1,
-            gamma=0.5,
-            space_level=3,
-            time_steps=4,
-            master_seed=0,
-            initial=np.ones(quiet3.n_dof),
-        )
-        stream = NoiseStream(seed=0, fine_level=3, fine_steps=4)
-        out = evolve(cfg, stream, flat_driver(), ops=quiet3)
-        np.testing.assert_allclose(out.alpha, 1.0, atol=1e-12)
 
     def test_mean_zero(self):
         ops = assemble(build_mesh(1, 2))
@@ -205,19 +185,6 @@ class TestFastPath:
         fast = evolve_fast(cfg, stream, drv, ops=ops3, snapshot_level=3)
         np.testing.assert_allclose(slow.snapshots, fast.snapshots, atol=1e-12)
 
-    def test_initial_data_not_colored(self, ops3):
-        init = np.cos(np.linspace(0.0, 3.0, ops3.n_dof))
-        cfg = SchemeConfig(
-            dim=1, gamma=0.75, space_level=3, time_steps=8, master_seed=3,
-            initial=init,
-        )
-        stream = NoiseStream(seed=3, fine_level=3, fine_steps=8)
-        drv = sample_driver(3)
-        slow = evolve(cfg, stream, drv, ops=ops3)
-        fast = evolve_fast(cfg, stream, drv, ops=ops3)
-        rel = ops3.m_norm(slow.alpha - fast.alpha) / ops3.m_norm(slow.alpha)
-        assert rel <= 1e-8
-
     def test_modes_dispatch(self, ops3):
         assert MODES == {"per_step": evolve, "final_time": evolve_fast}
         cfg = SchemeConfig(
@@ -237,7 +204,7 @@ def per_step_loop(cfg, stream, drv, ops, snapshot_level):
     ratio = stream.fine_steps // cfg.time_steps
     stride = cfg.time_steps // 2**snapshot_level
     b = eval_b_grid(drv, cfg.dt * np.arange(cfg.time_steps))
-    alpha = np.zeros(ops.n_dof) if cfg.initial is None else cfg.initial
+    alpha = np.zeros(ops.n_dof)
     snaps = [alpha]
     for n in range(cfg.time_steps):
         g = aggregate_increment(stream, n, ratio, ops.mass_chol)
@@ -249,27 +216,29 @@ def per_step_loop(cfg, stream, drv, ops, snapshot_level):
     return alpha, np.array(snaps)
 
 
+# snapshots: whether the run records them; without, only alpha is compared
 @pytest.mark.parametrize(
-    "dim,gamma,level,with_initial",
+    "dim,gamma,level,snapshots",
     [(1, 0.0, 3, False), (1, 0.5, 3, True), (1, 0.0, 3, True), (2, 0.5, 2, True)],
 )
 # 8 steps on 8, 24, 32 or 256 fine steps: ratio 3 puts step edges inside the
 # sweep's 16-step blocks and leaves a short last block; ratio 32 carries each
 # step's partial sum across two blocks
 @pytest.mark.parametrize("noise_mult", [1, 3, 4, 32])
-def test_per_step_matches_step_loop(dim, gamma, level, with_initial, noise_mult):
+def test_per_step_matches_step_loop(dim, gamma, level, snapshots, noise_mult):
     ops = assemble(build_mesh(dim, level))
-    initial = np.cos(np.linspace(0.0, 3.0, ops.n_dof)) if with_initial else None
     cfg = SchemeConfig(
-        dim=dim, gamma=gamma, space_level=level, time_steps=8, master_seed=21,
-        initial=initial,
+        dim=dim, gamma=gamma, space_level=level, time_steps=8, master_seed=21
     )
     stream = NoiseStream(seed=21, fine_level=level, fine_steps=8 * noise_mult)
     drv = sample_driver(21, 50)
-    out = evolve(cfg, stream, drv, ops=ops, snapshot_level=2)
+    out = evolve(cfg, stream, drv, ops=ops, snapshot_level=2 if snapshots else None)
     alpha, snaps = per_step_loop(cfg, stream, drv, ops, snapshot_level=2)
     np.testing.assert_array_equal(out.alpha, alpha)
-    np.testing.assert_array_equal(out.snapshots, snaps)
+    if snapshots:
+        np.testing.assert_array_equal(out.snapshots, snaps)
+    else:
+        assert out.snapshots is None
 
 
 class TestCoupledRuns:
@@ -306,10 +275,6 @@ class TestCoupledRuns:
             dim=1, gamma=0.5, space_level=3, time_steps=8, master_seed=7
         )
         bad = {
-            "initial data": SchemeConfig(
-                dim=1, gamma=0.5, space_level=3, time_steps=8, master_seed=7,
-                initial=np.ones(ops3.n_dof),
-            ),
             "grid not dividing": SchemeConfig(
                 dim=1, gamma=0.5, space_level=3, time_steps=3, master_seed=7
             ),
@@ -356,7 +321,7 @@ def test_guard_checks_every_solve_of_a_block(mode, bad, monkeypatch):
 
 @pytest.mark.parametrize("mode", sorted(MODES))
 def test_guard_skips_zero_right_hand_sides(mode, quiet3):
-    # zero noise and zero initial data: every right-hand side of every block
+    # zero noise from the zero state: every right-hand side of every block
     # is 0, whose relative residual is undefined and not checked
     cfg = SchemeConfig(
         dim=1, gamma=0.5, space_level=3, time_steps=32, master_seed=9, mode=mode
