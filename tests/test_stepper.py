@@ -115,6 +115,18 @@ class TestEvolve:
         scaled = evolve(cfg, stream, drv, ops=doubled)
         np.testing.assert_allclose(scaled.alpha, 2.0 * base.alpha, rtol=1e-12)
 
+    def test_initial_data_propagates(self, ops3):
+        # every run starts from u(0) = 0: both modes put the zero initial
+        # datum first, and only the noise moves the path off it
+        cfg = SchemeConfig(dim=1, gamma=0.5, space_level=3, time_steps=8, master_seed=4)
+        stream = NoiseStream(seed=4, fine_level=3, fine_steps=8)
+        drv = sample_driver(4)
+        for run in (evolve, evolve_fast):
+            out = run(cfg, stream, drv, ops=ops3, snapshot_level=3)
+            assert out.snapshots.shape == (9, ops3.n_dof)
+            np.testing.assert_array_equal(out.snapshots[0], 0.0)
+            assert all(ops3.m_norm(snap) > 0.0 for snap in out.snapshots[1:])
+
     def test_mean_zero(self):
         ops = assemble(build_mesh(1, 2))
         finals = []
