@@ -102,39 +102,48 @@ def scalar_qgamma(spec: QuadratureSpec, a: float) -> float:
     return float(c * np.sum(np.exp(log_terms)))
 
 
+def _shift_lu(ops: FemOperators, y: float):
+    """The LU of the shifted system at node ``y``, in whichever scaling keeps
+    its coefficients finite: M + e^{-y} K for y >= 0, e^y M + K below."""
+    if y >= 0.0:
+        return splu((ops.mass + math.exp(-y) * ops.a2_matrix).tocsc())
+    return splu((math.exp(y) * ops.mass + ops.a2_matrix).tocsc())
+
+
 class _PencilSolver:
-    """Factorizations of the shifted systems e^{y_j} M + K for one spec.
+    """The quadrature of one spec on one level: a scale and an LU per node.
 
     Built once per (operators, gamma, k) and reused across every time step
-    and path touching that level; immutable after construction.  Each node
-    is factored in whichever scaling keeps its coefficients finite:
-    positive nodes as e^{-gamma y} (M + e^{-y} K)^{-1}, negative nodes as
-    e^{(1-gamma) y} (e^y M + K)^{-1}.  All factors together hold at most
-    ``MAX_PENCIL_NNZ`` entries.  ``apply`` colors a block ``COLOR_COLUMNS``
-    columns at a time, each chunk through every node in node order; in 1-d
-    the pencil solves use no BLAS, so this is bit-identical to solving the
-    whole block at once, while in 2-d wide blocks may differ in the last bits.
+    and path touching that level.  The shifted system at node ``y_j = j k``
+    does not depend on gamma, so its LU is made once per (operators, k, j)
+    through ``ops.cached`` and shared by every spec of that k.  Positive
+    nodes are scaled as e^{-gamma y} (M + e^{-y} K)^{-1}, negative nodes as
+    e^{(1-gamma) y} (e^y M + K)^{-1}.  One spec's factors hold at most
+    ``MAX_PENCIL_NNZ`` entries, judged by its first factor before a second
+    is fetched.  ``apply`` colors a block ``COLOR_COLUMNS`` columns at a
+    time, each chunk through every node in node order; in 1-d the pencil
+    solves use no BLAS, so this is bit-identical to solving the whole block
+    at once, while in 2-d wide blocks may differ in the last bits.
     """
 
     def __init__(self, ops: FemOperators, spec: QuadratureSpec):
         c = spec.k * math.sin(math.pi * spec.gamma) / math.pi
-        self._scales = []
-        self._lus = []
-        for y in spec.nodes:
-            if y >= 0.0:
-                scale = c * math.exp(-spec.gamma * y)
-                system = ops.mass + math.exp(-y) * ops.a2_matrix
-            else:
-                scale = c * math.exp((1.0 - spec.gamma) * y)
-                system = math.exp(y) * ops.mass + ops.a2_matrix
-            lu = splu(system.tocsc())
-            if spec.nodes.size * lu.nnz > MAX_PENCIL_NNZ:  # before the next one
-                raise CapacityError(
-                    f"{spec.nodes.size} pencil factors of {lu.nnz} entries "
-                    f"exceed the guard of {MAX_PENCIL_NNZ}"
-                )
-            self._scales.append(scale)
-            self._lus.append(lu)
+        self._scales = [
+            c * math.exp(-spec.gamma * y) if y >= 0.0
+            else c * math.exp((1.0 - spec.gamma) * y)
+            for y in spec.nodes
+        ]
+        lus = (
+            ops.cached(("pencil", spec.k, j), lambda: _shift_lu(ops, y))
+            for j, y in zip(range(-spec.n_neg, spec.n_pos + 1), spec.nodes)
+        )
+        first = next(lus)
+        if spec.nodes.size * first.nnz > MAX_PENCIL_NNZ:  # before the next one
+            raise CapacityError(
+                f"{spec.nodes.size} pencil factors of {first.nnz} entries "
+                f"exceed the guard of {MAX_PENCIL_NNZ}"
+            )
+        self._lus = [first, *lus]
 
     def apply(self, g: np.ndarray) -> np.ndarray:
         out = np.zeros_like(g)
@@ -170,5 +179,5 @@ def apply_qgamma(
         return ops.cached("mass_lu", lambda: splu(ops.mass.tocsc())).solve(g)
     if spec.is_full_inverse:
         return ops.cached("a2_lu", lambda: splu(ops.a2_matrix.tocsc())).solve(g)
-    key = ("pencil", spec.gamma, spec.k)
+    key = ("quadrature", spec.gamma, spec.k)
     return ops.cached(key, lambda: _PencilSolver(ops, spec)).apply(g)

@@ -83,10 +83,11 @@ class ElementaryIntegrand:
         return (mids > lo) & (mids < hi)
 
     def step_scalars(self, w_left: np.ndarray, marks: np.ndarray) -> np.ndarray:
-        """Scalar multiplier per (path, subinterval).
+        """Scalar multiplier per (path, subinterval) of the support window.
 
-        ``w_left`` holds the first Wiener coordinate at the left endpoints,
-        ``marks`` the per-path time-zero standard normals.
+        ``w_left`` holds the first Wiener coordinate at the left endpoints
+        of the window's subintervals, ``marks`` the per-path time-zero
+        standard normals.
         """
         n_paths, n_steps = w_left.shape
         if self.family == "deterministic_const":
@@ -96,7 +97,6 @@ class ElementaryIntegrand:
         else:  # heavy_tailed_scale: exp(G^2) is not square integrable
             vals = np.empty((n_paths, n_steps))
             vals[:] = (self.scale * np.exp(marks**2))[:, None]
-        vals *= self.step_mask()
         return vals
 
 
@@ -148,18 +148,27 @@ def _integrate(phi: ElementaryIntegrand, dw, marks, x, scaled) -> np.ndarray:
 
     Writes ``dim_q * scalars**2`` into ``scaled`` (``quad_var`` is the
     batch's ``scaled @ dts``).  ``dw`` may be shared, so it is only read.
+    Only the steps ``s0 .. s1 - 1`` of the support window are integrated:
+    before them ``x`` is zero and after them constant, so the sup is taken
+    over the window's points.
     """
-    w_left = scaled  # first Wiener coordinate at left endpoints, until squared
-    w_left[:, 0] = 0.0
-    np.cumsum(dw[:, :-1, 0], axis=1, out=w_left[:, 1:])
-    scalars = phi.step_scalars(w_left, marks)
-    x[:, 0] = 0.0
-    np.multiply(scalars[:, :, None], dw, out=x[:, 1:])
-    np.cumsum(x[:, 1:], axis=1, out=x[:, 1:])
-    np.square(scalars, out=scaled)
-    scaled *= phi.dim_q
+    inside = np.flatnonzero(phi.step_mask())
+    s0, s1 = (inside[0], inside[-1] + 1) if inside.size else (0, 0)
+    w_left = scaled[:, :s1]  # first Wiener coordinate at left endpoints, until squared
+    w_left[:, :1] = 0.0
+    np.cumsum(dw[:, : max(s1 - 1, 0), 0], axis=1, out=w_left[:, 1:])
+    scalars = phi.step_scalars(w_left[:, s0:], marks)
+    window = x[:, s0 : s1 + 1]
+    x[:, : s0 + 1] = 0.0
+    np.multiply(scalars[:, :, None], dw[:, s0:s1], out=window[:, 1:])
+    np.cumsum(window[:, 1:], axis=1, out=window[:, 1:])
+    x[:, s1 + 1 :] = x[:, s1 : s1 + 1]
+    scaled[:, :s0] = 0.0
+    scaled[:, s1:] = 0.0
+    np.square(scalars, out=scaled[:, s0:s1])
+    scaled[:, s0:s1] *= phi.dim_q
     # sqrt is monotone, so taking it after the max is exact
-    return np.sqrt(np.add.reduce(x * x, axis=2).max(axis=1))
+    return np.sqrt(np.add.reduce(window * window, axis=2).max(axis=1))
 
 
 def ito_integral_elementary(

@@ -169,10 +169,12 @@ class FemOperators:
     Holds the mass matrix M, the stiffness matrix T (zero Neumann, so
     constants lie in its kernel), the second-operator matrix K = M + T,
     and the lower Cholesky factor of M.  Every factorization built from
-    them (the backward Euler ``BlockSystem``s, the shifted-pencil solvers,
-    the M and K LUs) lives in the one keyed cache behind ``cached``; the
-    object is immutable apart from that cache and safe to share across
-    threads.
+    them lives in the one keyed cache behind ``cached``: the backward
+    Euler ``BlockSystem``s under ``("system", dt, others)``, the LU of each
+    shifted pencil under ``("pencil", k, j)``, shared by every gamma of
+    quadrature resolution k, the quadrature solvers that hold them under
+    ``("quadrature", gamma, k)``, and the M and K LUs.  The object is
+    immutable apart from that cache and safe to share across threads.
     """
 
     def __init__(self, mesh: DyadicMesh):

@@ -10,14 +10,15 @@ left endpoint, and ``Q`` the fractional-inverse quadrature.
 
 Both modes run one sweep over the fine steps of the noise stream in blocks
 of ``BLOCK_STEPS``.  A block draws its fine increments, each from its own
-key, in one ``L_M @ R`` product.  The runs sharing a time grid advance as
-one group, whose state stacks theirs: it sums the increments into its steps
-in fine-step order (bit-identical to ``aggregate_increment``; a step still
-open at the end of a block carries over), restricts the completed sums to
-every run's mesh in one product, takes their backward Euler steps one by
-one with one block-diagonal solve each and checks all their residuals at
-once, per run, so it holds at most ``BLOCK_STEPS`` states.  The modes
-differ only in where ``Q`` is applied:
+key, in one ``L_M @ R`` product, and sums them into the steps of every
+coarser time grid in one running sum (in fine-step order, bit-identical to
+``aggregate_increment``; a step still open at the end of a block carries
+over).  The runs sharing a time grid advance as one group, whose state
+stacks theirs: it restricts its completed sums to every run's mesh in one
+product, takes their backward Euler steps one by one with one
+block-diagonal solve each and checks all their residuals at once, per run,
+so it holds at most ``BLOCK_STEPS`` states.  The modes differ only in
+where ``Q`` is applied:
 
 * ``evolve`` (``per_step``) colors each completed increment, ``M Q g_n``,
   one at a time before its solve.
@@ -144,25 +145,11 @@ class _Group:
         self.system = self.ops[0].system(cfg.dt, self.ops[1:])
         self.beta = np.zeros(self.system.offsets[-1])
         self.per_step = per_step
-        self.acc = None  # fine increments of an open step so far
 
-    def _step_sums(self, m0: int, f: np.ndarray) -> np.ndarray:
-        """Sums of the steps that the fine increments ``f`` complete, as columns."""
-        if self.ratio == 1:
-            return f
-        sums = []
-        for c in range(f.shape[1]):
-            m = m0 + c
-            # fine-step order, bit-identical to aggregate_increment
-            self.acc = f[:, c] if m % self.ratio == 0 else self.acc + f[:, c]
-            if (m + 1) % self.ratio == 0:
-                sums.append(self.acc)
-        return np.column_stack(sums) if sums else f[:, :0]
-
-    def take(self, m0: int, f: np.ndarray) -> np.ndarray:
-        """Advance over the fine increments ``f``, the columns of fine steps
-        ``m0`` on; returns the stacked states of the steps they complete."""
-        g = self._step_sums(m0, f)
+    def take(self, m0: int, g: np.ndarray) -> np.ndarray:
+        """Advance over the steps that fine steps ``m0`` on complete, whose
+        summed increments are the columns of ``g``; returns their stacked
+        states."""
         n0 = m0 // self.ratio
         n1 = n0 + g.shape[1]
         system = self.system
@@ -218,13 +205,26 @@ def _sweep(
     main = _Group(main_runs, stream, driver, per_step)
     groups = [main, *(_Group(r, stream, driver) for r in other_runs)]
 
+    # the running sum of the open step of every group coarser than the noise
+    summed = [g for g in groups if g.ratio > 1]
+    acc = np.zeros((len(summed), ops.n_dof))
     snaps = [main.beta[: ops.n_dof]] if stride else None
     for m0 in range(0, stream.fine_steps, BLOCK_STEPS):
         m1 = min(m0 + BLOCK_STEPS, stream.fine_steps)
         f = noise.fine_increments(stream, m0, m1, ops.mass_chol)
-        states = main.take(m0, f)[:, : ops.n_dof]
+        sums = {
+            g: np.empty((ops.n_dof, m1 // g.ratio - m0 // g.ratio)) for g in summed
+        }
+        for m, row in enumerate(np.ascontiguousarray(f.T) if summed else (), m0):
+            acc += row  # a row whose step starts here is overwritten below
+            for a, g in enumerate(summed):
+                if m % g.ratio == 0:  # a copy, so never 0.0 + the increment
+                    acc[a] = row
+                elif (m + 1) % g.ratio == 0:
+                    sums[g][:, m // g.ratio - m0 // g.ratio] = acc[a]
+        states = main.take(m0, sums.get(main, f))[:, : ops.n_dof]
         for group in groups[1:]:
-            group.take(m0, f)
+            group.take(m0, sums.get(group, f))
         for j, n in enumerate(range(m0 // main.ratio, m1 // main.ratio)):
             if stride and (n + 1) % stride == 0:
                 snaps.append(states[j].copy())  # a view would keep the block

@@ -1,7 +1,9 @@
+import collections
+
 import numpy as np
 import pytest
 
-from spdelab import noise
+from spdelab import convergence, fracpow, noise
 from spdelab.convergence import (
     ConvergenceReport,
     convergence_study,
@@ -203,6 +205,23 @@ class TestConvergenceStudy:
         axis, gamma, resolution, seed, err = rows[0]
         assert axis == "space" and gamma == 0.75
         assert resolution == pytest.approx(0.25)
+
+    def test_two_gammas_factor_each_shift_once_per_level(self, monkeypatch):
+        # at k 0.5, gamma 0.25 and 0.75 have 107 quadrature nodes each and
+        # 55 in common: 159 pencil LUs per level, not 214
+        convergence._cached_ops.cache_clear()
+        sizes = []
+        splu = fracpow.splu
+        monkeypatch.setattr(
+            fracpow, "splu", lambda a: sizes.append(a.shape[0]) or splu(a)
+        )
+        for gamma in (0.25, 0.75):
+            base = SchemeConfig(
+                dim=1, gamma=gamma, space_level=4, time_steps=2**4,
+                master_seed=3, mode="final_time",
+            )
+            convergence_study(base, "space", [2, 3], 4, 1)
+        assert collections.Counter(sizes) == {5: 159, 9: 159, 17: 159}
 
     def test_worker_pool_matches_serial(self):
         base = SchemeConfig(

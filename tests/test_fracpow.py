@@ -175,7 +175,7 @@ class TestApplyQgamma:
             apply_qgamma(make_spec(0.5, 0.5), ops, np.ones(4))
 
     def test_solver_cache_reused(self, monkeypatch):
-        # the pencil is factored once per (operators, gamma, k), then reused
+        # the solver is built once per (operators, gamma, k), then reused
         built = []
 
         def counting_solver(ops, spec):
@@ -194,8 +194,7 @@ class TestApplyQgamma:
 
 def whole_block_oracle(spec, ops, g):
     """The quadrature of ``g`` with one solve per node of the whole block."""
-    key = ("pencil", spec.gamma, spec.k)
-    solver = ops.cached(key, lambda: fracpow._PencilSolver(ops, spec))
+    solver = fracpow._PencilSolver(ops, spec)
     out = np.zeros_like(g)
     for scale, lu in zip(solver._scales, solver._lus):
         out += scale * lu.solve(g)
@@ -249,16 +248,62 @@ class TestChunkedColoring:
 
 def test_pencil_memory_guard(monkeypatch):
     # 1,995 nodes x about 314k entries of L + U at 2-d level 6
-    built = []
-
-    def counting_splu(a):
-        built.append(a.shape)
-        return splu(a)
-
-    splu = fracpow.splu
-    monkeypatch.setattr(fracpow, "splu", counting_splu)
+    built = counted_splu(monkeypatch)
     ops = assemble(build_mesh(2, 6))
     with pytest.raises(CapacityError):
         apply_qgamma(make_spec(0.01, 0.5), ops, np.ones(ops.n_dof))
     assert len(built) == 1
     apply_qgamma(make_spec(0.5, 0.5), ops, np.ones(ops.n_dof))  # 81 nodes fit
+
+
+def counted_splu(monkeypatch):
+    """Record the shape of every matrix ``fracpow`` factors from now on."""
+    built = []
+    splu = fracpow.splu
+
+    def counting_splu(a):
+        built.append(a.shape)
+        return splu(a)
+
+    monkeypatch.setattr(fracpow, "splu", counting_splu)
+    return built
+
+
+def fresh_ops_oracle(spec, ops, g):
+    """The quadrature of ``g`` with every node of ``spec`` factored anew."""
+    fresh = assemble(ops.mesh)
+    return fracpow._PencilSolver(fresh, spec).apply(g)
+
+
+class TestSharedShifts:
+    # at k 0.5, gamma 0.25 has nodes j in [-27, 79] and gamma 0.75 has
+    # j in [-79, 27]: 107 each, 55 in common
+    def test_common_shifts_are_factored_once(self, monkeypatch):
+        built = counted_splu(monkeypatch)
+        ops = assemble(build_mesh(1, 4))
+        first, second = make_spec(0.25, 0.5), make_spec(0.75, 0.5)
+        apply_qgamma(first, ops, np.ones(ops.n_dof))
+        assert len(built) == 107
+        apply_qgamma(second, ops, np.ones(ops.n_dof))
+        assert len(built) == 159
+        solvers = [
+            ops.cached(("quadrature", spec.gamma, spec.k), None)
+            for spec in (first, second)
+        ]
+        # node j sits at index j + 27 of the first spec and j + 79 of the second
+        for j in range(-27, 28):
+            assert solvers[0]._lus[j + 27] is solvers[1]._lus[j + 79]
+        assert len({id(lu) for solver in solvers for lu in solver._lus}) == 159
+
+    @pytest.mark.parametrize(
+        "dim,gammas,cols",
+        [(1, (0.25, 0.75), 1), (1, (0.25, 0.75), 300), (2, (0.5, 0.75), 1)],
+    )
+    def test_shared_factors_equal_fresh_ones(self, dim, gammas, cols):
+        ops = assemble(build_mesh(dim, 4))
+        g = np.random.default_rng(cols).standard_normal((ops.n_dof, cols))
+        for gamma in gammas:
+            spec = make_spec(gamma, 0.5)
+            np.testing.assert_array_equal(
+                apply_qgamma(spec, ops, g), fresh_ops_oracle(spec, ops, g)
+            )

@@ -305,6 +305,27 @@ class TestBdgSumRatio:
                 phis, p, n_paths, 4
             )
 
+    @pytest.mark.parametrize("family", l0.FAMILIES)
+    def test_windows_equal_the_whole_batch(self, family):
+        # the mids of 8 steps are 1/16, 3/16, ..: windows of the first step,
+        # the last step, one inner step and none
+        supports = [(0.0, 0.1), (0.9, 1.0), (0.3, 0.4), (0.5, 0.5)]
+        phis = [
+            l0.ElementaryIntegrand(3, np.linspace(0.0, 1.0, 9), family, 1.3, s)
+            for s in supports
+        ]
+        n_paths = 2 * l0.CHUNK_PATHS + 5
+        dw, marks = whole_batch_draw(phis[0], 12, n_paths)
+        for phi in phis:
+            sample = l0.ito_integral_elementary(phi, 12, n_paths)
+            x, sup, quad_var = whole_batch_integral(phi, dw, marks)
+            np.testing.assert_array_equal(sample.values, x)
+            np.testing.assert_array_equal(sample.sup_norm, sup)
+            np.testing.assert_array_equal(sample.quad_var, quad_var)
+        assert l0.bdg_sum_ratio(phis, 2.0, n_paths, 12) == whole_batch_sum_ratio(
+            phis, 2.0, n_paths, 12
+        )
+
     @pytest.mark.parametrize("m", [1, 16])
     def test_memory_is_bounded_whatever_the_blocks(self, m):
         # the shared draw, one (paths, steps) array for each integrand's

@@ -228,6 +228,18 @@ def per_step_loop(cfg, stream, drv, ops, snapshot_level):
     return alpha, np.array(snaps)
 
 
+def raw_step_loop(cfg, stream, drv, ops):
+    """Raw states of final-time mode at every step, as a plain loop."""
+    ratio = stream.fine_steps // cfg.time_steps
+    b = eval_b_grid(drv, cfg.dt * np.arange(cfg.time_steps))
+    states = [np.zeros(ops.n_dof)]
+    for n in range(cfg.time_steps):
+        g = aggregate_increment(stream, n, ratio, ops.mass_chol)
+        rhs = ops.mass @ states[-1] + float(b[n]) * g
+        states.append(ops.system_solve(cfg.dt, rhs))
+    return np.array(states)
+
+
 # snapshots: whether the run records them; without, only alpha is compared
 @pytest.mark.parametrize(
     "dim,gamma,level,snapshots",
@@ -279,6 +291,34 @@ class TestCoupledRuns:
         np.testing.assert_array_equal(
             out.coupled[0], evolve_fast(other, stream, drv, ops=ops3).alpha
         )
+
+    def test_straddling_steps_match_a_step_loop(self, ops3):
+        # on 48 fine steps, grids of 16, 12 and 3 steps (ratios 3, 4 and 16)
+        # put step edges inside the 16-step blocks and carry open sums
+        # across them; every run equals a loop over aggregate_increment
+        drv = sample_driver(8, 50)
+        stream = NoiseStream(seed=8, fine_level=3, fine_steps=48)
+        grids = ((0.75, 16), (0.5, 48), (0.25, 24), (0.75, 12), (0.5, 3))
+        runs = [
+            SchemeConfig(
+                dim=1, gamma=gamma, space_level=3, time_steps=steps,
+                master_seed=8, mode="final_time",
+            )
+            for gamma, steps in grids
+        ]
+        out = evolve_fast(
+            runs[0], stream, drv, ops=ops3, snapshot_level=4,
+            coupled=tuple((cfg, ops3, None) for cfg in runs[1:]),
+        )
+        states = [raw_step_loop(cfg, stream, drv, ops3) for cfg in runs]
+        colored = [
+            apply_qgamma(make_spec(cfg.gamma, cfg.k), ops3, ops3.mass @ raw.T).T
+            for cfg, raw in zip(runs, states)
+        ]
+        np.testing.assert_array_equal(out.snapshots, colored[0])
+        np.testing.assert_array_equal(out.alpha, colored[0][-1])
+        for got, expected in zip(out.coupled, colored[1:]):
+            np.testing.assert_array_equal(got, expected[-1])
 
     def test_coupled_run_checks(self, ops3):
         drv = sample_driver(7, 50)
