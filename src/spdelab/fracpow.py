@@ -32,8 +32,8 @@ from .mesh import FemOperators
 MAX_NODES = 2**17
 
 #: Most stored entries of the L and U factors over all nodes of one spec,
-#: 12 bytes each (3 GiB).  One 2-d level-7 pencil LU has about 1.8M entries,
-#: so 81 nodes of it fit; 1,995 nodes (gamma 0.01, k 0.5) of level 6 do not.
+#: 12 bytes each (3 GiB).  One 2-d level-7 pencil LU has about 1.07M entries,
+#: so about 250 nodes fit; 1,995 nodes (gamma 0.01, k 0.5) of level 6 do not.
 MAX_PENCIL_NNZ = 2**28
 
 #: Columns of a block colored per pass: a node's right-hand side and
@@ -102,12 +102,17 @@ def scalar_qgamma(spec: QuadratureSpec, a: float) -> float:
     return float(c * np.sum(np.exp(log_terms)))
 
 
+def _lu(ops: FemOperators, a):
+    """The LU of an SPD system ``a`` of the level, with ``ops.lu_options``."""
+    return splu(a.tocsc(), **ops.lu_options)
+
+
 def _shift_lu(ops: FemOperators, y: float):
-    """The LU of the shifted system at node ``y``, in whichever scaling keeps
-    its coefficients finite: M + e^{-y} K for y >= 0, e^y M + K below."""
+    """The ``_lu`` of the shifted system at node ``y``, scaled to keep its
+    coefficients finite: M + e^{-y} K for y >= 0, e^y M + K below."""
     if y >= 0.0:
-        return splu((ops.mass + math.exp(-y) * ops.a2_matrix).tocsc())
-    return splu((math.exp(y) * ops.mass + ops.a2_matrix).tocsc())
+        return _lu(ops, ops.mass + math.exp(-y) * ops.a2_matrix)
+    return _lu(ops, math.exp(y) * ops.mass + ops.a2_matrix)
 
 
 class _PencilSolver:
@@ -176,8 +181,8 @@ def apply_qgamma(
             f"operand has {g.shape[0]} entries, mesh has {ops.n_dof} vertices"
         )
     if spec.is_identity:
-        return ops.cached("mass_lu", lambda: splu(ops.mass.tocsc())).solve(g)
+        return ops.cached("mass_lu", lambda: _lu(ops, ops.mass)).solve(g)
     if spec.is_full_inverse:
-        return ops.cached("a2_lu", lambda: splu(ops.a2_matrix.tocsc())).solve(g)
+        return ops.cached("a2_lu", lambda: _lu(ops, ops.a2_matrix)).solve(g)
     key = ("quadrature", spec.gamma, spec.k)
     return ops.cached(key, lambda: _PencilSolver(ops, spec)).apply(g)

@@ -173,8 +173,10 @@ class FemOperators:
     Euler ``BlockSystem``s under ``("system", dt, others)``, the LU of each
     shifted pencil under ``("pencil", k, j)``, shared by every gamma of
     quadrature resolution k, the quadrature solvers that hold them under
-    ``("quadrature", gamma, k)``, and the M and K LUs.  The object is
-    immutable apart from that cache and safe to share across threads.
+    ``("quadrature", gamma, k)``, and the M and K LUs, each made with
+    ``lu_options``: COLAMD in 1-d; in 2-d the symmetric minimum-degree order
+    with diagonal pivots, a third less fill.  The object is immutable apart
+    from that cache and safe to share across threads.
     """
 
     def __init__(self, mesh: DyadicMesh):
@@ -186,6 +188,10 @@ class FemOperators:
         # a2(u, v) = (u, v) + (grad u, grad v) in the implemented case
         self.a2_matrix = (self.mass + self.stiffness).tocsr()
         self.mass_chol = mass_factor(self.mass)
+        self.lu_options = {} if mesh.dim == 1 else dict(
+            permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
         self._cache: dict = {}
 
     @property
@@ -228,25 +234,29 @@ class BlockSystem:
     """The block-diagonal (M + dt T) of a stack of levels, run ``i`` at
     ``offsets[i]:offsets[i + 1]``, with its mass matrix and LU.
 
-    Each block is pre-permuted by its own COLAMD order (read off a no-fill
-    incomplete LU) and the stack is factored in natural order, so ``solve``
-    gives every level's slice bit for bit as that level's own ``splu`` would;
-    a plain ``splu`` of the stack rounds differently in 1-d.
+    Each block is pre-permuted by its own order (read off a no-fill ILU with
+    the level's ``lu_options``; in 2-d its rows too) and the stack factored in
+    natural order, so each slice of ``solve`` is bit for bit the level's own
+    one-level solve, in 1-d its plain ``splu``; a plain stack ``splu`` is not.
     """
 
     def __init__(self, levels: tuple, dt: float):
         self.dt = dt
         self.offsets = np.cumsum([0] + [o.n_dof for o in levels])
         systems = [(o.mass + dt * o.stiffness).tocsc() for o in levels]
-        orders = [spilu(s, drop_tol=1.0, fill_factor=1.0).perm_c for s in systems]
+        opts = levels[0].lu_options  # a stack has one dimension
+        orders = [spilu(s, drop_tol=1, fill_factor=1, **opts).perm_c for s in systems]
         blocks = [s[:, np.argsort(q)] for s, q in zip(systems, orders)]
-        self._lu = splu(sp.block_diag(blocks, "csc"), permc_spec="NATURAL")
         self._perm = np.concatenate([q + s for q, s in zip(orders, self.offsets)])
+        # with no pivoting (2-d) the rows take the column order too
+        self._rows = np.argsort(self._perm) if opts else slice(None)
+        stack = sp.block_diag(blocks, "csc")[self._rows]
+        self._lu = splu(stack, **{**opts, "permc_spec": "NATURAL"})
         self.matrix = sp.block_diag(systems, "csc")
         self.mass = sp.block_diag([o.mass for o in levels], "csr")
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self._lu.solve(rhs)[self._perm]
+        return self._lu.solve(rhs[self._rows])[self._perm]
 
     def check(self, x: np.ndarray, rhs: np.ndarray) -> None:
         """Raise ``NumericalError`` unless each row of ``x`` solves the system

@@ -353,7 +353,7 @@ BAD_CONFIGS = {
     "infinite_k": ("simulate", _with(SMALL_SIMULATE, k=float("inf"))),
     "tiny_k": ("simulate", _with(SMALL_SIMULATE, k=1e-7)),
     "tiny_gamma": ("simulate", _with(SMALL_SIMULATE, gamma=1e-12)),
-    # 1,995 pencil factors of about 314k entries each
+    # 1,995 pencil factors of about 203k entries each
     "pencil_factors_too_large": (
         "simulate", _with(SMALL_SIMULATE, dim=2, gamma=0.01, space_level=6, time_exp=1)
     ),

@@ -213,7 +213,8 @@ class TestConvergenceStudy:
         sizes = []
         splu = fracpow.splu
         monkeypatch.setattr(
-            fracpow, "splu", lambda a: sizes.append(a.shape[0]) or splu(a)
+            fracpow, "splu",
+            lambda a, **options: sizes.append(a.shape[0]) or splu(a, **options),
         )
         for gamma in (0.25, 0.75):
             base = SchemeConfig(

@@ -117,6 +117,7 @@ class TestApplyQgamma:
             mass = sp.csr_matrix(np.array([[1.0]]))
             a2_matrix = sp.csr_matrix(np.array([[2.0]]))
             n_dof = 1
+            lu_options = {}
 
             def cached(self, key, build):
                 return build()
@@ -246,8 +247,19 @@ class TestChunkedColoring:
         assert np.all(err <= 1e-12 * np.linalg.norm(expected, axis=0))
 
 
+def test_2d_factors_take_the_symmetric_order():
+    # COLAMD with partial pivoting keeps 314,140 entries of L + U in either
+    # factor at 2-d level 6; the symmetric minimum-degree order keeps
+    # 203,460 and pivots on the diagonal
+    ops = assemble(build_mesh(2, 6))
+    lus = [fracpow._shift_lu(ops, 0.5), ops.system(2.0**-12)._lu]
+    for lu in lus:
+        assert lu.nnz <= 210_000
+        np.testing.assert_array_equal(lu.perm_r, lu.perm_c)
+
+
 def test_pencil_memory_guard(monkeypatch):
-    # 1,995 nodes x about 314k entries of L + U at 2-d level 6
+    # 1,995 nodes x about 203k entries of L + U at 2-d level 6
     built = counted_splu(monkeypatch)
     ops = assemble(build_mesh(2, 6))
     with pytest.raises(CapacityError):
@@ -261,9 +273,9 @@ def counted_splu(monkeypatch):
     built = []
     splu = fracpow.splu
 
-    def counting_splu(a):
+    def counting_splu(a, **options):
         built.append(a.shape)
-        return splu(a)
+        return splu(a, **options)
 
     monkeypatch.setattr(fracpow, "splu", counting_splu)
     return built

@@ -304,14 +304,17 @@ STACKS = [
     (1, 9, (), 2.0**-14),
     (2, 6, (), 2.0**-6),
     (1, 9, (), 2.0**-6),
+    (2, 6, (2, 3, 4), 2.0**-12),
 ]
 
 
 @pytest.mark.parametrize("dim,fine,coarse,dt", STACKS)
 def test_stacked_solves_match_each_level(dim, fine, coarse, dt):
     # guards the pre-permuted natural-order factorization (a plain splu of
-    # the block diagonal rounds differently in 1-d) and the column orders
-    # read off incomplete LUs, which must be those of each level's own LU
+    # the block diagonal rounds differently in 1-d) and the orders read off
+    # incomplete LUs, which must be those of each level's own LU; in 2-d a
+    # plain splu with the symmetric order rounds differently from the
+    # pre-permuted one, so each slice is held to its level's own system
     levels = [assemble(build_mesh(dim, lv)) for lv in (fine, *coarse)]
     system = levels[0].system(dt, tuple(levels[1:]))
     offsets = system.offsets
@@ -319,13 +322,17 @@ def test_stacked_solves_match_each_level(dim, fine, coarse, dt):
     own = [(o.mass + dt * o.stiffness).tocsc() for o in levels]
     for a, s0, s1 in zip(own, offsets, offsets[1:]):
         assert (system.matrix[s0:s1, s0:s1] != a).nnz == 0
-    lus = [splu(a) for a in own]
+    solves = [
+        splu(a).solve if dim == 1 else o.system(dt).solve
+        for a, o in zip(own, levels)
+    ]
     rng = np.random.default_rng(11)
     for _ in range(20):
         rhs = rng.standard_normal(offsets[-1])
         x = system.solve(rhs)
-        for o, lu, s0, s1 in zip(levels, lus, offsets, offsets[1:]):
-            np.testing.assert_array_equal(x[s0:s1], lu.solve(rhs[s0:s1]))
+        system.check(x[None], rhs[None])
+        for o, solve, s0, s1 in zip(levels, solves, offsets, offsets[1:]):
+            np.testing.assert_array_equal(x[s0:s1], solve(rhs[s0:s1]))
             np.testing.assert_array_equal(
                 (system.mass @ x)[s0:s1], o.mass @ x[s0:s1]
             )
