@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -253,8 +254,10 @@ def convergence_study(
     plan = plan_study(base, axis, coarse_levels, ref_level, noise_steps)
     seeds = tuple(base.master_seed + i for i in range(n_paths))
 
-    if n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+    # a fork pool starts all its workers at once; outputs do not depend on them
+    workers = min(n_workers, n_paths, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             per_path = list(pool.map(path_errors, [plan] * n_paths, seeds))
     else:
         per_path = [path_errors(plan, s) for s in seeds]

@@ -200,13 +200,18 @@ def dp_metric(samples: np.ndarray, p: float) -> float:
     return float(np.mean(np.minimum(1.0, samples**p)) ** (1.0 / p))
 
 
-def _ratio(lhs: float, rhs: float) -> float:
-    # 0/0 convention: both sides vanish for the zero integrand
-    if lhs == 0.0 and rhs == 0.0:
-        return 0.0
-    if rhs == 0.0:
-        raise ZeroDivisionError
-    return lhs / rhs
+def _rerun_ratio(name: str, attempt, n_paths: int) -> float:
+    """``lhs / rhs`` of ``attempt(paths)``, rerun once at 10x the paths while
+    rhs = 0 < lhs; 0/0 is 0, as both sides vanish for the zero integrand."""
+    for paths in (n_paths, 10 * n_paths):
+        lhs, rhs = attempt(paths)
+        if rhs != 0.0:
+            return lhs / rhs
+        if lhs == 0.0:
+            return 0.0
+    raise StatisticalAlarm(
+        f"{name} degenerate at {10 * n_paths} paths: lhs > 0 with rhs = 0"
+    )
 
 
 def bdg_ratio(
@@ -223,17 +228,13 @@ def bdg_ratio(
         raise DomainError(f"p must be positive, got {p}")
     if n_paths < MIN_PATHS:
         raise DomainError(f"need at least {MIN_PATHS} paths, got {n_paths}")
-    for attempt_paths in (n_paths, 10 * n_paths):
-        sample = ito_integral_elementary(phi, seed, attempt_paths)
+
+    def attempt(paths):
+        sample = ito_integral_elementary(phi, seed, paths)
         lhs = float(np.mean(np.minimum(1.0, sample.sup_norm**p)))
-        rhs = float(np.mean(np.minimum(1.0, sample.quad_var)) ** (p / 2.0))
-        try:
-            return _ratio(lhs, rhs)
-        except ZeroDivisionError:
-            continue
-    raise StatisticalAlarm(
-        f"bdg_ratio degenerate at {10 * n_paths} paths: lhs > 0 with rhs = 0"
-    )
+        return lhs, float(np.mean(np.minimum(1.0, sample.quad_var)) ** (p / 2.0))
+
+    return _rerun_ratio("bdg_ratio", attempt, n_paths)
 
 
 def bdg_sum_ratio(
@@ -257,29 +258,25 @@ def bdg_sum_ratio(
             raise DomainError("integrands must share dimension and partition")
     dts = np.diff(base.partition)
     steps, q = dts.size, base.dim_q
-    for attempt_paths in (n_paths, 10 * n_paths):
-        marks, fill = _draws(base, seed, attempt_paths)
-        dw = fill(np.empty((attempt_paths, steps, q)))
-        x = np.empty((min(attempt_paths, CHUNK_PATHS), steps + 1, q))
-        scaled = np.empty((attempt_paths, steps))
-        sup = np.empty(attempt_paths)
-        sup_sum = np.zeros(attempt_paths)
-        qv_sum = np.zeros(attempt_paths)
+
+    def attempt(paths):
+        marks, fill = _draws(base, seed, paths)
+        dw = fill(np.empty((paths, steps, q)))
+        x = np.empty((min(paths, CHUNK_PATHS), steps + 1, q))
+        scaled = np.empty((paths, steps))
+        sup = np.empty(paths)
+        sup_sum = np.zeros(paths)
+        qv_sum = np.zeros(paths)
         for phi in phis:
-            for rows in _chunk_rows(attempt_paths):
+            for rows in _chunk_rows(paths):
                 x_rows = x[: rows.stop - rows.start]
                 sup[rows] = _integrate(phi, dw[rows], marks[rows], x_rows, scaled[rows])
             sup_sum += sup**p
             qv_sum += (scaled @ dts) ** (p / 2.0)
         lhs = float(np.mean(np.minimum(1.0, sup_sum)))
-        rhs = float(np.mean(np.minimum(1.0, qv_sum)))
-        try:
-            return _ratio(lhs, rhs)
-        except ZeroDivisionError:
-            continue
-    raise StatisticalAlarm(
-        f"bdg_sum_ratio degenerate at {10 * n_paths} paths: lhs > 0 with rhs = 0"
-    )
+        return lhs, float(np.mean(np.minimum(1.0, qv_sum)))
+
+    return _rerun_ratio("bdg_sum_ratio", attempt, n_paths)
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,14 @@ The domain is the unit interval or unit square with zero Neumann boundary
 conditions, so every vertex carries a degree of freedom.  All meshes at
 level ``L`` have cell size ``2**-L``; vertices of level ``L`` are a subset
 of those at level ``L+1``, which makes inter-level transfer index
-computable.  Element integrals for P1 hat functions are polynomial and are
-assembled from closed forms, without numerical quadrature.
+computable.  Every cell is a simplex of volume ``cell_size**dim / dim!``, so
+one closed form, in the barycentric gradients of the cell, gives the P1 element
+matrices of both dimensions exactly, without numerical quadrature.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,53 +94,26 @@ def build_mesh(dim: int, level: int) -> DyadicMesh:
     )
 
 
-def _assemble_1d(mesh: DyadicMesh) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    ell = mesh.cell_size
-    nv = mesh.n_vertices
+def _assemble(mesh: DyadicMesh) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    d = mesh.dim
     c = mesh.cells
-    # local matrices: M_e = (ell/6)[[2,1],[1,2]], T_e = (1/ell)[[1,-1],[-1,1]]
-    me = (ell / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]])
-    te = (1.0 / ell) * np.array([[1.0, -1.0], [-1.0, 1.0]])
-    rows = np.repeat(c, 2, axis=1).ravel()
-    cols = np.tile(c, (1, 2)).ravel()
+    p = mesh.vertices[c]  # (n_cells, d + 1, d)
+    # the columns of the inverse edge matrix are the gradients of the
+    # barycentric coordinates of vertices 1..d; vertex 0's is minus their sum
+    grad = np.linalg.inv(p[:, 1:] - p[:, :1]).transpose(0, 2, 1)
+    grad = np.concatenate([-grad.sum(axis=1, keepdims=True), grad], axis=1)
+    # every dyadic cell has the same volume, exact in floating point
+    vol = mesh.cell_size**d / math.factorial(d)
+    # T_e = vol grad_i . grad_j;  M_e = vol (1 + I) / ((d + 1)(d + 2))
+    te = vol * np.einsum("cik,cjk->cij", grad, grad)
+    me = vol * ((np.ones((d + 1, d + 1)) + np.eye(d + 1)) / ((d + 1) * (d + 2)))
+    rows = np.repeat(c, d + 1, axis=1).ravel()
+    cols = np.tile(c, (1, d + 1)).ravel()
     m_data = np.tile(me.ravel(), mesh.n_cells)
-    t_data = np.tile(te.ravel(), mesh.n_cells)
-    mass = sp.coo_matrix((m_data, (rows, cols)), shape=(nv, nv)).tocsr()
-    stiff = sp.coo_matrix((t_data, (rows, cols)), shape=(nv, nv)).tocsr()
+    shape = (mesh.n_vertices, mesh.n_vertices)
+    mass = sp.coo_matrix((m_data, (rows, cols)), shape=shape).tocsr()
+    stiff = sp.coo_matrix((te.ravel(), (rows, cols)), shape=shape).tocsr()
     return mass, stiff
-
-
-def _assemble_2d(mesh: DyadicMesh) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    nv = mesh.n_vertices
-    c = mesh.cells
-    p = mesh.vertices[c]  # (n_cells, 3, 2)
-    # edge opposite local vertex k
-    e = np.stack([p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0]], axis=1)
-    area = 0.5 * (
-        (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-        - (p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0])
-    )
-    # T_e[i, j] = (e_i . e_j) / (4 A);  M_e = (A / 12)(1 + I)
-    te = np.einsum("cid,cjd->cij", e, e) / (4.0 * area)[:, None, None]
-    m_local = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    me = area[:, None, None] * m_local[None]
-    rows = np.repeat(c, 3, axis=1).ravel()
-    cols = np.tile(c, (1, 3)).ravel()
-    mass = sp.coo_matrix((me.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
-    stiff = sp.coo_matrix((te.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
-    return mass, stiff
-
-
-def _lower_banded(m: sp.spmatrix) -> np.ndarray:
-    """Lower triangle of a symmetric banded matrix in LAPACK band storage."""
-    coo = m.tocoo()
-    n = coo.shape[0]
-    keep = coo.row >= coo.col
-    r, c, v = coo.row[keep], coo.col[keep], coo.data[keep]
-    bw = int((r - c).max()) if len(r) else 0
-    ab = np.zeros((bw + 1, n))
-    ab[r - c, c] = v
-    return ab
 
 
 def mass_factor(mass: sp.spmatrix) -> sp.csr_matrix:
@@ -148,17 +123,17 @@ def mass_factor(mass: sp.spmatrix) -> sp.csr_matrix:
     with rho standard normal; the Cholesky factor is the cheapest choice on
     these banded matrices.
     """
-    ab = _lower_banded(mass)
     try:
+        lower = sp.tril(mass).todia()
+        # LAPACK lower band storage: row r holds diagonal -r
+        ab = np.zeros((1 - lower.offsets.min(), mass.shape[0]))
+        ab[-lower.offsets] = lower.data
         cb = cholesky_banded(ab, lower=True)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - message detail
         raise FactorizationError(f"mass matrix is not positive definite: {exc}")
     except Exception as exc:
         raise FactorizationError(f"banded Cholesky failed: {exc}")
-    n = ab.shape[1]
-    diags = [cb[r, : n - r] for r in range(ab.shape[0])]
-    offsets = [-r for r in range(ab.shape[0])]
-    factor = sp.diags(diags, offsets, shape=(n, n), format="csr")
+    factor = sp.dia_matrix((cb, -np.arange(len(cb))), shape=mass.shape).tocsr()
     factor.eliminate_zeros()
     return factor
 
@@ -181,10 +156,7 @@ class FemOperators:
 
     def __init__(self, mesh: DyadicMesh):
         self.mesh = mesh
-        if mesh.dim == 1:
-            self.mass, self.stiffness = _assemble_1d(mesh)
-        else:
-            self.mass, self.stiffness = _assemble_2d(mesh)
+        self.mass, self.stiffness = _assemble(mesh)
         # a2(u, v) = (u, v) + (grad u, grad v) in the implemented case
         self.a2_matrix = (self.mass + self.stiffness).tocsr()
         self.mass_chol = mass_factor(self.mass)
@@ -222,10 +194,8 @@ class FemOperators:
     def m_norm(self, v: np.ndarray) -> float | np.ndarray:
         """Mass-weighted norm, the discrete L2 norm of the P1 function; of
         each row of a ``(k, n_dof)`` block, bit-identical row by row."""
-        if v.ndim == 1:
-            return float(np.sqrt(v @ (self.mass @ v)))
         # vecdot takes BLAS ddot per row, whose kernel depends on the strides:
-        # the rows of v keep theirs and those of M v are contiguous, as above
+        # the rows of v keep theirs and those of M v are made contiguous
         mv = np.ascontiguousarray((self.mass @ v.T).T)
         return np.sqrt(np.vecdot(v, mv))
 
@@ -294,45 +264,23 @@ def restriction_matrix(coarse: DyadicMesh, fine: DyadicMesh) -> sp.csr_matrix:
         raise DomainError(
             f"coarse level {coarse.level} exceeds fine level {fine.level}"
         )
+    # The coarse cells are the Kuhn simplices of each square: the one holding
+    # a fine vertex walks from the square's corner along the axes in decreasing
+    # order of the vertex's local coordinates s, a tie taking x first, and the
+    # hat weights at its d + 1 vertices are the gaps of (1, s_(1), ..., s_(d), 0)
     n_c = 2**coarse.level
-    inv_hc = float(n_c)
-    pts = fine.vertices
-
-    if coarse.dim == 1:
-        x = pts[:, 0]
-        cell = np.minimum((x * inv_hc).astype(int), n_c - 1)
-        s = x * inv_hc - cell
-        j = np.arange(fine.n_vertices)
-        rows = np.concatenate([cell, cell + 1])
-        cols = np.concatenate([j, j])
-        vals = np.concatenate([1.0 - s, s])
-    else:
-        stride = n_c + 1
-        x, y = pts[:, 0], pts[:, 1]
-        cx = np.minimum((x * inv_hc).astype(int), n_c - 1)
-        cy = np.minimum((y * inv_hc).astype(int), n_c - 1)
-        s = x * inv_hc - cx
-        t = y * inv_hc - cy
-        base = cx * stride + cy
-        j = np.arange(fine.n_vertices)
-        low = s >= t  # lower-right triangle of the square, else upper-left
-        rows = np.concatenate(
-            [
-                base,
-                np.where(low, base + stride, base + stride + 1),
-                np.where(low, base + stride + 1, base + 1),
-            ]
-        )
-        cols = np.concatenate([j, j, j])
-        vals = np.concatenate(
-            [
-                np.where(low, 1.0 - s, 1.0 - t),
-                np.where(low, s - t, s),
-                np.where(low, t, t - s),
-            ]
-        )
-    a = sp.coo_matrix(
-        (vals, (rows, cols)), shape=(coarse.n_vertices, fine.n_vertices)
-    ).tocsr()
+    x = fine.vertices * float(n_c)
+    corner = np.minimum(x.astype(int), n_c - 1)
+    s = x - corner
+    order = np.argsort(-s, axis=1, kind="stable")
+    s = np.take_along_axis(s, order, axis=1)
+    gaps = np.pad(s, ((0, 0), (1, 1)), constant_values=(1.0, 0.0))
+    vals = gaps[:, :-1] - gaps[:, 1:]
+    strides = (n_c + 1) ** np.arange(coarse.dim)[::-1]
+    walk = np.pad(np.cumsum(strides[order], axis=1), ((0, 0), (1, 0)))
+    rows = (corner @ strides)[:, None] + walk
+    cols = np.repeat(np.arange(fine.n_vertices), coarse.dim + 1)
+    shape = (coarse.n_vertices, fine.n_vertices)
+    a = sp.coo_matrix((vals.ravel(), (rows.ravel(), cols)), shape=shape).tocsr()
     a.eliminate_zeros()
     return a

@@ -233,6 +233,40 @@ class TestConvergenceStudy:
         parallel = convergence_study(base, "space", [2, 3], 4, 2, n_workers=2)
         assert serial == parallel
 
+    @pytest.mark.parametrize(
+        "n_workers, n_paths, cpus, pool_size",
+        [(1_000_000, 2, 8, 2), (1_000_000, 5, 3, 3), (4, 5, 8, 4), (8, 3, None, None)],
+    )
+    def test_worker_pool_is_bounded_by_paths_and_cpus(
+        self, monkeypatch, n_workers, n_paths, cpus, pool_size
+    ):
+        # a fork pool starts every worker at the first submit; this one
+        # records its size, starts no process and maps in this one
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(convergence, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        base = SchemeConfig(
+            dim=1, gamma=0.5, space_level=4, time_steps=2**4,
+            master_seed=5, mode="final_time",
+        )
+        report = convergence_study(base, "space", [2, 3], 4, n_paths, n_workers=n_workers)
+        assert sizes == ([] if pool_size is None else [pool_size])
+        assert report == convergence_study(base, "space", [2, 3], 4, n_paths)
+
 
 def test_path_errors_shares_noise_across_levels():
     # with the coarse level equal to the reference, the coupled run must

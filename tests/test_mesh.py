@@ -277,6 +277,28 @@ class TestRestriction:
             a.T @ g(coarse.vertices), g(fine.vertices), atol=1e-14
         )
 
+    @pytest.mark.parametrize("dim,top", [(1, 9), (2, 5)])
+    def test_restrictions_compose_and_reproduce_affine_exactly(self, dim, top):
+        # nested P1 spaces: a coarse hat is a combination of the finer hats,
+        # and dyadic weights and values keep every sum exact
+        meshes = [build_mesh(dim, level) for level in range(top + 1)]
+        a = {
+            (c, f): restriction_matrix(meshes[c], meshes[f])
+            for c in range(top + 1) for f in range(c, top + 1)
+        }
+        for g in (
+            lambda x: 0.75 - 0.5 * x[:, 0] + 0.25 * x[:, -1],
+            lambda x: x[:, 0] - 3.0 * x[:, -1],
+            lambda x: np.full(len(x), 2.0),
+        ):
+            for (c, f), a_cf in a.items():
+                np.testing.assert_array_equal(
+                    a_cf.T @ g(meshes[c].vertices), g(meshes[f].vertices)
+                )
+        for (c, f), a_cf in a.items():
+            for m in range(c, f + 1):
+                assert (a_cf != a[c, m] @ a[m, f]).nnz == 0, (c, m, f)
+
     def test_rejects_mismatched(self):
         with pytest.raises(DomainError):
             restriction_matrix(build_mesh(1, 2), build_mesh(2, 2))
