@@ -14,7 +14,7 @@ from .convergence import (
     relative_error,
     theoretical_rates,
 )
-from .driver import ScalarDriver, eval_b, eval_f, sample_driver
+from .driver import ScalarDriver, sample_driver
 from .fracpow import QuadratureSpec, apply_qgamma, make_spec, scalar_qgamma
 from .l0 import (
     ElementaryIntegrand,
@@ -60,8 +60,6 @@ __all__ = [
     "build_mesh",
     "convergence_study",
     "dp_metric",
-    "eval_b",
-    "eval_f",
     "evolve",
     "evolve_fast",
     "fine_increment",

@@ -6,7 +6,7 @@ aggregation and spatial restriction of the increments), and measures the
 relative error at t = 1 in the reference mass norm.  One path is one sweep
 over the fine time steps: ``evolve_fast`` advances the reference with every
 coarse run passed as ``coupled``, so each fine increment is drawn once and
-the driver is evaluated once per distinct time grid.  Every run starts from
+the driver is evaluated once, on the noise's grid.  Every run starts from
 u(0) = 0.  Rates are least-squares slopes in log2-log2 coordinates of the
 mean error against the resolution.
 """

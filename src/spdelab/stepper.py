@@ -119,9 +119,10 @@ class _Group:
     """The runs ``(config, ops, a)`` of one sweep on one time grid, advanced
     as one state that stacks theirs in the order of its ``system``, starting
     from zero; ``per_step`` colors each increment before its solve (one run
-    only)."""
+    only).  ``b`` is the driver on the noise's grid, ``fine_steps + 1``
+    values."""
 
-    def __init__(self, runs: list, stream: NoiseStream, driver: ScalarDriver,
+    def __init__(self, runs: list, stream: NoiseStream, b: np.ndarray,
                  per_step: bool = False):
         cfg = runs[0][0]
         if stream.fine_steps % cfg.time_steps != 0:
@@ -141,7 +142,7 @@ class _Group:
             blocks = [sp.identity(o.n_dof) if a is None else a for _c, o, a in runs]
             self.a = sp.vstack(blocks, "csr")
         self.ratio = stream.fine_steps // cfg.time_steps
-        self.b = eval_b_grid(driver, cfg.dt * np.arange(cfg.time_steps))
+        self.b = b[:-1 : self.ratio]  # at the left end of every step
         self.system = self.ops[0].system(cfg.dt, self.ops[1:])
         self.beta = np.zeros(self.system.offsets[-1])
         self.per_step = per_step
@@ -202,8 +203,9 @@ def _sweep(
     for i, (cfg, _o, _a) in enumerate(runs):
         grids.setdefault(cfg.time_steps, []).append(i)
     main_runs, *other_runs = ([runs[i] for i in m] for m in grids.values())
-    main = _Group(main_runs, stream, driver, per_step)
-    groups = [main, *(_Group(r, stream, driver) for r in other_runs)]
+    b = eval_b_grid(driver, stream.fine_steps)
+    main = _Group(main_runs, stream, b, per_step)
+    groups = [main, *(_Group(r, stream, b) for r in other_runs)]
 
     # the running sum of the open step of every group coarser than the noise
     summed = [g for g in groups if g.ratio > 1]
@@ -230,7 +232,9 @@ def _sweep(
                 snaps.append(states[j].copy())  # a view would keep the block
 
     alpha = main.color(0)
-    snapshots = main.color(0, np.array(snaps).T).T if stride else None
+    snapshots = None
+    if stride:  # in C order, so row-wise products do not round by layout
+        snapshots = np.ascontiguousarray(main.color(0, np.array(snaps).T).T)
     place = {i: (g, k) for g, m in zip(groups, grids.values()) for k, i in enumerate(m)}
     return PathState(
         alpha=alpha,

@@ -3,7 +3,7 @@ import collections
 import numpy as np
 import pytest
 
-from spdelab import convergence, fracpow, noise
+from spdelab import convergence, fracpow, noise, stepper
 from spdelab.convergence import (
     ConvergenceReport,
     convergence_study,
@@ -295,11 +295,12 @@ def _per_level_path_errors(plan, seed):
     stream = NoiseStream(
         seed=seed, fine_level=plan.ref.space_level, fine_steps=plan.noise_steps
     )
+    fine_b = eval_b_grid(drv, plan.noise_steps)
 
     def final_state(time_steps, ops, a):
         ratio = plan.noise_steps // time_steps
         dt = 1.0 / time_steps
-        b = eval_b_grid(drv, dt * np.arange(time_steps))
+        b = fine_b[:-1:ratio]  # every run takes the driver on the noise's grid
         beta = np.zeros(ops.n_dof)
         for n in range(time_steps):
             g = aggregate_increment(stream, n, ratio, ref_ops.mass_chol)
@@ -381,6 +382,25 @@ def test_path_draws_each_fine_increment_once(monkeypatch):
     plan = plan_study(base, "time", [2, 3, 4], 5, noise_steps=2**6)
     path_errors(plan, 9)
     assert sorted(draws) == list(range(plan.noise_steps))
+
+
+def test_path_evaluates_the_driver_once(monkeypatch):
+    # a time study of 7 time grids evaluates b once, on the noise's grid
+    calls = []
+
+    def counting(driver, steps):
+        calls.append(steps)
+        return eval_b_grid(driver, steps)
+
+    monkeypatch.setattr(stepper, "eval_b_grid", counting)
+    base = SchemeConfig(
+        dim=1, gamma=0.5, space_level=3, time_steps=2**7, master_seed=0,
+        mode="final_time", n_modes=50,
+    )
+    plan = plan_study(base, "time", [1, 2, 3, 4, 5, 6], 7)
+    path_errors(plan, 9)
+    path_errors(plan, 10)
+    assert calls == [plan.noise_steps] * 2
 
 
 def test_study_needs_a_path():

@@ -388,7 +388,7 @@ class TestHolderExponent:
         assert est.exponent == pytest.approx(1.0, abs=1e-12)
 
     def test_mass_norm_equals_a_per_row_loop(self):
-        # F-ordered, as the snapshots of a sweep are
+        # F-ordered, so every row is strided
         ops = assemble(build_mesh(1, 5))
         path = np.random.default_rng(8).standard_normal((ops.n_dof, 2**8 + 1)).T
         est = l0.holder_exponent(path, 2, norm=ops.m_norm)

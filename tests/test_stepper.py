@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from spdelab.driver import ScalarDriver, eval_b, eval_b_grid, sample_driver
+from spdelab.driver import ScalarDriver, eval_b_grid, sample_driver
 from spdelab.exceptions import DomainError, NumericalError
 from spdelab.fracpow import apply_qgamma, make_spec
 from spdelab.mesh import SOLVER_TOL, assemble, build_mesh, restriction_matrix
@@ -72,7 +72,7 @@ class TestStep:
         drv = sample_driver(8, 50)
         out = evolve(cfg, stream, drv, ops=ops, snapshot_level=3)
         dt = 0.125
-        b0 = eval_b(drv, 0.0)
+        b0 = eval_b_grid(drv, 1)[0]
         g = fine_increment(stream, 0, ops.mass_chol)
         dense = np.linalg.solve((ops.mass + dt * ops.stiffness).toarray(), b0 * g)
         np.testing.assert_array_equal(out.snapshots[0], 0.0)
@@ -197,6 +197,26 @@ class TestFastPath:
         fast = evolve_fast(cfg, stream, drv, ops=ops3, snapshot_level=3)
         np.testing.assert_allclose(slow.snapshots, fast.snapshots, atol=1e-12)
 
+    @pytest.mark.parametrize("run", [evolve, evolve_fast])
+    def test_snapshots_do_not_round_by_layout(self, run):
+        # row-wise BLAS products round by stride: the snapshots come in C
+        # order, so a Hölder estimate on them equals one on a C-ordered copy
+        from spdelab.l0 import holder_exponent
+
+        ops = assemble(build_mesh(1, 5))
+        cfg = SchemeConfig(
+            dim=1, gamma=0.5, space_level=5, time_steps=2**8, master_seed=0
+        )
+        for seed in range(4):
+            stream = NoiseStream(seed=seed, fine_level=5, fine_steps=2**8)
+            out = run(cfg, stream, sample_driver(seed), ops=ops, snapshot_level=8)
+            snaps = out.snapshots
+            assert snaps.flags.c_contiguous
+            est = holder_exponent(snaps, 2, norm=ops.m_norm)
+            copy = holder_exponent(np.copy(snaps, order="C"), 2, norm=ops.m_norm)
+            np.testing.assert_array_equal(est.increments, copy.increments)
+            assert est.exponent == copy.exponent
+
     def test_modes_dispatch(self, ops3):
         assert MODES == {"per_step": evolve, "final_time": evolve_fast}
         cfg = SchemeConfig(
@@ -215,7 +235,7 @@ def per_step_loop(cfg, stream, drv, ops, snapshot_level):
     spec = make_spec(cfg.gamma, cfg.k)
     ratio = stream.fine_steps // cfg.time_steps
     stride = cfg.time_steps // 2**snapshot_level
-    b = eval_b_grid(drv, cfg.dt * np.arange(cfg.time_steps))
+    b = eval_b_grid(drv, stream.fine_steps)[:-1:ratio]  # as the sweep takes it
     alpha = np.zeros(ops.n_dof)
     snaps = [alpha]
     for n in range(cfg.time_steps):
@@ -231,7 +251,7 @@ def per_step_loop(cfg, stream, drv, ops, snapshot_level):
 def raw_step_loop(cfg, stream, drv, ops):
     """Raw states of final-time mode at every step, as a plain loop."""
     ratio = stream.fine_steps // cfg.time_steps
-    b = eval_b_grid(drv, cfg.dt * np.arange(cfg.time_steps))
+    b = eval_b_grid(drv, stream.fine_steps)[:-1:ratio]  # as the sweep takes it
     states = [np.zeros(ops.n_dof)]
     for n in range(cfg.time_steps):
         g = aggregate_increment(stream, n, ratio, ops.mass_chol)
