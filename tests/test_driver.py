@@ -84,6 +84,19 @@ class TestEvalF:
             expected = [eval_f(drv, j / steps) for j in range(steps + 1)]
             np.testing.assert_allclose(grid, expected, rtol=0.0, atol=1e-14)
 
+    @pytest.mark.parametrize("tail", [1, 5])
+    def test_blocked_grid_matches_dense(self, tail):
+        # the folded DCT-I against the dense steps x n_modes cosine product
+        # it replaces, at step counts that are not powers of two
+        drv = sample_driver(8, 1000)
+        steps = 3 * 16 + tail
+        ts = np.arange(steps + 1) / steps
+        n = np.arange(1, drv.n_modes + 1)
+        weights = math.sqrt(2.0) / (1.0 + math.pi**2 * n**2)
+        basis = np.cos(math.pi * np.outer(ts, n)) * weights
+        dense = drv.coeffs[0] + basis @ drv.coeffs[1:]
+        np.testing.assert_allclose(eval_f_grid(drv, steps), dense, rtol=1e-14, atol=0.0)
+
     def test_grid_memory_is_bounded(self):
         # the dense cosine matrix at 2^14 points and 1000 modes is 131 MB
         drv = sample_driver(9, 1000)
