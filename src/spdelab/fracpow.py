@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import splu
 
 from .exceptions import CapacityError, DomainError
 from .mesh import FemOperators
@@ -31,13 +30,15 @@ from .mesh import FemOperators
 #: and 79,038 at k 0.25 and gamma 1e-3.
 MAX_NODES = 2**17
 
-#: Most stored entries of the L and U factors over all nodes of one spec,
+#: Most stored entries of the pencil factors over all nodes of one spec,
 #: 12 bytes each (3 GiB).  One 2-d level-7 pencil LU has about 1.07M entries,
 #: so about 250 nodes fit; 1,995 nodes (gamma 0.01, k 0.5) of level 6 do not.
+#: A 1-d LDLᵀ stores 2n - 1 numbers.
 MAX_PENCIL_NNZ = 2**28
 
 #: Columns of a block colored per pass: a node's right-hand side and
-#: solution then stay in cache, and SuperLU costs less per column.
+#: solution then stay in cache, and a 2-d SuperLU solve costs less per
+#: column; a 1-d ``dpttrs`` solves each column on its own either way.
 COLOR_COLUMNS = 256
 
 
@@ -102,33 +103,30 @@ def scalar_qgamma(spec: QuadratureSpec, a: float) -> float:
     return float(c * np.sum(np.exp(log_terms)))
 
 
-def _lu(ops: FemOperators, a):
-    """The LU of an SPD system ``a`` of the level, with ``ops.lu_options``."""
-    return splu(a.tocsc(), **ops.lu_options)
-
-
-def _shift_lu(ops: FemOperators, y: float):
-    """The ``_lu`` of the shifted system at node ``y``, scaled to keep its
-    coefficients finite: M + e^{-y} K for y >= 0, e^y M + K below."""
+def _shift_factor(ops: FemOperators, y: float):
+    """The ``ops.factor`` of the shifted system at node ``y``, scaled to keep
+    its coefficients finite: M + e^{-y} K for y >= 0, e^y M + K below."""
     if y >= 0.0:
-        return _lu(ops, ops.mass + math.exp(-y) * ops.a2_matrix)
-    return _lu(ops, math.exp(y) * ops.mass + ops.a2_matrix)
+        return ops.factor(ops.mass + math.exp(-y) * ops.a2_matrix)
+    return ops.factor(math.exp(y) * ops.mass + ops.a2_matrix)
 
 
 class _PencilSolver:
-    """The quadrature of one spec on one level: a scale and an LU per node.
+    """The quadrature of one spec on one level: a scale and a factor per node.
 
     Built once per (operators, gamma, k) and reused across every time step
     and path touching that level.  The shifted system at node ``y_j = j k``
-    does not depend on gamma, so its LU is made once per (operators, k, j)
-    through ``ops.cached`` and shared by every spec of that k.  Positive
-    nodes are scaled as e^{-gamma y} (M + e^{-y} K)^{-1}, negative nodes as
+    does not depend on gamma, so its factor (``ops.factor``: an LDLᵀ in 1-d,
+    an LU in 2-d) is made once per (operators, k, j) through ``ops.cached``
+    and shared by every spec of that k.  Positive nodes are scaled as
+    e^{-gamma y} (M + e^{-y} K)^{-1}, negative nodes as
     e^{(1-gamma) y} (e^y M + K)^{-1}.  One spec's factors hold at most
     ``MAX_PENCIL_NNZ`` entries, judged by its first factor before a second
     is fetched.  ``apply`` colors a block ``COLOR_COLUMNS`` columns at a
-    time, each chunk through every node in node order; in 1-d the pencil
-    solves use no BLAS, so this is bit-identical to solving the whole block
-    at once, while in 2-d wide blocks may differ in the last bits.
+    time, each chunk through every node in node order; in 1-d ``dpttrs``
+    solves each column on its own, so this is bit-identical to solving the
+    whole block at once, while in 2-d wide blocks may differ in the last
+    bits.
     """
 
     def __init__(self, ops: FemOperators, spec: QuadratureSpec):
@@ -138,17 +136,17 @@ class _PencilSolver:
             else c * math.exp((1.0 - spec.gamma) * y)
             for y in spec.nodes
         ]
-        lus = (
-            ops.cached(("pencil", spec.k, j), lambda: _shift_lu(ops, y))
+        factors = (
+            ops.cached(("pencil", spec.k, j), lambda: _shift_factor(ops, y))
             for j, y in zip(range(-spec.n_neg, spec.n_pos + 1), spec.nodes)
         )
-        first = next(lus)
+        first = next(factors)
         if spec.nodes.size * first.nnz > MAX_PENCIL_NNZ:  # before the next one
             raise CapacityError(
                 f"{spec.nodes.size} pencil factors of {first.nnz} entries "
                 f"exceed the guard of {MAX_PENCIL_NNZ}"
             )
-        self._lus = [first, *lus]
+        self._factors = [first, *factors]
 
     def apply(self, g: np.ndarray) -> np.ndarray:
         out = np.zeros_like(g)
@@ -158,8 +156,8 @@ class _PencilSolver:
         edges = [*range(0, max(cols - 1, 1), COLOR_COLUMNS), cols]
         for lo, hi in zip(edges, edges[1:]):
             part, acc = (g, out) if g.ndim == 1 else (g[:, lo:hi], out[:, lo:hi])
-            for scale, lu in zip(self._scales, self._lus):
-                x = lu.solve(part)
+            for scale, factor in zip(self._scales, self._factors):
+                x = factor.solve(part)
                 x *= scale  # the roundings of acc += scale * x
                 acc += x
         return out
@@ -181,8 +179,8 @@ def apply_qgamma(
             f"operand has {g.shape[0]} entries, mesh has {ops.n_dof} vertices"
         )
     if spec.is_identity:
-        return ops.cached("mass_lu", lambda: _lu(ops, ops.mass)).solve(g)
+        return ops.cached("mass_factor", lambda: ops.factor(ops.mass)).solve(g)
     if spec.is_full_inverse:
-        return ops.cached("a2_lu", lambda: _lu(ops, ops.a2_matrix)).solve(g)
+        return ops.cached("a2_factor", lambda: ops.factor(ops.a2_matrix)).solve(g)
     key = ("quadrature", spec.gamma, spec.k)
     return ops.cached(key, lambda: _PencilSolver(ops, spec)).apply(g)

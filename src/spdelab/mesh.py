@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cholesky_banded
+from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.sparse.linalg import spilu, splu
 
 from .exceptions import CapacityError, DomainError, FactorizationError, NumericalError
@@ -138,21 +139,54 @@ def mass_factor(mass: sp.spmatrix) -> sp.csr_matrix:
     return factor
 
 
+class TridiagonalLDL:
+    """The LDLᵀ of a symmetric positive definite tridiagonal matrix (LAPACK
+    ``dpttrf``), stored in its ``nnz = 2n - 1`` numbers.  ``solve`` takes one
+    column or the columns of a block (``dpttrs``); it solves each column on
+    its own, with no BLAS, so a block solve equals its column-by-column
+    solves bit for bit."""
+
+    def __init__(self, a: sp.spmatrix):
+        coo = a.tocoo()
+        if np.any(np.abs(coo.row - coo.col)[coo.data != 0] > 1):
+            raise FactorizationError("matrix is not tridiagonal")
+        lower = a.diagonal(-1)
+        if not np.array_equal(lower, a.diagonal(1)):
+            raise FactorizationError("tridiagonal matrix is not exactly symmetric")
+        n = a.shape[0]
+        # the LAPACK wrapper wants one off-diagonal entry even when n = 1
+        self._d, self._e, info = dpttrf(a.diagonal(), lower if n > 1 else np.zeros(1))
+        if info > 0:
+            raise FactorizationError(
+                f"tridiagonal matrix is not positive definite (pivot {info} of {n})"
+            )
+        self.nnz = 2 * n - 1
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        return dpttrs(self._d, self._e, rhs)[0]
+
+
 class FemOperators:
     """Assembled P1 matrices and factorizations for one mesh level.
 
     Holds the mass matrix M, the stiffness matrix T (zero Neumann, so
     constants lie in its kernel), the second-operator matrix K = M + T,
-    and the lower Cholesky factor of M.  Every factorization built from
+    and the lower Cholesky factor of M.  ``factor`` decides how every SPD
+    system of the level is factored, and every factorization built from
     them lives in the one keyed cache behind ``cached``: the backward
-    Euler ``BlockSystem``s under ``("system", dt, others)``, the LU of each
-    shifted pencil under ``("pencil", k, j)``, shared by every gamma of
+    Euler ``BlockSystem``s under ``("system", dt, others)``, the factor of
+    each shifted pencil under ``("pencil", k, j)``, shared by every gamma of
     quadrature resolution k, the quadrature solvers that hold them under
-    ``("quadrature", gamma, k)``, and the M and K LUs, each made with
-    ``lu_options``: COLAMD in 1-d; in 2-d the symmetric minimum-degree order
-    with diagonal pivots, a third less fill.  The object is immutable apart
-    from that cache and safe to share across threads.
+    ``("quadrature", gamma, k)``, and the M and K factors.  The object is
+    immutable apart from that cache and safe to share across threads.
     """
+
+    #: the SuperLU options of every 2-d factor: the symmetric minimum-degree
+    #: order with diagonal pivots, a third less fill than COLAMD
+    lu_options = dict(
+        permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
 
     def __init__(self, mesh: DyadicMesh):
         self.mesh = mesh
@@ -160,10 +194,6 @@ class FemOperators:
         # a2(u, v) = (u, v) + (grad u, grad v) in the implemented case
         self.a2_matrix = (self.mass + self.stiffness).tocsr()
         self.mass_chol = mass_factor(self.mass)
-        self.lu_options = {} if mesh.dim == 1 else dict(
-            permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
         self._cache: dict = {}
 
     @property
@@ -176,6 +206,14 @@ class FemOperators:
         if value is None:
             value = self._cache[key] = build()
         return value
+
+    def factor(self, a: sp.spmatrix, **options):
+        """The factor of an SPD system ``a`` of this level's dimension, with
+        ``solve`` and ``nnz``: in 1-d the ``TridiagonalLDL`` of ``a``; in 2-d
+        its ``splu`` with ``lu_options``, updated by ``options``."""
+        if self.mesh.dim == 1:
+            return TridiagonalLDL(a)
+        return splu(a.tocsc(), **{**self.lu_options, **options})
 
     def system(self, dt: float, others: tuple = ()) -> BlockSystem:
         """The backward Euler system of this level and ``others``, built once."""
@@ -202,31 +240,39 @@ class FemOperators:
 
 class BlockSystem:
     """The block-diagonal (M + dt T) of a stack of levels, run ``i`` at
-    ``offsets[i]:offsets[i + 1]``, with its mass matrix and LU.
+    ``offsets[i]:offsets[i + 1]``, with its mass matrix and factor.
 
-    Each block is pre-permuted by its own order (read off a no-fill ILU with
-    the level's ``lu_options``; in 2-d its rows too) and the stack factored in
-    natural order, so each slice of ``solve`` is bit for bit the level's own
-    one-level solve, in 1-d its plain ``splu``; a plain stack ``splu`` is not.
+    In 1-d the stack is itself tridiagonal, with zero coupling between its
+    blocks, so its LDLᵀ decouples exactly and each slice of ``solve`` is bit
+    for bit the solve of the level's own factor.  In 2-d each block is
+    pre-permuted, rows and columns alike, by its own order (read off a
+    no-fill ILU with ``lu_options``) and the stack factored in natural
+    order, so each slice is bit for bit the level's own one-level solve; a
+    plain stack ``splu`` is not.
     """
 
     def __init__(self, levels: tuple, dt: float):
         self.dt = dt
         self.offsets = np.cumsum([0] + [o.n_dof for o in levels])
         systems = [(o.mass + dt * o.stiffness).tocsc() for o in levels]
-        opts = levels[0].lu_options  # a stack has one dimension
+        self.matrix = sp.block_diag(systems, "csc")
+        self.mass = sp.block_diag([o.mass for o in levels], "csr")
+        self._perm = None
+        if levels[0].mesh.dim == 1:  # a stack has one dimension
+            self._factor = levels[0].factor(self.matrix)
+            return
+        opts = levels[0].lu_options
         orders = [spilu(s, drop_tol=1, fill_factor=1, **opts).perm_c for s in systems]
         blocks = [s[:, np.argsort(q)] for s, q in zip(systems, orders)]
         self._perm = np.concatenate([q + s for q, s in zip(orders, self.offsets)])
-        # with no pivoting (2-d) the rows take the column order too
-        self._rows = np.argsort(self._perm) if opts else slice(None)
+        self._rows = np.argsort(self._perm)
         stack = sp.block_diag(blocks, "csc")[self._rows]
-        self._lu = splu(stack, **{**opts, "permc_spec": "NATURAL"})
-        self.matrix = sp.block_diag(systems, "csc")
-        self.mass = sp.block_diag([o.mass for o in levels], "csr")
+        self._factor = levels[0].factor(stack, permc_spec="NATURAL")
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self._lu.solve(rhs[self._rows])[self._perm]
+        if self._perm is None:
+            return self._factor.solve(rhs)
+        return self._factor.solve(rhs[self._rows])[self._perm]
 
     def check(self, x: np.ndarray, rhs: np.ndarray) -> None:
         """Raise ``NumericalError`` unless each row of ``x`` solves the system

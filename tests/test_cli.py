@@ -282,6 +282,26 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch):
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
+def test_1d_factor_failure_exit_code(tmp_path, monkeypatch, capsys):
+    import spdelab.mesh as mesh_module
+
+    assemble = mesh_module._assemble
+
+    def lopsided(mesh):  # T no longer exactly symmetric
+        mass, stiffness = assemble(mesh)
+        stiffness = stiffness.tolil()
+        stiffness[0, 1] *= 1.0 + 2.0**-50
+        return mass, stiffness.tocsr()
+
+    monkeypatch.setattr(mesh_module, "_assemble", lopsided)
+    cfg = write_config(
+        tmp_path,
+        {"dim": 1, "gamma": 0.5, "space_level": 2, "time_exp": 3, "master_seed": 1},
+    )
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "not exactly symmetric" in capsys.readouterr().err
+
+
 def test_console_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "spdelab.cli", "assemble-check", "--dim", "1",

@@ -1,9 +1,11 @@
 import collections
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
-from spdelab import convergence, fracpow, noise, stepper
+from spdelab import convergence, noise, stepper
 from spdelab.convergence import (
     ConvergenceReport,
     convergence_study,
@@ -20,7 +22,7 @@ from spdelab.exceptions import (
 )
 from spdelab.driver import eval_b_grid, sample_driver
 from spdelab.fracpow import apply_qgamma, make_spec
-from spdelab.mesh import assemble, build_mesh, restriction_matrix
+from spdelab.mesh import FemOperators, assemble, build_mesh, restriction_matrix
 from spdelab.noise import NoiseStream, aggregate_increment, restrict_increment
 from spdelab.rng import keyed_normal_rows
 from spdelab.stepper import SchemeConfig
@@ -208,13 +210,15 @@ class TestConvergenceStudy:
 
     def test_two_gammas_factor_each_shift_once_per_level(self, monkeypatch):
         # at k 0.5, gamma 0.25 and 0.75 have 107 quadrature nodes each and
-        # 55 in common: 159 pencil LUs per level, not 214
+        # 55 in common: 159 pencil factors per level, not 214, and one
+        # factor of the backward Euler stack of levels 4, 2 and 3
         convergence._cached_ops.cache_clear()
         sizes = []
-        splu = fracpow.splu
+        factor = FemOperators.factor
         monkeypatch.setattr(
-            fracpow, "splu",
-            lambda a, **options: sizes.append(a.shape[0]) or splu(a, **options),
+            FemOperators, "factor",
+            lambda self, a, **options: sizes.append(a.shape[0])
+            or factor(self, a, **options),
         )
         for gamma in (0.25, 0.75):
             base = SchemeConfig(
@@ -222,7 +226,7 @@ class TestConvergenceStudy:
                 master_seed=3, mode="final_time",
             )
             convergence_study(base, "space", [2, 3], 4, 1)
-        assert collections.Counter(sizes) == {5: 159, 9: 159, 17: 159}
+        assert collections.Counter(sizes) == {5: 159, 9: 159, 17: 159, 31: 1}
 
     def test_worker_pool_matches_serial(self):
         base = SchemeConfig(
@@ -401,6 +405,59 @@ def test_path_evaluates_the_driver_once(monkeypatch):
     path_errors(plan, 9)
     path_errors(plan, 10)
     assert calls == [plan.noise_steps] * 2
+
+
+def _final_states(plan, seed):
+    """(operators, colored final state) of the reference and of every coupled
+    run of one path, on operators assembled afresh."""
+    ref = plan.ref
+    levels = {ref.space_level, *(lv for lv, _s, _r, _l in plan.coarse)}
+    ops = {lv: assemble(build_mesh(ref.dim, lv)) for lv in levels}
+    fine = ops[ref.space_level]
+    restrict = {
+        lv: restriction_matrix(o.mesh, fine.mesh)
+        for lv, o in ops.items()
+        if lv != ref.space_level
+    }
+    coupled = tuple(
+        (replace(ref, space_level=lv, time_steps=steps), ops[lv], restrict.get(lv))
+        for lv, steps, _res, _label in plan.coarse
+    )
+    stream = NoiseStream(
+        seed=seed, fine_level=ref.space_level, fine_steps=plan.noise_steps
+    )
+    drv = sample_driver(seed, ref.n_modes)
+    state = stepper.evolve_fast(ref, stream, drv, ops=fine, coupled=coupled)
+    runs = zip((o for _c, o, _a in coupled), state.coupled)
+    return [(fine, state.alpha), *runs]
+
+
+# axis -> (coarse levels, reference level) of a level-9 path of 2^12 fine steps
+SUPERLU_PATHS = {"space": ([2, 3, 4, 5, 6], 9), "time": ([4, 5, 6, 7, 8, 9], 12)}
+
+
+@pytest.mark.parametrize("axis", sorted(SUPERLU_PATHS))
+def test_1d_paths_match_a_superlu_reference(monkeypatch, axis):
+    # every 1-d system factored by SuperLU instead of as an LDLᵀ: both are
+    # backward stable, so the final states of the reference and of every
+    # coupled run agree to cond(M + dt T) eps sqrt(steps), far inside 1e-10
+    coarse, ref_level = SUPERLU_PATHS[axis]
+    for gamma in (0.25, 0.75):
+        base = SchemeConfig(
+            dim=1, gamma=gamma, space_level=9, time_steps=2**12,
+            master_seed=5, mode="final_time",
+        )
+        plan = plan_study(base, axis, coarse, ref_level)
+        with monkeypatch.context() as m:
+            m.setattr(
+                FemOperators, "factor",
+                lambda self, a, **options: splu(a.tocsc(), **options),
+            )
+            want = _final_states(plan, 5)
+        got = _final_states(plan, 5)
+        assert len(got) == len(coarse) + 1
+        for (ops, x), (_ops, y) in zip(got, want):
+            assert ops.m_norm(x - y) <= 1e-10 * ops.m_norm(y)
 
 
 def test_study_needs_a_path():

@@ -8,7 +8,7 @@ from spdelab import fracpow, stepper
 from spdelab.driver import sample_driver
 from spdelab.exceptions import CapacityError, DomainError
 from spdelab.fracpow import apply_qgamma, make_spec, scalar_qgamma
-from spdelab.mesh import assemble, build_mesh
+from spdelab.mesh import FemOperators, assemble, build_mesh
 from spdelab.noise import NoiseStream
 
 
@@ -111,13 +111,16 @@ class TestScalarQgamma:
 class TestApplyQgamma:
     def test_scalar_surrogate(self):
         # 1x1 pencil M = 1, K = a reduces to the scalar quadrature
+        import types
+
         import scipy.sparse as sp
 
         class TinyOps:
             mass = sp.csr_matrix(np.array([[1.0]]))
             a2_matrix = sp.csr_matrix(np.array([[2.0]]))
             n_dof = 1
-            lu_options = {}
+            mesh = types.SimpleNamespace(dim=1)
+            factor = FemOperators.factor
 
             def cached(self, key, build):
                 return build()
@@ -197,8 +200,8 @@ def whole_block_oracle(spec, ops, g):
     """The quadrature of ``g`` with one solve per node of the whole block."""
     solver = fracpow._PencilSolver(ops, spec)
     out = np.zeros_like(g)
-    for scale, lu in zip(solver._scales, solver._lus):
-        out += scale * lu.solve(g)
+    for scale, factor in zip(solver._scales, solver._factors):
+        out += scale * factor.solve(g)
     return out
 
 
@@ -252,7 +255,7 @@ def test_2d_factors_take_the_symmetric_order():
     # factor at 2-d level 6; the symmetric minimum-degree order keeps
     # 203,460 and pivots on the diagonal
     ops = assemble(build_mesh(2, 6))
-    lus = [fracpow._shift_lu(ops, 0.5), ops.system(2.0**-12)._lu]
+    lus = [fracpow._shift_factor(ops, 0.5), ops.system(2.0**-12)._factor]
     for lu in lus:
         assert lu.nnz <= 210_000
         np.testing.assert_array_equal(lu.perm_r, lu.perm_c)
@@ -260,7 +263,7 @@ def test_2d_factors_take_the_symmetric_order():
 
 def test_pencil_memory_guard(monkeypatch):
     # 1,995 nodes x about 203k entries of L + U at 2-d level 6
-    built = counted_splu(monkeypatch)
+    built = counted_factors(monkeypatch)
     ops = assemble(build_mesh(2, 6))
     with pytest.raises(CapacityError):
         apply_qgamma(make_spec(0.01, 0.5), ops, np.ones(ops.n_dof))
@@ -268,16 +271,16 @@ def test_pencil_memory_guard(monkeypatch):
     apply_qgamma(make_spec(0.5, 0.5), ops, np.ones(ops.n_dof))  # 81 nodes fit
 
 
-def counted_splu(monkeypatch):
-    """Record the shape of every matrix ``fracpow`` factors from now on."""
+def counted_factors(monkeypatch):
+    """Record the shape of every matrix factored from now on."""
     built = []
-    splu = fracpow.splu
+    factor = FemOperators.factor
 
-    def counting_splu(a, **options):
+    def counting_factor(self, a, **options):
         built.append(a.shape)
-        return splu(a, **options)
+        return factor(self, a, **options)
 
-    monkeypatch.setattr(fracpow, "splu", counting_splu)
+    monkeypatch.setattr(FemOperators, "factor", counting_factor)
     return built
 
 
@@ -291,7 +294,7 @@ class TestSharedShifts:
     # at k 0.5, gamma 0.25 has nodes j in [-27, 79] and gamma 0.75 has
     # j in [-79, 27]: 107 each, 55 in common
     def test_common_shifts_are_factored_once(self, monkeypatch):
-        built = counted_splu(monkeypatch)
+        built = counted_factors(monkeypatch)
         ops = assemble(build_mesh(1, 4))
         first, second = make_spec(0.25, 0.5), make_spec(0.75, 0.5)
         apply_qgamma(first, ops, np.ones(ops.n_dof))
@@ -304,8 +307,8 @@ class TestSharedShifts:
         ]
         # node j sits at index j + 27 of the first spec and j + 79 of the second
         for j in range(-27, 28):
-            assert solvers[0]._lus[j + 27] is solvers[1]._lus[j + 79]
-        assert len({id(lu) for solver in solvers for lu in solver._lus}) == 159
+            assert solvers[0]._factors[j + 27] is solvers[1]._factors[j + 79]
+        assert len({id(f) for solver in solvers for f in solver._factors}) == 159
 
     @pytest.mark.parametrize(
         "dim,gammas,cols",

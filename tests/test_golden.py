@@ -110,7 +110,8 @@ def test_path_matches_golden(golden, name):
 
 
 def _study_bytes(blas_threads: int) -> str:
-    """The 1-d study errors, run in a fresh interpreter, as hex bytes."""
+    """The 1-d study errors and the per-step path, run in a fresh
+    interpreter, as hex bytes."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {
         **os.environ,
@@ -119,10 +120,12 @@ def _study_bytes(blas_threads: int) -> str:
     }
     code = (
         "import runpy, numpy as np\n"
-        f"study_errors = runpy.run_path({str(Path(__file__))!r})['study_errors']\n"
+        f"golden = runpy.run_path({str(Path(__file__))!r})\n"
         "for name in ('space1d', 'time1d'):\n"
-        "    errs = study_errors(name)\n"
+        "    errs = golden['study_errors'](name)\n"
         "    print(name, np.array([errs[g] for g in sorted(errs)]).tobytes().hex())\n"
+        "out = golden['path_outputs']('per_step')\n"
+        "print('per_step', np.array([out['alpha'], *out['snapshots']]).tobytes().hex())\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
@@ -131,11 +134,14 @@ def _study_bytes(blas_threads: int) -> str:
 
 
 def test_1d_studies_do_not_depend_on_blas_threads():
-    # the two-gamma space and time studies give the same bytes on 1 and 2
-    # BLAS threads; BDG batches are left out, because their quad_var is one
-    # dgemv whose rounding depends on the thread count
+    # the two-gamma space and time studies and the per-step path, which
+    # colors every step through the LAPACK pencil solves, give the same
+    # bytes on 1 and 2 BLAS threads; BDG batches are left out, because their
+    # quad_var is one dgemv whose rounding depends on the thread count
     one = _study_bytes(1)
-    assert one.splitlines()[1].startswith("time1d ")
+    assert [line.split()[0] for line in one.splitlines()] == [
+        "space1d", "time1d", "per_step"
+    ]
     assert one == _study_bytes(2)
 
 

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from spdelab.checks import assembly_checks, expected_1d_matrices, expected_2d_matrices
 from spdelab.exceptions import (
@@ -11,6 +10,8 @@ from spdelab.exceptions import (
     NumericalError,
 )
 from spdelab.mesh import (
+    FemOperators,
+    TridiagonalLDL,
     assemble,
     build_mesh,
     mass_factor,
@@ -176,16 +177,7 @@ class TestAssemble:
         assert len(built) == 2
 
     def test_system_solve_factors_once_per_dt(self, monkeypatch):
-        import spdelab.mesh as mesh_module
-
-        factored = []
-        real_splu = mesh_module.splu
-
-        def counting_splu(a, **options):
-            factored.append(a.shape)
-            return real_splu(a, **options)
-
-        monkeypatch.setattr(mesh_module, "splu", counting_splu)
+        factored = counted_factors(monkeypatch)
         ops = assemble(build_mesh(1, 3))
         rhs = np.cos(np.arange(ops.n_dof, dtype=float))
         x1 = ops.system_solve(0.25, rhs)
@@ -224,6 +216,54 @@ class TestAssemble:
         x[2, ops.n_dof :] *= 1.0 + 1e-6
         with pytest.raises(NumericalError, match=f"n={coarse.n_dof},"):
             system.check(x, rhs)
+
+
+class TestTridiagonalLDL:
+    def test_not_tridiagonal_rejected(self):
+        a = sp.diags([[1.0] * 3, [4.0] * 4, [1.0] * 3], [-1, 0, 1]).tolil()
+        a[3, 0] = a[0, 3] = 0.5
+        with pytest.raises(FactorizationError, match="not tridiagonal"):
+            TridiagonalLDL(a)
+
+    def test_not_exactly_symmetric_rejected(self):
+        a = sp.diags([[1.0, 1.0 + 2.0**-52], [4.0] * 3, [1.0, 1.0]], [-1, 0, 1])
+        with pytest.raises(FactorizationError, match="not exactly symmetric"):
+            TridiagonalLDL(a)
+
+    def test_not_positive_definite_rejected(self):
+        # leading minors 1 and 1 - 4 < 0: dpttrf stops at pivot 2
+        a = sp.diags([[2.0, 0.5], [1.0, 1.0, 4.0], [2.0, 0.5]], [-1, 0, 1])
+        with pytest.raises(FactorizationError, match="pivot 2 of 3"):
+            TridiagonalLDL(a)
+
+    def test_stored_zeros_off_the_band_are_ignored(self):
+        a = sp.csr_matrix(([2.0, 3.0, 4.0, 0.0], ([0, 1, 2, 0], [0, 1, 2, 2])))
+        assert a.nnz == 4
+        x = TridiagonalLDL(a).solve(np.ones(3))
+        np.testing.assert_array_equal(x, [1 / 2, 1 / 3, 1 / 4])
+
+    def test_one_row(self):
+        factor = TridiagonalLDL(sp.csr_matrix([[2.0]]))
+        assert factor.nnz == 1
+        np.testing.assert_array_equal(factor.solve(np.array([3.0])), [1.5])
+
+    def test_level_systems_are_exactly_symmetric(self):
+        for level in range(2, 10):
+            ops = assemble(build_mesh(1, level))
+            for a in (ops.mass, ops.a2_matrix, ops.mass + 2.0**-14 * ops.stiffness):
+                np.testing.assert_array_equal(a.diagonal(1), a.diagonal(-1))
+            assert ops.factor(ops.mass).nnz == 2 * ops.n_dof - 1
+
+    @pytest.mark.parametrize("cols", [2, 5, 12, 20])
+    def test_block_solves_equal_column_solves(self, cols):
+        # dpttrs solves each column on its own, in C, F or strided layout
+        ops = assemble(build_mesh(1, 9))
+        factor = ops.factor(ops.mass + 0.5 * ops.a2_matrix)
+        g = np.random.default_rng(cols).standard_normal((ops.n_dof, 2 * cols))
+        for block in (g[:, :cols].copy(), np.asfortranarray(g[:, :cols]), g[:, ::2]):
+            x = factor.solve(block)
+            for j in range(cols):
+                np.testing.assert_array_equal(x[:, j], factor.solve(block[:, j]))
 
 
 class TestMassFactor:
@@ -332,11 +372,12 @@ STACKS = [
 
 @pytest.mark.parametrize("dim,fine,coarse,dt", STACKS)
 def test_stacked_solves_match_each_level(dim, fine, coarse, dt):
-    # guards the pre-permuted natural-order factorization (a plain splu of
-    # the block diagonal rounds differently in 1-d) and the orders read off
-    # incomplete LUs, which must be those of each level's own LU; in 2-d a
-    # plain splu with the symmetric order rounds differently from the
-    # pre-permuted one, so each slice is held to its level's own system
+    # in 1-d the LDLᵀ of the stack decouples at the zero coupling between
+    # its blocks, so each slice is held to the solve of its level's own
+    # factor; in 2-d this guards the pre-permuted natural-order
+    # factorization and the orders read off incomplete LUs, which must be
+    # those of each level's own LU (a plain splu with the symmetric order
+    # rounds differently), so each slice is held to its level's own system
     levels = [assemble(build_mesh(dim, lv)) for lv in (fine, *coarse)]
     system = levels[0].system(dt, tuple(levels[1:]))
     offsets = system.offsets
@@ -345,7 +386,7 @@ def test_stacked_solves_match_each_level(dim, fine, coarse, dt):
     for a, s0, s1 in zip(own, offsets, offsets[1:]):
         assert (system.matrix[s0:s1, s0:s1] != a).nnz == 0
     solves = [
-        splu(a).solve if dim == 1 else o.system(dt).solve
+        o.factor(a).solve if dim == 1 else o.system(dt).solve
         for a, o in zip(own, levels)
     ]
     rng = np.random.default_rng(11)
@@ -360,36 +401,51 @@ def test_stacked_solves_match_each_level(dim, fine, coarse, dt):
             )
 
 
-def test_system_built_once_per_dt_and_levels(monkeypatch):
+def counted_factors(monkeypatch):
+    """Record (kind, size) of every factor and incomplete LU from now on."""
     import spdelab.mesh as mesh_module
 
-    factored = []  # (kind, size) of every factorization
+    factored = []
 
     def counting(kind, real):
-        def factor(a, **options):
-            factored.append((kind, a.shape[0]))
-            return real(a, **options)
+        def factor(*args, **options):  # (self, a) for the method, (a,) for spilu
+            factored.append((kind, args[-1].shape[0]))
+            return real(*args, **options)
 
         return factor
 
-    monkeypatch.setattr(mesh_module, "splu", counting("lu", mesh_module.splu))
+    monkeypatch.setattr(FemOperators, "factor", counting("factor", FemOperators.factor))
     monkeypatch.setattr(mesh_module, "spilu", counting("ilu", mesh_module.spilu))
+    return factored
+
+
+def test_system_built_once_per_dt_and_levels(monkeypatch):
+    factored = counted_factors(monkeypatch)
     ops, c2, c3 = (assemble(build_mesh(1, lv)) for lv in (4, 2, 3))
     first = ops.system(0.25, (c2, c3))
-    # one LU of the stack; each level's column order is read off an
-    # incomplete LU, and no level keeps an LU of its own
-    assert sorted(factored) == [("ilu", 5), ("ilu", 9), ("ilu", 17), ("lu", 31)]
+    # one factor of the tridiagonal stack, no level keeps one of its own,
+    # and no order is read off an incomplete LU
+    assert factored == [("factor", 31)]
     assert ops.system(0.25, (c2, c3)) is first
-    assert len(factored) == 4
+    assert len(factored) == 1
     ops.system(0.5, (c2, c3))
     ops.system(0.25, (c3, c2))
     ops.system(0.25, (c2,))
-    assert len(factored) == 4 + 4 + 4 + 3
+    assert factored[1:] == [("factor", 31), ("factor", 31), ("factor", 22)]
     # one level is a stack of one, cached under the same key shape, and
     # system_solve uses it
     alone = ops.system(0.25)
-    assert factored[-2:] == [("ilu", 17), ("lu", 17)]
+    assert factored[-1] == ("factor", 17)
     assert ops.system(0.25, ()) is alone
     rhs = np.arange(ops.n_dof, dtype=float)
     np.testing.assert_array_equal(ops.system_solve(0.25, rhs), alone.solve(rhs))
-    assert len(factored) == 4 + 4 + 4 + 3 + 2
+    assert len(factored) == 5
+
+
+def test_2d_stack_orders_come_from_each_level(monkeypatch):
+    factored = counted_factors(monkeypatch)
+    ops, c1 = (assemble(build_mesh(2, lv)) for lv in (3, 1))
+    ops.system(0.25, (c1,))
+    # each level's column order is read off an incomplete LU, then the
+    # pre-permuted stack is factored once
+    assert factored == [("ilu", 81), ("ilu", 9), ("factor", 90)]
