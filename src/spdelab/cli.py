@@ -10,9 +10,10 @@ simulate         one path of the scheme, final state dumped as text
 
 Configuration is a JSON document checked against the command's table in
 ``SCHEMAS`` (see README), which rejects unknown keys; flags override file
-values.  Exit codes: 0 success, 1 validation failure, 2 numerical
-failure, 3 statistical alarm.  Runs are reproducible from their manifest:
-the same config and master seed yield byte-identical CSV payloads.
+values.  ``run_command`` runs every config command of ``COMMANDS`` and
+writes its manifest.  Exit codes: 0 success, 1 validation failure, 2
+numerical failure, 3 statistical alarm.  Runs are reproducible from their
+manifest: the same config and master seed yield byte-identical CSV payloads.
 """
 
 from __future__ import annotations
@@ -21,13 +22,16 @@ import argparse
 import csv
 import json
 import math
+import platform
+import resource
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
-from . import l0
+from . import __version__, l0
 from .checks import assembly_checks
 from .convergence import convergence_study
 from .driver import sample_driver
@@ -50,6 +54,12 @@ STREAM_TAGS = {
     "driver": f"{DRIVER_TAG:#x}",
     "analysis_wiener": f"{L0_WIENER_TAG:#x}",
     "analysis_mark": f"{L0_MARK_TAG:#x}",
+}
+VERSIONS = {
+    "spdelab": __version__,
+    "numpy": np.__version__,
+    "scipy": scipy.__version__,
+    "python": platform.python_version(),
 }
 
 EXIT_OK = 0
@@ -139,7 +149,7 @@ SCHEMAS = {
         "k": (NUMBER, 0.5),
         "n_modes": (N_MODES, 1000),
         "mode": (STR, "per_step"),
-        "snapshot_level": (INT, None),
+        "snapshot_level": (TIME_EXP, None),
         "out_dir": (STR, None),
     },
 }
@@ -204,11 +214,6 @@ def _run_path(config: SchemeConfig, seed: int, **kw):
     return MODES[config.mode](config, stream, driver, **kw)
 
 
-def _out_dir(cfg: dict) -> Path:
-    # created by the first write (_create), so a rejected run leaves nothing
-    return Path(cfg.get("out_dir", "."))
-
-
 def _create(path: Path) -> Path:
     """``path``, after creating the directory it goes in."""
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -220,14 +225,6 @@ def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def _write_manifest(path: Path, command: str, cfg: dict, extra: dict) -> None:
-    doc = {"command": command, "config": cfg, "stream_tags": STREAM_TAGS}
-    doc.update(extra)
-    with open(_create(path), "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, default=str)
-        fh.write("\n")
 
 
 def _gnuplot_script(series: list, guides: list, xlabel: str) -> str:
@@ -269,27 +266,18 @@ def cmd_assemble_check(args) -> int:
     return EXIT_VALIDATION if failed else EXIT_OK
 
 
-def _convergence_config(args) -> dict:
-    cfg = _load_config(args)
-    if "gammas" not in cfg:
-        if "gamma" not in cfg:
-            raise DomainError("config needs 'gamma' (a number) or 'gammas'")
+def check_convergence(cfg: dict) -> None:
+    if ("gamma" in cfg) == ("gammas" in cfg):
+        raise DomainError("config needs one of 'gamma' (a number) and 'gammas'")
+    if "gamma" in cfg:
         cfg["gammas"] = [cfg["gamma"]]
     need = "time_exp" if cfg["axis"] == "space" else "space_level"
     if need not in cfg:
         raise DomainError(f"axis {cfg['axis']!r} needs config key {need!r}")
-    return cfg
 
 
-def cmd_convergence(args) -> int:
-    cfg = _convergence_config(args)
-    if args.dry_run:
-        print(json.dumps(cfg, indent=2))
-        return EXIT_OK
-    out = _out_dir(cfg)
+def cmd_convergence(cfg: dict, out: Path) -> tuple[int, dict]:
     axis = cfg["axis"]
-    t0 = time.perf_counter()
-
     # the reference resolution on the study's axis (plan_study sets it too)
     if axis == "space":
         ref = {"space_level": cfg["ref_level"]}
@@ -348,37 +336,27 @@ def cmd_convergence(args) -> int:
         (out / "convergence.gp").write_text(_gnuplot_script(series, guides, xlabel))
         outputs += ["convergence.svg", "convergence.gp"]
 
-    _write_manifest(
-        out / "manifest.json",
-        "convergence",
-        cfg,
-        {
-            "seeds": list(reports[0].seeds) if reports else [],
-            "wall_time_s": time.perf_counter() - t0,
-            "outputs": outputs,
-        },
-    )
     for rep in reports:
         fitted = "n/a" if rep.fitted_rate is None else f"{rep.fitted_rate:.3f}"
         print(
             f"{axis} d={rep.dim} gamma={rep.gamma:g}: fitted rate {fitted}, "
             f"theoretical {rep.theoretical_rate:g}"
         )
-    return EXIT_OK
+    return EXIT_OK, {"seeds": list(reports[0].seeds), "outputs": outputs}
 
 
-def cmd_verify(args) -> int:
-    cfg = _load_config(args)
+def check_verify(cfg: dict) -> None:
     if not all(p > 0 for p in cfg["p_values"]):
         raise DomainError(f"p_values must be positive, got {cfg['p_values']}")
-    out = _out_dir(cfg)
+    # the largest first batches: the BDG families, and block sums of >= 64 steps
+    mc_paths = max(cfg["n_paths"], l0.MIN_PATHS)
+    l0.check_draws(mc_paths, max(cfg["steps"], 64), cfg["dim_q"])
+
+
+def cmd_verify(cfg: dict, out: Path) -> tuple[int, dict]:
     seed = cfg["master_seed"]
     n_paths = cfg["n_paths"]
     mc_paths = max(n_paths, l0.MIN_PATHS)
-    # the largest first batches: the BDG families, and block sums of >= 64 steps
-    l0.check_draws(mc_paths, max(cfg["steps"], 64), cfg["dim_q"])
-    t0 = time.perf_counter()
-
     enforce = n_paths >= l0.MIN_PATHS
     if not enforce:
         print(
@@ -459,25 +437,19 @@ def cmd_verify(args) -> int:
     with open(out / "alarms.log", "w", encoding="utf-8") as fh:
         for line in alarms:
             fh.write(line + "\n")
-    _write_manifest(
-        out / "verify_manifest.json",
-        "verify",
-        cfg,
-        {"wall_time_s": time.perf_counter() - t0, "failures": failures, "alarms": alarms},
-    )
 
+    facts = {"failures": failures, "alarms": alarms}
     if alarms:
-        return EXIT_ALARM
+        return EXIT_ALARM, facts
     if enforce and failures:
         for f in failures:
             print(f"FAIL: {f}")
-        return EXIT_VALIDATION
+        return EXIT_VALIDATION, facts
     print("verify: all checks passed" if enforce else "verify: completed (informational)")
-    return EXIT_OK
+    return EXIT_OK, facts
 
 
-def cmd_holder(args) -> int:
-    cfg = _load_config(args)
+def check_holder(cfg: dict) -> None:
     if cfg["time_exp"] < cfg["m_max"]:
         raise DomainError("time_exp must be >= m_max to snapshot dyadic times")
     for lo, hi in (("m_min", "m_max"), ("bm_m_min", "bm_m_max")):
@@ -486,8 +458,9 @@ def cmd_holder(args) -> int:
                 f"{lo} must lie in [0, {hi} - 3] to span 4 dyadic levels, "
                 f"got {lo} {cfg[lo]} and {hi} {cfg[hi]}"
             )
-    out = _out_dir(cfg)
-    t0 = time.perf_counter()
+
+
+def cmd_holder(cfg: dict, out: Path) -> tuple[int, dict]:
     config = _scheme(cfg, mode="final_time")
     ops = assemble(build_mesh(config.dim, config.space_level))
     rows: list[tuple] = []
@@ -503,23 +476,14 @@ def cmd_holder(args) -> int:
         rows.append(("brownian", seed, est_bm.exponent))
         bm_exps.append(est_bm.exponent)
     _write_csv(out / "holder.csv", ["kind", "seed", "exponent"], rows)
-    _write_manifest(
-        out / "holder_manifest.json",
-        "holder",
-        cfg,
-        {"wall_time_s": time.perf_counter() - t0},
-    )
     print(
         f"holder: spde mean {np.mean(spde_exps):.3f}, "
         f"brownian mean {np.mean(bm_exps):.3f} over {cfg['n_seeds']} seeds"
     )
-    return EXIT_OK
+    return EXIT_OK, {}
 
 
-def cmd_simulate(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(cfg)
-    t0 = time.perf_counter()
+def cmd_simulate(cfg: dict, out: Path) -> tuple[int, dict]:
     state = _run_path(
         _scheme(cfg), cfg["master_seed"], snapshot_level=cfg.get("snapshot_level")
     )
@@ -535,14 +499,45 @@ def cmd_simulate(args) -> int:
                 for value in snap:
                     fh.write(f"{value:.17g}\n")
         outputs.append("snapshots.txt")
-    _write_manifest(
-        out / "simulate_manifest.json",
-        "simulate",
-        cfg,
-        {"wall_time_s": time.perf_counter() - t0, "outputs": outputs},
-    )
     print(f"simulate: wrote {len(state.alpha)} nodal values")
-    return EXIT_OK
+    return EXIT_OK, {"outputs": outputs}
+
+
+# command -> (check of the loaded config, run writing the payload into the
+# output directory and returning (exit code, manifest facts), manifest name)
+COMMANDS = {
+    "convergence": (check_convergence, cmd_convergence, "manifest.json"),
+    "verify": (check_verify, cmd_verify, "verify_manifest.json"),
+    "holder": (check_holder, cmd_holder, "holder_manifest.json"),
+    "simulate": (lambda cfg: None, cmd_simulate, "simulate_manifest.json"),
+}
+
+
+def run_command(args) -> int:
+    """Load and check the config of a ``COMMANDS`` entry, run it, write its manifest."""
+    check, run, manifest = COMMANDS[args.command]
+    cfg = _load_config(args)
+    check(cfg)
+    if getattr(args, "dry_run", False):
+        print(json.dumps(cfg, indent=2))
+        return EXIT_OK
+    # created by the first write (_create), so a rejected run leaves nothing
+    out = Path(cfg.get("out_dir", "."))
+    t0 = time.perf_counter()
+    code, facts = run(cfg, out)
+    doc = {
+        "command": args.command,
+        "config": cfg,
+        "stream_tags": STREAM_TAGS,
+        **facts,
+        "wall_time_s": time.perf_counter() - t0,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "versions": VERSIONS,
+    }
+    with open(_create(out / manifest), "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, default=str)
+        fh.write("\n")
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -558,23 +553,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--inject-corruption", action="store_true")
     p_check.set_defaults(func=cmd_assemble_check)
 
-    for name, func, extra in (
-        ("convergence", cmd_convergence, True),
-        ("verify", cmd_verify, False),
-        ("holder", cmd_holder, False),
-        ("simulate", cmd_simulate, False),
-    ):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None)
-        p.add_argument("--seed", type=int, default=None, dest="seed")
+        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", type=str, default=None)
-        if extra:
+        if name == "convergence":
             p.add_argument("--workers", type=int, default=None)
             p.add_argument("--axis", type=str, choices=("space", "time"), default=None)
             p.add_argument("--dry-run", action="store_true")
         if name == "verify":
             p.add_argument("--paths", type=int, default=None)
-        p.set_defaults(func=func)
+        p.set_defaults(func=run_command)
     return parser
 
 

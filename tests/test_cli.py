@@ -1,4 +1,6 @@
+import argparse
 import json
+import platform
 import re
 import subprocess
 import sys
@@ -7,7 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
+import spdelab
 from spdelab import cli, l0
 from spdelab.cli import main
 from spdelab.driver import sample_driver
@@ -341,6 +345,9 @@ BAD_CONFIGS = {
     ),
     "string_n_modes": ("convergence", _with(SMALL_CONVERGENCE, n_modes="100")),
     "no_gamma": ("convergence", _with(SMALL_CONVERGENCE, gammas=_DROP)),
+    "gamma_and_gammas": (
+        "convergence", _with(SMALL_CONVERGENCE, gamma=0.5, gammas=[0.25])
+    ),
     "space_axis_without_time_exp": (
         "convergence", _with(SMALL_CONVERGENCE, time_exp=_DROP)
     ),
@@ -355,6 +362,7 @@ BAD_CONFIGS = {
     "zero_holder_n_seeds": ("holder", {"n_seeds": 0}),
     "string_snapshot_level": ("simulate", _with(SMALL_SIMULATE, snapshot_level="2")),
     "negative_snapshot_level": ("simulate", _with(SMALL_SIMULATE, snapshot_level=-1)),
+    "snapshot_level_above_20": ("simulate", _with(SMALL_SIMULATE, snapshot_level=21)),
     "empty_gammas": ("convergence", _with(SMALL_CONVERGENCE, gammas=[])),
     "empty_p_values": ("verify", {"p_values": []}),
     "bool_simulate_gamma": ("simulate", _with(SMALL_SIMULATE, gamma=False)),
@@ -381,6 +389,13 @@ BAD_CONFIGS = {
     "missing_file": ("simulate", None),
 }
 
+# the validation message of a case, where the exit code alone does not show
+# which check rejected it
+BAD_CONFIG_MESSAGES = {
+    "gamma_and_gammas": "needs one of 'gamma' (a number) and 'gammas'",
+    "snapshot_level_above_20": "'snapshot_level' must be an integer in [0, 20]",
+}
+
 
 @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
 def test_bad_config_is_validation_error(case, tmp_path, capsys):
@@ -393,6 +408,7 @@ def test_bad_config_is_validation_error(case, tmp_path, capsys):
     assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("validation error: ")
+    assert BAD_CONFIG_MESSAGES.get(case, "") in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
@@ -482,6 +498,42 @@ def test_fully_saturated_study_writes_no_plot(tmp_path):
     assert sorted(p.name for p in out.iterdir()) == [
         "errors.csv", "manifest.json", "summary.csv",
     ]
+
+
+def test_command_tables_agree():
+    assert set(cli.COMMANDS) == set(cli.SCHEMAS)
+    (commands,) = [action for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    assert set(commands.choices) == {*cli.COMMANDS, "assemble-check"}
+
+
+# a smoke-size config per config command
+SMOKE_CONFIGS = {
+    "convergence": SMALL_CONVERGENCE,
+    "verify": {"n_paths": 10, "steps": 4},
+    "holder": {"space_level": 2, "time_exp": 4, "m_max": 4, "m_min": 1,
+               "bm_m_max": 4, "bm_m_min": 1, "n_seeds": 1, "n_modes": 10},
+    "simulate": SMALL_SIMULATE,
+}
+
+
+@pytest.mark.parametrize("command", sorted(SMOKE_CONFIGS))
+def test_manifest_records_the_run_facts(command, tmp_path):
+    cfg = write_config(tmp_path, SMOKE_CONFIGS[command])
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    manifest = json.loads((out / cli.COMMANDS[command][2]).read_text())
+    assert manifest["command"] == command
+    assert SMOKE_CONFIGS[command].items() <= manifest["config"].items()
+    assert manifest["stream_tags"] == cli.STREAM_TAGS
+    assert manifest["wall_time_s"] > 0
+    assert manifest["versions"] == {
+        "spdelab": spdelab.__version__,
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "python": platform.python_version(),
+    }
+    assert 1 < manifest["peak_rss_mb"] < 4096
 
 
 def test_readme_names_every_config_key():
