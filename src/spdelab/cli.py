@@ -267,10 +267,11 @@ def cmd_assemble_check(args) -> int:
 
 
 def check_convergence(cfg: dict) -> None:
-    if ("gamma" in cfg) == ("gammas" in cfg):
-        raise DomainError("config needs one of 'gamma' (a number) and 'gammas'")
-    if "gamma" in cfg:
-        cfg["gammas"] = [cfg["gamma"]]
+    if "gamma" not in cfg and "gammas" not in cfg:
+        raise DomainError("config needs 'gamma' (a number) or 'gammas'")
+    # a manifest's config records both, as [gamma] == gammas
+    if "gamma" in cfg and cfg.setdefault("gammas", [cfg["gamma"]]) != [cfg["gamma"]]:
+        raise DomainError("config 'gamma' and 'gammas' disagree; give one of them")
     need = "time_exp" if cfg["axis"] == "space" else "space_level"
     if need not in cfg:
         raise DomainError(f"axis {cfg['axis']!r} needs config key {need!r}")
@@ -348,15 +349,14 @@ def cmd_convergence(cfg: dict, out: Path) -> tuple[int, dict]:
 def check_verify(cfg: dict) -> None:
     if not all(p > 0 for p in cfg["p_values"]):
         raise DomainError(f"p_values must be positive, got {cfg['p_values']}")
-    # the largest first batches: the BDG families, and block sums of >= 64 steps
-    mc_paths = max(cfg["n_paths"], l0.MIN_PATHS)
-    l0.check_draws(mc_paths, max(cfg["steps"], 64), cfg["dim_q"])
 
 
 def cmd_verify(cfg: dict, out: Path) -> tuple[int, dict]:
     seed = cfg["master_seed"]
     n_paths = cfg["n_paths"]
     mc_paths = max(n_paths, l0.MIN_PATHS)
+    # the largest first batches: the BDG families, and block sums of >= 64 steps
+    l0.check_draws(mc_paths, max(cfg["steps"], 64), cfg["dim_q"])
     enforce = n_paths >= l0.MIN_PATHS
     if not enforce:
         print(

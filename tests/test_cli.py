@@ -1,4 +1,3 @@
-import argparse
 import json
 import platform
 import re
@@ -89,6 +88,15 @@ class TestConvergenceCommand:
         assert main(["convergence", "--config", cfg, "--dry-run"]) == 0
         echoed = json.loads(capsys.readouterr().out)
         assert echoed["coarse_levels"] == [2, 3, 4]
+
+    def test_dry_run_echo_of_gamma_replays(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, _with(SMALL_CONVERGENCE, gammas=_DROP, gamma=0.5))
+        assert main(["convergence", "--config", cfg, "--dry-run"]) == 0
+        echoed = json.loads(capsys.readouterr().out)
+        assert echoed["gamma"] == 0.5 and echoed["gammas"] == [0.5]
+        replay = write_config(tmp_path, echoed, name="replay.json")
+        assert main(["convergence", "--config", replay, "--dry-run"]) == 0
+        assert json.loads(capsys.readouterr().out) == echoed
 
     def test_missing_key_is_validation_error(self, tmp_path, capsys):
         doc = dict(SMALL_CONVERGENCE)
@@ -392,7 +400,7 @@ BAD_CONFIGS = {
 # the validation message of a case, where the exit code alone does not show
 # which check rejected it
 BAD_CONFIG_MESSAGES = {
-    "gamma_and_gammas": "needs one of 'gamma' (a number) and 'gammas'",
+    "gamma_and_gammas": "'gamma' and 'gammas' disagree",
     "snapshot_level_above_20": "'snapshot_level' must be an integer in [0, 20]",
 }
 
@@ -502,9 +510,11 @@ def test_fully_saturated_study_writes_no_plot(tmp_path):
 
 def test_command_tables_agree():
     assert set(cli.COMMANDS) == set(cli.SCHEMAS)
-    (commands,) = [action for action in cli.build_parser()._actions
-                   if isinstance(action, argparse._SubParsersAction)]
-    assert set(commands.choices) == {*cli.COMMANDS, "assemble-check"}
+    parser = cli.build_parser()
+    for name in [*cli.SCHEMAS, "assemble-check"]:
+        assert parser.parse_args([name]).command == name
+    with pytest.raises(SystemExit):
+        parser.parse_args(["no-such-command"])
 
 
 # a smoke-size config per config command
@@ -549,13 +559,16 @@ def test_readme_names_every_config_key():
 
 
 def test_manifest_config_round_trip(tmp_path):
-    cfg = write_config(tmp_path, SMALL_CONVERGENCE)
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert main(["convergence", "--config", cfg, "--out", str(out_a)]) == 0
-    manifest = json.loads((out_a / "manifest.json").read_text())
-    replay = write_config(tmp_path, manifest["config"], name="replay.json")
-    assert main(["convergence", "--config", replay, "--out", str(out_b)]) == 0
-    assert (out_a / "errors.csv").read_bytes() == (out_b / "errors.csv").read_bytes()
+    # the one-gamma form too, whose manifest records both gamma and gammas
+    one_gamma = _with(SMALL_CONVERGENCE, gammas=_DROP, gamma=0.5)
+    for i, doc in enumerate([SMALL_CONVERGENCE, one_gamma]):
+        cfg = write_config(tmp_path, doc)
+        out_a, out_b = tmp_path / f"a{i}", tmp_path / f"b{i}"
+        assert main(["convergence", "--config", cfg, "--out", str(out_a)]) == 0
+        manifest = json.loads((out_a / "manifest.json").read_text())
+        replay = write_config(tmp_path, manifest["config"], name="replay.json")
+        assert main(["convergence", "--config", replay, "--out", str(out_b)]) == 0
+        assert (out_a / "errors.csv").read_bytes() == (out_b / "errors.csv").read_bytes()
 
 
 def _values(path):
