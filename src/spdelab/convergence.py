@@ -119,26 +119,6 @@ class ConvergenceReport:
     n_paths: int
     seeds: tuple[int, ...]
 
-    def error_rows(self) -> list[tuple]:
-        """(axis, gamma, resolution, path_seed, error) per run, fit input order."""
-        rows = []
-        for lv in self.levels:
-            for seed, err in zip(self.seeds, lv.errors):
-                rows.append((self.axis, self.gamma, lv.resolution, seed, err))
-        return rows
-
-    def summary_row(self) -> tuple:
-        fitted = "" if self.fitted_rate is None else self.fitted_rate
-        return (
-            self.axis,
-            self.dim,
-            self.gamma,
-            fitted,
-            self.theoretical_rate,
-            self.n_paths,
-            len(self.levels),
-        )
-
 
 def plan_study(
     base: SchemeConfig,

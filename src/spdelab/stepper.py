@@ -43,7 +43,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import noise
-from .driver import ScalarDriver, eval_b_grid
+from .driver import DEFAULT_N_MODES, ScalarDriver, eval_b_grid
 from .exceptions import DomainError
 from .fracpow import apply_qgamma, make_spec
 from .mesh import FemOperators, assemble, build_mesh
@@ -68,7 +68,7 @@ class SchemeConfig:
     master_seed: int
     k: float = 0.5
     mode: str = "per_step"  # a key of MODES
-    n_modes: int = 1000
+    n_modes: int = DEFAULT_N_MODES
 
     def __post_init__(self):
         if self.dim not in (1, 2):

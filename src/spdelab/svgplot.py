@@ -140,8 +140,3 @@ def loglog_svg(
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"
-
-
-def write_svg(path: str, svg: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(svg)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import platform
 import re
@@ -130,6 +131,12 @@ class TestConvergenceCommand:
         lines = (out / "errors.csv").read_text().splitlines()
         assert lines[0] == "axis,gamma,resolution,path_seed,error"
         assert len(lines) == 1 + 3 * 2  # header + levels x paths
+        rows = [line.split(",") for line in lines[1:]]
+        assert rows[0][:2] == ["space", "0.5"]
+        # fit-input order: levels coarse to fine, path seeds within a level
+        assert [(float(r[2]), int(r[3])) for r in rows] == [
+            (h, seed) for h in (0.25, 0.125, 0.0625) for seed in (99, 100)
+        ]
         summary = (out / "summary.csv").read_text().splitlines()
         assert summary[0].startswith("axis,dim,gamma,fitted_rate,theoretical_rate")
 
@@ -185,6 +192,30 @@ class TestVerifyCommand:
         ) == 3
         assert "synthetic alarm" in (tmp_path / "alarms.log").read_text()
 
+    def test_isometry_band_scales_with_paths(self, tmp_path, capsys):
+        # seed 1 at 1000 paths has variance 0.9497: 5% off, well inside the
+        # 22.4% band of 5 standard deviations, sqrt(2 / 1000) each
+        args = ["verify", "--paths", "1000", "--out", str(tmp_path), "--seed", "1"]
+        assert main(args) == 0
+        assert "all checks passed" in capsys.readouterr().out
+
+    def test_isometry_band_catches_a_wrong_variance(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        integral = l0.ito_integral_elementary
+
+        def scaled(*args, **kwargs):
+            sample = integral(*args, **kwargs)
+            return dataclasses.replace(sample, values=1.5 * sample.values)
+
+        monkeypatch.setattr(l0, "ito_integral_elementary", scaled)
+        args = ["verify", "--paths", "1000", "--out", str(tmp_path), "--seed", "1"]
+        assert main(args) == 1
+        fails = [ln for ln in capsys.readouterr().out.splitlines() if "FAIL" in ln]
+        assert len(fails) == 1
+        assert re.fullmatch(
+            r"FAIL: isometry variance 2\.1\d+ off by more than 22\.4%", fails[0]
+        )
 
     def test_seeds_beyond_int64_draw_distinct_samples(self, tmp_path):
         # seeds 2^63 and 2^63 + 5 share no Philox key

@@ -201,13 +201,6 @@ class TestConvergenceStudy:
         b = convergence_study(base, "space", [2, 3], 5, 2)
         assert a == b
 
-    def test_error_rows_shape(self, small_space_report):
-        rows = small_space_report.error_rows()
-        assert len(rows) == 6
-        axis, gamma, resolution, seed, err = rows[0]
-        assert axis == "space" and gamma == 0.75
-        assert resolution == pytest.approx(0.25)
-
     def test_two_gammas_factor_each_shift_once_per_level(self, monkeypatch):
         # at k 0.5, gamma 0.25 and 0.75 have 107 quadrature nodes each and
         # 55 in common: 159 pencil factors per level, not 214, and one

@@ -1,4 +1,5 @@
-"""Golden outputs of small coupled studies and single paths, pinned at rtol 1e-12.
+"""Golden outputs of small coupled studies, single paths and their analysis,
+pinned at rtol 1e-12.
 
 A change that is meant to preserve realizations must keep this green.  A
 change that is meant to alter them regenerates the fixture once, and says
@@ -16,8 +17,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spdelab import l0
 from spdelab.convergence import convergence_study
 from spdelab.driver import sample_driver
+from spdelab.mesh import assemble, build_mesh
 from spdelab.noise import NoiseStream
 from spdelab.stepper import MODES, SchemeConfig
 
@@ -35,7 +38,12 @@ STUDIES = {
 # name -> (mode, gamma, space level, time exponent, snapshot level)
 PATHS = {
     "per_step": ("per_step", 0.5, 3, 5, 2),
+    "final_time": ("final_time", 0.75, 3, 8, 8),
 }
+
+# Monte Carlo paths and steps of the BDG ratios of analysis_outputs
+BDG_PATHS = 2000
+BDG_STEPS = 64
 
 
 def study_errors(name: str) -> dict:
@@ -76,10 +84,34 @@ def path_outputs(name: str) -> dict:
     return {"alpha": state.alpha.tolist(), "snapshots": snaps}
 
 
+def analysis_outputs() -> dict:
+    """The mass-norm Hölder exponent of the final-time path, the BDG ratio at
+    p = 2 of every integrand family and one sum over 4 blocks."""
+    level = PATHS["final_time"][2]
+    snapshots = np.array(path_outputs("final_time")["snapshots"])
+    norm = assemble(build_mesh(1, level)).m_norm
+    partition = np.linspace(0.0, 1.0, BDG_STEPS + 1)
+    blocks = l0.block_integrands("wiener_functional", 4, BDG_STEPS // 4)
+    return {
+        "holder_exponent": l0.holder_exponent(snapshots, 4, norm=norm).exponent,
+        "bdg_ratio": {
+            family: l0.bdg_ratio(
+                l0.ElementaryIntegrand(dim_q=1, partition=partition, family=family),
+                2.0,
+                BDG_PATHS,
+                MASTER_SEED,
+            )
+            for family in l0.FAMILIES
+        },
+        "bdg_sum_ratio": l0.bdg_sum_ratio(blocks, 2.0, BDG_PATHS, MASTER_SEED),
+    }
+
+
 def generate() -> dict:
     return {
         "studies": {name: study_errors(name) for name in STUDIES},
         "paths": {name: path_outputs(name) for name in PATHS},
+        "analysis": analysis_outputs(),
     }
 
 
@@ -106,6 +138,18 @@ def test_path_matches_golden(golden, name):
     if want["snapshots"] is not None:
         np.testing.assert_allclose(
             got["snapshots"], want["snapshots"], rtol=1e-12, atol=0.0
+        )
+
+
+def test_analysis_matches_golden(golden):
+    want = golden["analysis"]
+    got = analysis_outputs()
+    assert sorted(got["bdg_ratio"]) == sorted(want["bdg_ratio"]) == sorted(l0.FAMILIES)
+    for key in ("holder_exponent", "bdg_sum_ratio"):
+        np.testing.assert_allclose(got[key], want[key], rtol=1e-12, atol=0.0)
+    for family, ratio in want["bdg_ratio"].items():
+        np.testing.assert_allclose(
+            got["bdg_ratio"][family], ratio, rtol=1e-12, atol=0.0
         )
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from spdelab.svgplot import GuideLine, Series, loglog_svg, write_svg
+from spdelab.svgplot import GuideLine, Series, loglog_svg
 
 
 @pytest.fixture
@@ -39,9 +39,3 @@ def test_parses_as_xml(simple_svg):
 def test_empty_input_rejected():
     with pytest.raises(ValueError):
         loglog_svg([], [], "t", "x", "y")
-
-
-def test_write(tmp_path, simple_svg):
-    path = tmp_path / "plot.svg"
-    write_svg(str(path), simple_svg)
-    assert path.read_text() == simple_svg
