@@ -201,6 +201,18 @@ class TestConvergenceStudy:
         b = convergence_study(base, "space", [2, 3], 5, 2)
         assert a == b
 
+    def test_error_rows_shape(self, small_space_report):
+        rep = small_space_report
+        rows = [
+            (lv.resolution, seed, err)
+            for lv in rep.levels for seed, err in zip(rep.seeds, lv.errors)
+        ]
+        assert len(rows) == 6  # one per run: levels x paths
+        assert rep.axis == "space" and rep.gamma == 0.75
+        resolution, seed, err = rows[0]
+        assert resolution == pytest.approx(0.25)
+        assert seed == 424242
+
     def test_two_gammas_factor_each_shift_once_per_level(self, monkeypatch):
         # at k 0.5, gamma 0.25 and 0.75 have 107 quadrature nodes each and
         # 55 in common: 159 pencil factors per level, not 214, and one
