@@ -32,12 +32,7 @@ from .mesh import (
     mass_factor,
     restriction_matrix,
 )
-from .noise import (
-    NoiseStream,
-    aggregate_increment,
-    fine_increment,
-    restrict_increment,
-)
+from .noise import NoiseStream
 from .stepper import PathState, SchemeConfig, evolve, evolve_fast
 
 __version__ = "0.1.0"
@@ -52,7 +47,6 @@ __all__ = [
     "QuadratureSpec",
     "ScalarDriver",
     "SchemeConfig",
-    "aggregate_increment",
     "apply_qgamma",
     "assemble",
     "bdg_ratio",
@@ -62,14 +56,12 @@ __all__ = [
     "dp_metric",
     "evolve",
     "evolve_fast",
-    "fine_increment",
     "fit_rate",
     "holder_exponent",
     "ito_integral_elementary",
     "make_spec",
     "mass_factor",
     "relative_error",
-    "restrict_increment",
     "restriction_matrix",
     "sample_driver",
     "scalar_qgamma",

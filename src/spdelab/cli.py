@@ -9,11 +9,12 @@ holder           dyadic Hölder-exponent estimates for solution paths
 simulate         one path of the scheme, final state dumped as text
 
 Configuration is a JSON document checked against the command's table in
-``SCHEMAS`` (see README), which rejects unknown keys; flags override file
-values.  ``run_command`` runs every config command of ``COMMANDS`` and
-writes its manifest.  Exit codes: 0 success, 1 validation failure, 2
-numerical failure, 3 statistical alarm.  Runs are reproducible from their
-manifest: the same config and master seed yield byte-identical CSV payloads.
+``SCHEMAS`` (see README), which rejects unknown keys; a flag overrides the
+config key that is its argparse ``dest``.  ``run_command`` runs every config
+command of ``COMMANDS`` and writes its manifest.  Exit codes: 0 success, 1
+validation failure or malformed command line, 2 numerical failure, 3
+statistical alarm.  Runs are reproducible from their manifest: the same
+config and master seed yield byte-identical CSV payloads.
 """
 
 from __future__ import annotations
@@ -95,6 +96,9 @@ NUMBER = (_is_number, "a finite number")
 STR = (lambda val: isinstance(val, str), "a string")
 INTS = (_list_of(_is_int), "a non-empty list of integers")
 NUMBERS = (_list_of(_is_number), "a non-empty list of finite numbers")
+POSITIVES = (_list_of(lambda val: _is_number(val) and val > 0),
+             "a non-empty list of positive finite numbers")
+AXIS = (lambda val: val in ("space", "time"), '"space" or "time"')
 TIME_EXP = _int_in(0, MAX_TIME_EXP)  # a dyadic time grid of 2**val steps
 N_MODES = _int_in(1, MAX_MODES)
 
@@ -106,7 +110,7 @@ RUN_FIELDS = {f.name: f.default for f in dataclasses.fields(SchemeConfig)}
 SCHEMAS = {
     "convergence": {
         "dim": (INT, REQUIRED),
-        "axis": (STR, REQUIRED),
+        "axis": (AXIS, REQUIRED),
         "gamma": (NUMBER, None),  # one of gamma / gammas is required
         "gammas": (NUMBERS, None),
         "coarse_levels": (INTS, REQUIRED),
@@ -119,15 +123,13 @@ SCHEMAS = {
         "k": (NUMBER, RUN_FIELDS["k"]),
         "n_modes": (N_MODES, RUN_FIELDS["n_modes"]),
         "n_workers": (COUNT, 1),
-        "out_dir": (STR, None),
     },
     "verify": {
         "n_paths": (COUNT, 100_000),
         "master_seed": (INT, 1),
-        "p_values": (NUMBERS, (1.0, 2.0, 4.0)),
+        "p_values": (POSITIVES, (1.0, 2.0, 4.0)),
         "steps": (COUNT, 64),
         "dim_q": (COUNT, 1),
-        "out_dir": (STR, None),
     },
     "holder": {
         "dim": (INT, 1),
@@ -142,7 +144,6 @@ SCHEMAS = {
         "n_seeds": (COUNT, 20),
         "n_modes": (N_MODES, RUN_FIELDS["n_modes"]),
         "master_seed": (INT, 3),
-        "out_dir": (STR, None),
     },
     "simulate": {
         "dim": (INT, REQUIRED),
@@ -154,18 +155,10 @@ SCHEMAS = {
         "n_modes": (N_MODES, RUN_FIELDS["n_modes"]),
         "mode": (STR, RUN_FIELDS["mode"]),
         "snapshot_level": (TIME_EXP, None),
-        "out_dir": (STR, None),
     },
 }
-
-# command-line flag (argparse dest) -> the config key it overrides
-FLAG_KEYS = {
-    "seed": "master_seed",
-    "out": "out_dir",
-    "workers": "n_workers",
-    "axis": "axis",
-    "paths": "n_paths",
-}
+for _schema in SCHEMAS.values():  # every command writes into out_dir, its last key
+    _schema["out_dir"] = (STR, None)
 
 
 def _load_config(args) -> dict:
@@ -180,9 +173,9 @@ def _load_config(args) -> dict:
             raise DomainError(f"cannot read config {args.config}: {exc}")
         if not isinstance(cfg, dict):
             raise DomainError("config root must be a JSON object")
-    for dest, key in FLAG_KEYS.items():
-        if getattr(args, dest, None) is not None:
-            cfg[key] = getattr(args, dest)
+    for key, val in vars(args).items():  # a flag sets the config key of its dest
+        if key in schema and val is not None:
+            cfg[key] = val
     unknown = sorted(set(cfg) - set(schema))
     if unknown:
         raise DomainError(f"unknown config keys {unknown}; known: {sorted(schema)}")
@@ -349,11 +342,6 @@ def cmd_convergence(cfg: dict, out: Path) -> tuple[int, dict]:
     return EXIT_OK, {"seeds": list(reports[0].seeds), "outputs": outputs}
 
 
-def check_verify(cfg: dict) -> None:
-    if not all(p > 0 for p in cfg["p_values"]):
-        raise DomainError(f"p_values must be positive, got {cfg['p_values']}")
-
-
 def cmd_verify(cfg: dict, out: Path) -> tuple[int, dict]:
     seed = cfg["master_seed"]
     n_paths = cfg["n_paths"]
@@ -371,6 +359,14 @@ def cmd_verify(cfg: dict, out: Path) -> tuple[int, dict]:
     failures: list[str] = []
     alarms: list[str] = []
     metric_rows: list[tuple] = []
+
+    def or_nan(label: str, ratio, *args) -> float:
+        # ratio(*args), or NaN and an alarms.log line if it raises an alarm
+        try:
+            return ratio(*args)
+        except StatisticalAlarm as exc:
+            alarms.append(f"{label}: {exc}")
+            return float("nan")
 
     # metric spot checks (exact arithmetic)
     spot = l0.dp_metric(np.array([0.5, 0.5]), 2.0)
@@ -408,13 +404,8 @@ def cmd_verify(cfg: dict, out: Path) -> tuple[int, dict]:
             dim_q=cfg["dim_q"], partition=partition, family=family
         )
         for p in cfg["p_values"]:
-            ratios = []
-            for i in range(2):
-                try:
-                    ratios.append(l0.bdg_ratio(phi, float(p), mc_paths, seed + 101 * i))
-                except StatisticalAlarm as exc:
-                    alarms.append(f"bdg_ratio {family} p={p}: {exc}")
-                    ratios.append(float("nan"))
+            ratios = [or_nan(f"bdg_ratio {family} p={p}", l0.bdg_ratio, phi,
+                             float(p), mc_paths, seed + 101 * i) for i in range(2)]
             spread = abs(ratios[0] - ratios[1]) / max(abs(r) for r in ratios)
             bdg_rows.append((family, p, ratios[0], ratios[1], spread))
             if enforce and not all(np.isfinite(ratios)):
@@ -426,11 +417,8 @@ def cmd_verify(cfg: dict, out: Path) -> tuple[int, dict]:
     # summed inequality over disjoint blocks
     for m in (1, 4, 16):
         phis = l0.block_integrands("wiener_functional", m, max(4, cfg["steps"] // m))
-        try:
-            ratio = l0.bdg_sum_ratio(phis, 2.0, mc_paths, seed)
-        except StatisticalAlarm as exc:
-            alarms.append(f"bdg_sum_ratio m={m}: {exc}")
-            ratio = float("nan")
+        ratio = or_nan(f"bdg_sum_ratio m={m}", l0.bdg_sum_ratio,
+                       phis, 2.0, mc_paths, seed)
         bdg_rows.append(("block_sum", float(m), ratio, ratio, 0.0))
         if enforce and not np.isfinite(ratio):
             failures.append(f"bdg_sum_ratio not finite for m={m}")
@@ -513,7 +501,7 @@ def cmd_simulate(cfg: dict, out: Path) -> tuple[int, dict]:
 # output directory and returning (exit code, manifest facts), manifest name)
 COMMANDS = {
     "convergence": (check_convergence, cmd_convergence, "manifest.json"),
-    "verify": (check_verify, cmd_verify, "verify_manifest.json"),
+    "verify": (lambda cfg: None, cmd_verify, "verify_manifest.json"),
     "holder": (check_holder, cmd_holder, "holder_manifest.json"),
     "simulate": (lambda cfg: None, cmd_simulate, "simulate_manifest.json"),
 }
@@ -546,8 +534,14 @@ def run_command(args) -> int:
     return code
 
 
+class _Parser(argparse.ArgumentParser):  # usage errors exit 1, in subparsers too
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spdelab",
         description="Numerical laboratory for a parabolic SPDE with fractional noise",
     )
@@ -562,14 +556,14 @@ def build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", type=str, default=None)
+        p.add_argument("--seed", dest="master_seed", metavar="SEED", type=int)
+        p.add_argument("--out", dest="out_dir", metavar="OUT", type=str)
         if name == "convergence":
-            p.add_argument("--workers", type=int, default=None)
-            p.add_argument("--axis", type=str, choices=("space", "time"), default=None)
+            p.add_argument("--workers", dest="n_workers", metavar="WORKERS", type=int)
+            p.add_argument("--axis", metavar="{space,time}", type=str)
             p.add_argument("--dry-run", action="store_true")
         if name == "verify":
-            p.add_argument("--paths", type=int, default=None)
+            p.add_argument("--paths", dest="n_paths", metavar="PATHS", type=int)
         p.set_defaults(func=run_command)
     return parser
 

@@ -135,6 +135,10 @@ class _Group:
                 "restriction matrix required when the run level differs "
                 "from the stream's fine level"
             )
+        for c, o, _a in runs:  # every run steps on the operators of its own mesh
+            if (o.mesh.dim, o.mesh.level) != (c.dim, c.space_level):
+                raise DomainError(f"a {c.dim}-d level-{c.space_level} run got the "
+                                  f"operators of a {o.mesh.dim}-d level {o.mesh.level}")
         self.ops = tuple(run_ops for _c, run_ops, _a in runs)
         self.specs = tuple(make_spec(c.gamma, c.k) for c, _o, _a in runs)
         self.a = runs[0][2]  # None: one run, on the stream's mesh
@@ -160,11 +164,12 @@ class _Group:
         if self.a is not None:
             g = restrict_increment(self.a, g)
         if self.per_step and not self.specs[0].is_identity:
-            # one column at a time: in 2-d, multi-column supernodal solves
-            # go through BLAS and can round differently
+            # 1-d dpttrs solves each column on its own, so a block goes at once;
+            # 2-d multi-column supernodal solves round differently: column by column
             main = self.ops[0]
+            cols = [g] if main.mesh.dim == 1 else g.T
             g = np.column_stack(
-                [main.mass @ apply_qgamma(self.specs[0], main, c) for c in g.T]
+                [main.mass @ apply_qgamma(self.specs[0], main, c) for c in cols]
             )
         bg = g * self.b[n0:n1]
         rhs = np.empty_like(states)
@@ -202,10 +207,9 @@ def _sweep(
     grids: dict[int, list[int]] = {}  # time steps -> its runs, the main run first
     for i, (cfg, _o, _a) in enumerate(runs):
         grids.setdefault(cfg.time_steps, []).append(i)
-    main_runs, *other_runs = ([runs[i] for i in m] for m in grids.values())
     b = eval_b_grid(driver, stream.fine_steps)
-    main = _Group(main_runs, stream, b, per_step)
-    groups = [main, *(_Group(r, stream, b) for r in other_runs)]
+    groups = [_Group([runs[i] for i in m], stream, b, per_step) for m in grids.values()]
+    main = groups[0]
 
     # the running sum of the open step of every group coarser than the noise
     summed = [g for g in groups if g.ratio > 1]
@@ -231,15 +235,15 @@ def _sweep(
             if stride and (n + 1) % stride == 0:
                 snaps.append(states[j].copy())  # a view would keep the block
 
-    alpha = main.color(0)
+    final = {i: g.color(k)  # run i -> its colored final state
+             for g, m in zip(groups, grids.values()) for k, i in enumerate(m)}
     snapshots = None
     if stride:  # in C order, so row-wise products do not round by layout
         snapshots = np.ascontiguousarray(main.color(0, np.array(snaps).T).T)
-    place = {i: (g, k) for g, m in zip(groups, grids.values()) for k, i in enumerate(m)}
     return PathState(
-        alpha=alpha,
+        alpha=final[0],
         snapshots=snapshots,
-        coupled=tuple(g.color(k) for g, k in map(place.get, range(1, len(runs)))),
+        coupled=tuple(final[i] for i in range(1, len(runs))),
     )
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import platform
 import re
 import subprocess
@@ -19,6 +20,17 @@ from spdelab.exceptions import NumericalError
 from spdelab.mesh import assemble, build_mesh
 from spdelab.noise import NoiseStream
 from spdelab.stepper import SchemeConfig, evolve, evolve_fast
+
+
+def run_cli(*argv):
+    """``python -m spdelab.cli *argv`` in a child process that imports this
+    package, with or without ``PYTHONPATH`` set."""
+    src = str(Path(spdelab.__file__).parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return subprocess.run(
+        [sys.executable, "-m", "spdelab.cli", *argv],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+    )
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -98,6 +110,23 @@ class TestConvergenceCommand:
         replay = write_config(tmp_path, echoed, name="replay.json")
         assert main(["convergence", "--config", replay, "--dry-run"]) == 0
         assert json.loads(capsys.readouterr().out) == echoed
+
+    def test_dry_run_checks_the_axis(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, _with(SMALL_CONVERGENCE, axis="spaec"))
+        assert main(["convergence", "--config", cfg, "--dry-run"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert BAD_CONFIG_MESSAGES["misspelled_axis"] in captured.err
+
+    def test_axis_flag_takes_the_schema_check(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SMALL_CONVERGENCE)
+        out = tmp_path / "o"
+        assert main(["convergence", "--config", cfg, "--axis", "spaec",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ")
+        assert BAD_CONFIG_MESSAGES["misspelled_axis"] in err
+        assert not out.exists()
 
     def test_missing_key_is_validation_error(self, tmp_path, capsys):
         doc = dict(SMALL_CONVERGENCE)
@@ -345,13 +374,38 @@ def test_1d_factor_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert "not exactly symmetric" in capsys.readouterr().err
 
 
+# malformed command lines: a flag value of the wrong type, an unknown flag, a
+# value outside a flag's choices, and an axis that no config allows
+USAGE_ERRORS = [
+    ["verify", "--paths", "many"],
+    ["simulate", "--bogus"],
+    ["assemble-check", "--dim", "3"],
+    ["convergence", "--axis", "spaec"],
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS, ids=" ".join)
+def test_usage_error_exits_1(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse exits from parse_args
+        code = exc.code
+    assert code == 1
+    proc = run_cli(*argv)
+    assert proc.returncode == 1
+    assert "error: " in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["convergence", "--help"]])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: spdelab" in capsys.readouterr().out
+
+
 def test_console_entry_point(tmp_path):
-    proc = subprocess.run(
-        [sys.executable, "-m", "spdelab.cli", "assemble-check", "--dim", "1",
-         "--level", "2"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_cli("assemble-check", "--dim", "1", "--level", "2")
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
 
@@ -404,6 +458,8 @@ BAD_CONFIGS = {
     "snapshot_level_above_20": ("simulate", _with(SMALL_SIMULATE, snapshot_level=21)),
     "empty_gammas": ("convergence", _with(SMALL_CONVERGENCE, gammas=[])),
     "empty_p_values": ("verify", {"p_values": []}),
+    "zero_p_values": ("verify", {"p_values": [1.0, 0]}),
+    "misspelled_axis": ("convergence", _with(SMALL_CONVERGENCE, axis="spaec")),
     "bool_simulate_gamma": ("simulate", _with(SMALL_SIMULATE, gamma=False)),
     "list_root": ("simulate", [SMALL_SIMULATE]),
     # sizes outside the value ranges, rejected before any array is allocated
@@ -432,6 +488,8 @@ BAD_CONFIGS = {
 # which check rejected it
 BAD_CONFIG_MESSAGES = {
     "gamma_and_gammas": "'gamma' and 'gammas' disagree",
+    "misspelled_axis": """config key 'axis' must be "space" or "time", got 'spaec'""",
+    "zero_p_values": "'p_values' must be a non-empty list of positive finite numbers",
     "snapshot_level_above_20": "'snapshot_level' must be an integer in [0, 20]",
 }
 
@@ -509,11 +567,7 @@ def test_holder_checks_levels_before_the_first_path(case, tmp_path, monkeypatch)
 
 def test_bad_config_exits_1_without_traceback(tmp_path):
     cfg = write_config(tmp_path, _with(SMALL_SIMULATE, dim=True))
-    proc = subprocess.run(
-        [sys.executable, "-m", "spdelab.cli", "simulate", "--config", cfg],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_cli("simulate", "--config", cfg)
     assert proc.returncode == 1
     assert proc.stderr.startswith("validation error: ")
     assert "Traceback" not in proc.stderr
@@ -524,12 +578,7 @@ def test_fully_saturated_study_writes_no_plot(tmp_path):
     doc = _with(SMALL_CONVERGENCE, coarse_levels=[3], ref_level=3, time_exp=3,
                 n_paths=1)
     out = tmp_path / "o"
-    proc = subprocess.run(
-        [sys.executable, "-m", "spdelab.cli", "convergence",
-         "--config", write_config(tmp_path, doc), "--out", str(out)],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_cli("convergence", "--config", write_config(tmp_path, doc), "--out", str(out))
     assert proc.returncode == 0
     assert "Traceback" not in proc.stderr
     manifest = json.loads((out / "manifest.json").read_text())

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from spdelab import stepper
 from spdelab.driver import ScalarDriver, eval_b_grid, sample_driver
 from spdelab.exceptions import DomainError, NumericalError
 from spdelab.fracpow import apply_qgamma, make_spec
@@ -285,6 +286,37 @@ def test_per_step_matches_step_loop(dim, gamma, level, snapshots, noise_mult):
         assert out.snapshots is None
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_per_step_colors_a_1d_block_in_one_call(dim, monkeypatch):
+    # 64 steps are 4 blocks of 16: one coloring per block in 1-d, one per
+    # step in 2-d, whose multi-column solves round differently
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return apply_qgamma(*args)
+
+    monkeypatch.setattr(stepper, "apply_qgamma", counted)
+    cfg = SchemeConfig(dim=dim, gamma=0.5, space_level=2, time_steps=64, master_seed=3)
+    stream = NoiseStream(seed=3, fine_level=2, fine_steps=64)
+    evolve(cfg, stream, sample_driver(3, 50))
+    assert len(calls) == (4 if dim == 1 else 64)
+
+
+# a 1-d run of level ``level`` on the operators of another level, and of
+# another dimension at the same level
+@pytest.mark.parametrize("level,ops_dim,ops_level", [(4, 1, 3), (2, 2, 2)])
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_operators_must_be_those_of_the_run_mesh(level, ops_dim, ops_level, mode):
+    cfg = SchemeConfig(
+        dim=1, gamma=0.5, space_level=level, time_steps=8, master_seed=2, mode=mode
+    )
+    stream = NoiseStream(seed=2, fine_level=level, fine_steps=8)
+    ops = assemble(build_mesh(ops_dim, ops_level))
+    with pytest.raises(DomainError, match="operators"):
+        MODES[mode](cfg, stream, sample_driver(2, 50), ops=ops)
+
+
 class TestCoupledRuns:
     def test_no_coupled_runs_by_default(self, ops3):
         cfg = SchemeConfig(
@@ -357,6 +389,20 @@ class TestCoupledRuns:
         for what, cfg in bad.items():
             with pytest.raises(DomainError):
                 evolve_fast(main, stream, drv, ops=ops3, coupled=((cfg, ops3, None),))
+
+    def test_coupled_run_needs_the_operators_of_its_mesh(self, ops3):
+        # a level-2 run, restricted to level 2, but stepping on level-3 operators
+        main = SchemeConfig(
+            dim=1, gamma=0.5, space_level=3, time_steps=8, master_seed=7
+        )
+        coarse = SchemeConfig(
+            dim=1, gamma=0.5, space_level=2, time_steps=8, master_seed=7
+        )
+        a = restriction_matrix(build_mesh(1, 2), ops3.mesh)
+        stream = NoiseStream(seed=7, fine_level=3, fine_steps=8)
+        with pytest.raises(DomainError, match="operators"):
+            evolve_fast(main, stream, sample_driver(7, 50), ops=ops3,
+                        coupled=((coarse, ops3, a),))
 
 
 class SpoiledSolve:
