@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import CapacityError, DomainError
-from .mesh import FemOperators
+from .mesh import SWEEP_COLUMNS, FemOperators, TridiagonalLDL
 
 #: Most quadrature nodes of one spec.  The count grows like
 #: pi^2 / (2 k^2) (1/gamma + 1/(1 - gamma)): 423 at k 0.25 and gamma 0.25,
@@ -38,7 +38,8 @@ MAX_PENCIL_NNZ = 2**28
 
 #: Columns of a block colored per pass: a node's right-hand side and
 #: solution then stay in cache, and a 2-d SuperLU solve costs less per
-#: column; a 1-d ``dpttrs`` solves each column on its own either way.
+#: column.  A 1-d block of at least ``SWEEP_COLUMNS`` columns is colored
+#: whole, since ``TridiagonalLDL.solve`` sweeps it row by row.
 COLOR_COLUMNS = 256
 
 
@@ -123,10 +124,13 @@ class _PencilSolver:
     e^{(1-gamma) y} (e^y M + K)^{-1}.  One spec's factors hold at most
     ``MAX_PENCIL_NNZ`` entries, judged by its first factor before a second
     is fetched.  ``apply`` colors a block ``COLOR_COLUMNS`` columns at a
-    time, each chunk through every node in node order; in 1-d ``dpttrs``
-    solves each column on its own, so this is bit-identical to solving the
-    whole block at once, while in 2-d wide blocks may differ in the last
-    bits.
+    time, each chunk through every node in node order; in 2-d wide blocks
+    may differ from the whole block in the last bits.  A 1-d block goes
+    whole to each node's ``TridiagonalLDL.solve`` from ``SWEEP_COLUMNS``
+    columns on, C-ordered, and in F-ordered chunks below that, the layout
+    of ``dpttrs``; its nodes share one solution buffer.  A 1-d solve equals
+    its column-by-column solves, so every 1-d coloring is bit-identical to
+    solving the whole block at once and to solving each column alone.
     """
 
     def __init__(self, ops: FemOperators, spec: QuadratureSpec):
@@ -149,6 +153,8 @@ class _PencilSolver:
         self._factors = [first, *factors]
 
     def apply(self, g: np.ndarray) -> np.ndarray:
+        if g.ndim == 2 and isinstance(self._factors[0], TridiagonalLDL):
+            return self._apply_1d(g)
         out = np.zeros_like(g)
         cols = g.shape[1] if g.ndim == 2 else 1
         # a lone last column would take the one-column solve, which rounds
@@ -159,6 +165,19 @@ class _PencilSolver:
             for scale, factor in zip(self._scales, self._factors):
                 x = factor.solve(part)
                 x *= scale  # the roundings of acc += scale * x
+                acc += x
+        return out
+
+    def _apply_1d(self, g: np.ndarray) -> np.ndarray:
+        cols = g.shape[1]
+        width, order = (cols, "C") if cols >= SWEEP_COLUMNS else (COLOR_COLUMNS, "F")
+        out = np.zeros(g.shape, order=order)
+        for lo in range(0, cols, width):
+            part = np.asarray(g[:, lo : lo + width], order=order)
+            acc, x = out[:, lo : lo + width], None
+            for scale, factor in zip(self._scales, self._factors):
+                x = factor.solve(part, out=x)  # one buffer for every node
+                x *= scale
                 acc += x
         return out
 

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg.lapack import dpttrs
 
-from spdelab import fracpow, stepper
+from spdelab import fracpow, mesh, stepper
 from spdelab.driver import sample_driver
 from spdelab.exceptions import CapacityError, DomainError
 from spdelab.fracpow import apply_qgamma, make_spec, scalar_qgamma
-from spdelab.mesh import FemOperators, assemble, build_mesh
+from spdelab.mesh import SWEEP_COLUMNS, FemOperators, assemble, build_mesh
 from spdelab.noise import NoiseStream
 
 
@@ -197,12 +198,38 @@ class TestApplyQgamma:
 
 
 def whole_block_oracle(spec, ops, g):
-    """The quadrature of ``g`` with one solve per node of the whole block."""
+    """The quadrature of ``g`` with one solve per node of the whole block; a
+    1-d block of ``SWEEP_COLUMNS`` or more columns is swept."""
     solver = fracpow._PencilSolver(ops, spec)
     out = np.zeros_like(g)
     for scale, factor in zip(solver._scales, solver._factors):
         out += scale * factor.solve(g)
     return out
+
+
+def dpttrs_oracle(spec, ops, g):
+    """The 1-d quadrature of ``g`` with one LAPACK ``dpttrs`` call per column
+    and node, past ``TridiagonalLDL.solve``."""
+    solver = fracpow._PencilSolver(ops, spec)
+    columns = np.asfortranarray(g.reshape(g.shape[0], -1)).T
+    out = np.zeros_like(g)
+    for scale, factor in zip(solver._scales, solver._factors):
+        x = np.column_stack([dpttrs(factor._d, factor._e, c)[0] for c in columns])
+        out += scale * x.reshape(g.shape)
+    return out
+
+
+def final_time_run(steps_exp, snapshot_level):
+    """A 1-d level-3 final-time path of 2^steps_exp steps, with snapshots."""
+    ops = assemble(build_mesh(1, 3))
+    cfg = stepper.SchemeConfig(
+        dim=1, gamma=0.75, space_level=3, time_steps=2**steps_exp, master_seed=4,
+        mode="final_time",
+    )
+    stream = NoiseStream(seed=4, fine_level=3, fine_steps=2**steps_exp)
+    return stepper.evolve_fast(
+        cfg, stream, sample_driver(4, 20), ops=ops, snapshot_level=snapshot_level
+    )
 
 
 class TestChunkedColoring:
@@ -212,29 +239,43 @@ class TestChunkedColoring:
         ops = assemble(build_mesh(1, level))
         spec = make_spec(0.75, 0.5)
         g = np.random.default_rng(cols).standard_normal((ops.n_dof, cols))
-        np.testing.assert_array_equal(
-            apply_qgamma(spec, ops, g), whole_block_oracle(spec, ops, g)
-        )
+        got = apply_qgamma(spec, ops, g)
+        np.testing.assert_array_equal(got, whole_block_oracle(spec, ops, g))
+        if cols >= SWEEP_COLUMNS:  # both swept: check the sweep against LAPACK
+            np.testing.assert_array_equal(got, dpttrs_oracle(spec, ops, g))
 
     def test_1d_snapshots_equal_the_whole_block(self, monkeypatch):
         # 513 snapshots: chunks of 256 and 257 columns
-        ops = assemble(build_mesh(1, 3))
-        cfg = stepper.SchemeConfig(
-            dim=1, gamma=0.75, space_level=3, time_steps=2**9, master_seed=4,
-            mode="final_time",
-        )
-
-        def run():
-            stream = NoiseStream(seed=4, fine_level=3, fine_steps=2**9)
-            return stepper.evolve_fast(
-                cfg, stream, sample_driver(4, 20), ops=ops, snapshot_level=9
-            )
-
-        chunked = run()
+        chunked = final_time_run(9, 9)
         monkeypatch.setattr(stepper, "apply_qgamma", whole_block_oracle)
-        whole = run()
+        whole = final_time_run(9, 9)
         np.testing.assert_array_equal(chunked.snapshots, whole.snapshots)
         np.testing.assert_array_equal(chunked.alpha, whole.alpha)
+
+    def test_1d_swept_snapshots_equal_dpttrs_solves(self, monkeypatch):
+        # 4,097 snapshots: one block of SWEEP_COLUMNS or more, swept whole
+        swept = final_time_run(12, 12)
+        monkeypatch.setattr(stepper, "apply_qgamma", dpttrs_oracle)
+        solved = final_time_run(12, 12)
+        assert swept.snapshots.shape == (4097, 9)
+        np.testing.assert_array_equal(swept.snapshots, solved.snapshots)
+        np.testing.assert_array_equal(swept.alpha, solved.alpha)
+
+    def test_wide_1d_blocks_make_no_dpttrs_call(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return dpttrs(*args, **kwargs)
+
+        monkeypatch.setattr(mesh, "dpttrs", counted)
+        ops = assemble(build_mesh(1, 5))
+        spec = make_spec(0.75, 0.5)  # 107 nodes
+        g = np.random.default_rng(8).standard_normal((ops.n_dof, 8193))
+        apply_qgamma(spec, ops, g)
+        assert calls == []
+        apply_qgamma(spec, ops, g[:, :16])
+        assert len(calls) == spec.nodes.size == 107
 
     def test_2d_chunks_match_the_whole_block(self):
         # in 2-d the multi-column supernodal solves go through BLAS, whose
