@@ -33,9 +33,9 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from . import __version__, l0
+from . import __version__, l0, rng
 from .checks import assembly_checks
-from .convergence import convergence_study
+from .convergence import convergence_study, plan_study
 from .driver import sample_driver
 from .exceptions import (
     CapacityError,
@@ -47,15 +47,15 @@ from .exceptions import (
 )
 from .mesh import MAX_MODES, MAX_TIME_EXP, assemble, build_mesh
 from .noise import NoiseStream
-from .rng import DRIVER_TAG, L0_MARK_TAG, L0_WIENER_TAG, WIENER_TAG, keyed_generator
 from .stepper import MODES, SchemeConfig
 from .svgplot import GuideLine, Series, loglog_svg
 
 STREAM_TAGS = {
-    "wiener": f"{WIENER_TAG:#x}",
-    "driver": f"{DRIVER_TAG:#x}",
-    "analysis_wiener": f"{L0_WIENER_TAG:#x}",
-    "analysis_mark": f"{L0_MARK_TAG:#x}",
+    "wiener": f"{rng.WIENER_TAG:#x}",
+    "driver": f"{rng.DRIVER_TAG:#x}",
+    "analysis_wiener": f"{rng.L0_WIENER_TAG:#x}",
+    "analysis_mark": f"{rng.L0_MARK_TAG:#x}",
+    "verify_dp": f"{rng.DP_SAMPLE_TAG:#x}",
 }
 VERSIONS = {
     "spdelab": __version__,
@@ -268,25 +268,31 @@ def check_convergence(cfg: dict) -> None:
     need = "time_exp" if cfg["axis"] == "space" else "space_level"
     if need not in cfg:
         raise DomainError(f"axis {cfg['axis']!r} needs config key {need!r}")
+    for base in _study_bases(cfg):  # what a study checks before its first path
+        plan_study(base, cfg["axis"], cfg["coarse_levels"], cfg["ref_level"])
+
+
+def _study_bases(cfg: dict) -> list[SchemeConfig]:
+    """Each gamma's run, at the reference resolution on the study's axis."""
+    if cfg["axis"] == "space":
+        ref = {"space_level": cfg["ref_level"]}
+    else:
+        ref = {"time_steps": 2 ** cfg["ref_level"]}
+    return [_scheme(cfg, gamma=float(gamma), **ref) for gamma in cfg["gammas"]]
 
 
 def cmd_convergence(cfg: dict, out: Path) -> tuple[int, dict]:
     axis = cfg["axis"]
-    # the reference resolution on the study's axis (plan_study sets it too)
-    if axis == "space":
-        ref = {"space_level": cfg["ref_level"]}
-    else:
-        ref = {"time_steps": 2 ** cfg["ref_level"]}
     reports = [
         convergence_study(
-            _scheme(cfg, gamma=float(gamma), **ref),
+            base,
             axis,
             list(cfg["coarse_levels"]),
             cfg["ref_level"],
             cfg["n_paths"],
             n_workers=cfg["n_workers"],
         )
-        for gamma in cfg["gammas"]
+        for base in _study_bases(cfg)
     ]
 
     _write_csv(
@@ -374,7 +380,7 @@ def cmd_verify(cfg: dict, out: Path) -> tuple[int, dict]:
     if abs(spot - 0.5) > 1e-12:
         failures.append("dp_metric spot value")
     # convergence in probability: x_n = |N(0,1)| / n
-    gen = keyed_generator(seed, 0xD0)
+    gen = rng.keyed_generator(seed, rng.DP_SAMPLE_TAG)
     base_samples = np.abs(gen.standard_normal(10_000))
     dps = [l0.dp_metric(base_samples / n, 1.0) for n in (1, 10, 100)]
     for n, val in zip((1, 10, 100), dps):

@@ -28,6 +28,7 @@ from .exceptions import (
     DomainError,
     InsufficientDataError,
 )
+from .fracpow import make_spec
 from .mesh import SOLVER_TOL, assemble, build_mesh, restriction_matrix
 from .noise import NoiseStream
 from .stepper import SchemeConfig, evolve_fast
@@ -135,7 +136,8 @@ def plan_study(
     exponents (time step 2**-level) at the fixed mesh level of ``base``.
     ``noise_steps`` fixes the time resolution of the driving noise
     independently of the reference (default: the reference's own grid).
-    Every run is ``base`` in final-time mode at its own resolution.
+    Every run is ``base`` in final-time mode at its own resolution; the
+    mesh level guard and the quadrature of every run are checked here.
     """
     if axis not in ("space", "time"):
         raise DomainError(f"axis must be 'space' or 'time', got {axis!r}")
@@ -143,8 +145,8 @@ def plan_study(
         raise DomainError("no coarse levels given")
     if any(lv > ref_level for lv in coarse_levels):
         raise DomainError("coarse levels must not exceed the reference level")
-    if sorted(coarse_levels) != list(coarse_levels):
-        raise DomainError("coarse levels must be ordered coarse to fine")
+    if any(lo >= hi for lo, hi in zip(coarse_levels, coarse_levels[1:])):
+        raise DomainError("coarse levels must increase strictly, coarse to fine")
 
     if axis == "space":
         ref_space, ref_steps = ref_level, base.time_steps
@@ -158,6 +160,8 @@ def plan_study(
             (base.space_level, 2**lv, 2.0**-lv, lv) for lv in coarse_levels
         )
     ref = replace(base, space_level=ref_space, time_steps=ref_steps, mode="final_time")
+    build_mesh(ref.dim, ref.space_level)  # the level guard of the finest mesh
+    make_spec(ref.gamma, ref.k)  # shared by every run
     if noise_steps is None:
         noise_steps = ref_steps
     if noise_steps % ref_steps != 0:

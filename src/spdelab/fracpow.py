@@ -123,12 +123,12 @@ class _PencilSolver:
     e^{-gamma y} (M + e^{-y} K)^{-1}, negative nodes as
     e^{(1-gamma) y} (e^y M + K)^{-1}.  One spec's factors hold at most
     ``MAX_PENCIL_NNZ`` entries, judged by its first factor before a second
-    is fetched.  ``apply`` colors a block ``COLOR_COLUMNS`` columns at a
-    time, each chunk through every node in node order; in 2-d wide blocks
-    may differ from the whole block in the last bits.  A 1-d block goes
-    whole to each node's ``TridiagonalLDL.solve`` from ``SWEEP_COLUMNS``
-    columns on, C-ordered, and in F-ordered chunks below that, the layout
-    of ``dpttrs``; its nodes share one solution buffer.  A 1-d solve equals
+    is fetched.  ``apply`` colors a block through every node in node order,
+    ``COLOR_COLUMNS`` columns at a time, each chunk copied once F-ordered,
+    the layout that ``dpttrs`` and SuperLU solve in; in 2-d wide blocks may
+    differ from the whole block in the last bits.  A 1-d block of
+    ``SWEEP_COLUMNS`` or more columns goes whole, C-ordered, to each node's
+    row sweep, its nodes sharing one solution buffer.  A 1-d solve equals
     its column-by-column solves, so every 1-d coloring is bit-identical to
     solving the whole block at once and to solving each column alone.
     """
@@ -153,33 +153,22 @@ class _PencilSolver:
         self._factors = [first, *factors]
 
     def apply(self, g: np.ndarray) -> np.ndarray:
-        if g.ndim == 2 and isinstance(self._factors[0], TridiagonalLDL):
-            return self._apply_1d(g)
-        out = np.zeros_like(g)
-        cols = g.shape[1] if g.ndim == 2 else 1
+        block = g.reshape(g.shape[0], -1)  # a column is a block of one
+        cols = block.shape[1]
+        sweep = cols >= SWEEP_COLUMNS and isinstance(self._factors[0], TridiagonalLDL)
+        width, order = (cols, "C") if sweep else (COLOR_COLUMNS, "F")
+        out = np.zeros(block.shape, order=order)
         # a lone last column would take the one-column solve, which rounds
         # differently in 2-d; it joins the chunk before it
-        edges = [*range(0, max(cols - 1, 1), COLOR_COLUMNS), cols]
+        edges = [*range(0, max(cols - 1, 1), width), cols]
         for lo, hi in zip(edges, edges[1:]):
-            part, acc = (g, out) if g.ndim == 1 else (g[:, lo:hi], out[:, lo:hi])
+            part = np.asarray(block[:, lo:hi], order=order)
+            acc, x = out[:, lo:hi], None
             for scale, factor in zip(self._scales, self._factors):
-                x = factor.solve(part)
+                x = factor.solve(part, out=x) if sweep else factor.solve(part)
                 x *= scale  # the roundings of acc += scale * x
                 acc += x
-        return out
-
-    def _apply_1d(self, g: np.ndarray) -> np.ndarray:
-        cols = g.shape[1]
-        width, order = (cols, "C") if cols >= SWEEP_COLUMNS else (COLOR_COLUMNS, "F")
-        out = np.zeros(g.shape, order=order)
-        for lo in range(0, cols, width):
-            part = np.asarray(g[:, lo : lo + width], order=order)
-            acc, x = out[:, lo : lo + width], None
-            for scale, factor in zip(self._scales, self._factors):
-                x = factor.solve(part, out=x)  # one buffer for every node
-                x *= scale
-                acc += x
-        return out
+        return out.reshape(g.shape)
 
 
 def apply_qgamma(

@@ -177,12 +177,9 @@ class TridiagonalLDL:
 
     def solve(self, rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The solution for ``rhs``, which stays untouched; ``out``, an
-        earlier result for a block of the same shape, is reused to hold it."""
+        earlier swept result of the same shape, is reused to hold it."""
         if rhs.ndim == 1 or rhs.shape[1] < SWEEP_COLUMNS:
-            if out is None:
-                return dpttrs(self._d, self._e, rhs)[0]
-            np.copyto(out, rhs)  # in place when F-ordered, as dpttrs returns it
-            return dpttrs(self._d, self._e, out, overwrite_b=True)[0]
+            return dpttrs(self._d, self._e, rhs)[0]
         if out is None:
             out = np.empty(rhs.shape)  # C-ordered: each row step is contiguous
         np.copyto(out, rhs)

@@ -19,6 +19,7 @@ WIENER_TAG = 0x5749454E45523031  # spatial cylindrical Wiener increments
 DRIVER_TAG = 0x4452495645523031  # scalar driver spectral coefficients
 L0_WIENER_TAG = 0x4C30574945523031  # finite-dimensional Wiener paths (analysis)
 L0_MARK_TAG = 0x4C304D41524B3031  # time-zero marks for analysis integrands
+DP_SAMPLE_TAG = 0xD0  # |N(0, 1)| samples of verify's d_p metric check
 
 
 def keyed_generator(seed: int, tag: int) -> np.random.Generator:

@@ -214,7 +214,8 @@ def _sweep(
     # the running sum of the open step of every group coarser than the noise
     summed = [g for g in groups if g.ratio > 1]
     acc = np.zeros((len(summed), ops.n_dof))
-    snaps = [main.beta[: ops.n_dof]] if stride else None
+    # row k holds the state after k * stride steps, row 0 the zero initial state
+    snaps = np.zeros((config.time_steps // stride + 1, ops.n_dof)) if stride else None
     for m0 in range(0, stream.fine_steps, BLOCK_STEPS):
         m1 = min(m0 + BLOCK_STEPS, stream.fine_steps)
         f = noise.fine_increments(stream, m0, m1, ops.mass_chol)
@@ -233,16 +234,15 @@ def _sweep(
             group.take(m0, sums.get(group, f))
         for j, n in enumerate(range(m0 // main.ratio, m1 // main.ratio)):
             if stride and (n + 1) % stride == 0:
-                snaps.append(states[j].copy())  # a view would keep the block
+                snaps[(n + 1) // stride] = states[j]
 
     final = {i: g.color(k)  # run i -> its colored final state
              for g, m in zip(groups, grids.values()) for k, i in enumerate(m)}
-    snapshots = None
     if stride:  # in C order, so row-wise products do not round by layout
-        snapshots = np.ascontiguousarray(main.color(0, np.array(snaps).T).T)
+        snaps = np.ascontiguousarray(main.color(0, snaps.T).T)
     return PathState(
         alpha=final[0],
-        snapshots=snapshots,
+        snapshots=snaps,
         coupled=tuple(final[i] for i in range(1, len(runs))),
     )
 

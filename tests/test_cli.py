@@ -192,7 +192,7 @@ class TestConvergenceCommand:
         main(["convergence", "--config", cfg, "--out", str(out)])
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest["stream_tags"]) == {
-            "wiener", "driver", "analysis_wiener", "analysis_mark",
+            "wiener", "driver", "analysis_wiener", "analysis_mark", "verify_dp",
         }
         assert manifest["config"]["master_seed"] == 99
 
@@ -541,6 +541,21 @@ REJECTED_RUNS = {
         {"space_level": 2, "time_exp": 4, "m_max": 4, "m_min": 1, "n_seeds": 1,
          "n_modes": 10, "bm_m_min": 9, "bm_m_max": 10},
     ),
+    # a study's own checks: its runs, its plan, its mesh levels, its quadrature
+    "convergence_dim_3": ("convergence", _with(SMALL_CONVERGENCE, dim=3)),
+    "convergence_negative_gamma": (
+        "convergence", _with(SMALL_CONVERGENCE, gammas=[-0.9])
+    ),
+    "convergence_unordered_levels": (
+        "convergence", _with(SMALL_CONVERGENCE, coarse_levels=[3, 2, 4])
+    ),
+    "convergence_repeated_level": (
+        "convergence", _with(SMALL_CONVERGENCE, coarse_levels=[2, 2, 3])
+    ),
+    "convergence_too_many_nodes": ("convergence", _with(SMALL_CONVERGENCE, k=0.001)),
+    "convergence_time_study_at_level_15": (
+        "convergence", _with(SMALL_CONVERGENCE, axis="time", space_level=15)
+    ),
 }
 
 
@@ -563,6 +578,20 @@ def test_holder_checks_levels_before_the_first_path(case, tmp_path, monkeypatch)
     command, doc = REJECTED_RUNS[case]
     cfg = write_config(tmp_path, doc)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+
+
+@pytest.mark.parametrize(
+    "case", sorted(case for case in REJECTED_RUNS if case.startswith("convergence"))
+)
+def test_dry_run_rejects_what_the_study_rejects(case, tmp_path, capsys):
+    command, doc = REJECTED_RUNS[case]
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out), "--dry-run"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("validation error: ")
+    assert not out.exists()
 
 
 def test_bad_config_exits_1_without_traceback(tmp_path):
@@ -624,6 +653,22 @@ def test_manifest_records_the_run_facts(command, tmp_path):
         "python": platform.python_version(),
     }
     assert 1 < manifest["peak_rss_mb"] < 4096
+
+
+def test_readme_gives_the_verify_and_holder_defaults():
+    # each key with a default is named with it in parentheses: `key` (default, ...)
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    for command in ("verify", "holder"):
+        (text,) = re.findall(rf"^`{command}` \(every key optional\):(.*?)\n\n", readme,
+                             re.S | re.M)
+        given = dict(re.findall(r"`(\w+)`\s+\((\[[^\]]*\]|[^,)]+)", text))
+        for key, (_type, default) in cli.SCHEMAS[command].items():
+            if default is None:  # an optional key that stays absent: out_dir
+                continue
+            assert key in given, (command, key)
+            # through JSON, as a config file gives it: a tuple reads as a list
+            expected = json.loads(json.dumps(default))
+            assert json.loads(given[key]) == expected, (command, key)
 
 
 def test_readme_names_every_config_key():

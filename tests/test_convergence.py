@@ -142,6 +142,15 @@ class TestPlanStudy:
         with pytest.raises(DomainError):
             plan_study(base, "space", [], 4)
 
+    @pytest.mark.parametrize("coarse", [[2, 2, 3], [3, 2, 4]])
+    def test_levels_must_increase_strictly(self, coarse):
+        # a repeated level would weigh one resolution twice in the rate fit
+        base = SchemeConfig(
+            dim=1, gamma=0.5, space_level=4, time_steps=16, master_seed=0
+        )
+        with pytest.raises(DomainError, match="increase strictly"):
+            plan_study(base, "space", coarse, 4)
+
 
 @pytest.fixture(scope="module")
 def small_space_report() -> ConvergenceReport:
@@ -348,9 +357,9 @@ SWEEP_STUDIES = {
     # 24 fine steps, so the last block is short, and ratio 3, so steps
     # straddle the block edge
     "space1d_short_blocks": (1, "space", [2, 3, 4], 4, 4, 3, 24),
-    # mixed groups: two coupled runs on the reference grid stack with it,
-    # the coarsest advances alone
-    "time1d_mixed_groups": (1, "time", [3, 5, 5], 5, 4, 5, 2**6),
+    # mixed groups: the coupled run on the reference grid stacks with it,
+    # the two coarser ones advance alone
+    "time1d_mixed_groups": (1, "time", [3, 4, 5], 5, 4, 5, 2**6),
 }
 
 

@@ -219,6 +219,29 @@ def dpttrs_oracle(spec, ops, g):
     return out
 
 
+def c_slice_oracle(spec, ops, g):
+    """The quadrature of ``g`` in ``COLOR_COLUMNS`` chunks, a lone last column
+    joining the chunk before it, each node solving a C-ordered slice."""
+    solver = fracpow._PencilSolver(ops, spec)
+    g = np.ascontiguousarray(g)
+    out = np.zeros_like(g)
+    cols = g.shape[1]
+    edges = [*range(0, max(cols - 1, 1), fracpow.COLOR_COLUMNS), cols]
+    for lo, hi in zip(edges, edges[1:]):
+        for scale, factor in zip(solver._scales, solver._factors):
+            x = factor.solve(g[:, lo:hi])
+            x *= scale
+            out[:, lo:hi] += x
+    return out
+
+
+def layouts(g):
+    """``g`` C-ordered, F-ordered and as a view of every other column."""
+    strided = np.zeros((g.shape[0], 2 * g.shape[1]))
+    strided[:, ::2] = g
+    return np.ascontiguousarray(g), np.asfortranarray(g), strided[:, ::2]
+
+
 def final_time_run(steps_exp, snapshot_level):
     """A 1-d level-3 final-time path of 2^steps_exp steps, with snapshots."""
     ops = assemble(build_mesh(1, 3))
@@ -276,6 +299,32 @@ class TestChunkedColoring:
         assert calls == []
         apply_qgamma(spec, ops, g[:, :16])
         assert len(calls) == spec.nodes.size == 107
+
+    @pytest.mark.parametrize("cols", [257, 513])
+    def test_2d_chunks_equal_per_node_solves_of_c_slices(self, cols):
+        # one F copy per chunk, as SuperLU solves it, rounds like a solve of
+        # the C slice at every node
+        ops = assemble(build_mesh(2, 4))
+        spec = make_spec(0.75, 0.5)
+        g = np.random.default_rng(cols).standard_normal((ops.n_dof, cols))
+        blocks = layouts(g)
+        expected = c_slice_oracle(spec, ops, blocks[0])
+        for block in blocks:
+            np.testing.assert_array_equal(apply_qgamma(spec, ops, block), expected)
+
+    @pytest.mark.parametrize(
+        "level,cols", [(5, 1), (5, 16), (5, 257), (3, SWEEP_COLUMNS + 1)]
+    )
+    def test_1d_blocks_equal_dpttrs_column_solves(self, level, cols):
+        ops = assemble(build_mesh(1, level))
+        spec = make_spec(0.75, 0.5)
+        g = np.random.default_rng(cols).standard_normal((ops.n_dof, cols))
+        blocks = layouts(g)
+        expected = dpttrs_oracle(spec, ops, blocks[0])
+        for block in blocks:
+            np.testing.assert_array_equal(apply_qgamma(spec, ops, block), expected)
+        column = apply_qgamma(spec, ops, blocks[2][:, 0])  # a strided vector
+        np.testing.assert_array_equal(column, expected[:, 0])
 
     def test_2d_chunks_match_the_whole_block(self):
         # in 2-d the multi-column supernodal solves go through BLAS, whose

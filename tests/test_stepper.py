@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -284,6 +286,31 @@ def test_per_step_matches_step_loop(dim, gamma, level, snapshots, noise_mult):
         np.testing.assert_array_equal(out.snapshots, snaps)
     else:
         assert out.snapshots is None
+
+
+# 4,097 snapshots of 65 values, 2.1 MB: per-step mode holds the one array it
+# fills; final-time mode also its load vectors, their coloring and the sweep's
+# solution buffer
+@pytest.mark.parametrize("mode,arrays", [("final_time", 4.5), ("per_step", 1.5)])
+def test_snapshot_memory_is_bounded(mode, arrays):
+    ops = assemble(build_mesh(1, 6))
+    cfg = SchemeConfig(
+        dim=1, gamma=0.75, space_level=6, time_steps=2**12, master_seed=5, mode=mode
+    )
+
+    def run():
+        stream = NoiseStream(seed=5, fine_level=6, fine_steps=2**12)
+        return MODES[mode](cfg, stream, sample_driver(5), ops=ops, snapshot_level=12)
+
+    run()  # factors the systems and the quadrature
+    tracemalloc.start()
+    try:
+        snapshots = run().snapshots
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert snapshots.shape == (4097, 65)
+    assert peak < arrays * snapshots.nbytes
 
 
 @pytest.mark.parametrize("dim", [1, 2])
