@@ -12,12 +12,15 @@ ratios, never a specific constant.
 
 A Monte Carlo batch is drawn and integrated ``CHUNK_PATHS`` paths at a
 time, bit for bit as one whole-batch pass: its memory is the ``values``
-output, one ``(paths, steps)`` array for the ``quad_var`` product and a chunk.
+output, one ``(paths, steps)`` array for the ``quad_var`` product and two
+chunks: a helper thread, joined with the batch, draws chunk k + 1 of the one
+keyed stream, in stream order, while the caller integrates chunk k.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +42,8 @@ MIN_PATHS = 1000
 #: 10x rerun of the default 1e5-path, 64-step check draws 6.4e7 of them.
 MAX_DRAWS = 2**26
 
-#: Paths a batch draws and integrates at a time: at 64 steps a chunk array
-#: is 0.5 MB, which keeps a chunk in a 2 MB L2 cache (4096 took 17% longer).
+#: Paths a batch draws and integrates at a time: at 64 steps a chunk array is
+#: 0.5 MB, so the two chunks in flight fit a 2 MB L2 cache (4096: 17% slower).
 #: ``quad_var`` stays one whole-batch product, because OpenBLAS ``dgemv``
 #: rounds a row by its place in the batch and in its thread's share of it.
 CHUNK_PATHS = 1024
@@ -155,8 +158,9 @@ def _integrate(phi: ElementaryIntegrand, dw, marks, x, scaled) -> np.ndarray:
     inside = np.flatnonzero(phi.step_mask())
     s0, s1 = (inside[0], inside[-1] + 1) if inside.size else (0, 0)
     w_left = scaled[:, :s1]  # first Wiener coordinate at left endpoints, until squared
-    w_left[:, :1] = 0.0
-    np.cumsum(dw[:, : max(s1 - 1, 0), 0], axis=1, out=w_left[:, 1:])
+    if phi.family == "wiener_functional":  # the other families read its shape only
+        w_left[:, :1] = 0.0
+        np.cumsum(dw[:, : max(s1 - 1, 0), 0], axis=1, out=w_left[:, 1:])
     scalars = phi.step_scalars(w_left[:, s0:], marks)
     window = x[:, s0 : s1 + 1]
     x[:, : s0 + 1] = 0.0
@@ -167,8 +171,9 @@ def _integrate(phi: ElementaryIntegrand, dw, marks, x, scaled) -> np.ndarray:
     scaled[:, s1:] = 0.0
     np.square(scalars, out=scaled[:, s0:s1])
     scaled[:, s0:s1] *= phi.dim_q
-    # sqrt is monotone, so taking it after the max is exact
-    return np.sqrt(np.add.reduce(window * window, axis=2).max(axis=1))
+    # sqrt is monotone, so taking it after the max is exact; q = 1 needs no sum
+    squares = np.square(window)
+    return np.sqrt((squares[..., 0] if phi.dim_q == 1 else squares.sum(axis=2)).max(axis=1))
 
 
 def ito_integral_elementary(
@@ -180,10 +185,16 @@ def ito_integral_elementary(
     values = np.empty((n_paths, steps + 1, q))
     sup_norm = np.empty(n_paths)
     scaled = np.empty((n_paths, steps))
-    dw = np.empty((min(n_paths, CHUNK_PATHS), steps, q))
-    for rows in _chunk_rows(n_paths):
-        chunk = fill(dw[: rows.stop - rows.start])
-        sup_norm[rows] = _integrate(phi, chunk, marks[rows], values[rows], scaled[rows])
+    dw = np.empty((2, min(n_paths, CHUNK_PATHS), steps, q))
+    chunks = list(_chunk_rows(n_paths))
+    bufs = [dw[k % 2, : rows.stop - rows.start] for k, rows in enumerate(chunks)]
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        drawn = [helper.submit(fill, buf) for buf in bufs[:1]]
+        for k, rows in enumerate(chunks):
+            chunk = drawn[k].result()
+            # chunk k + 1 fills the buffer of chunk k - 1 while chunk k is integrated
+            drawn += [helper.submit(fill, buf) for buf in bufs[k + 1 : k + 2]]
+            sup_norm[rows] = _integrate(phi, chunk, marks[rows], values[rows], scaled[rows])
     quad_var = scaled @ np.diff(phi.partition)
     return IntegralSample(values=values, sup_norm=sup_norm, quad_var=quad_var)
 
@@ -200,41 +211,47 @@ def dp_metric(samples: np.ndarray, p: float) -> float:
     return float(np.mean(np.minimum(1.0, samples**p)) ** (1.0 / p))
 
 
-def _rerun_ratio(name: str, attempt, n_paths: int) -> float:
-    """``lhs / rhs`` of ``attempt(paths)``, rerun once at 10x the paths while
-    rhs = 0 < lhs; 0/0 is 0, as both sides vanish for the zero integrand."""
+def _rerun_ratios(name: str, attempt, n_paths: int) -> list[float]:
+    """``lhs / rhs`` of each pair of ``attempt(paths)``, 0/0 being 0 as for the zero
+    integrand; while some pair has rhs = 0 < lhs, one rerun at 10x the paths
+    decides it, and pairs decided before keep their ratios."""
+    ratios: list[float | None] = []
     for paths in (n_paths, 10 * n_paths):
-        lhs, rhs = attempt(paths)
-        if rhs != 0.0:
-            return lhs / rhs
-        if lhs == 0.0:
-            return 0.0
+        fresh = [lhs / rhs if rhs else None if lhs else 0.0 for lhs, rhs in attempt(paths)]
+        ratios = [f if r is None else r for r, f in zip(ratios or fresh, fresh)]
+        if None not in ratios:
+            return ratios
     raise StatisticalAlarm(
         f"{name} degenerate at {10 * n_paths} paths: lhs > 0 with rhs = 0"
     )
 
 
-def bdg_ratio(
-    phi: ElementaryIntegrand, p: float, n_paths: int, seed: int = 0
-) -> float:
-    """Truncated-supremum to truncated-quadratic-variation ratio.
+def bdg_ratios(
+    phi: ElementaryIntegrand, ps: list[float], n_paths: int, seed: int = 0
+) -> list[float]:
+    """Truncated-supremum to truncated-quadratic-variation ratio per p, from one batch.
 
     Estimates E[1 ^ sup_t |X(t)|^p] / E[1 ^ quad_var]^{p/2}; the inequality
     under test asserts this is bounded by a constant depending only on p.  A
     zero denominator with positive numerator is a violation candidate and
     triggers one automatic rerun at 10x the paths before raising an alarm.
     """
-    if p <= 0.0:
-        raise DomainError(f"p must be positive, got {p}")
+    if min(ps, default=1.0) <= 0.0:
+        raise DomainError(f"p must be positive, got {min(ps)}")
     if n_paths < MIN_PATHS:
         raise DomainError(f"need at least {MIN_PATHS} paths, got {n_paths}")
 
     def attempt(paths):
         sample = ito_integral_elementary(phi, seed, paths)
-        lhs = float(np.mean(np.minimum(1.0, sample.sup_norm**p)))
-        return lhs, float(np.mean(np.minimum(1.0, sample.quad_var)) ** (p / 2.0))
+        sup, qv = sample.sup_norm, np.mean(np.minimum(1.0, sample.quad_var))
+        return [(float(np.minimum(1.0, sup**p).mean()), float(qv ** (p / 2.0))) for p in ps]
 
-    return _rerun_ratio("bdg_ratio", attempt, n_paths)
+    return _rerun_ratios("bdg_ratio", attempt, n_paths)
+
+
+def bdg_ratio(phi: ElementaryIntegrand, p: float, n_paths: int, seed: int = 0) -> float:
+    """``bdg_ratios`` at the one exponent ``p``."""
+    return bdg_ratios(phi, [p], n_paths, seed)[0]
 
 
 def bdg_sum_ratio(
@@ -274,9 +291,9 @@ def bdg_sum_ratio(
             sup_sum += sup**p
             qv_sum += (scaled @ dts) ** (p / 2.0)
         lhs = float(np.mean(np.minimum(1.0, sup_sum)))
-        return lhs, float(np.mean(np.minimum(1.0, qv_sum)))
+        return [(lhs, float(np.mean(np.minimum(1.0, qv_sum))))]
 
-    return _rerun_ratio("bdg_sum_ratio", attempt, n_paths)
+    return _rerun_ratios("bdg_sum_ratio", attempt, n_paths)[0]
 
 
 @dataclass(frozen=True)

@@ -215,11 +215,50 @@ class TestVerifyCommand:
         def boom(*args, **kwargs):
             raise StatisticalAlarm("synthetic alarm")
 
-        monkeypatch.setattr(l0, "bdg_ratio", boom)
+        monkeypatch.setattr(l0, "bdg_ratios", boom)
         assert main(
             ["verify", "--paths", "1000", "--out", str(tmp_path), "--seed", "1"]
         ) == 3
         assert "synthetic alarm" in (tmp_path / "alarms.log").read_text()
+
+    def test_one_draw_per_family_and_seed(self, tmp_path, monkeypatch):
+        # every p of a (family, seed) comes from one batch: 6 family draws,
+        # plus the isometry's unit integrand
+        integral = l0.ito_integral_elementary
+        draws = []
+
+        def counted(phi, seed, n_paths=1):
+            draws.append((phi.family, phi.partition.size, seed, n_paths))
+            return integral(phi, seed, n_paths)
+
+        monkeypatch.setattr(l0, "ito_integral_elementary", counted)
+        assert main(["verify", "--out", str(tmp_path)]) == 0
+        assert draws == [("deterministic_const", 2, 1, 100_000)] + [
+            (family, 65, seed, 100_000) for family in l0.FAMILIES for seed in (1, 102)
+        ]
+
+    def test_a_degenerate_batch_logs_each_p_and_seed(self, tmp_path, monkeypatch):
+        # quad_var = 0 with sup > 0 at both attempts: each wiener_functional
+        # batch raises, and alarms.log keeps the order (family, p, seed)
+        integral = l0.ito_integral_elementary
+
+        def degenerate(phi, seed, n_paths=1):
+            sample = integral(phi, seed, n_paths)
+            if phi.family != "wiener_functional":
+                return sample
+            return dataclasses.replace(sample, quad_var=np.zeros(n_paths))
+
+        monkeypatch.setattr(l0, "ito_integral_elementary", degenerate)
+        args = ["verify", "--paths", "1000", "--out", str(tmp_path), "--seed", "1"]
+        assert main(args) == 3
+        alarm = "bdg_ratio degenerate at 10000 paths: lhs > 0 with rhs = 0"
+        assert (tmp_path / "alarms.log").read_text().splitlines() == [
+            f"bdg_ratio wiener_functional p={p}: {alarm}"
+            for p in (1.0, 2.0, 4.0) for _ in range(2)
+        ]
+        rows = (tmp_path / "verify_bdg.csv").read_text().splitlines()
+        wiener = [row for row in rows if row.startswith("wiener_functional")]
+        assert len(wiener) == 3 and all(",nan,nan," in row for row in wiener)
 
     def test_isometry_band_scales_with_paths(self, tmp_path, capsys):
         # seed 1 at 1000 paths has variance 0.9497: 5% off, well inside the

@@ -1,3 +1,7 @@
+import dataclasses
+import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -200,6 +204,46 @@ class TestItoIntegral:
                 np.testing.assert_array_equal(sample.sup_norm, sup)
                 np.testing.assert_array_equal(sample.quad_var, quad_var)
 
+    def test_helper_thread_ends_with_the_batch(self, monkeypatch):
+        # chunk k + 1 is drawn on the helper thread while chunk k is
+        # integrated; a short switch interval interleaves the two threads often
+        monkeypatch.setattr(l0, "CHUNK_PATHS", 24)
+        phi = unit_integrand(steps=8, q=2, family="wiener_functional")
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            sample = l0.ito_integral_elementary(phi, 3, 10 * 24 + 5)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == before
+        _, sup, _ = whole_batch_integral(phi, *whole_batch_draw(phi, 3, 10 * 24 + 5))
+        np.testing.assert_array_equal(sample.sup_norm, sup)
+
+    def test_a_failed_draw_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(l0, "CHUNK_PATHS", 24)
+        real = l0._draws
+        threads = []
+
+        def draws(phi, seed, n_paths):
+            marks, fill = real(phi, seed, n_paths)
+
+            def failing(dw):
+                threads.append(threading.current_thread())
+                if len(threads) == 3:
+                    raise RuntimeError("third chunk")
+                return fill(dw)
+
+            return marks, failing
+
+        monkeypatch.setattr(l0, "_draws", draws)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="third chunk"):
+            l0.ito_integral_elementary(unit_integrand(steps=8), 3, 5 * 24)
+        assert threading.active_count() == before
+        assert len(threads) == 3
+        assert threading.main_thread() not in threads
+
     def test_batch_memory_is_bounded(self):
         # values, one (paths, steps) array for the quad_var product and a
         # few chunks
@@ -262,14 +306,43 @@ class TestBdgRatio:
     @pytest.mark.parametrize("chunk", [None, 24])
     @pytest.mark.parametrize("family", l0.FAMILIES)
     def test_equals_the_whole_batch_ratio(self, monkeypatch, family, chunk):
+        # q = 1 takes the square as the squared norm, q > 1 sums the squares
         if chunk is not None:
             monkeypatch.setattr(l0, "CHUNK_PATHS", chunk)
-        phi = unit_integrand(steps=64, q=2, family=family)
         n_paths = 3 * l0.CHUNK_PATHS + 1005
-        for p in (1.0, 2.0, 4.0):
-            assert l0.bdg_ratio(phi, p, n_paths, 9) == whole_batch_bdg_ratio(
-                phi, p, n_paths, 9
-            )
+        for q in (1, 2, 3):
+            phi = unit_integrand(steps=64, q=q, family=family)
+            for p in (1.0, 2.0, 4.0):
+                assert l0.bdg_ratio(phi, p, n_paths, 9) == whole_batch_bdg_ratio(
+                    phi, p, n_paths, 9
+                )
+
+    @pytest.mark.parametrize("first_quad_var", [None, 0.0, 1e-200])
+    @pytest.mark.parametrize("family", l0.FAMILIES)
+    def test_one_batch_equals_a_call_per_p(self, monkeypatch, family, first_quad_var):
+        # a first attempt with quad_var 0 reruns every p at 10x the paths; with
+        # 1e-200 only p = 4, whose rhs underflows to 0, reruns, and p = 1, 2
+        # keep their first-attempt ratios, as a call at that p alone would
+        real = l0.ito_integral_elementary
+        draws = []
+
+        def ito(phi, seed, n_paths=1):
+            draws.append(n_paths)
+            sample = real(phi, seed, n_paths)
+            if first_quad_var is None or n_paths > 1000:
+                return sample
+            return dataclasses.replace(sample, quad_var=np.full(n_paths, first_quad_var))
+
+        monkeypatch.setattr(l0, "ito_integral_elementary", ito)
+        phi = unit_integrand(steps=16, family=family)
+        ps = [1.0, 2.0, 4.0]
+        ratios = l0.bdg_ratios(phi, ps, 1000, seed=5)
+        assert draws == ([1000] if first_quad_var is None else [1000, 10_000])
+        assert ratios == [l0.bdg_ratio(phi, p, 1000, seed=5) for p in ps]
+        assert all(math.isfinite(r) for r in ratios)
+        if first_quad_var == 1e-200:
+            # p = 1 kept the first attempt's ratio: rhs 1e-100 under lhs > 1e-100
+            assert ratios[0] > 1e50
 
 
 class TestBdgSumRatio:
