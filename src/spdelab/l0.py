@@ -11,16 +11,19 @@ checks assert finiteness and cross-seed stability of the truncated
 ratios, never a specific constant.
 
 A Monte Carlo batch is drawn and integrated ``CHUNK_PATHS`` paths at a
-time, bit for bit as one whole-batch pass: its memory is the ``values``
-output, one ``(paths, steps)`` array for the ``quad_var`` product and two
-chunks: a helper thread, joined with the batch, draws chunk k + 1 of the one
-keyed stream, in stream order, while the caller integrates chunk k.
+time, bit for bit as one whole-batch pass, by the one loop ``_batch``: a
+helper thread, joined with the batch, draws chunk k + 1 of the one keyed
+stream, in stream order, while the caller integrates chunk k.  Its memory
+is the ``values`` output, O(paths) and two chunks.  A path's ``quad_var``
+is numpy's row sum of its own window terms, so no result depends on the
+batch size, the chunk size or the BLAS thread count.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +47,6 @@ MAX_DRAWS = 2**26
 
 #: Paths a batch draws and integrates at a time: at 64 steps a chunk array is
 #: 0.5 MB, so the two chunks in flight fit a 2 MB L2 cache (4096: 17% slower).
-#: ``quad_var`` stays one whole-batch product, because OpenBLAS ``dgemv``
-#: rounds a row by its place in the batch and in its thread's share of it.
 CHUNK_PATHS = 1024
 
 
@@ -121,45 +122,56 @@ def check_draws(n_paths: int, steps: int, dim_q: int) -> None:
         )
 
 
-def _draws(phi: ElementaryIntegrand, seed: int, n_paths: int):
-    """Check the batch size; return its marks and ``fill``.
+@contextmanager
+def _batch(phi: ElementaryIntegrand, seed: int, n_paths: int):
+    """Check the draw guard, then yield an iterator of the batch's
+    ``(rows, marks, dw)`` chunks, the successive rows of one whole draw.
 
-    ``fill(dw)`` draws the next ``len(dw)`` paths of the one keyed Wiener
-    stream into ``dw``, so successive chunks are the rows of one whole draw.
+    Chunk k + 1 of the one keyed Wiener stream is drawn on the helper thread
+    while the caller uses chunk k; leaving the ``with`` block, however it is
+    left, joins the helper.
     """
     dts = np.diff(phi.partition)
     check_draws(n_paths, dts.size, phi.dim_q)
     gen = keyed_generator(seed, L0_WIENER_TAG)
     marks = keyed_generator(seed, L0_MARK_TAG).standard_normal(n_paths)
     root_dts = np.sqrt(dts)[:, None]
+    starts = range(0, n_paths, CHUNK_PATHS)
+    chunks = [slice(k, min(k + CHUNK_PATHS, n_paths)) for k in starts]
+    dw = np.empty((2, min(n_paths, CHUNK_PATHS), dts.size, phi.dim_q))
+    bufs = [dw[k % 2, : rows.stop - rows.start] for k, rows in enumerate(chunks)]
 
-    def fill(dw: np.ndarray) -> np.ndarray:
-        gen.standard_normal(out=dw)
-        dw *= root_dts
-        return dw
+    def fill(buf: np.ndarray) -> np.ndarray:
+        gen.standard_normal(out=buf)
+        buf *= root_dts
+        return buf
 
-    return marks, fill
+    def drawn_ahead(helper):
+        drawn = [helper.submit(fill, buf) for buf in bufs[:1]]
+        for k, rows in enumerate(chunks):
+            chunk = drawn[k].result()
+            # chunk k + 1 fills the buffer of chunk k - 1 while chunk k is used
+            drawn += [helper.submit(fill, buf) for buf in bufs[k + 1 : k + 2]]
+            yield rows, marks[rows], chunk
+
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        yield drawn_ahead(helper)
 
 
-def _chunk_rows(n_paths: int):
-    for start in range(0, n_paths, CHUNK_PATHS):
-        yield slice(start, min(start + CHUNK_PATHS, n_paths))
+def _integrate(phi: ElementaryIntegrand, dw, marks, x) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate one chunk of paths into ``x``; return their sup norms and
+    quadratic variations.
 
-
-def _integrate(phi: ElementaryIntegrand, dw, marks, x, scaled) -> np.ndarray:
-    """Integrate one chunk of paths into ``x``; return their sup norms.
-
-    Writes ``dim_q * scalars**2`` into ``scaled`` (``quad_var`` is the
-    batch's ``scaled @ dts``).  ``dw`` may be shared, so it is only read.
-    Only the steps ``s0 .. s1 - 1`` of the support window are integrated:
-    before them ``x`` is zero and after them constant, so the sup is taken
-    over the window's points.
+    ``dw`` may be shared, so it is only read.  Only the steps ``s0 .. s1 - 1``
+    of the support window are integrated: before them ``x`` is zero and
+    after them constant, so the sup is taken over the window's points.  A
+    path's quadratic variation is the row sum of its window terms
+    ``dim_q * scalar**2 * dt``, pairwise in numpy's fixed order.
     """
     inside = np.flatnonzero(phi.step_mask())
     s0, s1 = (inside[0], inside[-1] + 1) if inside.size else (0, 0)
-    w_left = scaled[:, :s1]  # first Wiener coordinate at left endpoints, until squared
+    w_left = np.zeros((len(dw), s1))  # first Wiener coordinate at left endpoints
     if phi.family == "wiener_functional":  # the other families read its shape only
-        w_left[:, :1] = 0.0
         np.cumsum(dw[:, : max(s1 - 1, 0), 0], axis=1, out=w_left[:, 1:])
     scalars = phi.step_scalars(w_left[:, s0:], marks)
     window = x[:, s0 : s1 + 1]
@@ -167,35 +179,25 @@ def _integrate(phi: ElementaryIntegrand, dw, marks, x, scaled) -> np.ndarray:
     np.multiply(scalars[:, :, None], dw[:, s0:s1], out=window[:, 1:])
     np.cumsum(window[:, 1:], axis=1, out=window[:, 1:])
     x[:, s1 + 1 :] = x[:, s1 : s1 + 1]
-    scaled[:, :s0] = 0.0
-    scaled[:, s1:] = 0.0
-    np.square(scalars, out=scaled[:, s0:s1])
-    scaled[:, s0:s1] *= phi.dim_q
+    # C order makes every row one contiguous pairwise sum
+    terms = np.square(scalars, order="C")
+    terms *= phi.dim_q
+    terms *= np.diff(phi.partition)[s0:s1]
     # sqrt is monotone, so taking it after the max is exact; q = 1 needs no sum
     squares = np.square(window)
-    return np.sqrt((squares[..., 0] if phi.dim_q == 1 else squares.sum(axis=2)).max(axis=1))
+    sq_norms = squares[..., 0] if phi.dim_q == 1 else squares.sum(axis=2)
+    return np.sqrt(sq_norms.max(axis=1)), terms.sum(axis=1)
 
 
 def ito_integral_elementary(
     phi: ElementaryIntegrand, seed: int, n_paths: int = 1
 ) -> IntegralSample:
     """Evaluate the defining sum of the integral at all partition points."""
-    marks, fill = _draws(phi, seed, n_paths)
-    steps, q = phi.partition.size - 1, phi.dim_q
-    values = np.empty((n_paths, steps + 1, q))
-    sup_norm = np.empty(n_paths)
-    scaled = np.empty((n_paths, steps))
-    dw = np.empty((2, min(n_paths, CHUNK_PATHS), steps, q))
-    chunks = list(_chunk_rows(n_paths))
-    bufs = [dw[k % 2, : rows.stop - rows.start] for k, rows in enumerate(chunks)]
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        drawn = [helper.submit(fill, buf) for buf in bufs[:1]]
-        for k, rows in enumerate(chunks):
-            chunk = drawn[k].result()
-            # chunk k + 1 fills the buffer of chunk k - 1 while chunk k is integrated
-            drawn += [helper.submit(fill, buf) for buf in bufs[k + 1 : k + 2]]
-            sup_norm[rows] = _integrate(phi, chunk, marks[rows], values[rows], scaled[rows])
-    quad_var = scaled @ np.diff(phi.partition)
+    with _batch(phi, seed, n_paths) as chunks:
+        values = np.empty((n_paths, phi.partition.size, phi.dim_q))
+        sup_norm, quad_var = np.empty(n_paths), np.empty(n_paths)
+        for rows, marks, dw in chunks:
+            sup_norm[rows], quad_var[rows] = _integrate(phi, dw, marks, values[rows])
     return IntegralSample(values=values, sup_norm=sup_norm, quad_var=quad_var)
 
 
@@ -273,23 +275,16 @@ def bdg_sum_ratio(
             phi.partition, base.partition
         ):
             raise DomainError("integrands must share dimension and partition")
-    dts = np.diff(base.partition)
-    steps, q = dts.size, base.dim_q
 
     def attempt(paths):
-        marks, fill = _draws(base, seed, paths)
-        dw = fill(np.empty((paths, steps, q)))
-        x = np.empty((min(paths, CHUNK_PATHS), steps + 1, q))
-        scaled = np.empty((paths, steps))
-        sup = np.empty(paths)
-        sup_sum = np.zeros(paths)
-        qv_sum = np.zeros(paths)
-        for phi in phis:
-            for rows in _chunk_rows(paths):
-                x_rows = x[: rows.stop - rows.start]
-                sup[rows] = _integrate(phi, dw[rows], marks[rows], x_rows, scaled[rows])
-            sup_sum += sup**p
-            qv_sum += (scaled @ dts) ** (p / 2.0)
+        with _batch(base, seed, paths) as chunks:
+            sup_sum, qv_sum = np.zeros(paths), np.zeros(paths)
+            x = np.empty((min(paths, CHUNK_PATHS), base.partition.size, base.dim_q))
+            for rows, marks, dw in chunks:
+                for phi in phis:
+                    sup, qv = _integrate(phi, dw, marks, x[: rows.stop - rows.start])
+                    sup_sum[rows] += sup**p
+                    qv_sum[rows] += qv ** (p / 2.0)
         lhs = float(np.mean(np.minimum(1.0, sup_sum)))
         return [(lhs, float(np.mean(np.minimum(1.0, qv_sum))))]
 

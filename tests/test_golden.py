@@ -8,6 +8,7 @@ so in CHANGES.md::
     PYTHONPATH=src python3 tests/test_golden.py
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -44,6 +45,9 @@ PATHS = {
 # Monte Carlo paths and steps of the BDG ratios of analysis_outputs
 BDG_PATHS = 2000
 BDG_STEPS = 64
+# Monte Carlo paths of the BDG batches compared on 1 and 2 BLAS threads:
+# enough for OpenBLAS to share a whole-batch product between threads
+BLAS_PATHS = 12_293
 
 
 def study_errors(name: str) -> dict:
@@ -107,6 +111,26 @@ def analysis_outputs() -> dict:
     }
 
 
+def bdg_digests() -> dict:
+    """Digests of the bytes of one BDG batch of each kind at BLAS_PATHS paths:
+    an integral's quad_var and sup_norm, bdg_ratios of every family and a
+    sum over 4 blocks."""
+    partition = np.linspace(0.0, 1.0, BDG_STEPS + 1)
+    phis = {f: l0.ElementaryIntegrand(1, partition, f) for f in l0.FAMILIES}
+    sample = l0.ito_integral_elementary(phis["wiener_functional"], MASTER_SEED, BLAS_PATHS)
+    blocks = l0.block_integrands("wiener_functional", 4, BDG_STEPS // 4)
+    arrays = {
+        "quad_var": sample.quad_var,
+        "sup_norm": sample.sup_norm,
+        "bdg_ratios": [
+            l0.bdg_ratios(phi, [1.0, 2.0, 4.0], BLAS_PATHS, MASTER_SEED)
+            for phi in phis.values()
+        ],
+        "bdg_sum_ratio": l0.bdg_sum_ratio(blocks, 2.0, BLAS_PATHS, MASTER_SEED),
+    }
+    return {k: hashlib.sha256(np.array(v).tobytes()).hexdigest() for k, v in arrays.items()}
+
+
 def generate() -> dict:
     return {
         "studies": {name: study_errors(name) for name in STUDIES},
@@ -154,8 +178,8 @@ def test_analysis_matches_golden(golden):
 
 
 def _study_bytes(blas_threads: int) -> str:
-    """The 1-d study errors and the per-step path, run in a fresh
-    interpreter, as hex bytes."""
+    """The 1-d study errors and the per-step path as hex bytes, and the BDG
+    batch digests, run in a fresh interpreter."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {
         **os.environ,
@@ -170,6 +194,8 @@ def _study_bytes(blas_threads: int) -> str:
         "    print(name, np.array([errs[g] for g in sorted(errs)]).tobytes().hex())\n"
         "out = golden['path_outputs']('per_step')\n"
         "print('per_step', np.array([out['alpha'], *out['snapshots']]).tobytes().hex())\n"
+        "for key, digest in golden['bdg_digests']().items():\n"
+        "    print(key, digest)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
@@ -178,13 +204,13 @@ def _study_bytes(blas_threads: int) -> str:
 
 
 def test_1d_studies_do_not_depend_on_blas_threads():
-    # the two-gamma space and time studies and the per-step path, which
-    # colors every step through the LAPACK pencil solves, give the same
-    # bytes on 1 and 2 BLAS threads; BDG batches are left out, because their
-    # quad_var is one dgemv whose rounding depends on the thread count
+    # the two-gamma space and time studies, the per-step path, which colors
+    # every step through the LAPACK pencil solves, and the BDG batches give
+    # the same bytes on 1 and 2 BLAS threads
     one = _study_bytes(1)
     assert [line.split()[0] for line in one.splitlines()] == [
-        "space1d", "time1d", "per_step"
+        "space1d", "time1d", "per_step", "quad_var", "sup_norm", "bdg_ratios",
+        "bdg_sum_ratio",
     ]
     assert one == _study_bytes(2)
 

@@ -50,8 +50,15 @@ def whole_batch_integral(phi, dw, marks):
     np.multiply(scalars[:, :, None], dw, out=x[:, 1:])
     np.cumsum(x[:, 1:], axis=1, out=x[:, 1:])
     sup = np.sqrt(np.add.reduce(x * x, axis=2)).max(axis=1)
-    quad_var = ((scalars**2) * q) @ np.diff(phi.partition)
-    return x, sup, quad_var
+    return x, sup, window_quad_var(phi, scalars)
+
+
+def window_quad_var(phi, scalars):
+    """Each path's numpy sum of q * scalar**2 * dt over the support window,
+    one path at a time."""
+    mask = phi.step_mask()
+    terms = scalars[:, mask] ** 2 * phi.dim_q * np.diff(phi.partition)[mask]
+    return np.array([row.sum() for row in terms])
 
 
 def whole_batch_bdg_ratio(phi, p, n_paths, seed):
@@ -71,6 +78,22 @@ def whole_batch_sum_ratio(phis, p, n_paths, seed):
     return float(np.mean(np.minimum(1.0, sup_sum))) / float(
         np.mean(np.minimum(1.0, qv_sum))
     )
+
+
+#: One batch of each kind and its whole-batch oracle: the sup norms of an
+#: integral, and the summed ratio of one integrand at p = 2.
+BATCHES = {
+    "ito_integral_elementary": lambda phi, seed, n: l0.ito_integral_elementary(
+        phi, seed, n
+    ).sup_norm,
+    "bdg_sum_ratio": lambda phi, seed, n: l0.bdg_sum_ratio([phi], 2.0, n, seed),
+}
+WHOLE_BATCHES = {
+    "ito_integral_elementary": lambda phi, seed, n: whole_batch_integral(
+        phi, *whole_batch_draw(phi, seed, n)
+    )[1],
+    "bdg_sum_ratio": lambda phi, seed, n: whole_batch_sum_ratio([phi], 2.0, n, seed),
+}
 
 
 class TestDpMetric:
@@ -179,9 +202,10 @@ class TestItoIntegral:
         np.testing.assert_array_equal(
             sample.sup_norm, np.linalg.norm(x, axis=2).max(axis=1)
         )
-        np.testing.assert_array_equal(
-            sample.quad_var, (scalars**2 * q) @ np.diff(phi.partition)
-        )
+        np.testing.assert_array_equal(sample.quad_var, window_quad_var(phi, scalars))
+        # within a few roundings of the whole-batch product it replaced
+        old = (scalars**2 * q) @ np.diff(phi.partition)
+        np.testing.assert_allclose(sample.quad_var, old, rtol=1e-15, atol=0.0)
 
     @pytest.mark.parametrize("chunk", [None, 8, 24])
     @pytest.mark.parametrize("support", [None, (0.3, 0.8)])
@@ -204,7 +228,8 @@ class TestItoIntegral:
                 np.testing.assert_array_equal(sample.sup_norm, sup)
                 np.testing.assert_array_equal(sample.quad_var, quad_var)
 
-    def test_helper_thread_ends_with_the_batch(self, monkeypatch):
+    @pytest.mark.parametrize("batch", BATCHES)
+    def test_helper_thread_ends_with_the_batch(self, monkeypatch, batch):
         # chunk k + 1 is drawn on the helper thread while chunk k is
         # integrated; a short switch interval interleaves the two threads often
         monkeypatch.setattr(l0, "CHUNK_PATHS", 24)
@@ -213,40 +238,62 @@ class TestItoIntegral:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            sample = l0.ito_integral_elementary(phi, 3, 10 * 24 + 5)
+            got = BATCHES[batch](phi, 3, 10 * 24 + 5)
         finally:
             sys.setswitchinterval(interval)
         assert threading.active_count() == before
-        _, sup, _ = whole_batch_integral(phi, *whole_batch_draw(phi, 3, 10 * 24 + 5))
-        np.testing.assert_array_equal(sample.sup_norm, sup)
+        np.testing.assert_array_equal(got, WHOLE_BATCHES[batch](phi, 3, 10 * 24 + 5))
 
-    def test_a_failed_draw_reaches_the_caller(self, monkeypatch):
+    @pytest.mark.parametrize("batch", BATCHES)
+    def test_a_failed_draw_reaches_the_caller(self, monkeypatch, batch):
         monkeypatch.setattr(l0, "CHUNK_PATHS", 24)
-        real = l0._draws
+        real = l0.keyed_generator
         threads = []
 
-        def draws(phi, seed, n_paths):
-            marks, fill = real(phi, seed, n_paths)
+        class FailingThirdDraw:
+            def __init__(self, gen):
+                self.gen = gen
 
-            def failing(dw):
+            def standard_normal(self, *args, **kwargs):
                 threads.append(threading.current_thread())
                 if len(threads) == 3:
                     raise RuntimeError("third chunk")
-                return fill(dw)
+                return self.gen.standard_normal(*args, **kwargs)
 
-            return marks, failing
+        def keyed(seed, tag):
+            gen = real(seed, tag)
+            return FailingThirdDraw(gen) if tag == L0_WIENER_TAG else gen
 
-        monkeypatch.setattr(l0, "_draws", draws)
+        monkeypatch.setattr(l0, "keyed_generator", keyed)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="third chunk"):
-            l0.ito_integral_elementary(unit_integrand(steps=8), 3, 5 * 24)
+            BATCHES[batch](unit_integrand(steps=8), 3, 5 * 24)
         assert threading.active_count() == before
         assert len(threads) == 3
         assert threading.main_thread() not in threads
 
+    @pytest.mark.parametrize("batch", BATCHES)
+    def test_a_failed_chunk_joins_the_helper(self, monkeypatch, batch):
+        # the caller fails on the second chunk while the third is drawn
+        monkeypatch.setattr(l0, "CHUNK_PATHS", 24)
+        real = l0._integrate
+        chunks = []
+
+        def integrate(*args):
+            chunks.append(args[1])
+            if len(chunks) == 2:
+                raise RuntimeError("second chunk")
+            return real(*args)
+
+        monkeypatch.setattr(l0, "_integrate", integrate)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="second chunk"):
+            BATCHES[batch](unit_integrand(steps=8), 3, 5 * 24)
+        assert threading.active_count() == before
+        assert len(chunks) == 2
+
     def test_batch_memory_is_bounded(self):
-        # values, one (paths, steps) array for the quad_var product and a
-        # few chunks
+        # values, O(paths) and a few chunks
         phi = unit_integrand(steps=64, family="wiener_functional")
         n_paths = 100_000
         tracemalloc.start()
@@ -255,7 +302,7 @@ class TestItoIntegral:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2.25 * n_paths * 64 * 8
+        assert peak < 1.15 * n_paths * 65 * 8
 
     def test_heavy_tailed_not_square_integrable(self):
         # exp(G^2) has infinite second moment: the sample mean of quad_var
@@ -401,8 +448,7 @@ class TestBdgSumRatio:
 
     @pytest.mark.parametrize("m", [1, 16])
     def test_memory_is_bounded_whatever_the_blocks(self, m):
-        # the shared draw, one (paths, steps) array for each integrand's
-        # quad_var product in turn and a few chunks, whatever m is
+        # O(paths) and a few chunks, whatever m is: no paths x steps term
         phis = l0.block_integrands("wiener_functional", m, 64 // m)
         n_paths = 100_000
         tracemalloc.start()
@@ -411,7 +457,7 @@ class TestBdgSumRatio:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2.25 * n_paths * 64 * 8
+        assert peak < 8e6
 
     def test_requires_p_at_least_two(self):
         with pytest.raises(DomainError):
