@@ -220,29 +220,6 @@ def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
         writer.writerows(rows)
 
 
-def _gnuplot_script(series: list, guides: list, xlabel: str) -> str:
-    """Self-contained gnuplot script mirroring the SVG figure."""
-    lines = [
-        "set logscale xy",
-        "set key bottom right",
-        f'set xlabel "{xlabel}"',
-        'set ylabel "relative error"',
-    ]
-    for i, s in enumerate(series):
-        lines.append(f"$curve{i} << EOD")
-        lines.extend(f"{x:.17g} {y:.17g}" for x, y in zip(s.x, s.y))
-        lines.append("EOD")
-    plots = [f'$curve{i} using 1:2 with linespoints title "{s.label}"'
-             for i, s in enumerate(series)]
-    for g in guides:
-        scale = g.anchor_y / g.anchor_x**g.slope
-        plots.append(
-            f'{scale:.6g} * x**{g.slope:g} with lines dashtype 2 title "{g.label}"'
-        )
-    lines.append("plot " + ", \\\n     ".join(plots))
-    return "\n".join(lines) + "\n"
-
-
 def cmd_assemble_check(args) -> int:
     cases = [(1, 3), (2, 2)]
     if args.dim is not None:
@@ -327,17 +304,15 @@ def cmd_convergence(cfg: dict, out: Path) -> tuple[int, dict]:
         )
     outputs = ["errors.csv", "summary.csv"]
     if series:  # empty when every level of every gamma is saturated
-        xlabel = "mesh size h" if axis == "space" else "time step"
         svg = loglog_svg(
             series,
             guides,
             title=f"Relative pathwise error at t = 1 ({axis}, d = {cfg['dim']})",
-            xlabel=xlabel,
+            xlabel="mesh size h" if axis == "space" else "time step",
             ylabel="relative error",
         )
         (out / "convergence.svg").write_text(svg, encoding="utf-8")
-        (out / "convergence.gp").write_text(_gnuplot_script(series, guides, xlabel))
-        outputs += ["convergence.svg", "convergence.gp"]
+        outputs.append("convergence.svg")
 
     for rep in reports:
         fitted = "n/a" if rep.fitted_rate is None else f"{rep.fitted_rate:.3f}"

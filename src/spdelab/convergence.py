@@ -143,8 +143,8 @@ def plan_study(
         raise DomainError(f"axis must be 'space' or 'time', got {axis!r}")
     if not coarse_levels:
         raise DomainError("no coarse levels given")
-    if any(lv > ref_level for lv in coarse_levels):
-        raise DomainError("coarse levels must not exceed the reference level")
+    if not all(0 <= lv <= ref_level for lv in coarse_levels):
+        raise DomainError(f"coarse levels must lie in [0, ref_level {ref_level}]")
     if any(lo >= hi for lo, hi in zip(coarse_levels, coarse_levels[1:])):
         raise DomainError("coarse levels must increase strictly, coarse to fine")
 

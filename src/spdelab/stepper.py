@@ -44,7 +44,7 @@ import scipy.sparse as sp
 
 from . import noise
 from .driver import DEFAULT_N_MODES, ScalarDriver, eval_b_grid
-from .exceptions import DomainError
+from .exceptions import CapacityError, DomainError
 from .fracpow import apply_qgamma, make_spec
 from .mesh import FemOperators, assemble, build_mesh
 from .noise import NoiseStream, restrict_increment
@@ -55,6 +55,8 @@ from .noise import aggregate_increment  # noqa: F401
 
 # fine steps drawn, colored and solved per block of the sweep
 BLOCK_STEPS = 16
+# values of the snapshot array (512 MiB); coloring holds about four such arrays
+MAX_SNAPSHOT_VALUES = 2**26
 
 
 @dataclass(frozen=True)
@@ -102,7 +104,9 @@ class PathState:
     coupled: tuple[np.ndarray, ...] = ()
 
 
-def _snapshot_stride(config: SchemeConfig, snapshot_level: int | None) -> int | None:
+def _snapshot_stride(
+    config: SchemeConfig, snapshot_level: int | None, n_dof: int
+) -> int | None:
     if snapshot_level is None:
         return None
     if snapshot_level < 0:
@@ -111,6 +115,11 @@ def _snapshot_stride(config: SchemeConfig, snapshot_level: int | None) -> int | 
     if config.time_steps % n_snap != 0:
         raise DomainError(
             f"time_steps {config.time_steps} not divisible by 2^{snapshot_level}"
+        )
+    if (n_snap + 1) * n_dof > MAX_SNAPSHOT_VALUES:
+        raise CapacityError(
+            f"{n_snap + 1} snapshots of {n_dof} values exceed the guard of "
+            f"{MAX_SNAPSHOT_VALUES} values"
         )
     return config.time_steps // n_snap
 
@@ -202,7 +211,7 @@ def _sweep(
     """Advance the main run and its coupled runs to t = 1 in one pass."""
     if ops is None:
         ops = assemble(build_mesh(config.dim, config.space_level))
-    stride = _snapshot_stride(config, snapshot_level)
+    stride = _snapshot_stride(config, snapshot_level, ops.n_dof)
     runs = [(config, ops, None), *coupled]
     grids: dict[int, list[int]] = {}  # time steps -> its runs, the main run first
     for i, (cfg, _o, _a) in enumerate(runs):

@@ -177,15 +177,6 @@ class TestConvergenceCommand:
         assert "stroke-dasharray" in svg
         assert "rate" in svg
 
-    def test_gnuplot_script(self, tmp_path):
-        cfg = write_config(tmp_path, SMALL_CONVERGENCE)
-        out = tmp_path / "o"
-        main(["convergence", "--config", cfg, "--out", str(out)])
-        script = (out / "convergence.gp").read_text()
-        assert "set logscale xy" in script
-        assert "dashtype 2" in script
-        assert script.count("<< EOD") == 1  # one gamma curve
-
     def test_manifest_records_stream_tags(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_CONVERGENCE)
         out = tmp_path / "o"
@@ -595,6 +586,18 @@ REJECTED_RUNS = {
     "convergence_time_study_at_level_15": (
         "convergence", _with(SMALL_CONVERGENCE, axis="time", space_level=15)
     ),
+    # coarse time level -1 would run 2**-1 steps
+    "convergence_negative_time_level": (
+        "convergence",
+        {"dim": 1, "axis": "time", "gammas": [0.5], "coarse_levels": [-1, 1, 2],
+         "ref_level": 4, "space_level": 2, "n_paths": 1, "master_seed": 1},
+    ),
+    # 2**20 + 1 snapshots of 16,385 values: 128 GiB
+    "simulate_snapshots_beyond_the_guard": (
+        "simulate",
+        {"dim": 1, "gamma": 0.5, "space_level": 14, "time_exp": 20,
+         "snapshot_level": 20, "mode": "final_time", "master_seed": 1},
+    ),
 }
 
 
@@ -641,19 +644,31 @@ def test_bad_config_exits_1_without_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-def test_fully_saturated_study_writes_no_plot(tmp_path):
-    # coarse level = reference level: every error is 0, so no level is usable
-    doc = _with(SMALL_CONVERGENCE, coarse_levels=[3], ref_level=3, time_exp=3,
+@pytest.mark.parametrize("levels, outputs", [
+    ([2, 3], ["errors.csv", "summary.csv", "convergence.svg"]),
+    # coarse level = reference level: every error is 0, so there is no plot
+    ([3], ["errors.csv", "summary.csv"]),
+], ids=["plotted", "saturated"])
+def test_study_writes_what_its_manifest_lists(levels, outputs, tmp_path):
+    doc = _with(SMALL_CONVERGENCE, coarse_levels=levels, ref_level=3, time_exp=3,
                 n_paths=1)
     out = tmp_path / "o"
     proc = run_cli("convergence", "--config", write_config(tmp_path, doc), "--out", str(out))
     assert proc.returncode == 0
     assert "Traceback" not in proc.stderr
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["outputs"] == ["errors.csv", "summary.csv"]
-    assert sorted(p.name for p in out.iterdir()) == [
-        "errors.csv", "manifest.json", "summary.csv",
-    ]
+    assert manifest["outputs"] == outputs
+    assert sorted(p.name for p in out.iterdir()) == sorted([*outputs, "manifest.json"])
+
+
+def test_package_root_binds_only_its_version():
+    # every name is imported from its module: spdelab.<module>.<name>
+    code = ("import sys, spdelab; print(sorted(n for n in vars(spdelab) if n[0] != '_'),"
+            " sorted(m for m in sys.modules if m.startswith('spdelab.')))")
+    src = str(Path(spdelab.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "[] []\n"
 
 
 def test_command_tables_agree():
