@@ -82,74 +82,43 @@ def assembly_checks(dim: int, level: int, corrupt: bool = False) -> list[CheckRe
     mass = ops.mass.toarray()
     stiff = ops.stiffness.toarray()
     if corrupt:
-        mass = mass.copy()
         mass[0, 0] += 1e-6
 
-    if dim == 1:
-        exp_mass, exp_stiff = expected_1d_matrices(level)
-    else:
-        exp_mass, exp_stiff = expected_2d_matrices(mesh)
+    exp_mass, exp_stiff = (expected_1d_matrices(level) if dim == 1
+                           else expected_2d_matrices(mesh))
 
-    results = []
-
-    def entry_diff(got, want) -> str:
+    def entry_diff(got, want) -> tuple[float, str]:
         d = np.abs(got - want)
         i, j = np.unravel_index(np.argmax(d), d.shape)
-        return f"max |diff| = {d[i, j]:.3e} at entry ({i}, {j})"
-
-    m_ok = np.allclose(mass, exp_mass, rtol=0.0, atol=1e-12)
-    results.append(CheckResult("mass matches oracle", m_ok, entry_diff(mass, exp_mass)))
-    t_ok = np.allclose(stiff, exp_stiff, rtol=0.0, atol=1e-12)
-    results.append(
-        CheckResult("stiffness matches oracle", t_ok, entry_diff(stiff, exp_stiff))
-    )
+        return d[i, j], f"max |diff| = {d[i, j]:.3e} at entry ({i}, {j})"
 
     ones = np.ones(mesh.n_vertices)
     row_sums = np.abs(ops.stiffness @ ones).max()
-    results.append(
-        CheckResult(
-            "stiffness kernel contains constants",
-            row_sums <= 1e-12,
-            f"max |T @ 1| = {row_sums:.3e}",
-        )
-    )
     total = float(ones @ (ops.mass @ ones))
-    results.append(
-        CheckResult(
-            "total measure is 1", abs(total - 1.0) <= 1e-12, f"1'M1 = {total!r}"
-        )
-    )
     k_diff = (ops.a2_matrix - (ops.mass + ops.stiffness)).nnz
-    results.append(
-        CheckResult("K equals M + T", k_diff == 0, f"{k_diff} differing entries")
-    )
     chol = ops.mass_chol
     rt = np.abs((chol @ chol.T - ops.mass).toarray()).max() / np.abs(mass).max()
-    results.append(
-        CheckResult(
-            "Cholesky round trip", rt <= 1e-12, f"relative max diff {rt:.3e}"
-        )
-    )
+    rows = [  # (name, error, detail, bound): a check passes when error <= bound
+        ("mass matches oracle", *entry_diff(mass, exp_mass), 1e-12),
+        ("stiffness matches oracle", *entry_diff(stiff, exp_stiff), 1e-12),
+        ("stiffness kernel contains constants", row_sums,
+         f"max |T @ 1| = {row_sums:.3e}", 1e-12),
+        ("total measure is 1", abs(total - 1.0), f"1'M1 = {total!r}", 1e-12),
+        ("K equals M + T", k_diff, f"{k_diff} differing entries", 0),
+        ("Cholesky round trip", rt, f"relative max diff {rt:.3e}", 1e-12),
+    ]
     if level >= 1:
         coarse = build_mesh(dim, level - 1)
         a = restriction_matrix(coarse, mesh)
         col_sums = np.abs(np.asarray(a.sum(axis=0)).ravel() - 1.0).max()
-        results.append(
-            CheckResult(
-                "restriction columns sum to 1",
-                col_sums <= 1e-14,
-                f"max |col sum - 1| = {col_sums:.3e}",
-            )
-        )
         # prolongation must reproduce affine functions exactly at fine vertices
         affine_c = 3.0 + 2.0 * coarse.vertices.sum(axis=1)
         affine_f = 3.0 + 2.0 * mesh.vertices.sum(axis=1)
         prol_err = np.abs(a.T @ affine_c - affine_f).max()
-        results.append(
-            CheckResult(
-                "prolongation reproduces affine functions",
-                prol_err <= 1e-13,
-                f"max error {prol_err:.3e}",
-            )
-        )
-    return results
+        rows += [
+            ("restriction columns sum to 1", col_sums,
+             f"max |col sum - 1| = {col_sums:.3e}", 1e-14),
+            ("prolongation reproduces affine functions", prol_err,
+             f"max error {prol_err:.3e}", 1e-13),
+        ]
+    return [CheckResult(name, err <= bound, detail) for name, err, detail, bound in rows]

@@ -45,7 +45,7 @@ from .exceptions import (
     SpdeLabError,
     StatisticalAlarm,
 )
-from .mesh import MAX_MODES, MAX_TIME_EXP, assemble, build_mesh
+from .mesh import MAX_MODES, MAX_PATHS, MAX_TIME_EXP, assemble, build_mesh
 from .noise import NoiseStream
 from .stepper import MODES, SchemeConfig
 from .svgplot import GuideLine, Series, loglog_svg
@@ -101,6 +101,7 @@ POSITIVES = (_list_of(lambda val: _is_number(val) and val > 0),
 AXIS = (lambda val: val in ("space", "time"), '"space" or "time"')
 TIME_EXP = _int_in(0, MAX_TIME_EXP)  # a dyadic time grid of 2**val steps
 N_MODES = _int_in(1, MAX_MODES)
+N_PATHS = _int_in(1, MAX_PATHS)
 
 # SchemeConfig field -> its default; a config key of that name sets the field
 RUN_FIELDS = {f.name: f.default for f in dataclasses.fields(SchemeConfig)}
@@ -116,9 +117,9 @@ SCHEMAS = {
         "coarse_levels": (INTS, REQUIRED),
         # a time exponent (axis "time") or a mesh level, which MAX_LEVEL bounds
         "ref_level": (TIME_EXP, REQUIRED),
-        "time_exp": (TIME_EXP, None),  # required for axis "space"
-        "space_level": (INT, None),  # required for axis "time"
-        "n_paths": (COUNT, REQUIRED),
+        "time_exp": (TIME_EXP, None),  # axis "space" only, where it is required
+        "space_level": (INT, None),  # axis "time" only, where it is required
+        "n_paths": (N_PATHS, REQUIRED),
         "master_seed": (INT, REQUIRED),
         "k": (NUMBER, RUN_FIELDS["k"]),
         "n_modes": (N_MODES, RUN_FIELDS["n_modes"]),
@@ -242,9 +243,14 @@ def check_convergence(cfg: dict) -> None:
     # a manifest's config records both, as [gamma] == gammas
     if "gamma" in cfg and cfg.setdefault("gammas", [cfg["gamma"]]) != [cfg["gamma"]]:
         raise DomainError("config 'gamma' and 'gammas' disagree; give one of them")
-    need = "time_exp" if cfg["axis"] == "space" else "space_level"
+    # a study's reference sets the resolution of its axis from ref_level
+    need, own = ("time_exp", "space_level")
+    if cfg["axis"] == "time":
+        need, own = own, need
     if need not in cfg:
         raise DomainError(f"axis {cfg['axis']!r} needs config key {need!r}")
+    if own in cfg:
+        raise DomainError(f"axis {cfg['axis']!r} sets {own!r} from 'ref_level'; drop it")
     for base in _study_bases(cfg):  # what a study checks before its first path
         plan_study(base, cfg["axis"], cfg["coarse_levels"], cfg["ref_level"])
 

@@ -23,10 +23,12 @@ from scipy.sparse.linalg import spilu, splu
 from .exceptions import CapacityError, DomainError, FactorizationError, NumericalError
 
 # Memory guards: finest admissible level per dimension, finest dyadic time
-# grid (2**MAX_TIME_EXP steps) and most scalar-driver modes.
+# grid (2**MAX_TIME_EXP steps), most scalar-driver modes and most paths of a
+# convergence study, whose seeds are laid out before its first path.
 MAX_LEVEL = {1: 14, 2: 8}
 MAX_TIME_EXP = 20
 MAX_MODES = 2**16
+MAX_PATHS = 2**20
 
 #: Relative residual above which a direct solve is considered failed.
 SOLVER_TOL = 1e-10

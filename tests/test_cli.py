@@ -497,7 +497,8 @@ BAD_CONFIGS = {
     "huge_n_modes": ("simulate", _with(SMALL_SIMULATE, n_modes=2**62)),
     "huge_time_ref_level": (
         "convergence",
-        _with(SMALL_CONVERGENCE, axis="time", space_level=3, ref_level=62),
+        _with(SMALL_CONVERGENCE, axis="time", space_level=3, ref_level=62,
+              time_exp=_DROP),
     ),
     "huge_bm_m_max": ("holder", {"bm_m_max": 62}),
     "verify_huge_steps": ("verify", {"n_paths": 1000, "steps": 2**62}),
@@ -584,7 +585,22 @@ REJECTED_RUNS = {
     ),
     "convergence_too_many_nodes": ("convergence", _with(SMALL_CONVERGENCE, k=0.001)),
     "convergence_time_study_at_level_15": (
-        "convergence", _with(SMALL_CONVERGENCE, axis="time", space_level=15)
+        "convergence",
+        _with(SMALL_CONVERGENCE, axis="time", space_level=15, time_exp=_DROP),
+    ),
+    # ref_level sets the resolution on the study's axis, so a key for it is an error
+    "convergence_time_study_with_time_exp": (
+        "convergence",
+        {"dim": 1, "gammas": [0.5], "axis": "time", "coarse_levels": [2, 3, 4],
+         "ref_level": 6, "time_exp": 9, "space_level": 3, "n_paths": 1,
+         "master_seed": 1},
+    ),
+    "convergence_space_study_with_space_level": (
+        "convergence", _with(SMALL_CONVERGENCE, space_level=3)
+    ),
+    # 2**40 seeds would be laid out before the first path
+    "convergence_n_paths_beyond_the_guard": (
+        "convergence", _with(SMALL_CONVERGENCE, n_paths=2**40)
     ),
     # coarse time level -1 would run 2**-1 steps
     "convergence_negative_time_level": (
@@ -598,6 +614,16 @@ REJECTED_RUNS = {
         {"dim": 1, "gamma": 0.5, "space_level": 14, "time_exp": 20,
          "snapshot_level": 20, "mode": "final_time", "master_seed": 1},
     ),
+}
+
+
+# the validation message of a study's rejection, where the exit code alone does
+# not show which check rejected it
+REJECTED_RUN_MESSAGES = {
+    "convergence_time_study_at_level_15": "level 15 exceeds guard 14",
+    "convergence_time_study_with_time_exp": "axis 'time' sets 'time_exp' from",
+    "convergence_space_study_with_space_level": "axis 'space' sets 'space_level' from",
+    "convergence_n_paths_beyond_the_guard": "'n_paths' must be an integer in [1, 1048576]",
 }
 
 
@@ -633,6 +659,7 @@ def test_dry_run_rejects_what_the_study_rejects(case, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("validation error: ")
+    assert REJECTED_RUN_MESSAGES.get(case, "") in captured.err
     assert not out.exists()
 
 

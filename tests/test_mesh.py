@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpttrs
 
+from spdelab import checks
 from spdelab.checks import assembly_checks, expected_1d_matrices, expected_2d_matrices
 from spdelab.exceptions import (
     CapacityError,
@@ -380,6 +381,20 @@ class TestRestriction:
             restriction_matrix(build_mesh(1, 3), build_mesh(1, 2))
 
 
+# the rows of assembly_checks, in order; the last two check the transfers to
+# the next coarser level, so level 0 has only the first six
+CHECK_NAMES = [
+    "mass matches oracle",
+    "stiffness matches oracle",
+    "stiffness kernel contains constants",
+    "total measure is 1",
+    "K equals M + T",
+    "Cholesky round trip",
+    "restriction columns sum to 1",
+    "prolongation reproduces affine functions",
+]
+
+
 class TestChecks:
     def test_default_suite_passes(self):
         for dim, level in [(1, 3), (2, 2)]:
@@ -390,6 +405,27 @@ class TestChecks:
         failed = [r for r in results if not r.passed]
         assert failed
         assert "diff" in failed[0].detail
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("level", [0, 1, 2, 3])
+    def test_rows_come_in_order(self, dim, level):
+        names = [r.name for r in assembly_checks(dim, level)]
+        assert names == CHECK_NAMES[: 6 if level == 0 else 8]
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("level", [0, 2])
+    def test_corruption_fails_only_the_mass_row(self, dim, level):
+        results = assembly_checks(dim, level, corrupt=True)
+        assert [r.name for r in results if not r.passed] == ["mass matches oracle"]
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_a_scaled_restriction_fails_the_transfer_rows(self, dim, monkeypatch):
+        real = checks.restriction_matrix
+        monkeypatch.setattr(
+            checks, "restriction_matrix", lambda coarse, fine: 1.001 * real(coarse, fine)
+        )
+        results = assembly_checks(dim, 2)
+        assert [r.name for r in results if not r.passed] == CHECK_NAMES[6:]
 
 
 # (dim, stream level, coarse levels, dt): the stacks of the space studies,
