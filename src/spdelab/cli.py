@@ -379,8 +379,7 @@ def cmd_verify(cfg: dict, out: Path) -> tuple[int, dict]:
     unit = l0.ElementaryIntegrand(
         dim_q=1, partition=np.array([0.0, 1.0]), family="deterministic_const"
     )
-    sample = l0.ito_integral_elementary(unit, seed, mc_paths)
-    var = float(np.var(sample.values[:, -1, 0]))
+    var = float(np.var(l0.ito_integral_elementary(unit, seed, mc_paths).terminal[:, 0]))
     metric_rows.append(("ito_isometry_variance", 1.0, var))
     # 5 standard deviations, sqrt(2 / n) each, of the variance estimate; 3% from
     # 55,556 paths on

@@ -13,8 +13,8 @@ ratios, never a specific constant.
 A Monte Carlo batch is drawn and integrated ``CHUNK_PATHS`` paths at a
 time, bit for bit as one whole-batch pass, by the one loop ``_batch``: a
 helper thread, joined with the batch, draws chunk k + 1 of the one keyed
-stream, in stream order, while the caller integrates chunk k.  Its memory
-is the ``values`` output, O(paths) and two chunks.  A path's ``quad_var``
+stream, in stream order, while the caller integrates chunk k.  A batch keeps
+per-path results, not paths: O(paths) and three chunk arrays.  A path's ``quad_var``
 is numpy's row sum of its own window terms, so no result depends on the
 batch size, the chunk size or the BLAS thread count.
 """
@@ -45,8 +45,8 @@ MIN_PATHS = 1000
 #: 10x rerun of the default 1e5-path, 64-step check draws 6.4e7 of them.
 MAX_DRAWS = 2**26
 
-#: Paths a batch draws and integrates at a time: at 64 steps a chunk array is
-#: 0.5 MB, so the two chunks in flight fit a 2 MB L2 cache (4096: 17% slower).
+#: Paths a batch draws and integrates at a time: at 64 steps the three chunk
+#: arrays in flight (two draws, the integral) fit a 2 MB L2 (4096: 50% slower).
 CHUNK_PATHS = 1024
 
 
@@ -106,9 +106,9 @@ class ElementaryIntegrand:
 
 @dataclass(frozen=True)
 class IntegralSample:
-    """Monte Carlo batch of one elementary stochastic integral."""
+    """Per-path results of a Monte Carlo batch of one elementary stochastic integral."""
 
-    values: np.ndarray  # (n_paths, n_points, q) integral at partition points
+    terminal: np.ndarray  # (n_paths, q) integral at t = 1
     sup_norm: np.ndarray  # (n_paths,) max euclidean norm over partition points
     quad_var: np.ndarray  # (n_paths,) integral of the squared HS norm
 
@@ -124,21 +124,23 @@ def check_draws(n_paths: int, steps: int, dim_q: int) -> None:
 
 @contextmanager
 def _batch(phi: ElementaryIntegrand, seed: int, n_paths: int):
-    """Check the draw guard, then yield an iterator of the batch's
-    ``(rows, marks, dw)`` chunks, the successive rows of one whole draw.
+    """Check the path count and the draw guard, then yield an iterator of the
+    batch's ``(rows, marks, dw, x)`` chunks; ``x`` is the chunk's integral buffer.
 
     Chunk k + 1 of the one keyed Wiener stream is drawn on the helper thread
     while the caller uses chunk k; leaving the ``with`` block, however it is
     left, joins the helper.
     """
+    if n_paths < 1:
+        raise DomainError(f"need at least one path, got {n_paths}")
     dts = np.diff(phi.partition)
     check_draws(n_paths, dts.size, phi.dim_q)
     gen = keyed_generator(seed, L0_WIENER_TAG)
     marks = keyed_generator(seed, L0_MARK_TAG).standard_normal(n_paths)
     root_dts = np.sqrt(dts)[:, None]
-    starts = range(0, n_paths, CHUNK_PATHS)
-    chunks = [slice(k, min(k + CHUNK_PATHS, n_paths)) for k in starts]
+    chunks = [slice(k, min(k + CHUNK_PATHS, n_paths)) for k in range(0, n_paths, CHUNK_PATHS)]
     dw = np.empty((2, min(n_paths, CHUNK_PATHS), dts.size, phi.dim_q))
+    x = np.empty((min(n_paths, CHUNK_PATHS), dts.size + 1, phi.dim_q))
     bufs = [dw[k % 2, : rows.stop - rows.start] for k, rows in enumerate(chunks)]
 
     def fill(buf: np.ndarray) -> np.ndarray:
@@ -152,7 +154,7 @@ def _batch(phi: ElementaryIntegrand, seed: int, n_paths: int):
             chunk = drawn[k].result()
             # chunk k + 1 fills the buffer of chunk k - 1 while chunk k is used
             drawn += [helper.submit(fill, buf) for buf in bufs[k + 1 : k + 2]]
-            yield rows, marks[rows], chunk
+            yield rows, marks[rows], chunk, x[: len(chunk)]
 
     with ThreadPoolExecutor(max_workers=1) as helper:
         yield drawn_ahead(helper)
@@ -192,13 +194,13 @@ def _integrate(phi: ElementaryIntegrand, dw, marks, x) -> tuple[np.ndarray, np.n
 def ito_integral_elementary(
     phi: ElementaryIntegrand, seed: int, n_paths: int = 1
 ) -> IntegralSample:
-    """Evaluate the defining sum of the integral at all partition points."""
+    """The defining sum's terminal value, sup norm and quad_var, path by path."""
     with _batch(phi, seed, n_paths) as chunks:
-        values = np.empty((n_paths, phi.partition.size, phi.dim_q))
-        sup_norm, quad_var = np.empty(n_paths), np.empty(n_paths)
-        for rows, marks, dw in chunks:
-            sup_norm[rows], quad_var[rows] = _integrate(phi, dw, marks, values[rows])
-    return IntegralSample(values=values, sup_norm=sup_norm, quad_var=quad_var)
+        out = IntegralSample(np.empty((n_paths, phi.dim_q)), *np.empty((2, n_paths)))
+        for rows, marks, dw, x in chunks:
+            out.sup_norm[rows], out.quad_var[rows] = _integrate(phi, dw, marks, x)
+            out.terminal[rows] = x[:, -1]
+    return out
 
 
 def dp_metric(samples: np.ndarray, p: float) -> float:
@@ -279,10 +281,9 @@ def bdg_sum_ratio(
     def attempt(paths):
         with _batch(base, seed, paths) as chunks:
             sup_sum, qv_sum = np.zeros(paths), np.zeros(paths)
-            x = np.empty((min(paths, CHUNK_PATHS), base.partition.size, base.dim_q))
-            for rows, marks, dw in chunks:
+            for rows, marks, dw, x in chunks:
                 for phi in phis:
-                    sup, qv = _integrate(phi, dw, marks, x[: rows.stop - rows.start])
+                    sup, qv = _integrate(phi, dw, marks, x)
                     sup_sum[rows] += sup**p
                     qv_sum[rows] += qv ** (p / 2.0)
         lhs = float(np.mean(np.minimum(1.0, sup_sum)))

@@ -154,7 +154,7 @@ def test_criterion_07_ito_isometry():
         dim_q=1, partition=np.array([0.0, 1.0]), family="deterministic_const"
     )
     sample = l0.ito_integral_elementary(phi, seed=ACCEPT_SEED, n_paths=100_000)
-    var = float(np.var(sample.values[:, -1, 0]))
+    var = float(np.var(sample.terminal[:, 0]))
     ok = abs(var - 1.0) <= 0.03
     record(7, "Ito isometry variance within 3% over 1e5 paths", ok, f"var {var:.4f}")
 

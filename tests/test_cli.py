@@ -5,6 +5,7 @@ import platform
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -223,10 +224,17 @@ class TestVerifyCommand:
             return integral(phi, seed, n_paths)
 
         monkeypatch.setattr(l0, "ito_integral_elementary", counted)
-        assert main(["verify", "--out", str(tmp_path)]) == 0
+        tracemalloc.start()
+        try:
+            assert main(["verify", "--out", str(tmp_path)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         assert draws == [("deterministic_const", 2, 1, 100_000)] + [
             (family, 65, seed, 100_000) for family in l0.FAMILIES for seed in (1, 102)
         ]
+        # per-path results of one batch at a time, never whole paths: 7.3 MB
+        assert peak < 9e6
 
     def test_a_degenerate_batch_logs_each_p_and_seed(self, tmp_path, monkeypatch):
         # quad_var = 0 with sup > 0 at both attempts: each wiener_functional
@@ -265,7 +273,7 @@ class TestVerifyCommand:
 
         def scaled(*args, **kwargs):
             sample = integral(*args, **kwargs)
-            return dataclasses.replace(sample, values=1.5 * sample.values)
+            return dataclasses.replace(sample, terminal=1.5 * sample.terminal)
 
         monkeypatch.setattr(l0, "ito_integral_elementary", scaled)
         args = ["verify", "--paths", "1000", "--out", str(tmp_path), "--seed", "1"]

@@ -53,6 +53,23 @@ def whole_batch_integral(phi, dw, marks):
     return x, sup, window_quad_var(phi, scalars)
 
 
+def integrated_paths(monkeypatch, phi, seed, n_paths):
+    """``ito_integral_elementary`` and every path that ``l0._integrate`` wrote
+    into the batch's chunk buffer, in chunk order."""
+    real = l0._integrate
+    paths = []
+
+    def recording(phi, dw, marks, x):
+        result = real(phi, dw, marks, x)
+        paths.append(x.copy())
+        return result
+
+    with monkeypatch.context() as patch:
+        patch.setattr(l0, "_integrate", recording)
+        sample = l0.ito_integral_elementary(phi, seed, n_paths)
+    return sample, np.concatenate(paths)
+
+
 def window_quad_var(phi, scalars):
     """Each path's numpy sum of q * scalar**2 * dt over the support window,
     one path at a time."""
@@ -160,13 +177,15 @@ class TestItoIntegral:
         sample = l0.ito_integral_elementary(
             unit_integrand(steps=4, scale=0.0), seed=1, n_paths=100
         )
-        np.testing.assert_array_equal(sample.values, 0.0)
+        np.testing.assert_array_equal(sample.terminal, 0.0)
+        np.testing.assert_array_equal(sample.sup_norm, 0.0)
         np.testing.assert_array_equal(sample.quad_var, 0.0)
 
     def test_isometry_unit_integrand(self):
         # E[ |int_0^1 dW|^2 ] = 1; Monte Carlo variance within 3% at 1e5 paths
         sample = l0.ito_integral_elementary(unit_integrand(), seed=2, n_paths=100_000)
-        assert np.var(sample.values[:, -1, 0]) == pytest.approx(1.0, rel=0.03)
+        assert sample.terminal.shape == (100_000, 1)
+        assert np.var(sample.terminal[:, 0]) == pytest.approx(1.0, rel=0.03)
         np.testing.assert_array_equal(sample.quad_var, 1.0)
 
     def test_linearity_in_scale(self):
@@ -174,22 +193,19 @@ class TestItoIntegral:
         b = l0.ito_integral_elementary(
             unit_integrand(steps=8, scale=2.5), seed=3, n_paths=10
         )
-        np.testing.assert_allclose(b.values, 2.5 * a.values, atol=1e-14)
+        np.testing.assert_allclose(b.terminal, 2.5 * a.terminal, atol=1e-14)
+        np.testing.assert_allclose(b.sup_norm, 2.5 * a.sup_norm, atol=1e-14)
 
-    def test_sup_over_partition_points(self):
-        sample = l0.ito_integral_elementary(
-            unit_integrand(steps=16), seed=4, n_paths=50
-        )
-        np.testing.assert_allclose(
-            sample.sup_norm, np.abs(sample.values[:, :, 0]).max(axis=1)
-        )
+    def test_sup_over_partition_points(self, monkeypatch):
+        sample, x = integrated_paths(monkeypatch, unit_integrand(steps=16), 4, 50)
+        np.testing.assert_allclose(sample.sup_norm, np.abs(x[:, :, 0]).max(axis=1))
 
     @pytest.mark.parametrize("family", l0.FAMILIES)
     @pytest.mark.parametrize("q", [1, 3])
-    def test_equals_the_defining_sum(self, family, q):
+    def test_equals_the_defining_sum(self, monkeypatch, family, q):
         # the batch written with full-size temporaries, operation by operation
         phi = unit_integrand(steps=8, q=q, family=family)
-        sample = l0.ito_integral_elementary(phi, seed=6, n_paths=50)
+        sample, paths = integrated_paths(monkeypatch, phi, 6, 50)
         dw, marks = whole_batch_draw(phi, 6, 50)
         w = np.cumsum(dw, axis=1)
         w_left = np.concatenate([np.zeros((50, 1)), w[:, :-1, 0]], axis=1)
@@ -198,7 +214,8 @@ class TestItoIntegral:
             [np.zeros((50, 1, q)), np.cumsum(scalars[:, :, None] * dw, axis=1)],
             axis=1,
         )
-        np.testing.assert_array_equal(sample.values, x)
+        np.testing.assert_array_equal(paths, x)
+        np.testing.assert_array_equal(sample.terminal, x[:, -1])
         np.testing.assert_array_equal(
             sample.sup_norm, np.linalg.norm(x, axis=2).max(axis=1)
         )
@@ -220,11 +237,12 @@ class TestItoIntegral:
                 q, np.linspace(0.0, 1.0, steps + 1), family, 1.3, support
             )
             for n_paths in (1, 7, 8, 9, c - 1, c, c + 1, 3 * c + 5):
-                sample = l0.ito_integral_elementary(phi, 21, n_paths)
+                sample, paths = integrated_paths(monkeypatch, phi, 21, n_paths)
                 x, sup, quad_var = whole_batch_integral(
                     phi, *whole_batch_draw(phi, 21, n_paths)
                 )
-                np.testing.assert_array_equal(sample.values, x)
+                np.testing.assert_array_equal(paths, x)
+                np.testing.assert_array_equal(sample.terminal, x[:, -1])
                 np.testing.assert_array_equal(sample.sup_norm, sup)
                 np.testing.assert_array_equal(sample.quad_var, quad_var)
 
@@ -292,17 +310,30 @@ class TestItoIntegral:
         assert threading.active_count() == before
         assert len(chunks) == 2
 
-    def test_batch_memory_is_bounded(self):
-        # values, O(paths) and a few chunks
+    @pytest.mark.parametrize("batch", ["ito_integral_elementary", "bdg_ratios"])
+    def test_batch_memory_is_bounded(self, batch):
+        # per-path results and a few chunk arrays, never whole paths: 7-8 MB,
+        # where the 1e5 x 65 partition points alone would take 52 MB
         phi = unit_integrand(steps=64, family="wiener_functional")
         n_paths = 100_000
+        run = {
+            "ito_integral_elementary": lambda: l0.ito_integral_elementary(phi, 7, n_paths),
+            "bdg_ratios": lambda: l0.bdg_ratios(phi, [1.0, 2.0, 4.0], n_paths, 7),
+        }[batch]
         tracemalloc.start()
         try:
-            l0.ito_integral_elementary(phi, seed=7, n_paths=n_paths)
+            run()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.15 * n_paths * 65 * 8
+        assert peak < 5 * n_paths * 8 + 10 * l0.CHUNK_PATHS * 65 * 8
+
+    @pytest.mark.parametrize("n_paths", [0, -1])
+    @pytest.mark.parametrize("batch", BATCHES)
+    def test_a_batch_needs_a_path(self, batch, n_paths):
+        # not numpy's ValueError for a negative size, nor NaN from 0 paths
+        with pytest.raises(DomainError, match="at least one path"):
+            BATCHES[batch](unit_integrand(steps=4), 3, n_paths)
 
     def test_heavy_tailed_not_square_integrable(self):
         # exp(G^2) has infinite second moment: the sample mean of quad_var
@@ -426,7 +457,7 @@ class TestBdgSumRatio:
             )
 
     @pytest.mark.parametrize("family", l0.FAMILIES)
-    def test_windows_equal_the_whole_batch(self, family):
+    def test_windows_equal_the_whole_batch(self, monkeypatch, family):
         # the mids of 8 steps are 1/16, 3/16, ..: windows of the first step,
         # the last step, one inner step and none
         supports = [(0.0, 0.1), (0.9, 1.0), (0.3, 0.4), (0.5, 0.5)]
@@ -437,9 +468,10 @@ class TestBdgSumRatio:
         n_paths = 2 * l0.CHUNK_PATHS + 5
         dw, marks = whole_batch_draw(phis[0], 12, n_paths)
         for phi in phis:
-            sample = l0.ito_integral_elementary(phi, 12, n_paths)
+            sample, paths = integrated_paths(monkeypatch, phi, 12, n_paths)
             x, sup, quad_var = whole_batch_integral(phi, dw, marks)
-            np.testing.assert_array_equal(sample.values, x)
+            np.testing.assert_array_equal(paths, x)
+            np.testing.assert_array_equal(sample.terminal, x[:, -1])
             np.testing.assert_array_equal(sample.sup_norm, sup)
             np.testing.assert_array_equal(sample.quad_var, quad_var)
         assert l0.bdg_sum_ratio(phis, 2.0, n_paths, 12) == whole_batch_sum_ratio(
