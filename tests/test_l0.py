@@ -312,8 +312,9 @@ class TestItoIntegral:
 
     @pytest.mark.parametrize("batch", ["ito_integral_elementary", "bdg_ratios"])
     def test_batch_memory_is_bounded(self, batch):
-        # per-path results and a few chunk arrays, never whole paths: 7-8 MB,
-        # where the 1e5 x 65 partition points alone would take 52 MB
+        # five per-path arrays (marks, the three results, one temporary) and ten
+        # chunk-sized ones, never whole paths: 7-8 MB, where the 1e5 x 65
+        # partition points alone would take 52 MB
         phi = unit_integrand(steps=64, family="wiener_functional")
         n_paths = 100_000
         run = {
