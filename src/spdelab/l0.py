@@ -22,7 +22,6 @@ batch size, the chunk size or the BLAS thread count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -34,7 +33,7 @@ from .exceptions import (
     InsufficientDataError,
     StatisticalAlarm,
 )
-from .rng import L0_MARK_TAG, L0_WIENER_TAG, keyed_generator
+from .rng import L0_MARK_TAG, L0_WIENER_TAG, drawn_ahead, keyed_generator
 
 FAMILIES = ("deterministic_const", "wiener_functional", "heavy_tailed_scale")
 
@@ -127,9 +126,9 @@ def _batch(phi: ElementaryIntegrand, seed: int, n_paths: int):
     """Check the path count and the draw guard, then yield an iterator of the
     batch's ``(rows, marks, dw, x)`` chunks; ``x`` is the chunk's integral buffer.
 
-    Chunk k + 1 of the one keyed Wiener stream is drawn on the helper thread
-    while the caller uses chunk k; leaving the ``with`` block, however it is
-    left, joins the helper.
+    Chunk k + 1 of the one keyed Wiener stream is drawn on a helper thread
+    (``rng.drawn_ahead``) while the caller uses chunk k; leaving the ``with``
+    block, however it is left, joins the helper.
     """
     if n_paths < 1:
         raise DomainError(f"need at least one path, got {n_paths}")
@@ -141,6 +140,7 @@ def _batch(phi: ElementaryIntegrand, seed: int, n_paths: int):
     chunks = [slice(k, min(k + CHUNK_PATHS, n_paths)) for k in range(0, n_paths, CHUNK_PATHS)]
     dw = np.empty((2, min(n_paths, CHUNK_PATHS), dts.size, phi.dim_q))
     x = np.empty((min(n_paths, CHUNK_PATHS), dts.size + 1, phi.dim_q))
+    # chunk k + 1 fills the buffer of chunk k - 1 while chunk k is used
     bufs = [dw[k % 2, : rows.stop - rows.start] for k, rows in enumerate(chunks)]
 
     def fill(buf: np.ndarray) -> np.ndarray:
@@ -148,16 +148,9 @@ def _batch(phi: ElementaryIntegrand, seed: int, n_paths: int):
         buf *= root_dts
         return buf
 
-    def drawn_ahead(helper):
-        drawn = [helper.submit(fill, buf) for buf in bufs[:1]]
-        for k, rows in enumerate(chunks):
-            chunk = drawn[k].result()
-            # chunk k + 1 fills the buffer of chunk k - 1 while chunk k is used
-            drawn += [helper.submit(fill, buf) for buf in bufs[k + 1 : k + 2]]
-            yield rows, marks[rows], chunk, x[: len(chunk)]
-
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        yield drawn_ahead(helper)
+    with drawn_ahead(fill, bufs, True) as drawn:
+        yield ((rows, marks[rows], chunk, x[: len(chunk)])
+               for rows, chunk in zip(chunks, drawn))
 
 
 def _integrate(phi: ElementaryIntegrand, dw, marks, x) -> tuple[np.ndarray, np.ndarray]:
@@ -271,6 +264,8 @@ def bdg_sum_ratio(
         raise DomainError(f"summed inequality requires p >= 2, got {p}")
     if not phis:
         raise DomainError("empty integrand list")
+    if n_paths < MIN_PATHS:
+        raise DomainError(f"need at least {MIN_PATHS} paths, got {n_paths}")
     base = phis[0]
     for phi in phis[1:]:
         if phi.dim_q != base.dim_q or not np.array_equal(

@@ -6,9 +6,15 @@ function of its key and counter start, so any increment can be regenerated
 in any order, on any worker, without storing a noise tape.  Distinct tags
 give statistically independent streams under one master seed; in particular
 the spatial Wiener noise and the scalar driver never share key material.
+Because a draw depends on nothing but its key and counter, a helper thread
+can draw the next block of a stream while the caller uses the current one
+(``drawn_ahead``) and produce the same bits.
 """
 
 from __future__ import annotations
+
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -56,3 +62,36 @@ def keyed_normals(seed: int, tag: int, counter: int, n: int) -> np.ndarray:
     (prefix-stable).  The one-row case of ``keyed_normal_rows``.
     """
     return keyed_normal_rows(seed, tag, counter, counter + 1, n)[0]
+
+
+@contextmanager
+def drawn_ahead(draw, items, ahead: bool):
+    """Yield an iterator of ``draw(item)`` for each of ``items``, in order.
+
+    With ``ahead``, one helper thread draws item k + 1 while the caller uses
+    item k: it is submitted only once the caller has taken item k, so at
+    most one item is drawn ahead, and no result is kept once it is handed
+    over.  An exception raised by ``draw`` reaches the caller when it takes
+    that item.  Leaving the ``with`` block, however it is left, joins the
+    helper.  Without ``ahead``, every item is drawn on the calling thread
+    when it is taken.
+    """
+    if not ahead:
+        yield map(draw, items)
+        return
+
+    def one_ahead(helper):
+        pending = None
+        for item in items:
+            if pending is not None:
+                drawn = pending.result()
+                pending = helper.submit(draw, item)
+                yield drawn
+                del drawn
+            else:
+                pending = helper.submit(draw, item)
+        if pending is not None:
+            yield pending.result()
+
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        yield one_ahead(helper)

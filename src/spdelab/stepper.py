@@ -13,12 +13,15 @@ of ``BLOCK_STEPS``.  A block draws its fine increments, each from its own
 key, in one ``L_M @ R`` product, and sums them into the steps of every
 coarser time grid in one running sum (in fine-step order, bit-identical to
 ``aggregate_increment``; a step still open at the end of a block carries
-over).  The runs sharing a time grid advance as one group, whose state
-stacks theirs: it restricts its completed sums to every run's mesh in one
-product, takes their backward Euler steps one by one with one
-block-diagonal solve each and checks all their residuals at once, per run,
-so it holds at most ``BLOCK_STEPS`` states.  The modes differ only in
-where ``Q`` is applied:
+over).  When a fine step draws at least ``DRAW_AHEAD_DOFS`` normals, one
+helper thread computes the increments of block k + 1 while the sweep steps
+block k (``rng.drawn_ahead``); the keyed draw and the sparse product
+release the GIL and give the same bits on any thread.  The runs sharing a
+time grid advance as one group, whose state stacks theirs: it restricts
+its completed sums to every run's mesh in one product, takes their
+backward Euler steps one by one with one block-diagonal solve each and
+checks all their residuals at once, per run, so it holds at most
+``BLOCK_STEPS`` states.  The modes differ only in where ``Q`` is applied:
 
 * ``evolve`` (``per_step``) colors each completed increment, ``M Q g_n``,
   one at a time before its solve.
@@ -48,6 +51,7 @@ from .exceptions import CapacityError, DomainError
 from .fracpow import apply_qgamma, make_spec
 from .mesh import FemOperators, assemble, build_mesh
 from .noise import NoiseStream, restrict_increment
+from .rng import drawn_ahead
 
 # unused here, but perfbench/tracing.py wraps the per-step aggregation under
 # this name, so the binding stays
@@ -55,6 +59,11 @@ from .noise import aggregate_increment  # noqa: F401
 
 # fine steps drawn, colored and solved per block of the sweep
 BLOCK_STEPS = 16
+# normals per fine step (columns of the mass factor) from which a helper
+# thread draws the next block: below it the switches between the two threads
+# cost more than the draw (a 1-d level-10 sweep of 1,025 went 0.56 -> 0.8 s),
+# from 2,049 on the helper pays
+DRAW_AHEAD_DOFS = 2048
 # values of the snapshot array (512 MiB); coloring holds about four such arrays
 MAX_SNAPSHOT_VALUES = 2**26
 
@@ -225,25 +234,30 @@ def _sweep(
     acc = np.zeros((len(summed), ops.n_dof))
     # row k holds the state after k * stride steps, row 0 the zero initial state
     snaps = np.zeros((config.time_steps // stride + 1, ops.n_dof)) if stride else None
-    for m0 in range(0, stream.fine_steps, BLOCK_STEPS):
-        m1 = min(m0 + BLOCK_STEPS, stream.fine_steps)
-        f = noise.fine_increments(stream, m0, m1, ops.mass_chol)
-        sums = {
-            g: np.empty((ops.n_dof, m1 // g.ratio - m0 // g.ratio)) for g in summed
-        }
-        for m, row in enumerate(np.ascontiguousarray(f.T) if summed else (), m0):
-            acc += row  # a row whose step starts here is overwritten below
-            for a, g in enumerate(summed):
-                if m % g.ratio == 0:  # a copy, so never 0.0 + the increment
-                    acc[a] = row
-                elif (m + 1) % g.ratio == 0:
-                    sums[g][:, m // g.ratio - m0 // g.ratio] = acc[a]
-        states = main.take(m0, sums.get(main, f))[:, : ops.n_dof]
-        for group in groups[1:]:
-            group.take(m0, sums.get(group, f))
-        for j, n in enumerate(range(m0 // main.ratio, m1 // main.ratio)):
-            if stride and (n + 1) % stride == 0:
-                snaps[(n + 1) // stride] = states[j]
+    blocks = [(m0, min(m0 + BLOCK_STEPS, stream.fine_steps))
+              for m0 in range(0, stream.fine_steps, BLOCK_STEPS)]
+    with drawn_ahead(
+        lambda block: noise.fine_increments(stream, *block, ops.mass_chol),
+        blocks,
+        ops.mass_chol.shape[1] >= DRAW_AHEAD_DOFS,
+    ) as drawn:
+        for (m0, m1), f in zip(blocks, drawn):
+            sums = {
+                g: np.empty((ops.n_dof, m1 // g.ratio - m0 // g.ratio)) for g in summed
+            }
+            for m, row in enumerate(np.ascontiguousarray(f.T) if summed else (), m0):
+                acc += row  # a row whose step starts here is overwritten below
+                for a, g in enumerate(summed):
+                    if m % g.ratio == 0:  # a copy, so never 0.0 + the increment
+                        acc[a] = row
+                    elif (m + 1) % g.ratio == 0:
+                        sums[g][:, m // g.ratio - m0 // g.ratio] = acc[a]
+            states = main.take(m0, sums.get(main, f))[:, : ops.n_dof]
+            for group in groups[1:]:
+                group.take(m0, sums.get(group, f))
+            for j, n in enumerate(range(m0 // main.ratio, m1 // main.ratio)):
+                if stride and (n + 1) % stride == 0:
+                    snaps[(n + 1) // stride] = states[j]
 
     final = {i: g.color(k)  # run i -> its colored final state
              for g, m in zip(groups, grids.values()) for k, i in enumerate(m)}

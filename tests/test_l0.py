@@ -251,6 +251,7 @@ class TestItoIntegral:
         # chunk k + 1 is drawn on the helper thread while chunk k is
         # integrated; a short switch interval interleaves the two threads often
         monkeypatch.setattr(l0, "CHUNK_PATHS", 24)
+        monkeypatch.setattr(l0, "MIN_PATHS", 1)
         phi = unit_integrand(steps=8, q=2, family="wiener_functional")
         before = threading.active_count()
         interval = sys.getswitchinterval()
@@ -265,6 +266,7 @@ class TestItoIntegral:
     @pytest.mark.parametrize("batch", BATCHES)
     def test_a_failed_draw_reaches_the_caller(self, monkeypatch, batch):
         monkeypatch.setattr(l0, "CHUNK_PATHS", 24)
+        monkeypatch.setattr(l0, "MIN_PATHS", 1)
         real = l0.keyed_generator
         threads = []
 
@@ -294,6 +296,7 @@ class TestItoIntegral:
     def test_a_failed_chunk_joins_the_helper(self, monkeypatch, batch):
         # the caller fails on the second chunk while the third is drawn
         monkeypatch.setattr(l0, "CHUNK_PATHS", 24)
+        monkeypatch.setattr(l0, "MIN_PATHS", 1)
         real = l0._integrate
         chunks = []
 
@@ -331,8 +334,10 @@ class TestItoIntegral:
 
     @pytest.mark.parametrize("n_paths", [0, -1])
     @pytest.mark.parametrize("batch", BATCHES)
-    def test_a_batch_needs_a_path(self, batch, n_paths):
-        # not numpy's ValueError for a negative size, nor NaN from 0 paths
+    def test_a_batch_needs_a_path(self, monkeypatch, batch, n_paths):
+        # not numpy's ValueError for a negative size, nor NaN from 0 paths; with
+        # no MIN_PATHS floor, bdg_sum_ratio reaches the batch's own check
+        monkeypatch.setattr(l0, "MIN_PATHS", -math.inf)
         with pytest.raises(DomainError, match="at least one path"):
             BATCHES[batch](unit_integrand(steps=4), 3, n_paths)
 
@@ -450,6 +455,7 @@ class TestBdgSumRatio:
     def test_equals_the_whole_batch_ratio(self, monkeypatch, q, chunk):
         if chunk is not None:
             monkeypatch.setattr(l0, "CHUNK_PATHS", chunk)
+            monkeypatch.setattr(l0, "MIN_PATHS", 1)
         n_paths = 2 * l0.CHUNK_PATHS + 5
         for m, p in ((1, 2.0), (4, 3.0), (16, 2.0)):
             phis = l0.block_integrands("wiener_functional", m, 64 // m, dim_q=q)
@@ -491,6 +497,18 @@ class TestBdgSumRatio:
         finally:
             tracemalloc.stop()
         assert peak < 8e6
+
+    @pytest.mark.parametrize("n_paths", [1, 999])
+    @pytest.mark.parametrize("ratio", ["bdg_ratio", "bdg_sum_ratio"])
+    def test_needs_min_paths(self, ratio, n_paths):
+        # one path gave a finite bdg_sum_ratio (1.33) with no warning
+        phis = l0.block_integrands("wiener_functional", 4, 16)
+        call = {
+            "bdg_ratio": lambda: l0.bdg_ratio(phis[0], 2.0, n_paths, 3),
+            "bdg_sum_ratio": lambda: l0.bdg_sum_ratio(phis, 2.0, n_paths, 3),
+        }[ratio]
+        with pytest.raises(DomainError, match=f"at least 1000 paths, got {n_paths}"):
+            call()
 
     def test_requires_p_at_least_two(self):
         with pytest.raises(DomainError):

@@ -1,10 +1,16 @@
+import functools
+import importlib
+import importlib.util
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from spdelab import stepper
+from spdelab import convergence, noise, stepper
 from spdelab.driver import ScalarDriver, eval_b_grid, sample_driver
 from spdelab.exceptions import DomainError, NumericalError
 from spdelab.fracpow import apply_qgamma, make_spec
@@ -532,3 +538,151 @@ def test_guard_checks_each_run_of_a_group(spoiled, monkeypatch):
     x, rhs = blocks[1][0][5], blocks[1][1][5]
     assert rel(x, rhs, level5) > SOLVER_TOL
     assert rel(x, rhs) <= SOLVER_TOL
+
+
+class TestDrawAhead:
+    """A sweep of at least ``DRAW_AHEAD_DOFS`` normals a step draws block k + 1
+    on a helper thread while it steps block k; the tests force the helper on
+    small meshes by lowering the threshold to 0."""
+
+    @staticmethod
+    def record_draws(monkeypatch):
+        # the thread of every block drawn, in the order drawn
+        threads = []
+        real = noise.fine_increments
+
+        def recorded(*args):
+            threads.append(threading.current_thread())
+            return real(*args)
+
+        monkeypatch.setattr(noise, "fine_increments", recorded)
+        return threads
+
+    @staticmethod
+    def runs_2d():
+        # a coupled 2-d space study path and a per-step 2-d run with
+        # snapshots, 4 blocks of 16 steps each
+        plan = convergence.plan_study(
+            SchemeConfig(dim=2, gamma=0.5, space_level=4, time_steps=64,
+                         master_seed=3, mode="final_time"),
+            "space", [1, 2, 3], 4,
+        )
+        cfg = SchemeConfig(dim=2, gamma=0.5, space_level=3, time_steps=64, master_seed=3)
+        out = evolve(cfg, NoiseStream(3, 3, 64), sample_driver(3, 50), snapshot_level=4)
+        return [convergence.path_errors(plan, 3).tobytes(), out.alpha.tobytes(),
+                out.snapshots.tobytes()]
+
+    def test_the_helper_gives_the_same_bits(self, monkeypatch):
+        threads = self.record_draws(monkeypatch)
+        on_caller = self.runs_2d()  # 289 and 81 normals a step: below the threshold
+        assert threads and set(threads) == {threading.main_thread()}
+        threads.clear()
+        monkeypatch.setattr(stepper, "DRAW_AHEAD_DOFS", 0)
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleaves the two threads often
+        try:
+            ahead = self.runs_2d()
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == before
+        assert len(threads) == 8 and threading.main_thread() not in threads
+        assert ahead == on_caller
+
+    def test_the_threshold_counts_the_normals_of_a_step(self, monkeypatch):
+        threads = self.record_draws(monkeypatch)
+        ops = assemble(build_mesh(2, 3))  # 81 normals a step
+        cfg = SchemeConfig(dim=2, gamma=0.5, space_level=3, time_steps=32,
+                           master_seed=4, mode="final_time")
+        for dofs, on_main in ((82, True), (81, False)):
+            monkeypatch.setattr(stepper, "DRAW_AHEAD_DOFS", dofs)
+            threads.clear()
+            evolve_fast(cfg, NoiseStream(4, 3, 32), sample_driver(4, 50), ops=ops)
+            assert len(threads) == 2
+            assert (threading.main_thread() in threads) == on_main
+
+    def test_a_failed_draw_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(stepper, "DRAW_AHEAD_DOFS", 0)
+        threads = []
+        real = noise.fine_increments
+
+        def failing_third(*args):
+            threads.append(threading.current_thread())
+            if len(threads) == 3:
+                raise RuntimeError("third block")
+            return real(*args)
+
+        monkeypatch.setattr(noise, "fine_increments", failing_third)
+        cfg = SchemeConfig(dim=2, gamma=0.5, space_level=3, time_steps=80,
+                           master_seed=5, mode="final_time")
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="third block"):
+            evolve_fast(cfg, NoiseStream(5, 3, 80), sample_driver(5, 50))
+        assert threading.active_count() == before
+        assert len(threads) == 3 and threading.main_thread() not in threads
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_a_failed_solve_joins_the_helper(self, mode, monkeypatch):
+        # solve 5 of the first block fails its guard while the helper draws
+        # the second block, and no block beyond it
+        monkeypatch.setattr(stepper, "DRAW_AHEAD_DOFS", 0)
+        threads = self.record_draws(monkeypatch)
+        ops = assemble(build_mesh(2, 3))
+        cfg = SchemeConfig(dim=2, gamma=0.5, space_level=3, time_steps=64,
+                           master_seed=8, mode=mode)
+        system = ops.system(cfg.dt)
+        monkeypatch.setattr(system, "solve", SpoiledSolve(system.solve, 5))
+        before = threading.active_count()
+        with pytest.raises(NumericalError):
+            MODES[mode](cfg, NoiseStream(8, 3, 64), sample_driver(8, 50), ops=ops)
+        assert threading.active_count() == before
+        assert len(threads) == 2
+
+    def test_one_block_is_drawn_ahead(self, monkeypatch):
+        # 64 blocks of 16 x 1,025 values (131 kB); drawing on the helper adds
+        # about 3 such arrays to the peak (a block, its normals and its
+        # product), where keeping every drawn block would add 60
+        ops = assemble(build_mesh(1, 10))
+        cfg = SchemeConfig(dim=1, gamma=0.5, space_level=10, time_steps=2**10,
+                           master_seed=6, mode="final_time")
+
+        def peak(dofs):
+            monkeypatch.setattr(stepper, "DRAW_AHEAD_DOFS", dofs)
+            tracemalloc.start()
+            try:
+                evolve_fast(cfg, NoiseStream(6, 10, 2**10), sample_driver(6, 50), ops=ops)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(0)  # factors the system and the quadrature
+        block = stepper.BLOCK_STEPS * ops.n_dof * 8
+        assert peak(0) < peak(ops.n_dof + 1) + 4 * block
+
+    def test_traced_functions_stay_on_the_main_thread(self, monkeypatch):
+        # perfbench/tracing.py keeps one stack of open spans, so a function it
+        # wraps must not run on the helper thread
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing_targets", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        threads = {}
+
+        def recorded(name, fn):
+            @functools.wraps(fn)
+            def call(*args, **kwargs):
+                threads.setdefault(name, set()).add(threading.current_thread())
+                return fn(*args, **kwargs)
+            return call
+
+        for name, module, attr in tracing.TARGETS:
+            owner = importlib.import_module(module)
+            *parts, leaf = attr.split(".")
+            for part in parts:
+                owner = getattr(owner, part)
+            monkeypatch.setattr(owner, leaf, recorded(name, getattr(owner, leaf)))
+        monkeypatch.setattr(stepper, "DRAW_AHEAD_DOFS", 0)
+        self.runs_2d()
+        assert {"driver.eval_b_grid", "noise.restrict_increment",
+                "fracpow.apply_qgamma", "stepper.evolve_fast"} <= set(threads)
+        assert set().union(*threads.values()) == {threading.main_thread()}
