@@ -61,8 +61,8 @@ from .noise import aggregate_increment  # noqa: F401
 BLOCK_STEPS = 16
 # normals per fine step (columns of the mass factor) from which a helper
 # thread draws the next block: below it the switches between the two threads
-# cost more than the draw (a 1-d level-10 sweep of 1,025 went 0.56 -> 0.8 s),
-# from 2,049 on the helper pays
+# cost more than the draw saves (a 1-d level-10 sweep, 1,025 normals a step,
+# went 0.56 -> 0.8 s); from 2,049 on the helper pays
 DRAW_AHEAD_DOFS = 2048
 # values of the snapshot array (512 MiB); coloring holds about four such arrays
 MAX_SNAPSHOT_VALUES = 2**26
