@@ -28,8 +28,9 @@ from .exceptions import (
     DomainError,
     InsufficientDataError,
 )
-from .fracpow import make_spec
-from .mesh import SOLVER_TOL, assemble, build_mesh, restriction_matrix
+from .mesh import SOLVER_TOL, assemble, build_mesh
+# unused, but perfbench/tracing.py wraps the restriction under this name
+from .mesh import restriction_matrix  # noqa: F401
 from .noise import NoiseStream
 from .stepper import SchemeConfig, evolve_fast
 
@@ -137,7 +138,7 @@ def plan_study(
     ``noise_steps`` fixes the time resolution of the driving noise
     independently of the reference (default: the reference's own grid).
     Every run is ``base`` in final-time mode at its own resolution; the
-    mesh level guard and the quadrature of every run are checked here.
+    mesh level guard is checked here, the shared quadrature by ``base``.
     """
     if axis not in ("space", "time"):
         raise DomainError(f"axis must be 'space' or 'time', got {axis!r}")
@@ -161,7 +162,6 @@ def plan_study(
         )
     ref = replace(base, space_level=ref_space, time_steps=ref_steps, mode="final_time")
     build_mesh(ref.dim, ref.space_level)  # the level guard of the finest mesh
-    make_spec(ref.gamma, ref.k)  # shared by every run
     if noise_steps is None:
         noise_steps = ref_steps
     if noise_steps % ref_steps != 0:
@@ -172,26 +172,19 @@ def plan_study(
     return StudyPlan(axis=axis, ref=ref, noise_steps=noise_steps, coarse=coarse)
 
 
-# Per-process caches of assembled operators and restriction matrices, keyed
-# by structural parameters; let worker processes build each level only once.
+# Per-process cache of the reference operators, which keep each coarser level's
+# operators and restriction; worker processes build each level only once.
 @functools.cache
 def _cached_ops(dim: int, level: int):
     return assemble(build_mesh(dim, level))
-
-
-@functools.cache
-def _cached_restriction(dim: int, coarse_level: int, fine_level: int):
-    if coarse_level == fine_level:
-        return None
-    coarse, fine = build_mesh(dim, coarse_level), build_mesh(dim, fine_level)
-    return restriction_matrix(coarse, fine)
 
 
 def path_errors(plan: StudyPlan, seed: int) -> np.ndarray:
     """Relative errors of every coarse run of one path against its reference.
 
     The reference and all coarse runs advance in one ``evolve_fast`` sweep,
-    so each fine increment is drawn once per path.
+    so each fine increment is drawn once per path; each coarse run steps on
+    the operators that the cached reference operators keep for its level.
     """
     ref = plan.ref
     ref_ops = _cached_ops(ref.dim, ref.space_level)
@@ -199,19 +192,15 @@ def path_errors(plan: StudyPlan, seed: int) -> np.ndarray:
         seed=seed, fine_level=ref.space_level, fine_steps=plan.noise_steps
     )
     coupled = tuple(
-        (
-            replace(ref, space_level=space_level, time_steps=time_steps),
-            _cached_ops(ref.dim, space_level),
-            _cached_restriction(ref.dim, space_level, ref.space_level),
-        )
+        replace(ref, space_level=space_level, time_steps=time_steps)
         for space_level, time_steps, _res, _label in plan.coarse
     )
     driver = sample_driver(seed, ref.n_modes)
     state = evolve_fast(ref, stream, driver, ops=ref_ops, coupled=coupled)
     return np.array(
         [
-            relative_error(alpha, state.alpha, a, ref_ops.mass)
-            for alpha, (_cfg, _ops, a) in zip(state.coupled, coupled)
+            relative_error(alpha, state.alpha, ref_ops.coarse(lv)[1], ref_ops.mass)
+            for alpha, (lv, _ts, _res, _label) in zip(state.coupled, plan.coarse)
         ]
     )
 

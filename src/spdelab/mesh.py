@@ -214,8 +214,9 @@ class FemOperators:
     Euler ``BlockSystem``s under ``("system", dt, others)``, the factor of
     each shifted pencil under ``("pencil", k, j)``, shared by every gamma of
     quadrature resolution k, the quadrature solvers that hold them under
-    ``("quadrature", gamma, k)``, and the M and K factors.  The object is
-    immutable apart from that cache and safe to share across threads.
+    ``("quadrature", gamma, k)``, the M and K factors, and each coarser
+    level's operators and restriction under ``("coarse", level)``.  The
+    object is immutable apart from that cache and safe to share across threads.
     """
 
     #: the SuperLU options of every 2-d factor: the symmetric minimum-degree
@@ -243,6 +244,19 @@ class FemOperators:
         if value is None:
             value = self._cache[key] = build()
         return value
+
+    def coarse(self, level: int) -> tuple[FemOperators, sp.csr_matrix | None]:
+        """The operators of ``level`` of this dimension and the restriction
+        from this level to it, built once; ``(self, None)`` at this level."""
+        if level == self.mesh.level:
+            return self, None
+
+        def build():
+            mesh = build_mesh(self.mesh.dim, level)
+            a = restriction_matrix(mesh, self.mesh)  # rejects a finer level
+            return assemble(mesh), a
+
+        return self.cached(("coarse", level), build)
 
     def factor(self, a: sp.spmatrix, **options):
         """The factor of an SPD system ``a`` of this level's dimension, with

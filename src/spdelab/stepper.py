@@ -29,9 +29,9 @@ checks all their residuals at once, per run, so it holds at most
   once to the load representation of each state it returns.  Because
   K = M + T here, the coloring commutes with the time stepping; this cuts
   the per-step cost from one shifted solve per quadrature node to a single
-  backward Euler solve.  ``evolve_fast`` also advances further runs on the
-  same noise in the same sweep (``coupled``), as a coupled convergence
-  study needs.
+  backward Euler solve.  ``evolve_fast`` also advances further runs, given
+  as ``SchemeConfig``s, on the same noise in the same sweep (``coupled``),
+  as a coupled convergence study needs.
 
 Every run starts from u(0) = 0, the model's initial condition.
 
@@ -92,8 +92,7 @@ class SchemeConfig:
             )
         if self.time_steps < 1:
             raise DomainError(f"time_steps must be >= 1, got {self.time_steps}")
-        if self.k <= 0.0:
-            raise DomainError(f"k must be positive, got {self.k}")
+        make_spec(self.gamma, self.k)  # the rule for k and the node guard
         if self.mode not in MODES:
             raise DomainError(f"unknown mode {self.mode!r}")
 
@@ -109,8 +108,7 @@ class PathState:
 
     alpha: np.ndarray
     snapshots: np.ndarray | None = None  # (n_snapshots, n_dof) at dyadic times
-    # final states of the runs coupled to this one, in the order given
-    coupled: tuple[np.ndarray, ...] = ()
+    coupled: tuple[np.ndarray, ...] = ()  # in the order the runs were given
 
 
 def _snapshot_stride(
@@ -134,35 +132,24 @@ def _snapshot_stride(
 
 
 class _Group:
-    """The runs ``(config, ops, a)`` of one sweep on one time grid, advanced
-    as one state that stacks theirs in the order of its ``system``, starting
-    from zero; ``per_step`` colors each increment before its solve (one run
-    only).  ``b`` is the driver on the noise's grid, ``fine_steps + 1``
-    values."""
+    """The runs of one sweep on one time grid, each on ``ops.coarse`` of its
+    level, advanced as one state that stacks theirs in the order of its
+    ``system``, starting from zero; ``per_step`` colors each increment before
+    its solve (one run only).  ``b`` is the driver on the noise's grid,
+    ``fine_steps + 1`` values."""
 
-    def __init__(self, runs: list, stream: NoiseStream, b: np.ndarray,
-                 per_step: bool = False):
-        cfg = runs[0][0]
+    def __init__(self, runs: list[SchemeConfig], ops: FemOperators,
+                 stream: NoiseStream, b: np.ndarray, per_step: bool = False):
+        cfg = runs[0]
         if stream.fine_steps % cfg.time_steps != 0:
-            raise DomainError(
-                f"time_steps {cfg.time_steps} does not divide reference "
-                f"fine_steps {stream.fine_steps}"
-            )
-        if any(a is None and stream.fine_level != c.space_level for c, _o, a in runs):
-            raise DomainError(
-                "restriction matrix required when the run level differs "
-                "from the stream's fine level"
-            )
-        for c, o, _a in runs:  # every run steps on the operators of its own mesh
-            if (o.mesh.dim, o.mesh.level) != (c.dim, c.space_level):
-                raise DomainError(f"a {c.dim}-d level-{c.space_level} run got the "
-                                  f"operators of a {o.mesh.dim}-d level {o.mesh.level}")
-        self.ops = tuple(run_ops for _c, run_ops, _a in runs)
-        self.specs = tuple(make_spec(c.gamma, c.k) for c, _o, _a in runs)
-        self.a = runs[0][2]  # None: one run, on the stream's mesh
-        if len(runs) > 1:  # an identity block restricts exactly
-            blocks = [sp.identity(o.n_dof) if a is None else a for _c, o, a in runs]
-            self.a = sp.vstack(blocks, "csr")
+            raise DomainError(f"time_steps {cfg.time_steps} does not divide "
+                              f"reference fine_steps {stream.fine_steps}")
+        levels = [ops.coarse(c.space_level) for c in runs]
+        self.ops = tuple(run_ops for run_ops, _a in levels)
+        self.specs = tuple(make_spec(c.gamma, c.k) for c in runs)
+        # None: one run, on the stream's mesh; an identity block restricts exactly
+        self.a = levels[0][1] if len(runs) == 1 else sp.vstack(
+            [sp.identity(o.n_dof) if a is None else a for o, a in levels], "csr")
         self.ratio = stream.fine_steps // cfg.time_steps
         self.b = b[:-1 : self.ratio]  # at the left end of every step
         self.system = self.ops[0].system(cfg.dt, self.ops[1:])
@@ -220,13 +207,21 @@ def _sweep(
     """Advance the main run and its coupled runs to t = 1 in one pass."""
     if ops is None:
         ops = assemble(build_mesh(config.dim, config.space_level))
+    if (ops.mesh.dim, ops.mesh.level) != (config.dim, config.space_level):
+        raise DomainError(f"a {config.dim}-d level-{config.space_level} run got the "
+                          f"operators of a {ops.mesh.dim}-d level {ops.mesh.level}")
+    if stream.fine_level != config.space_level:
+        raise DomainError("the main run must be on the stream's fine level")
+    if any(c.dim != config.dim for c in coupled):
+        raise DomainError("every coupled run must have the main run's dimension")
     stride = _snapshot_stride(config, snapshot_level, ops.n_dof)
-    runs = [(config, ops, None), *coupled]
+    runs = [config, *coupled]
     grids: dict[int, list[int]] = {}  # time steps -> its runs, the main run first
-    for i, (cfg, _o, _a) in enumerate(runs):
+    for i, cfg in enumerate(runs):
         grids.setdefault(cfg.time_steps, []).append(i)
     b = eval_b_grid(driver, stream.fine_steps)
-    groups = [_Group([runs[i] for i in m], stream, b, per_step) for m in grids.values()]
+    groups = [_Group([runs[i] for i in m], ops, stream, b, per_step)
+              for m in grids.values()]
     main = groups[0]
 
     # the running sum of the open step of every group coarser than the noise
@@ -293,7 +288,7 @@ def evolve_fast(
     *,
     ops: FemOperators | None = None,
     snapshot_level: int | None = None,
-    coupled: tuple[tuple[SchemeConfig, FemOperators, sp.spmatrix | None], ...] = (),
+    coupled: tuple[SchemeConfig, ...] = (),
 ) -> PathState:
     """Run the scheme on raw increments and color only where states are read.
 
@@ -302,11 +297,11 @@ def evolve_fast(
     step equals the quadrature applied to the raw state's load vector.
     Snapshots are taken as in ``evolve``.
 
-    ``coupled`` lists further runs ``(config, ops, a)`` driven by the same
-    fine increments and driver, each restricted by its own ``a`` (``None``
-    on the stream's mesh); all runs advance in one sweep that draws every
-    fine increment once.  Their colored final states are returned in
-    ``PathState.coupled``.  Snapshots belong to the main run only.
+    ``coupled`` lists further runs of the main run's dimension, at its level
+    or coarser, driven by the same fine increments (restricted to each run's
+    mesh by ``ops.coarse``) and driver; all runs advance in one sweep that
+    draws every fine increment once.  Their colored final states are
+    returned in ``PathState.coupled``.  Snapshots belong to the main run only.
     """
     return _sweep(config, stream, driver, ops, snapshot_level, coupled, per_step=False)
 

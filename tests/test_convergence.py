@@ -421,20 +421,35 @@ def test_path_evaluates_the_driver_once(monkeypatch):
     assert calls == [plan.noise_steps] * 2
 
 
+def test_paths_of_a_plan_assemble_each_level_once(monkeypatch):
+    # the cached reference operators build each coarser level and its
+    # restriction on the first path and keep them for the next
+    convergence._cached_ops.cache_clear()
+    levels = []
+
+    def counting(dyadic):
+        levels.append(dyadic.level)
+        return assemble(dyadic)
+
+    monkeypatch.setattr(convergence, "assemble", counting)
+    monkeypatch.setattr("spdelab.mesh.assemble", counting)
+    base = SchemeConfig(
+        dim=1, gamma=0.5, space_level=4, time_steps=2**4, master_seed=0,
+        mode="final_time", n_modes=50,
+    )
+    plan = plan_study(base, "space", [2, 3], 4)
+    path_errors(plan, 11)
+    path_errors(plan, 12)
+    assert collections.Counter(levels) == {4: 1, 2: 1, 3: 1}
+
+
 def _final_states(plan, seed):
     """(operators, colored final state) of the reference and of every coupled
     run of one path, on operators assembled afresh."""
     ref = plan.ref
-    levels = {ref.space_level, *(lv for lv, _s, _r, _l in plan.coarse)}
-    ops = {lv: assemble(build_mesh(ref.dim, lv)) for lv in levels}
-    fine = ops[ref.space_level]
-    restrict = {
-        lv: restriction_matrix(o.mesh, fine.mesh)
-        for lv, o in ops.items()
-        if lv != ref.space_level
-    }
+    fine = assemble(build_mesh(ref.dim, ref.space_level))
     coupled = tuple(
-        (replace(ref, space_level=lv, time_steps=steps), ops[lv], restrict.get(lv))
+        replace(ref, space_level=lv, time_steps=steps)
         for lv, steps, _res, _label in plan.coarse
     )
     stream = NoiseStream(
@@ -442,7 +457,7 @@ def _final_states(plan, seed):
     )
     drv = sample_driver(seed, ref.n_modes)
     state = stepper.evolve_fast(ref, stream, drv, ops=fine, coupled=coupled)
-    runs = zip((o for _c, o, _a in coupled), state.coupled)
+    runs = zip((fine.coarse(c.space_level)[0] for c in coupled), state.coupled)
     return [(fine, state.alpha), *runs]
 
 

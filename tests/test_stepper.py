@@ -12,9 +12,9 @@ import scipy.sparse as sp
 
 from spdelab import convergence, noise, stepper
 from spdelab.driver import ScalarDriver, eval_b_grid, sample_driver
-from spdelab.exceptions import DomainError, NumericalError
+from spdelab.exceptions import CapacityError, DomainError, NumericalError
 from spdelab.fracpow import apply_qgamma, make_spec
-from spdelab.mesh import SOLVER_TOL, assemble, build_mesh, restriction_matrix
+from spdelab.mesh import SOLVER_TOL, assemble, build_mesh
 from spdelab.noise import NoiseStream, aggregate_increment, fine_increment
 from spdelab.stepper import MODES, SchemeConfig, evolve, evolve_fast
 
@@ -45,6 +45,20 @@ class TestSchemeConfig:
             SchemeConfig(dim=2, gamma=0.0, space_level=2, time_steps=2, master_seed=0)
         with pytest.raises(DomainError):
             SchemeConfig(dim=1, gamma=1.2, space_level=2, time_steps=2, master_seed=0)
+
+    @pytest.mark.parametrize("k", [0.0, -0.5, float("inf"), float("nan")])
+    def test_rejects_bad_k(self, k):
+        with pytest.raises(DomainError, match="k must be"):
+            SchemeConfig(
+                dim=1, gamma=0.5, space_level=2, time_steps=2, master_seed=0, k=k
+            )
+
+    def test_rejects_too_many_quadrature_nodes(self):
+        # gamma 0.5 at k 0.01 needs 197,395 nodes, above MAX_NODES
+        with pytest.raises(CapacityError, match="quadrature nodes"):
+            SchemeConfig(
+                dim=1, gamma=0.5, space_level=2, time_steps=2, master_seed=0, k=0.01
+            )
 
     def test_rejects_bad_mode(self):
         with pytest.raises(DomainError):
@@ -369,7 +383,7 @@ class TestCoupledRuns:
         other = SchemeConfig(
             dim=1, gamma=0.75, space_level=3, time_steps=4, master_seed=6
         )
-        out = evolve_fast(main, stream, drv, ops=ops3, coupled=((other, ops3, None),))
+        out = evolve_fast(main, stream, drv, ops=ops3, coupled=(other,))
         np.testing.assert_array_equal(
             out.alpha, evolve_fast(main, stream, drv, ops=ops3).alpha
         )
@@ -393,7 +407,7 @@ class TestCoupledRuns:
         ]
         out = evolve_fast(
             runs[0], stream, drv, ops=ops3, snapshot_level=4,
-            coupled=tuple((cfg, ops3, None) for cfg in runs[1:]),
+            coupled=tuple(runs[1:]),
         )
         states = [raw_step_loop(cfg, stream, drv, ops3) for cfg in runs]
         colored = [
@@ -415,27 +429,27 @@ class TestCoupledRuns:
             "grid not dividing": SchemeConfig(
                 dim=1, gamma=0.5, space_level=3, time_steps=3, master_seed=7
             ),
-            "other mesh, no restriction": SchemeConfig(
-                dim=1, gamma=0.5, space_level=2, time_steps=8, master_seed=7
+            "finer than the stream": SchemeConfig(
+                dim=1, gamma=0.5, space_level=4, time_steps=8, master_seed=7
+            ),
+            "other dimension": SchemeConfig(
+                dim=2, gamma=0.5, space_level=3, time_steps=8, master_seed=7
             ),
         }
         for what, cfg in bad.items():
             with pytest.raises(DomainError):
-                evolve_fast(main, stream, drv, ops=ops3, coupled=((cfg, ops3, None),))
+                evolve_fast(main, stream, drv, ops=ops3, coupled=(cfg,))
 
-    def test_coupled_run_needs_the_operators_of_its_mesh(self, ops3):
-        # a level-2 run, restricted to level 2, but stepping on level-3 operators
-        main = SchemeConfig(
-            dim=1, gamma=0.5, space_level=3, time_steps=8, master_seed=7
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_main_run_must_be_on_the_stream_level(self, ops3, mode):
+        # a level-3 run on a level-4 noise stream: the stream's increments
+        # would need a restriction, which only coupled runs get
+        cfg = SchemeConfig(
+            dim=1, gamma=0.5, space_level=3, time_steps=8, master_seed=7, mode=mode
         )
-        coarse = SchemeConfig(
-            dim=1, gamma=0.5, space_level=2, time_steps=8, master_seed=7
-        )
-        a = restriction_matrix(build_mesh(1, 2), ops3.mesh)
-        stream = NoiseStream(seed=7, fine_level=3, fine_steps=8)
-        with pytest.raises(DomainError, match="operators"):
-            evolve_fast(main, stream, sample_driver(7, 50), ops=ops3,
-                        coupled=((coarse, ops3, a),))
+        stream = NoiseStream(seed=7, fine_level=4, fine_steps=8)
+        with pytest.raises(DomainError, match="stream's fine level"):
+            MODES[mode](cfg, stream, sample_driver(7, 50), ops=ops3)
 
 
 class SpoiledSolve:
@@ -489,19 +503,17 @@ def test_guard_checks_each_run_of_a_group(spoiled, monkeypatch):
     # level-5 run's slice by 2e-10 puts its own relative residual above
     # SOLVER_TOL but the stacked vector's below it: the guard must use the
     # run's own norm
-    fine = build_mesh(1, 6)
-    ops = assemble(fine)
-    others = tuple(assemble(build_mesh(1, lv)) for lv in (2, 3, 4, 5))
+    ops = assemble(build_mesh(1, 6))
+    # the coarser levels' operators that the sweep steps on
+    others = tuple(ops.coarse(lv)[0] for lv in (2, 3, 4, 5))
     cfg = {
-        o.mesh.level: SchemeConfig(
-            dim=1, gamma=0.5, space_level=o.mesh.level, time_steps=32,
+        lv: SchemeConfig(
+            dim=1, gamma=0.5, space_level=lv, time_steps=32,
             master_seed=8, mode="final_time",
         )
-        for o in (ops, *others)
+        for lv in (2, 3, 4, 5, 6)
     }
-    coupled = tuple(
-        (cfg[o.mesh.level], o, restriction_matrix(o.mesh, fine)) for o in others
-    )
+    coupled = tuple(cfg[lv] for lv in (2, 3, 4, 5))
     system = ops.system(cfg[6].dt, others)
     starts = system.offsets
     level5 = slice(starts[4], starts[5])
