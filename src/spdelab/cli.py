@@ -102,6 +102,7 @@ AXIS = (lambda val: val in ("space", "time"), '"space" or "time"')
 TIME_EXP = _int_in(0, MAX_TIME_EXP)  # a dyadic time grid of 2**val steps
 N_MODES = _int_in(1, MAX_MODES)
 N_PATHS = _int_in(1, MAX_PATHS)
+SEED = _int_in(0, 2**64 - MAX_PATHS)  # path keys seed + i, i < MAX_PATHS, < 2^64
 
 # SchemeConfig field -> its default; a config key of that name sets the field
 RUN_FIELDS = {f.name: f.default for f in dataclasses.fields(SchemeConfig)}
@@ -120,14 +121,14 @@ SCHEMAS = {
         "time_exp": (TIME_EXP, None),  # axis "space" only, where it is required
         "space_level": (INT, None),  # axis "time" only, where it is required
         "n_paths": (N_PATHS, REQUIRED),
-        "master_seed": (INT, REQUIRED),
+        "master_seed": (SEED, REQUIRED),
         "k": (NUMBER, RUN_FIELDS["k"]),
         "n_modes": (N_MODES, RUN_FIELDS["n_modes"]),
         "n_workers": (COUNT, 1),
     },
     "verify": {
         "n_paths": (COUNT, 100_000),
-        "master_seed": (INT, 1),
+        "master_seed": (SEED, 1),
         "p_values": (POSITIVES, (1.0, 2.0, 4.0)),
         "steps": (COUNT, 64),
         "dim_q": (COUNT, 1),
@@ -142,16 +143,16 @@ SCHEMAS = {
         "m_min": (INT, 6),
         "bm_m_max": (TIME_EXP, 16),
         "bm_m_min": (INT, 8),
-        "n_seeds": (COUNT, 20),
+        "n_seeds": (N_PATHS, 20),
         "n_modes": (N_MODES, RUN_FIELDS["n_modes"]),
-        "master_seed": (INT, 3),
+        "master_seed": (SEED, 3),
     },
     "simulate": {
         "dim": (INT, REQUIRED),
         "gamma": (NUMBER, REQUIRED),
         "space_level": (INT, REQUIRED),
         "time_exp": (TIME_EXP, REQUIRED),
-        "master_seed": (INT, REQUIRED),
+        "master_seed": (SEED, REQUIRED),
         "k": (NUMBER, RUN_FIELDS["k"]),
         "n_modes": (N_MODES, RUN_FIELDS["n_modes"]),
         "mode": (STR, RUN_FIELDS["mode"]),

@@ -51,8 +51,8 @@ def eval_f_grid(driver: ScalarDriver, steps: int) -> np.ndarray:
 
     ``cos(pi n j / N)`` depends on ``n`` only through ``r = n mod 2N``, and
     equals its value at ``2N - r``, so every mode lands in one of the N + 1
-    bins of a DCT-I; ``xi_0`` joins bin 0.  The DCT-I is the real part of the
-    FFT of the even extension, with the inner bins halved.
+    bins of a DCT-I; ``xi_0`` joins bin 0.  ``dct1`` weighs the inner bins
+    twice, so they are halved first.
     """
     if steps < 1:
         raise DomainError(f"steps must be >= 1, got {steps}")
@@ -63,7 +63,13 @@ def eval_f_grid(driver: ScalarDriver, steps: int) -> np.ndarray:
     x = np.bincount(r, weights * driver.coeffs[1:], minlength=steps + 1)
     x[0] += driver.coeffs[0]
     x[1:steps] *= 0.5
-    return np.fft.rfft(np.concatenate([x, x[-2:0:-1]])).real
+    return dct1(x)
+
+
+def dct1(x: np.ndarray) -> np.ndarray:
+    """``y_k = x_0 + (-1)^k x_N + 2 sum_{0<i<N} x_i cos(pi i k / N)`` down the N + 1
+    rows of ``x``: the DCT-I, the real part of the FFT of the even extension."""
+    return np.fft.rfft(np.concatenate([x, x[-2:0:-1]]), axis=0).real
 
 
 def eval_b_grid(driver: ScalarDriver, steps: int) -> np.ndarray:

@@ -17,13 +17,15 @@ so the gamma = 0 map is M^{-1}.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .driver import dct1
 from .exceptions import CapacityError, DomainError
-from .mesh import SWEEP_COLUMNS, FemOperators, TridiagonalLDL
+from .mesh import DyadicMesh, FemOperators
 
 #: Most quadrature nodes of one spec.  The count grows like
 #: pi^2 / (2 k^2) (1/gamma + 1/(1 - gamma)): 423 at k 0.25 and gamma 0.25,
@@ -36,11 +38,13 @@ MAX_NODES = 2**17
 #: A 1-d LDLᵀ stores 2n - 1 numbers.
 MAX_PENCIL_NNZ = 2**28
 
-#: Columns of a block colored per pass: a node's right-hand side and
-#: solution then stay in cache, and a 2-d SuperLU solve costs less per
-#: column.  A 1-d block of at least ``SWEEP_COLUMNS`` columns is colored
-#: whole, since ``TridiagonalLDL.solve`` sweeps it row by row.
+#: Columns of a block colored per pass: a node's right-hand side and solution
+#: then stay in cache, and a 2-d SuperLU solve costs less per column.
 COLOR_COLUMNS = 256
+
+#: Columns from which a 1-d block is colored in the DCT-I eigenbasis, off the pencil
+#: sum in the last bits; the narrower blocks of studies and steps keep every bit.
+DCT_COLUMNS = 2048
 
 
 @dataclass(frozen=True)
@@ -70,8 +74,8 @@ def make_spec(gamma: float, k: float) -> QuadratureSpec:
     """Build the quadrature spec for exponent ``gamma`` and resolution ``k``."""
     if not 0.0 <= gamma <= 1.0:
         raise DomainError(f"gamma must lie in [0, 1], got {gamma}")
-    if not 0.0 < k < math.inf:
-        raise DomainError(f"k must be positive and finite, got {k}")
+    if not 0.0 < k <= math.sqrt(np.finfo(float).max):
+        raise DomainError(f"k must be positive, with a finite square, got {k}")
     if gamma in (0.0, 1.0):
         return QuadratureSpec(gamma, k, 0, 0, np.array([]))
     try:
@@ -112,6 +116,13 @@ def _shift_factor(ops: FemOperators, y: float):
     return ops.factor(math.exp(y) * ops.mass + ops.a2_matrix)
 
 
+def _dct_modes(mesh: DyadicMesh) -> tuple[np.ndarray, np.ndarray]:
+    """(mu, tau) with M V = D V diag(mu) and T V = D V diag(tau) in 1-d, for
+    V_ij = cos(pi i j / N) on N cells and D = diag(1/2, 1, ..., 1, 1/2)."""
+    cos = np.cos(np.pi * mesh.cell_size * np.arange(mesh.n_vertices))
+    return mesh.cell_size * (2.0 + cos) / 3.0, (2.0 - 2.0 * cos) / mesh.cell_size
+
+
 class _PencilSolver:
     """The quadrature of one spec on one level: a scale and a factor per node.
 
@@ -126,14 +137,14 @@ class _PencilSolver:
     is fetched.  ``apply`` colors a block through every node in node order,
     ``COLOR_COLUMNS`` columns at a time, each chunk copied once F-ordered,
     the layout that ``dpttrs`` and SuperLU solve in; in 2-d wide blocks may
-    differ from the whole block in the last bits.  A 1-d block of
-    ``SWEEP_COLUMNS`` or more columns goes whole, C-ordered, to each node's
-    row sweep, its nodes sharing one solution buffer.  A 1-d solve equals
-    its column-by-column solves, so every 1-d coloring is bit-identical to
-    solving the whole block at once and to solving each column alone.
+    differ from the whole block in the last bits, while a 1-d solve equals
+    its column-by-column solves.  In 1-d the pencil is diagonal in the DCT-I
+    basis (``_dct_modes``), so a chunk of a block of ``DCT_COLUMNS`` or more
+    columns is ``dct1(s * dct1(D^-1 g)) / (2N)``, ``s_j = q(lambda_j) / mu_j``.
     """
 
     def __init__(self, ops: FemOperators, spec: QuadratureSpec):
+        self._mesh, self._spec = ops.mesh, spec
         c = spec.k * math.sin(math.pi * spec.gamma) / math.pi
         self._scales = [
             c * math.exp(-spec.gamma * y) if y >= 0.0
@@ -152,20 +163,29 @@ class _PencilSolver:
             )
         self._factors = [first, *factors]
 
+    @functools.cached_property
+    def _dct_scaling(self) -> np.ndarray:  # s / (2N) as a column, made on first use
+        mu, tau = _dct_modes(self._mesh)
+        s = [scalar_qgamma(self._spec, (m + t) / m) / m for m, t in zip(mu, tau)]
+        return np.array(s)[:, None] / (2 * mu.size - 2)
+
     def apply(self, g: np.ndarray) -> np.ndarray:
         block = g.reshape(g.shape[0], -1)  # a column is a block of one
         cols = block.shape[1]
-        sweep = cols >= SWEEP_COLUMNS and isinstance(self._factors[0], TridiagonalLDL)
-        width, order = (cols, "C") if sweep else (COLOR_COLUMNS, "F")
-        out = np.zeros(block.shape, order=order)
+        dct = cols >= DCT_COLUMNS and self._mesh.dim == 1
+        out = np.zeros(block.shape, order="F")
         # a lone last column would take the one-column solve, which rounds
         # differently in 2-d; it joins the chunk before it
-        edges = [*range(0, max(cols - 1, 1), width), cols]
+        edges = [*range(0, max(cols - 1, 1), COLOR_COLUMNS), cols]
         for lo, hi in zip(edges, edges[1:]):
-            part = np.asarray(block[:, lo:hi], order=order)
-            acc, x = out[:, lo:hi], None
+            part = np.asarray(block[:, lo:hi], order="F")
+            acc = out[:, lo:hi]
+            if dct:  # D^-1 part, then two transforms around the scaling
+                part = np.r_[2.0 * part[:1], part[1:-1], 2.0 * part[-1:]]
+                acc[...] = dct1(self._dct_scaling * dct1(part))
+                continue
             for scale, factor in zip(self._scales, self._factors):
-                x = factor.solve(part, out=x) if sweep else factor.solve(part)
+                x = factor.solve(part)
                 x *= scale  # the roundings of acc += scale * x
                 acc += x
         return out.reshape(g.shape)

@@ -228,7 +228,7 @@ def bdg_ratios(
 ) -> list[float]:
     """Truncated-supremum to truncated-quadratic-variation ratio per p, from one batch.
 
-    Estimates E[1 ^ sup_t |X(t)|^p] / E[1 ^ quad_var]^{p/2}; the inequality
+    Estimates E[(1 ^ sup_t |X(t)|)^p] / E[1 ^ quad_var]^{p/2}; the inequality
     under test asserts this is bounded by a constant depending only on p.  A
     zero denominator with positive numerator is a violation candidate and
     triggers one automatic rerun at 10x the paths before raising an alarm.
@@ -240,8 +240,8 @@ def bdg_ratios(
 
     def attempt(paths):
         sample = ito_integral_elementary(phi, seed, paths)
-        sup, qv = sample.sup_norm, np.mean(np.minimum(1.0, sample.quad_var))
-        return [(float(np.minimum(1.0, sup**p).mean()), float(qv ** (p / 2.0))) for p in ps]
+        sup, qv = np.minimum(1.0, sample.sup_norm), np.mean(np.minimum(1.0, sample.quad_var))
+        return [(float((sup**p).mean()), float(qv ** (p / 2.0))) for p in ps]
 
     return _rerun_ratios("bdg_ratio", attempt, n_paths)
 

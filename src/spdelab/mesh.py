@@ -141,25 +141,9 @@ def mass_factor(mass: sp.spmatrix) -> sp.csr_matrix:
     return factor
 
 
-#: Columns from which ``TridiagonalLDL.solve`` sweeps a block row by row
-#: instead of calling ``dpttrs``: a sweep costs 3n numpy calls however wide
-#: the block, ``dpttrs`` a fixed cost per column.  Over the 107 pencil solves
-#: of one coloring (gamma 0.75, k 0.5; 2 cores, 1 BLAS thread) the two tie at
-#: about 1,024 columns, for 33 rows (25 ms) and 513 rows (0.50 vs 0.53 s);
-#: at 2,048 the sweep is 15-27% faster, at 256 and 33 rows 3 times slower.
-SWEEP_COLUMNS = 2048
-
-
 class TridiagonalLDL:
     """The LDLᵀ of a symmetric positive definite tridiagonal matrix (LAPACK
-    ``dpttrf``), stored in its ``nnz = 2n - 1`` numbers.  ``solve`` sweeps a
-    block of ``SWEEP_COLUMNS`` or more columns row by row, one numpy
-    operation across every column per row step, in the exact operation order
-    of LAPACK ``dptts2``; narrower blocks and single columns go to
-    ``dpttrs``, which solves each column on its own, with no BLAS.  Either
-    way each column equals its one-column ``dpttrs`` solve bit for bit (on a
-    LAPACK built without fused multiply-adds), and a sweep depends on no
-    LAPACK build or BLAS thread count."""
+    ``dpttrf``) in its ``nnz = 2n - 1`` numbers, solved column by column (``dpttrs``)."""
 
     def __init__(self, a: sp.spmatrix):
         coo = a.tocoo()
@@ -177,30 +161,9 @@ class TridiagonalLDL:
             )
         self.nnz = 2 * n - 1
 
-    def solve(self, rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The solution for ``rhs``, which stays untouched; ``out``, an
-        earlier swept result of the same shape, is reused to hold it."""
-        if rhs.ndim == 1 or rhs.shape[1] < SWEEP_COLUMNS:
-            return dpttrs(self._d, self._e, rhs)[0]
-        if out is None:
-            out = np.empty(rhs.shape)  # C-ordered: each row step is contiguous
-        np.copyto(out, rhs)
-        self._sweep(out)
-        return out
-
-    def _sweep(self, b: np.ndarray) -> None:
-        """``dptts2`` on every column of ``b`` at once, in place."""
-        d, e = self._d.tolist(), self._e.tolist()
-        n = len(d)
-        if n == 1:  # dptts2 scales by the reciprocal here
-            b *= 1.0 / d[0]
-            return
-        for i in range(1, n):  # each product rounded on its own, as in dptts2
-            b[i] -= b[i - 1] * e[i - 1]
-        b[n - 1] /= d[n - 1]
-        for i in range(n - 2, -1, -1):  # b[i] = b[i] / d[i] - b[i+1] * e[i]
-            b[i] /= d[i]
-            b[i] -= b[i + 1] * e[i]
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """The solution for ``rhs``, which stays untouched."""
+        return dpttrs(self._d, self._e, rhs)[0]
 
 
 class FemOperators:

@@ -298,6 +298,15 @@ class TestVerifyCommand:
         assert len(rows[0]) == 3
         assert rows[0] != rows[1]
 
+    def test_huge_p_raises_no_overflow_warning(self, tmp_path):
+        # sup**p overflowed before the truncation at 1; clipped first, the
+        # wiener_functional ratios are 0 / 0 at 1,000 and 10,000 paths, an alarm
+        cfg = write_config(tmp_path, {"n_paths": 1000, "p_values": [1e308]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert "wiener_functional p=1e+308" in (tmp_path / "o" / "alarms.log").read_text()
+
 
 class TestHolderCommand:
     def test_small_run(self, tmp_path, capsys):
@@ -515,6 +524,16 @@ BAD_CONFIGS = {
     "infinite_k": ("simulate", _with(SMALL_SIMULATE, k=float("inf"))),
     "tiny_k": ("simulate", _with(SMALL_SIMULATE, k=1e-7)),
     "tiny_gamma": ("simulate", _with(SMALL_SIMULATE, gamma=1e-12)),
+    # k**2 overflows, for a float and for an integer k
+    "huge_k": ("simulate", _with(SMALL_SIMULATE, k=1e300)),
+    "huge_integer_k": ("simulate", _with(SMALL_SIMULATE, k=10**400)),
+    # path keys master_seed + i must lie in [0, 2^64): seeds 2^64 apart alias
+    "negative_seed": ("simulate", _with(SMALL_SIMULATE, master_seed=-1)),
+    "seed_2_64": ("verify", {"master_seed": 2**64}),
+    "seed_above_the_range": (
+        "convergence", _with(SMALL_CONVERGENCE, master_seed=2**64 - 2**20 + 1)
+    ),
+    "huge_holder_n_seeds": ("holder", {"n_seeds": 2**20 + 1}),
     # 1,995 pencil factors of about 203k entries each
     "pencil_factors_too_large": (
         "simulate", _with(SMALL_SIMULATE, dim=2, gamma=0.01, space_level=6, time_exp=1)
@@ -530,6 +549,9 @@ BAD_CONFIG_MESSAGES = {
     "misspelled_axis": """config key 'axis' must be "space" or "time", got 'spaec'""",
     "zero_p_values": "'p_values' must be a non-empty list of positive finite numbers",
     "snapshot_level_above_20": "'snapshot_level' must be an integer in [0, 20]",
+    "huge_k": "k must be positive, with a finite square, got 1e+300",
+    "huge_integer_k": "k must be positive, with a finite square, got 1000",
+    "seed_2_64": "'master_seed' must be an integer in [0, 18446744073708503040]",
 }
 
 
@@ -669,6 +691,13 @@ def test_dry_run_rejects_what_the_study_rejects(case, tmp_path, capsys):
     assert captured.err.startswith("validation error: ")
     assert REJECTED_RUN_MESSAGES.get(case, "") in captured.err
     assert not out.exists()
+
+
+def test_the_highest_seed_keeps_every_path_key_below_2_64(tmp_path, capsys):
+    # keys 2^64 - 2^20 .. 2^64 - 1 of the most paths a study may run
+    doc = _with(SMALL_CONVERGENCE, master_seed=2**64 - 2**20, n_paths=2**20)
+    assert main(["convergence", "--config", write_config(tmp_path, doc), "--dry-run"]) == 0
+    assert json.loads(capsys.readouterr().out)["master_seed"] == 2**64 - 2**20
 
 
 def test_bad_config_exits_1_without_traceback(tmp_path):

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.linalg.lapack import dpttrs
 
 from spdelab import checks
 from spdelab.checks import assembly_checks, expected_1d_matrices, expected_2d_matrices
@@ -12,7 +11,6 @@ from spdelab.exceptions import (
     NumericalError,
 )
 from spdelab.mesh import (
-    SWEEP_COLUMNS,
     FemOperators,
     TridiagonalLDL,
     assemble,
@@ -267,38 +265,6 @@ class TestTridiagonalLDL:
             x = factor.solve(block)
             for j in range(cols):
                 np.testing.assert_array_equal(x[:, j], factor.solve(block[:, j]))
-
-    @pytest.mark.parametrize("n", [1, 2, 33])
-    def test_swept_blocks_equal_dpttrs_column_solves(self, n):
-        # SWEEP_COLUMNS + 1 columns, the last one lone past a block of
-        # SWEEP_COLUMNS, with entries and pivots from 1e-8 to 1e8
-        rng = np.random.default_rng(n)
-
-        def spread(shape):
-            return rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8, 8, shape)
-
-        off = spread(n - 1)
-        diag = np.abs(np.r_[0.0, off]) + np.abs(np.r_[off, 0.0]) + np.abs(spread(n))
-        factor = TridiagonalLDL(sp.diags([off, diag, off], [-1, 0, 1], shape=(n, n)))
-        cols = SWEEP_COLUMNS + 1
-        g = spread((n, 2 * cols))
-        for block in (g[:, :cols].copy(), np.asfortranarray(g[:, :cols]), g[:, ::2]):
-            before = block.copy()
-            expected = [dpttrs(factor._d, factor._e, c)[0] for c in block.T]
-            np.testing.assert_array_equal(factor.solve(block), np.column_stack(expected))
-            np.testing.assert_array_equal(block, before)
-
-    @pytest.mark.parametrize("cols", [SWEEP_COLUMNS])  # only a sweep takes out
-    def test_solve_reuses_an_earlier_result(self, cols):
-        ops = assemble(build_mesh(1, 5))
-        factor = ops.factor(ops.mass + 0.5 * ops.a2_matrix)
-        g, h = np.random.default_rng(cols).standard_normal((2, ops.n_dof, cols))
-        x = factor.solve(g)
-        expected = factor.solve(h)
-        before = h.copy()
-        assert factor.solve(h, out=x) is x
-        np.testing.assert_array_equal(x, expected)
-        np.testing.assert_array_equal(h, before)
 
 
 class TestMassFactor:
