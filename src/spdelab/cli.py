@@ -36,7 +36,6 @@ import scipy
 from . import __version__, l0, rng
 from .checks import assembly_checks
 from .convergence import convergence_study, plan_study
-from .driver import sample_driver
 from .exceptions import (
     CapacityError,
     DomainError,
@@ -46,8 +45,7 @@ from .exceptions import (
     StatisticalAlarm,
 )
 from .mesh import MAX_MODES, MAX_PATHS, MAX_TIME_EXP, assemble, build_mesh
-from .noise import NoiseStream
-from .stepper import MODES, SchemeConfig
+from .stepper import MODES, SchemeConfig, path_inputs
 from .svgplot import GuideLine, Series, loglog_svg
 
 STREAM_TAGS = {
@@ -202,11 +200,7 @@ def _scheme(cfg: dict, **fields) -> SchemeConfig:
 
 def _run_path(config: SchemeConfig, seed: int, **kw):
     """One path of ``config`` on the noise and driver of ``seed``."""
-    stream = NoiseStream(
-        seed=seed, fine_level=config.space_level, fine_steps=config.time_steps
-    )
-    driver = sample_driver(seed, config.n_modes)
-    return MODES[config.mode](config, stream, driver, **kw)
+    return MODES[config.mode](config, *path_inputs(config, seed), **kw)
 
 
 def _create(path: Path) -> Path:
@@ -244,6 +238,8 @@ def check_convergence(cfg: dict) -> None:
     # a manifest's config records both, as [gamma] == gammas
     if "gamma" in cfg and cfg.setdefault("gammas", [cfg["gamma"]]) != [cfg["gamma"]]:
         raise DomainError("config 'gamma' and 'gammas' disagree; give one of them")
+    if len(set(cfg["gammas"])) < len(cfg["gammas"]):  # each would run the same study
+        raise DomainError(f"config 'gammas' {cfg['gammas']} repeats a gamma")
     # a study's reference sets the resolution of its axis from ref_level
     need, own = ("time_exp", "space_level")
     if cfg["axis"] == "time":

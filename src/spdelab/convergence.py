@@ -1,14 +1,15 @@
 """Coupled coarse-vs-reference error studies and rate extraction.
 
 A study fixes a reference resolution, simulates each path once at the
-reference and once per coarse level on the *same* driving noise (via time
-aggregation and spatial restriction of the increments), and measures the
-relative error at t = 1 in the reference mass norm.  One path is one sweep
-over the fine time steps: ``evolve_fast`` advances the reference with every
-coarse run passed as ``coupled``, so each fine increment is drawn once and
-the driver is evaluated once, on the noise's grid.  Every run starts from
-u(0) = 0.  Rates are least-squares slopes in log2-log2 coordinates of the
-mean error against the resolution.
+reference and once per coarse level on the *same* driving noise, drawn on
+the reference's mesh and time grid (``stepper.path_inputs``) and summed and
+restricted to every coarse run, and measures the relative error at t = 1 in
+the reference mass norm.  One path is one sweep over the reference's time
+steps: ``evolve_fast`` advances the reference with every coarse run passed as
+``coupled``, so each fine increment is drawn once and the driver is evaluated
+once, on the reference's grid.  Every run starts from u(0) = 0.  Rates are
+least-squares slopes in log2-log2 coordinates of the mean error against the
+resolution.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .driver import sample_driver
 from .exceptions import (
     DegenerateReferenceError,
     DomainError,
@@ -31,8 +31,7 @@ from .exceptions import (
 from .mesh import SOLVER_TOL, assemble, build_mesh
 # unused, but perfbench/tracing.py wraps the restriction under this name
 from .mesh import restriction_matrix  # noqa: F401
-from .noise import NoiseStream
-from .stepper import SchemeConfig, evolve_fast
+from .stepper import SchemeConfig, evolve_fast, path_inputs
 
 #: Mean errors below this are attributed to solver tolerance, not discretization.
 SATURATION_FLOOR = 10.0 * SOLVER_TOL
@@ -90,15 +89,17 @@ class StudyPlan:
     axis: str  # "space" or "time"
     # the reference run; each coarse run is this run at its own resolution
     ref: SchemeConfig
-    # the driving noise is generated at this time resolution and aggregated
-    # down to every run, so refining the reference keeps the same Wiener path
-    noise_steps: int
     # one (space_level, time_steps, resolution, label) per coarse run
     coarse: tuple[tuple[int, int, float, int], ...]
 
+    # copies of fields of ref, read only by perfbench/workloads.py
     @property
     def gamma(self) -> float:
         return self.ref.gamma
+
+    @property
+    def noise_steps(self) -> int:
+        return self.ref.time_steps
 
 
 @dataclass(frozen=True)
@@ -127,7 +128,6 @@ def plan_study(
     axis: str,
     coarse_levels: list[int],
     ref_level: int,
-    noise_steps: int | None = None,
 ) -> StudyPlan:
     """Resolve a study request into explicit per-run resolutions.
 
@@ -135,8 +135,6 @@ def plan_study(
     grid of ``base``; ``ref_level`` is the reference mesh level.  For
     ``axis="time"`` the coarse entries and ``ref_level`` are dyadic time
     exponents (time step 2**-level) at the fixed mesh level of ``base``.
-    ``noise_steps`` fixes the time resolution of the driving noise
-    independently of the reference (default: the reference's own grid).
     Every run is ``base`` in final-time mode at its own resolution; the
     mesh level guard is checked here, the shared quadrature by ``base``.
     """
@@ -162,14 +160,7 @@ def plan_study(
         )
     ref = replace(base, space_level=ref_space, time_steps=ref_steps, mode="final_time")
     build_mesh(ref.dim, ref.space_level)  # the level guard of the finest mesh
-    if noise_steps is None:
-        noise_steps = ref_steps
-    if noise_steps % ref_steps != 0:
-        raise DomainError(
-            f"noise_steps {noise_steps} must be a multiple of the reference "
-            f"steps {ref_steps}"
-        )
-    return StudyPlan(axis=axis, ref=ref, noise_steps=noise_steps, coarse=coarse)
+    return StudyPlan(axis=axis, ref=ref, coarse=coarse)
 
 
 # Per-process cache of the reference operators, which keep each coarser level's
@@ -188,15 +179,11 @@ def path_errors(plan: StudyPlan, seed: int) -> np.ndarray:
     """
     ref = plan.ref
     ref_ops = _cached_ops(ref.dim, ref.space_level)
-    stream = NoiseStream(
-        seed=seed, fine_level=ref.space_level, fine_steps=plan.noise_steps
-    )
     coupled = tuple(
         replace(ref, space_level=space_level, time_steps=time_steps)
         for space_level, time_steps, _res, _label in plan.coarse
     )
-    driver = sample_driver(seed, ref.n_modes)
-    state = evolve_fast(ref, stream, driver, ops=ref_ops, coupled=coupled)
+    state = evolve_fast(ref, *path_inputs(ref, seed), ops=ref_ops, coupled=coupled)
     return np.array(
         [
             relative_error(alpha, state.alpha, ref_ops.coarse(lv)[1], ref_ops.mass)
@@ -212,7 +199,6 @@ def convergence_study(
     ref_level: int,
     n_paths: int,
     n_workers: int = 1,
-    noise_steps: int | None = None,
 ) -> ConvergenceReport:
     """Run a full coupled convergence study and fit the empirical rate.
 
@@ -224,7 +210,7 @@ def convergence_study(
     if n_paths < 1 or n_workers < 1:
         raise DomainError(f"n_paths {n_paths} and n_workers {n_workers} must be >= 1")
     space_rate, time_rate = theoretical_rates(base.gamma, base.dim)
-    plan = plan_study(base, axis, coarse_levels, ref_level, noise_steps)
+    plan = plan_study(base, axis, coarse_levels, ref_level)
     seeds = tuple(base.master_seed + i for i in range(n_paths))
 
     # a fork pool starts all its workers at once; outputs do not depend on them

@@ -205,7 +205,7 @@ def dp_metric(samples: np.ndarray, p: float) -> float:
         raise DomainError(f"p must be >= 1, got {p}")
     if np.any(samples < 0.0):
         raise DomainError("distance samples must be nonnegative")
-    return float(np.mean(np.minimum(1.0, samples**p)) ** (1.0 / p))
+    return float(np.mean(np.minimum(1.0, samples) ** p) ** (1.0 / p))
 
 
 def _rerun_ratios(name: str, attempt, n_paths: int) -> list[float]:
@@ -353,21 +353,13 @@ def block_integrands(
     n_blocks: int,
     steps_per_block: int,
     dim_q: int = 1,
-    scale: float = 1.0,
 ) -> list[ElementaryIntegrand]:
     """Sequence of identical integrands supported on disjoint time blocks."""
     if n_blocks < 1:
         raise DomainError(f"n_blocks must be >= 1, got {n_blocks}")
     partition = np.linspace(0.0, 1.0, n_blocks * steps_per_block + 1)
-    out = []
-    for i in range(n_blocks):
-        out.append(
-            ElementaryIntegrand(
-                dim_q=dim_q,
-                partition=partition,
-                family=family,
-                scale=scale,
-                support=(i / n_blocks, (i + 1) / n_blocks),
-            )
-        )
-    return out
+    return [
+        ElementaryIntegrand(dim_q=dim_q, partition=partition, family=family,
+                            support=(i / n_blocks, (i + 1) / n_blocks))
+        for i in range(n_blocks)
+    ]

@@ -35,6 +35,7 @@ checks all their residuals at once, per run, so it holds at most
 
 Every run starts from u(0) = 0, the model's initial condition.
 
+``path_inputs`` makes the noise and driver of one path from its key, and
 ``MODES`` maps ``SchemeConfig.mode`` to its entry point.
 """
 
@@ -46,7 +47,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import noise
-from .driver import DEFAULT_N_MODES, ScalarDriver, eval_b_grid
+from .driver import DEFAULT_N_MODES, ScalarDriver, eval_b_grid, sample_driver
 from .exceptions import CapacityError, DomainError
 from .fracpow import apply_qgamma, make_spec
 from .mesh import FemOperators, assemble, build_mesh
@@ -109,6 +110,13 @@ class PathState:
     alpha: np.ndarray
     snapshots: np.ndarray | None = None  # (n_snapshots, n_dof) at dyadic times
     coupled: tuple[np.ndarray, ...] = ()  # in the order the runs were given
+
+
+def path_inputs(config: SchemeConfig, seed: int) -> tuple[NoiseStream, ScalarDriver]:
+    """The noise on ``config``'s mesh and time grid and the driver of the path
+    keyed by ``seed``; every run of the path, coarse or not, is driven by them."""
+    return (NoiseStream(seed, config.space_level, config.time_steps),
+            sample_driver(seed, config.n_modes))
 
 
 def _snapshot_stride(

@@ -614,6 +614,10 @@ REJECTED_RUNS = {
         "convergence", _with(SMALL_CONVERGENCE, coarse_levels=[2, 2, 3])
     ),
     "convergence_too_many_nodes": ("convergence", _with(SMALL_CONVERGENCE, k=0.001)),
+    # each repeat would run the same study again and write its rows twice
+    "convergence_repeated_gamma": (
+        "convergence", _with(SMALL_CONVERGENCE, gammas=[0.5, 0.5])
+    ),
     "convergence_time_study_at_level_15": (
         "convergence",
         _with(SMALL_CONVERGENCE, axis="time", space_level=15, time_exp=_DROP),
@@ -654,6 +658,7 @@ REJECTED_RUN_MESSAGES = {
     "convergence_time_study_with_time_exp": "axis 'time' sets 'time_exp' from",
     "convergence_space_study_with_space_level": "axis 'space' sets 'space_level' from",
     "convergence_n_paths_beyond_the_guard": "'n_paths' must be an integer in [1, 1048576]",
+    "convergence_repeated_gamma": "repeats a gamma",
 }
 
 

@@ -187,18 +187,23 @@ class TestConvergenceStudy:
 
     def test_coupling_sanity(self):
         # doubling only the reference time resolution, on the same driving
-        # noise, moves coarse errors by less than the errors themselves
-        coarse_exps = [2, 3, 4]
-        errs = {}
-        for ref_exp in (8, 9):
-            base = SchemeConfig(
-                dim=1, gamma=0.5, space_level=5, time_steps=2**ref_exp,
-                master_seed=5, mode="final_time",
-            )
-            rep = convergence_study(
-                base, "time", coarse_exps, ref_exp, 1, noise_steps=2**9
-            )
-            errs[ref_exp] = np.array([lv.mean_error for lv in rep.levels])
+        # noise, moves coarse errors by less than the errors themselves; both
+        # references and the coarse runs advance on one stream of 2^9 steps
+        ref = SchemeConfig(
+            dim=1, gamma=0.5, space_level=5, time_steps=2**9,
+            master_seed=5, mode="final_time",
+        )
+        coarse = [replace(ref, time_steps=2**exp) for exp in (2, 3, 4)]
+        ops = assemble(build_mesh(1, 5))
+        state = stepper.evolve_fast(
+            ref, *stepper.path_inputs(ref, 5), ops=ops,
+            coupled=(replace(ref, time_steps=2**8), *coarse),
+        )
+        half, *runs = state.coupled
+        errs = {
+            exp: np.array([relative_error(a, alpha, None, ops.mass) for a in runs])
+            for exp, alpha in ((8, half), (9, state.alpha))
+        }
         assert np.all(np.abs(errs[9] - errs[8]) < errs[8])
 
     def test_deterministic_rerun(self):
@@ -299,8 +304,9 @@ def test_path_errors_shares_noise_across_levels():
     assert errs[0] > 1e-6
 
 
-def _per_level_path_errors(plan, seed):
-    """Reference for ``path_errors``: every level run on its own.
+def _per_level_path_errors(plan, seed, noise_steps):
+    """Reference for ``path_errors`` on a stream of ``noise_steps`` fine steps:
+    every level run on its own.
 
     Each run builds its coarse increments with ``aggregate_increment`` and
     ``restrict_increment`` and colors its final raw state, as ``evolve_fast``
@@ -311,12 +317,12 @@ def _per_level_path_errors(plan, seed):
     spec = make_spec(plan.ref.gamma, plan.ref.k)
     drv = sample_driver(seed, plan.ref.n_modes)
     stream = NoiseStream(
-        seed=seed, fine_level=plan.ref.space_level, fine_steps=plan.noise_steps
+        seed=seed, fine_level=plan.ref.space_level, fine_steps=noise_steps
     )
-    fine_b = eval_b_grid(drv, plan.noise_steps)
+    fine_b = eval_b_grid(drv, noise_steps)
 
     def final_state(time_steps, ops, a):
-        ratio = plan.noise_steps // time_steps
+        ratio = noise_steps // time_steps
         dt = 1.0 / time_steps
         b = fine_b[:-1:ratio]  # every run takes the driver on the noise's grid
         beta = np.zeros(ops.n_dof)
@@ -342,46 +348,75 @@ def _per_level_path_errors(plan, seed):
     return np.array(errors)
 
 
-# name -> (dim, axis, coarse levels, ref level, space level, time exponent,
-# noise steps); the space lists end at the reference level, a run on the
-# noise's own mesh (no restriction)
+def _sweep_plan(dim, axis, coarse, ref, space_level, time_steps, gamma):
+    base = SchemeConfig(
+        dim=dim, gamma=gamma, space_level=space_level, time_steps=time_steps,
+        master_seed=0, mode="final_time", n_modes=100,
+    )
+    return plan_study(base, axis, coarse, ref)
+
+
+def _sweep_cases(table):
+    return [
+        (name, gamma)
+        for name in sorted(table)
+        for gamma in (0.0, 0.5, 1.0)
+        if not (table[name][0] == 2 and gamma == 0.0)  # inadmissible in 2-d
+    ]
+
+
+# name -> (dim, axis, coarse levels, ref level, space level, time steps); the
+# noise runs on the reference's grid; the space lists end at the reference
+# level, a run on the noise's own mesh (no restriction)
 SWEEP_STUDIES = {
-    "space1d": (1, "space", [2, 3, 5], 5, 5, 5, None),
-    # noise at twice the reference steps, so the reference aggregates too
-    "time1d": (1, "time", [2, 3, 4], 5, 4, 5, 2**6),
-    # every run both aggregates and restricts
-    "space2d": (2, "space", [1, 2, 3], 3, 3, 4, 2**5),
+    "space1d": (1, "space", [2, 3, 5], 5, 5, 2**5),
+    "time1d": (1, "time", [2, 3, 4], 5, 4, 2**5),
+    "space2d": (2, "space", [1, 2, 3], 3, 3, 2**4),
     # ratios 32, 16 and 8: a step of the coarsest run spans two blocks of
     # the sweep, so its partial sum is carried from one block to the next
-    "time1d_long_steps": (1, "time", [2, 3, 4], 5, 4, 5, 2**7),
-    # 24 fine steps, so the last block is short, and ratio 3, so steps
-    # straddle the block edge
-    "space1d_short_blocks": (1, "space", [2, 3, 4], 4, 4, 3, 24),
+    "time1d_long_steps": (1, "time", [2, 3, 4], 7, 4, 2**7),
+    # 24 steps, so the last block of the sweep is short
+    "space1d_short_blocks": (1, "space", [2, 3, 4], 4, 4, 24),
     # mixed groups: the coupled run on the reference grid stacks with it,
     # the two coarser ones advance alone
-    "time1d_mixed_groups": (1, "time", [3, 4, 5], 5, 4, 5, 2**6),
+    "time1d_mixed_groups": (1, "time", [3, 4, 5], 5, 4, 2**5),
 }
 
 
-@pytest.mark.parametrize(
-    "name,gamma",
-    [
-        (name, gamma)
-        for name in sorted(SWEEP_STUDIES)
-        for gamma in (0.0, 0.5, 1.0)
-        if not (name == "space2d" and gamma == 0.0)  # inadmissible in 2-d
-    ],
-)
+@pytest.mark.parametrize("name,gamma", _sweep_cases(SWEEP_STUDIES))
 def test_one_sweep_matches_per_level_runs(name, gamma):
-    dim, axis, coarse, ref, space_level, time_exp, noise_steps = SWEEP_STUDIES[name]
-    base = SchemeConfig(
-        dim=dim, gamma=gamma, space_level=space_level, time_steps=2**time_exp,
-        master_seed=0, mode="final_time", n_modes=100,
-    )
-    plan = plan_study(base, axis, coarse, ref, noise_steps)
+    plan = _sweep_plan(*SWEEP_STUDIES[name], gamma)
     for seed in (17, 18):
         np.testing.assert_array_equal(
-            path_errors(plan, seed), _per_level_path_errors(plan, seed)
+            path_errors(plan, seed),
+            _per_level_path_errors(plan, seed, plan.ref.time_steps),
+        )
+
+
+# name -> a study laid out as in SWEEP_STUDIES and the fine steps of a stream
+# finer than its reference, which evolve_fast accepts: the reference sums its
+# noise too
+FINER_STREAMS = {
+    "time1d": (1, "time", [2, 3, 4], 5, 4, 2**5, 2**6),
+    # every run both sums and restricts
+    "space2d": (2, "space", [1, 2, 3], 3, 3, 2**4, 2**5),
+    # ratio 3, so the step of fine steps 15-17 straddles the first block edge
+    "space1d_ratio_3": (1, "space", [2, 3, 4], 4, 4, 8, 24),
+}
+
+
+@pytest.mark.parametrize("name,gamma", _sweep_cases(FINER_STREAMS))
+def test_sweep_on_a_finer_stream_matches_per_level_runs(name, gamma):
+    *study, noise_steps = FINER_STREAMS[name]
+    plan = _sweep_plan(*study, gamma)
+    for seed in (17, 18):
+        (fine, ref), *runs = _final_states(plan, seed, noise_steps)
+        swept = [
+            relative_error(alpha, ref, fine.coarse(ops.mesh.level)[1], fine.mass)
+            for ops, alpha in runs
+        ]
+        np.testing.assert_array_equal(
+            swept, _per_level_path_errors(plan, seed, noise_steps)
         )
 
 
@@ -397,9 +432,9 @@ def test_path_draws_each_fine_increment_once(monkeypatch):
         dim=1, gamma=0.5, space_level=3, time_steps=2**5, master_seed=0,
         mode="final_time", n_modes=50,
     )
-    plan = plan_study(base, "time", [2, 3, 4], 5, noise_steps=2**6)
+    plan = plan_study(base, "time", [2, 3, 4], 6)
     path_errors(plan, 9)
-    assert sorted(draws) == list(range(plan.noise_steps))
+    assert sorted(draws) == list(range(2**6))
 
 
 def test_path_evaluates_the_driver_once(monkeypatch):
@@ -418,7 +453,7 @@ def test_path_evaluates_the_driver_once(monkeypatch):
     plan = plan_study(base, "time", [1, 2, 3, 4, 5, 6], 7)
     path_errors(plan, 9)
     path_errors(plan, 10)
-    assert calls == [plan.noise_steps] * 2
+    assert calls == [2**7] * 2
 
 
 def test_paths_of_a_plan_assemble_each_level_once(monkeypatch):
@@ -443,18 +478,17 @@ def test_paths_of_a_plan_assemble_each_level_once(monkeypatch):
     assert collections.Counter(levels) == {4: 1, 2: 1, 3: 1}
 
 
-def _final_states(plan, seed):
+def _final_states(plan, seed, noise_steps):
     """(operators, colored final state) of the reference and of every coupled
-    run of one path, on operators assembled afresh."""
+    run of one path on a stream of ``noise_steps`` fine steps, on operators
+    assembled afresh."""
     ref = plan.ref
     fine = assemble(build_mesh(ref.dim, ref.space_level))
     coupled = tuple(
         replace(ref, space_level=lv, time_steps=steps)
         for lv, steps, _res, _label in plan.coarse
     )
-    stream = NoiseStream(
-        seed=seed, fine_level=ref.space_level, fine_steps=plan.noise_steps
-    )
+    stream = NoiseStream(seed=seed, fine_level=ref.space_level, fine_steps=noise_steps)
     drv = sample_driver(seed, ref.n_modes)
     state = stepper.evolve_fast(ref, stream, drv, ops=fine, coupled=coupled)
     runs = zip((fine.coarse(c.space_level)[0] for c in coupled), state.coupled)
@@ -482,8 +516,8 @@ def test_1d_paths_match_a_superlu_reference(monkeypatch, axis):
                 FemOperators, "factor",
                 lambda self, a, **options: splu(a.tocsc(), **options),
             )
-            want = _final_states(plan, 5)
-        got = _final_states(plan, 5)
+            want = _final_states(plan, 5, plan.ref.time_steps)
+        got = _final_states(plan, 5, plan.ref.time_steps)
         assert len(got) == len(coarse) + 1
         for (ops, x), (_ops, y) in zip(got, want):
             assert ops.m_norm(x - y) <= 1e-10 * ops.m_norm(y)

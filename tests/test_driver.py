@@ -167,9 +167,9 @@ class TestResolutionConsistency:
             dim=1, gamma=0.5, space_level=3, time_steps=2**6, master_seed=0,
             mode="final_time", n_modes=200,
         )
-        path_errors(plan_study(base, "time", [2, 3, 4], 6, noise_steps=2**7), 11)
+        path_errors(plan_study(base, "time", [2, 3, 4], 7), 11)
         assert len(fine) == 1
-        assert sorted(g.ratio for g in groups) == [2, 8, 16, 32]
+        assert sorted(g.ratio for g in groups) == [1, 8, 16, 32]
         for group in groups:
             assert group.b.shape == (2**7 // group.ratio,)
             np.testing.assert_array_equal(group.b, fine[0][:-1 : group.ratio])

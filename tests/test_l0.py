@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -122,6 +123,13 @@ class TestDpMetric:
 
     def test_direct_arithmetic(self):
         assert l0.dp_metric(np.array([0.5, 0.5]), 2.0) == pytest.approx(0.5)
+
+    def test_huge_p_raises_no_overflow_warning(self):
+        # a sample above 1 is clipped before the power, so s**p cannot overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert l0.dp_metric(np.array([2.0, 0.5]), 1e308) == 1.0
+            assert l0.dp_metric(np.array([2.0, 0.5]), 4.0) == 0.8537382425870722
 
     def test_empty_rejected(self):
         with pytest.raises(InsufficientDataError):
