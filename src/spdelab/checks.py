@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import CapacityError
+from .exceptions import DomainError
 from .mesh import DyadicMesh, assemble, build_mesh, restriction_matrix
 
 #: Most vertices the dense oracles take on: they hold four n x n float arrays,
@@ -74,7 +74,7 @@ def assembly_checks(dim: int, level: int, corrupt: bool = False) -> list[CheckRe
     """
     mesh = build_mesh(dim, level)
     if mesh.n_vertices > MAX_DENSE_VERTICES:
-        raise CapacityError(
+        raise DomainError(
             f"dense oracles need n x n arrays; {mesh.n_vertices} vertices exceed "
             f"the guard of {MAX_DENSE_VERTICES}"
         )

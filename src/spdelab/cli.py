@@ -24,6 +24,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import platform
 import resource
 import sys
@@ -36,14 +37,7 @@ import scipy
 from . import __version__, l0, rng
 from .checks import assembly_checks
 from .convergence import convergence_study, plan_study
-from .exceptions import (
-    CapacityError,
-    DomainError,
-    FactorizationError,
-    NumericalError,
-    SpdeLabError,
-    StatisticalAlarm,
-)
+from .exceptions import DomainError, NumericalError, StatisticalAlarm
 from .mesh import MAX_MODES, MAX_PATHS, MAX_TIME_EXP, assemble, build_mesh
 from .stepper import MODES, SchemeConfig, path_inputs
 from .svgplot import GuideLine, Series, loglog_svg
@@ -75,8 +69,8 @@ def _is_int(val) -> bool:
 
 
 def _is_number(val) -> bool:
-    # json.load reads Infinity and NaN as floats
-    return _is_int(val) or (isinstance(val, float) and math.isfinite(val))
+    # json.load reads Infinity and NaN as floats, and integers of any size
+    return (_is_int(val) or isinstance(val, float)) and abs(val) <= sys.float_info.max
 
 
 def _list_of(check):
@@ -201,6 +195,22 @@ def _scheme(cfg: dict, **fields) -> SchemeConfig:
 def _run_path(config: SchemeConfig, seed: int, **kw):
     """One path of ``config`` on the noise and driver of ``seed``."""
     return MODES[config.mode](config, *path_inputs(config, seed), **kw)
+
+
+def _check_out_dir(out: Path) -> None:
+    """Raise ``DomainError`` unless the nearest existing path among ``out`` and
+    its parents is a writable directory, in which a run can create ``out``."""
+    for base in (out, *out.parents):
+        try:
+            base.lstat()
+        except FileNotFoundError:
+            continue  # not there yet: its nearest existing parent decides
+        except (OSError, ValueError):  # a regular file on the way, a NUL byte
+            break
+        if base.is_dir() and os.access(base, os.W_OK):
+            return
+        break
+    raise DomainError(f"out_dir {str(out)!r} cannot be a writable directory")
 
 
 def _create(path: Path) -> Path:
@@ -501,11 +511,12 @@ def run_command(args) -> int:
     check, run, manifest = COMMANDS[args.command]
     cfg = _load_config(args)
     check(cfg)
+    # created by the first write (_create), so a rejected run leaves nothing
+    out = Path(cfg.get("out_dir", "."))
+    _check_out_dir(out)
     if getattr(args, "dry_run", False):
         print(json.dumps(cfg, indent=2))
         return EXIT_OK
-    # created by the first write (_create), so a rejected run leaves nothing
-    out = Path(cfg.get("out_dir", "."))
     t0 = time.perf_counter()
     code, facts = run(cfg, out)
     doc = {
@@ -561,18 +572,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, CapacityError) as exc:
+    except DomainError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (NumericalError, FactorizationError) as exc:
+    except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except StatisticalAlarm as exc:
         print(f"statistical alarm: {exc}", file=sys.stderr)
         return EXIT_ALARM
-    except SpdeLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

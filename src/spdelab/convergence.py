@@ -23,11 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .exceptions import (
-    DegenerateReferenceError,
-    DomainError,
-    InsufficientDataError,
-)
+from .exceptions import DomainError
 from .mesh import SOLVER_TOL, assemble, build_mesh
 # unused, but perfbench/tracing.py wraps the restriction under this name
 from .mesh import restriction_matrix  # noqa: F401
@@ -52,7 +48,7 @@ def relative_error(
     diff = (alpha_coarse if a is None else a.T @ alpha_coarse) - alpha_ref
     denom = float(alpha_ref @ (m_ref @ alpha_ref))
     if denom <= 0.0:
-        raise DegenerateReferenceError("reference solution has zero mass norm")
+        raise DomainError("reference solution has zero mass norm")
     return float(math.sqrt(float(diff @ (m_ref @ diff)) / denom))
 
 
@@ -73,7 +69,7 @@ def theoretical_rates(gamma: float, dim: int) -> tuple[float, float]:
 def fit_rate(points: list[tuple[float, float]]) -> float:
     """Least-squares slope of log2(error) against log2(resolution)."""
     if len(points) < 3:
-        raise InsufficientDataError(f"rate fit needs >= 3 points, got {len(points)}")
+        raise DomainError(f"rate fit needs >= 3 points, got {len(points)}")
     res = np.array([p[0] for p in points], dtype=float)
     err = np.array([p[1] for p in points], dtype=float)
     if np.any(res <= 0.0) or np.any(err <= 0.0):

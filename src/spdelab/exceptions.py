@@ -1,36 +1,22 @@
-"""Exception taxonomy shared across the package."""
+"""Exception taxonomy shared across the package: one class per non-zero exit
+code of the command line, whose message names the guard that fired."""
 
 
 class SpdeLabError(Exception):
     """Base class for all package-specific errors."""
 
 
-class CapacityError(SpdeLabError):
-    """A requested resolution exceeds the configured memory guard."""
-
-
 class DomainError(SpdeLabError, ValueError):
-    """An argument is outside the documented domain of an operation."""
-
-
-class FactorizationError(SpdeLabError):
-    """A matrix factorization failed (e.g. input not positive definite)."""
+    """A refused request (exit 1): an argument outside the documented domain,
+    a memory guard, too few data points or a zero reference."""
 
 
 class NumericalError(SpdeLabError):
-    """A linear solve produced an unacceptable residual or diverged."""
-
-
-class InsufficientDataError(SpdeLabError, ValueError):
-    """Too few data points for the requested estimate."""
-
-
-class DegenerateReferenceError(SpdeLabError):
-    """A relative error was requested against a zero reference solution."""
+    """A failed factorization or solve (exit 2)."""
 
 
 class StatisticalAlarm(SpdeLabError):
-    """A Monte Carlo check flagged an inequality-violation candidate.
+    """A Monte Carlo check flagged an inequality-violation candidate (exit 3).
 
     Raised only after the automatic rerun at increased sample size also
     produced a degenerate estimate.

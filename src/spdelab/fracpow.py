@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .driver import dct1
-from .exceptions import CapacityError, DomainError
+from .exceptions import DomainError
 from .mesh import DyadicMesh, FemOperators
 
 #: Most quadrature nodes of one spec.  The count grows like
@@ -84,10 +84,10 @@ def make_spec(gamma: float, k: float) -> QuadratureSpec:
     except (ZeroDivisionError, OverflowError):  # k**2 underflows or a count is inf
         n_pos = n_neg = math.inf
     if n_pos + n_neg + 1 > MAX_NODES:
-        raise CapacityError(
+        raise DomainError(
             f"gamma {gamma} and k {k} need more than {MAX_NODES} quadrature nodes"
         )
-    nodes = np.arange(-n_neg, n_pos + 1) * k
+    nodes = np.arange(-n_neg, n_pos + 1) * float(k)  # an int k may pass int64
     return QuadratureSpec(gamma, k, n_pos, n_neg, nodes)
 
 
@@ -157,7 +157,7 @@ class _PencilSolver:
         )
         first = next(factors)
         if spec.nodes.size * first.nnz > MAX_PENCIL_NNZ:  # before the next one
-            raise CapacityError(
+            raise DomainError(
                 f"{spec.nodes.size} pencil factors of {first.nnz} entries "
                 f"exceed the guard of {MAX_PENCIL_NNZ}"
             )

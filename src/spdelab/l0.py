@@ -27,12 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (
-    CapacityError,
-    DomainError,
-    InsufficientDataError,
-    StatisticalAlarm,
-)
+from .exceptions import DomainError, StatisticalAlarm
 from .rng import L0_MARK_TAG, L0_WIENER_TAG, drawn_ahead, keyed_generator
 
 FAMILIES = ("deterministic_const", "wiener_functional", "heavy_tailed_scale")
@@ -113,9 +108,9 @@ class IntegralSample:
 
 
 def check_draws(n_paths: int, steps: int, dim_q: int) -> None:
-    """Raise ``CapacityError`` if one batch would exceed ``MAX_DRAWS``."""
+    """Raise ``DomainError`` if one batch would exceed ``MAX_DRAWS``."""
     if n_paths * steps * dim_q > MAX_DRAWS:
-        raise CapacityError(
+        raise DomainError(
             f"{n_paths} paths x {steps} steps x dim_q {dim_q} exceed the "
             f"guard of {MAX_DRAWS} Wiener increments"
         )
@@ -200,7 +195,7 @@ def dp_metric(samples: np.ndarray, p: float) -> float:
     """Truncated moment metric estimate: (mean of min(1, s^p))^(1/p)."""
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
-        raise InsufficientDataError("dp_metric needs at least one sample")
+        raise DomainError("dp_metric needs at least one sample")
     if p < 1.0:
         raise DomainError(f"p must be >= 1, got {p}")
     if np.any(samples < 0.0):
@@ -315,9 +310,7 @@ def holder_exponent(snapshots, m_min: int, norm=None) -> HolderEstimate:
             f"snapshot count {n_pts} is not 2^m + 1 for integer m"
         )
     if m_min < 0 or m_max - m_min + 1 < 4:
-        raise InsufficientDataError(
-            f"need >= 4 dyadic levels, got m in [{m_min}, {m_max}]"
-        )
+        raise DomainError(f"need >= 4 dyadic levels, got m in [{m_min}, {m_max}]")
     ms = np.arange(m_min, m_max + 1)
     incs = np.empty(ms.size)
     for i, m in enumerate(ms):

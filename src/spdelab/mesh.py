@@ -20,7 +20,7 @@ from scipy.linalg import cholesky_banded
 from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.sparse.linalg import spilu, splu
 
-from .exceptions import CapacityError, DomainError, FactorizationError, NumericalError
+from .exceptions import DomainError, NumericalError
 
 # Memory guards: finest admissible level per dimension, finest dyadic time
 # grid (2**MAX_TIME_EXP steps), most scalar-driver modes and most paths of a
@@ -66,9 +66,7 @@ def build_mesh(dim: int, level: int) -> DyadicMesh:
     if level < 0:
         raise DomainError(f"level must be >= 0, got {level}")
     if level > MAX_LEVEL[dim]:
-        raise CapacityError(
-            f"level {level} exceeds guard {MAX_LEVEL[dim]} for dim {dim}"
-        )
+        raise DomainError(f"level {level} exceeds guard {MAX_LEVEL[dim]} for dim {dim}")
 
     n = 2**level
     cell = 1.0 / n
@@ -133,9 +131,9 @@ def mass_factor(mass: sp.spmatrix) -> sp.csr_matrix:
         ab[-lower.offsets] = lower.data
         cb = cholesky_banded(ab, lower=True)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - message detail
-        raise FactorizationError(f"mass matrix is not positive definite: {exc}")
+        raise NumericalError(f"mass matrix is not positive definite: {exc}")
     except Exception as exc:
-        raise FactorizationError(f"banded Cholesky failed: {exc}")
+        raise NumericalError(f"banded Cholesky failed: {exc}")
     factor = sp.dia_matrix((cb, -np.arange(len(cb))), shape=mass.shape).tocsr()
     factor.eliminate_zeros()
     return factor
@@ -148,15 +146,15 @@ class TridiagonalLDL:
     def __init__(self, a: sp.spmatrix):
         coo = a.tocoo()
         if np.any(np.abs(coo.row - coo.col)[coo.data != 0] > 1):
-            raise FactorizationError("matrix is not tridiagonal")
+            raise NumericalError("matrix is not tridiagonal")
         lower = a.diagonal(-1)
         if not np.array_equal(lower, a.diagonal(1)):
-            raise FactorizationError("tridiagonal matrix is not exactly symmetric")
+            raise NumericalError("tridiagonal matrix is not exactly symmetric")
         n = a.shape[0]
         # the LAPACK wrapper wants one off-diagonal entry even when n = 1
         self._d, self._e, info = dpttrf(a.diagonal(), lower if n > 1 else np.zeros(1))
         if info > 0:
-            raise FactorizationError(
+            raise NumericalError(
                 f"tridiagonal matrix is not positive definite (pivot {info} of {n})"
             )
         self.nnz = 2 * n - 1

@@ -48,7 +48,7 @@ import scipy.sparse as sp
 
 from . import noise
 from .driver import DEFAULT_N_MODES, ScalarDriver, eval_b_grid, sample_driver
-from .exceptions import CapacityError, DomainError
+from .exceptions import DomainError
 from .fracpow import apply_qgamma, make_spec
 from .mesh import FemOperators, assemble, build_mesh
 from .noise import NoiseStream, restrict_increment
@@ -132,7 +132,7 @@ def _snapshot_stride(
             f"time_steps {config.time_steps} not divisible by 2^{snapshot_level}"
         )
     if (n_snap + 1) * n_dof > MAX_SNAPSHOT_VALUES:
-        raise CapacityError(
+        raise DomainError(
             f"{n_snap + 1} snapshots of {n_dof} values exceed the guard of "
             f"{MAX_SNAPSHOT_VALUES} values"
         )

@@ -17,7 +17,7 @@ import spdelab
 from spdelab import cli, l0
 from spdelab.cli import main
 from spdelab.driver import sample_driver
-from spdelab.exceptions import NumericalError
+from spdelab.exceptions import DomainError, NumericalError, SpdeLabError, StatisticalAlarm
 from spdelab.mesh import assemble, build_mesh
 from spdelab.noise import NoiseStream
 from spdelab.stepper import SchemeConfig, evolve, evolve_fast
@@ -421,6 +421,53 @@ def test_1d_factor_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert "not exactly symmetric" in capsys.readouterr().err
 
 
+# the documented exit code and stderr prefix of each error class
+EXIT_CODES = {
+    DomainError: (1, "validation error: "),
+    NumericalError: (2, "numerical error: "),
+    StatisticalAlarm: (3, "statistical alarm: "),
+}
+
+
+@pytest.mark.parametrize(
+    "error", SpdeLabError.__subclasses__(), ids=lambda cls: cls.__name__
+)
+def test_each_error_class_exits_with_its_code(error, tmp_path, capsys, monkeypatch):
+    # one class per exit code: a new class needs its own except clause in main
+    assert set(SpdeLabError.__subclasses__()) == set(EXIT_CODES)
+
+    def fail(cfg, out):
+        raise error("synthetic failure")
+
+    monkeypatch.setitem(cli.COMMANDS, "simulate", (lambda cfg: None, fail, "m.json"))
+    cfg = write_config(tmp_path, SMALL_SIMULATE)
+    code, prefix = EXIT_CODES[error]
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == code
+    assert capsys.readouterr().err == f"{prefix}synthetic failure\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry_run"])
+@pytest.mark.parametrize("out", ["file/o", "file"], ids=["under_a_file", "a_file"])
+def test_an_unwritable_out_dir_exits_1_before_the_study(
+    out, dry_run, tmp_path, capsys, monkeypatch
+):
+    def study_ran(*args, **kwargs):
+        raise NumericalError("the study ran")
+
+    monkeypatch.setattr(cli, "convergence_study", study_ran)
+    (tmp_path / "file").write_text("")
+    cfg = write_config(tmp_path, SMALL_CONVERGENCE)
+    before = sorted(tmp_path.rglob("*"))
+    argv = ["convergence", "--config", cfg, "--out", str(tmp_path / out), *dry_run]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("validation error: out_dir ")
+    assert "Traceback" not in captured.err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 # malformed command lines: a flag value of the wrong type, an unknown flag, a
 # value outside a flag's choices, and an axis that no config allows
 USAGE_ERRORS = [
@@ -524,9 +571,14 @@ BAD_CONFIGS = {
     "infinite_k": ("simulate", _with(SMALL_SIMULATE, k=float("inf"))),
     "tiny_k": ("simulate", _with(SMALL_SIMULATE, k=1e-7)),
     "tiny_gamma": ("simulate", _with(SMALL_SIMULATE, gamma=1e-12)),
-    # k**2 overflows, for a float and for an integer k
+    # k**2 overflows, for a float and for an integer k; an integer past the
+    # largest float is not a number
     "huge_k": ("simulate", _with(SMALL_SIMULATE, k=1e300)),
     "huge_integer_k": ("simulate", _with(SMALL_SIMULATE, k=10**400)),
+    "huge_integer_gamma": (
+        "convergence", _with(SMALL_CONVERGENCE, gammas=[0.5, 10**400])
+    ),
+    "huge_integer_p_value": ("verify", {"p_values": [2.0, 10**400]}),
     # path keys master_seed + i must lie in [0, 2^64): seeds 2^64 apart alias
     "negative_seed": ("simulate", _with(SMALL_SIMULATE, master_seed=-1)),
     "seed_2_64": ("verify", {"master_seed": 2**64}),
@@ -550,7 +602,9 @@ BAD_CONFIG_MESSAGES = {
     "zero_p_values": "'p_values' must be a non-empty list of positive finite numbers",
     "snapshot_level_above_20": "'snapshot_level' must be an integer in [0, 20]",
     "huge_k": "k must be positive, with a finite square, got 1e+300",
-    "huge_integer_k": "k must be positive, with a finite square, got 1000",
+    "huge_integer_k": "config key 'k' must be a finite number, got 1000",
+    "huge_integer_gamma": "'gammas' must be a non-empty list of finite numbers",
+    "huge_integer_p_value": "'p_values' must be a non-empty list of positive finite",
     "seed_2_64": "'master_seed' must be an integer in [0, 18446744073708503040]",
 }
 

@@ -7,7 +7,7 @@ from scipy.linalg.lapack import dpttrs
 
 from spdelab import fracpow, mesh, stepper
 from spdelab.driver import sample_driver
-from spdelab.exceptions import CapacityError, DomainError
+from spdelab.exceptions import DomainError
 from spdelab.fracpow import DCT_COLUMNS, apply_qgamma, make_spec, scalar_qgamma
 from spdelab.mesh import FemOperators, assemble, build_mesh
 from spdelab.noise import NoiseStream
@@ -47,6 +47,11 @@ class TestMakeSpec:
                 make_spec(0.5, k)
         assert make_spec(0.5, math.sqrt(np.finfo(float).max)).nodes.size == 3
 
+    def test_an_integer_k_past_int64_has_float_nodes(self):
+        # a JSON integer k reaches make_spec as a Python int
+        nodes = make_spec(0.5, 2**64).nodes
+        np.testing.assert_array_equal(nodes, [-(2.0**64), 0.0, 2.0**64])
+
     @pytest.mark.parametrize(
         "gamma,k",
         # nodes ~ pi^2 / (2 gamma k^2): 2e13 and 2e15; k**2 underflows to 0;
@@ -54,7 +59,7 @@ class TestMakeSpec:
         [(1e-12, 0.5), (0.5, 1e-7), (0.5, 1e-200), (1e-320, 0.5)],
     )
     def test_node_guard(self, gamma, k):
-        with pytest.raises(CapacityError):
+        with pytest.raises(DomainError, match="quadrature nodes"):
             make_spec(gamma, k)
 
     def test_node_guard_admits_the_studied_resolutions(self):
@@ -461,7 +466,7 @@ def test_pencil_memory_guard(monkeypatch):
     # 1,995 nodes x about 203k entries of L + U at 2-d level 6
     built = counted_factors(monkeypatch)
     ops = assemble(build_mesh(2, 6))
-    with pytest.raises(CapacityError):
+    with pytest.raises(DomainError, match="pencil factors of"):
         apply_qgamma(make_spec(0.01, 0.5), ops, np.ones(ops.n_dof))
     assert len(built) == 1
     apply_qgamma(make_spec(0.5, 0.5), ops, np.ones(ops.n_dof))  # 81 nodes fit

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from spdelab import l0
-from spdelab.exceptions import CapacityError, DomainError, InsufficientDataError
+from spdelab.exceptions import DomainError
 from spdelab.mesh import assemble, build_mesh
 from spdelab.rng import L0_MARK_TAG, L0_WIENER_TAG, keyed_generator
 
@@ -132,7 +132,7 @@ class TestDpMetric:
             assert l0.dp_metric(np.array([2.0, 0.5]), 4.0) == 0.8537382425870722
 
     def test_empty_rejected(self):
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(DomainError, match="at least one sample"):
             l0.dp_metric(np.array([]), 1.0)
         with pytest.raises(DomainError):
             l0.dp_metric(np.array([0.5]), 0.5)
@@ -388,11 +388,11 @@ class TestBdgRatio:
         # fit, with their 10x reruns; larger batches are refused before drawing
         l0.check_draws(10 * 100_000, 64, 1)
         l0.check_draws(l0.MAX_DRAWS, 1, 1)
-        with pytest.raises(CapacityError):
+        with pytest.raises(DomainError, match="Wiener increments"):
             l0.check_draws(l0.MAX_DRAWS + 1, 1, 1)
-        with pytest.raises(CapacityError):
+        with pytest.raises(DomainError, match="Wiener increments"):
             l0.bdg_ratio(unit_integrand(steps=64), 2.0, l0.MAX_DRAWS // 64 + 1)
-        with pytest.raises(CapacityError):
+        with pytest.raises(DomainError, match="Wiener increments"):
             l0.ito_integral_elementary(unit_integrand(q=2), 0, 2**62)
 
     @pytest.mark.parametrize("chunk", [None, 24])
@@ -577,7 +577,7 @@ class TestHolderExponent:
         np.testing.assert_array_equal(est.increments, expected)
 
     def test_needs_four_levels(self):
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(DomainError, match="need >= 4 dyadic levels"):
             l0.holder_exponent(np.linspace(0, 1, 2**4 + 1), 2)
         with pytest.raises(DomainError):
             l0.holder_exponent(np.linspace(0, 1, 10), 1)

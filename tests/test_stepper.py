@@ -12,7 +12,7 @@ import scipy.sparse as sp
 
 from spdelab import convergence, noise, stepper
 from spdelab.driver import ScalarDriver, eval_b_grid, sample_driver
-from spdelab.exceptions import CapacityError, DomainError, NumericalError
+from spdelab.exceptions import DomainError, NumericalError
 from spdelab.fracpow import apply_qgamma, make_spec
 from spdelab.mesh import SOLVER_TOL, assemble, build_mesh
 from spdelab.noise import NoiseStream, aggregate_increment, fine_increment
@@ -55,7 +55,7 @@ class TestSchemeConfig:
 
     def test_rejects_too_many_quadrature_nodes(self):
         # gamma 0.5 at k 0.01 needs 197,395 nodes, above MAX_NODES
-        with pytest.raises(CapacityError, match="quadrature nodes"):
+        with pytest.raises(DomainError, match="quadrature nodes"):
             SchemeConfig(
                 dim=1, gamma=0.5, space_level=2, time_steps=2, master_seed=0, k=0.01
             )
