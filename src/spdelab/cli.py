@@ -36,8 +36,9 @@ import scipy
 
 from . import __version__, l0, rng
 from .checks import assembly_checks
-from .convergence import convergence_study, plan_study
+from .convergence import StudyPlan, _cached_ops, convergence_study, plan_study
 from .exceptions import DomainError, NumericalError, StatisticalAlarm
+from .fracpow import make_spec, pencil_factors
 from .mesh import MAX_MODES, MAX_PATHS, MAX_TIME_EXP, assemble, build_mesh
 from .stepper import MODES, SchemeConfig, path_inputs
 from .svgplot import GuideLine, Series, loglog_svg
@@ -242,7 +243,9 @@ def cmd_assemble_check(args) -> int:
     return EXIT_VALIDATION if failed else EXIT_OK
 
 
-def check_convergence(cfg: dict) -> None:
+def check_convergence(cfg: dict) -> list[StudyPlan]:
+    """The plan of each gamma's study, after every check that its run makes
+    before the first path and the pencil-memory guard of that path."""
     if "gamma" not in cfg and "gammas" not in cfg:
         raise DomainError("config needs 'gamma' (a number) or 'gammas'")
     # a manifest's config records both, as [gamma] == gammas
@@ -252,52 +255,40 @@ def check_convergence(cfg: dict) -> None:
         raise DomainError(f"config 'gammas' {cfg['gammas']} repeats a gamma")
     # a study's reference sets the resolution of its axis from ref_level
     need, own = ("time_exp", "space_level")
+    ref = {"space_level": cfg["ref_level"]}
     if cfg["axis"] == "time":
         need, own = own, need
+        ref = {"time_steps": 2 ** cfg["ref_level"]}
     if need not in cfg:
         raise DomainError(f"axis {cfg['axis']!r} needs config key {need!r}")
     if own in cfg:
         raise DomainError(f"axis {cfg['axis']!r} sets {own!r} from 'ref_level'; drop it")
-    for base in _study_bases(cfg):  # what a study checks before its first path
-        plan_study(base, cfg["axis"], cfg["coarse_levels"], cfg["ref_level"])
+    plans = [plan_study(_scheme(cfg, gamma=float(gamma), **ref), cfg["axis"],
+                        cfg["coarse_levels"], cfg["ref_level"]) for gamma in cfg["gammas"]]
+    for config in (plan.ref for plan in plans):
+        if 0.0 < config.gamma < 1.0:  # its first factor stays cached for the run
+            ops = _cached_ops(config.dim, config.space_level)
+            next(pencil_factors(ops, make_spec(config.gamma, config.k)))
+    return plans
 
 
-def _study_bases(cfg: dict) -> list[SchemeConfig]:
-    """Each gamma's run, at the reference resolution on the study's axis."""
-    if cfg["axis"] == "space":
-        ref = {"space_level": cfg["ref_level"]}
-    else:
-        ref = {"time_steps": 2 ** cfg["ref_level"]}
-    return [_scheme(cfg, gamma=float(gamma), **ref) for gamma in cfg["gammas"]]
-
-
-def cmd_convergence(cfg: dict, out: Path) -> tuple[int, dict]:
-    axis = cfg["axis"]
-    reports = [
-        convergence_study(
-            base,
-            axis,
-            list(cfg["coarse_levels"]),
-            cfg["ref_level"],
-            cfg["n_paths"],
-            n_workers=cfg["n_workers"],
-        )
-        for base in _study_bases(cfg)
-    ]
+def cmd_convergence(cfg: dict, plans: list[StudyPlan], out: Path) -> tuple[int, dict]:
+    axis, dim = cfg["axis"], cfg["dim"]
+    reports = [convergence_study(plan, cfg["n_paths"], cfg["n_workers"]) for plan in plans]
 
     _write_csv(
         out / "errors.csv",
         ["axis", "gamma", "resolution", "path_seed", "error"],
-        [(axis, rep.gamma, lv.resolution, seed, err)  # one per run, in fit-input order
+        [(axis, rep.plan.ref.gamma, lv.resolution, seed, err)  # one per run, in fit order
          for rep in reports for lv in rep.levels
          for seed, err in zip(rep.seeds, lv.errors)],
     )
     _write_csv(
         out / "summary.csv",
         ["axis", "dim", "gamma", "fitted_rate", "theoretical_rate", "n_paths", "n_levels"],
-        [(axis, rep.dim, rep.gamma,
+        [(axis, dim, rep.plan.ref.gamma,
           "" if rep.fitted_rate is None else rep.fitted_rate,
-          rep.theoretical_rate, rep.n_paths, len(rep.levels)) for rep in reports],
+          rep.theoretical_rate, len(rep.seeds), len(rep.levels)) for rep in reports],
     )
 
     series, guides = [], []
@@ -306,7 +297,7 @@ def cmd_convergence(cfg: dict, out: Path) -> tuple[int, dict]:
         ys = [lv.mean_error for lv in rep.levels if not lv.saturated]
         if not xs:
             continue
-        series.append(Series(label=f"gamma = {rep.gamma:g}", x=xs, y=ys))
+        series.append(Series(label=f"gamma = {rep.plan.ref.gamma:g}", x=xs, y=ys))
         guides.append(
             GuideLine(
                 label=f"rate {rep.theoretical_rate:g}",
@@ -320,7 +311,7 @@ def cmd_convergence(cfg: dict, out: Path) -> tuple[int, dict]:
         svg = loglog_svg(
             series,
             guides,
-            title=f"Relative pathwise error at t = 1 ({axis}, d = {cfg['dim']})",
+            title=f"Relative pathwise error at t = 1 ({axis}, d = {dim})",
             xlabel="mesh size h" if axis == "space" else "time step",
             ylabel="relative error",
         )
@@ -330,18 +321,23 @@ def cmd_convergence(cfg: dict, out: Path) -> tuple[int, dict]:
     for rep in reports:
         fitted = "n/a" if rep.fitted_rate is None else f"{rep.fitted_rate:.3f}"
         print(
-            f"{axis} d={rep.dim} gamma={rep.gamma:g}: fitted rate {fitted}, "
+            f"{axis} d={dim} gamma={rep.plan.ref.gamma:g}: fitted rate {fitted}, "
             f"theoretical {rep.theoretical_rate:g}"
         )
     return EXIT_OK, {"seeds": list(reports[0].seeds), "outputs": outputs}
 
 
-def cmd_verify(cfg: dict, out: Path) -> tuple[int, dict]:
-    seed = cfg["master_seed"]
-    n_paths = cfg["n_paths"]
-    mc_paths = max(n_paths, l0.MIN_PATHS)
+def check_verify(cfg: dict) -> int:
+    """The Monte Carlo path count of every batch, checked for its largest."""
+    mc_paths = max(cfg["n_paths"], l0.MIN_PATHS)
     # the largest first batches: the BDG families, and block sums of >= 64 steps
     l0.check_draws(mc_paths, max(cfg["steps"], 64), cfg["dim_q"])
+    return mc_paths
+
+
+def cmd_verify(cfg: dict, mc_paths: int, out: Path) -> tuple[int, dict]:
+    seed = cfg["master_seed"]
+    n_paths = cfg["n_paths"]
     enforce = n_paths >= l0.MIN_PATHS
     if not enforce:
         print(
@@ -444,7 +440,8 @@ def cmd_verify(cfg: dict, out: Path) -> tuple[int, dict]:
     return EXIT_OK, facts
 
 
-def check_holder(cfg: dict) -> None:
+def check_holder(cfg: dict) -> SchemeConfig:
+    """The run of every seed, after the checks of its dyadic levels."""
     if cfg["time_exp"] < cfg["m_max"]:
         raise DomainError("time_exp must be >= m_max to snapshot dyadic times")
     for lo, hi in (("m_min", "m_max"), ("bm_m_min", "bm_m_max")):
@@ -453,10 +450,10 @@ def check_holder(cfg: dict) -> None:
                 f"{lo} must lie in [0, {hi} - 3] to span 4 dyadic levels, "
                 f"got {lo} {cfg[lo]} and {hi} {cfg[hi]}"
             )
+    return _scheme(cfg, mode="final_time")
 
 
-def cmd_holder(cfg: dict, out: Path) -> tuple[int, dict]:
-    config = _scheme(cfg, mode="final_time")
+def cmd_holder(cfg: dict, config: SchemeConfig, out: Path) -> tuple[int, dict]:
     ops = assemble(build_mesh(config.dim, config.space_level))
     rows: list[tuple] = []
     spde_exps, bm_exps = [], []
@@ -478,10 +475,8 @@ def cmd_holder(cfg: dict, out: Path) -> tuple[int, dict]:
     return EXIT_OK, {}
 
 
-def cmd_simulate(cfg: dict, out: Path) -> tuple[int, dict]:
-    state = _run_path(
-        _scheme(cfg), cfg["master_seed"], snapshot_level=cfg.get("snapshot_level")
-    )
+def cmd_simulate(cfg: dict, config: SchemeConfig, out: Path) -> tuple[int, dict]:
+    state = _run_path(config, config.master_seed, snapshot_level=cfg.get("snapshot_level"))
     with open(_create(out / "final_state.txt"), "w", encoding="utf-8") as fh:
         fh.write("%.17g\n" * state.alpha.size % tuple(state.alpha.tolist()))
     outputs = ["final_state.txt"]
@@ -496,13 +491,13 @@ def cmd_simulate(cfg: dict, out: Path) -> tuple[int, dict]:
     return EXIT_OK, {"outputs": outputs}
 
 
-# command -> (check of the loaded config, run writing the payload into the
-# output directory and returning (exit code, manifest facts), manifest name)
+# command -> (check(cfg), returning what the run takes; run(cfg, checked, out),
+# writing the payload and returning (exit code, manifest facts); manifest name)
 COMMANDS = {
     "convergence": (check_convergence, cmd_convergence, "manifest.json"),
-    "verify": (lambda cfg: None, cmd_verify, "verify_manifest.json"),
+    "verify": (check_verify, cmd_verify, "verify_manifest.json"),
     "holder": (check_holder, cmd_holder, "holder_manifest.json"),
-    "simulate": (lambda cfg: None, cmd_simulate, "simulate_manifest.json"),
+    "simulate": (_scheme, cmd_simulate, "simulate_manifest.json"),
 }
 
 
@@ -510,7 +505,7 @@ def run_command(args) -> int:
     """Load and check the config of a ``COMMANDS`` entry, run it, write its manifest."""
     check, run, manifest = COMMANDS[args.command]
     cfg = _load_config(args)
-    check(cfg)
+    checked = check(cfg)
     # created by the first write (_create), so a rejected run leaves nothing
     out = Path(cfg.get("out_dir", "."))
     _check_out_dir(out)
@@ -518,7 +513,7 @@ def run_command(args) -> int:
         print(json.dumps(cfg, indent=2))
         return EXIT_OK
     t0 = time.perf_counter()
-    code, facts = run(cfg, out)
+    code, facts = run(cfg, checked, out)
     doc = {
         "command": args.command,
         "config": cfg,

@@ -100,7 +100,6 @@ class StudyPlan:
 
 @dataclass(frozen=True)
 class LevelResult:
-    level: int
     resolution: float
     errors: tuple[float, ...]  # one per path, in seed order
     mean_error: float
@@ -109,13 +108,10 @@ class LevelResult:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    axis: str
-    dim: int
-    gamma: float
-    levels: tuple[LevelResult, ...]
+    plan: StudyPlan
+    levels: tuple[LevelResult, ...]  # in the order of plan.coarse
     fitted_rate: float | None
     theoretical_rate: float
-    n_paths: int
     seeds: tuple[int, ...]
 
 
@@ -189,25 +185,19 @@ def path_errors(plan: StudyPlan, seed: int) -> np.ndarray:
 
 
 def convergence_study(
-    base: SchemeConfig,
-    axis: str,
-    coarse_levels: list[int],
-    ref_level: int,
-    n_paths: int,
-    n_workers: int = 1,
+    plan: StudyPlan, n_paths: int, n_workers: int = 1
 ) -> ConvergenceReport:
-    """Run a full coupled convergence study and fit the empirical rate.
+    """Run the coupled convergence study of ``plan`` and fit the empirical rate.
 
-    Path seeds are ``base.master_seed + i``; results are reduced in seed
+    Path seeds are ``plan.ref.master_seed + i``; results are reduced in seed
     order, so reruns with the same master seed are bit-identical.  Levels
     whose mean error sits at the solver-tolerance floor are flagged as
     saturated and excluded from the fit.
     """
     if n_paths < 1 or n_workers < 1:
         raise DomainError(f"n_paths {n_paths} and n_workers {n_workers} must be >= 1")
-    space_rate, time_rate = theoretical_rates(base.gamma, base.dim)
-    plan = plan_study(base, axis, coarse_levels, ref_level)
-    seeds = tuple(base.master_seed + i for i in range(n_paths))
+    space_rate, time_rate = theoretical_rates(plan.ref.gamma, plan.ref.dim)
+    seeds = tuple(plan.ref.master_seed + i for i in range(n_paths))
 
     # a fork pool starts all its workers at once; outputs do not depend on them
     workers = min(n_workers, n_paths, os.cpu_count() or 1)
@@ -219,28 +209,16 @@ def convergence_study(
     errors = np.array(per_path)  # (n_paths, n_levels)
 
     levels = []
-    for i, (_sl, _ts, resolution, label) in enumerate(plan.coarse):
-        per_level = errors[:, i]
+    for (_sl, _ts, resolution, _label), per_level in zip(plan.coarse, errors.T):
         mean = float(per_level.mean())
-        levels.append(
-            LevelResult(
-                level=label,
-                resolution=resolution,
-                errors=tuple(float(e) for e in per_level),
-                mean_error=mean,
-                saturated=mean < SATURATION_FLOOR,
-            )
-        )
+        levels.append(LevelResult(resolution, tuple(per_level.tolist()), mean,
+                                  saturated=mean < SATURATION_FLOOR))
 
     usable = [(lv.resolution, lv.mean_error) for lv in levels if not lv.saturated]
-    fitted = fit_rate(usable) if len(usable) >= 3 else None
     return ConvergenceReport(
-        axis=axis,
-        dim=base.dim,
-        gamma=base.gamma,
+        plan=plan,
         levels=tuple(levels),
-        fitted_rate=fitted,
-        theoretical_rate=space_rate if axis == "space" else time_rate,
-        n_paths=n_paths,
+        fitted_rate=fit_rate(usable) if len(usable) >= 3 else None,
+        theoretical_rate=space_rate if plan.axis == "space" else time_rate,
         seeds=seeds,
     )

@@ -123,6 +123,24 @@ def _dct_modes(mesh: DyadicMesh) -> tuple[np.ndarray, np.ndarray]:
     return mesh.cell_size * (2.0 + cos) / 3.0, (2.0 - 2.0 * cos) / mesh.cell_size
 
 
+def pencil_factors(ops: FemOperators, spec: QuadratureSpec):
+    """The factor of each node of ``spec`` (gamma in (0, 1)) in node order,
+    each kept in ``ops.cached``; raises ``DomainError`` before the second is
+    fetched if all of them would hold more than ``MAX_PENCIL_NNZ`` entries."""
+    factors = (
+        ops.cached(("pencil", spec.k, j), lambda: _shift_factor(ops, y))
+        for j, y in zip(range(-spec.n_neg, spec.n_pos + 1), spec.nodes)
+    )
+    first = next(factors)
+    if spec.nodes.size * first.nnz > MAX_PENCIL_NNZ:
+        raise DomainError(
+            f"{spec.nodes.size} pencil factors of {first.nnz} entries "
+            f"exceed the guard of {MAX_PENCIL_NNZ}"
+        )
+    yield first
+    yield from factors
+
+
 class _PencilSolver:
     """The quadrature of one spec on one level: a scale and a factor per node.
 
@@ -130,17 +148,16 @@ class _PencilSolver:
     and path touching that level.  The shifted system at node ``y_j = j k``
     does not depend on gamma, so its factor (``ops.factor``: an LDLᵀ in 1-d,
     an LU in 2-d) is made once per (operators, k, j) through ``ops.cached``
-    and shared by every spec of that k.  Positive nodes are scaled as
-    e^{-gamma y} (M + e^{-y} K)^{-1}, negative nodes as
-    e^{(1-gamma) y} (e^y M + K)^{-1}.  One spec's factors hold at most
-    ``MAX_PENCIL_NNZ`` entries, judged by its first factor before a second
-    is fetched.  ``apply`` colors a block through every node in node order,
-    ``COLOR_COLUMNS`` columns at a time, each chunk copied once F-ordered,
-    the layout that ``dpttrs`` and SuperLU solve in; in 2-d wide blocks may
-    differ from the whole block in the last bits, while a 1-d solve equals
-    its column-by-column solves.  In 1-d the pencil is diagonal in the DCT-I
-    basis (``_dct_modes``), so a chunk of a block of ``DCT_COLUMNS`` or more
-    columns is ``dct1(s * dct1(D^-1 g)) / (2N)``, ``s_j = q(lambda_j) / mu_j``.
+    and shared by every spec of that k (``pencil_factors``).  Positive
+    nodes are scaled as e^{-gamma y} (M + e^{-y} K)^{-1}, negative nodes as
+    e^{(1-gamma) y} (e^y M + K)^{-1}.  ``apply`` colors a block through
+    every node in node order, ``COLOR_COLUMNS`` columns at a time, each
+    chunk copied once F-ordered, the layout that ``dpttrs`` and SuperLU
+    solve in; in 2-d wide blocks may differ from the whole block in the
+    last bits, while a 1-d solve equals its column-by-column solves.  In
+    1-d the pencil is diagonal in the DCT-I basis (``_dct_modes``), so a
+    chunk of a block of ``DCT_COLUMNS`` or more columns is
+    ``dct1(s * dct1(D^-1 g)) / (2N)``, ``s_j = q(lambda_j) / mu_j``.
     """
 
     def __init__(self, ops: FemOperators, spec: QuadratureSpec):
@@ -151,17 +168,7 @@ class _PencilSolver:
             else c * math.exp((1.0 - spec.gamma) * y)
             for y in spec.nodes
         ]
-        factors = (
-            ops.cached(("pencil", spec.k, j), lambda: _shift_factor(ops, y))
-            for j, y in zip(range(-spec.n_neg, spec.n_pos + 1), spec.nodes)
-        )
-        first = next(factors)
-        if spec.nodes.size * first.nnz > MAX_PENCIL_NNZ:  # before the next one
-            raise DomainError(
-                f"{spec.nodes.size} pencil factors of {first.nnz} entries "
-                f"exceed the guard of {MAX_PENCIL_NNZ}"
-            )
-        self._factors = [first, *factors]
+        self._factors = list(pencil_factors(ops, spec))
 
     @functools.cached_property
     def _dct_scaling(self) -> np.ndarray:  # s / (2N) as a column, made on first use

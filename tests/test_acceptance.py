@@ -13,7 +13,7 @@ import numpy as np
 from spdelab import l0
 from spdelab.checks import expected_1d_matrices
 from spdelab.cli import main as cli_main
-from spdelab.convergence import convergence_study
+from spdelab.convergence import convergence_study, plan_study
 from spdelab.driver import sample_driver
 from spdelab.fracpow import make_spec, scalar_qgamma
 from spdelab.mesh import assemble, build_mesh, restriction_matrix
@@ -40,7 +40,7 @@ def test_criterion_01_spatial_rates_1d():
             dim=1, gamma=gamma, space_level=9, time_steps=2**14,
             master_seed=ACCEPT_SEED, mode="final_time",
         )
-        rep = convergence_study(base, "space", [2, 3, 4, 5, 6], 9, 4)
+        rep = convergence_study(plan_study(base, "space", [2, 3, 4, 5, 6], 9), 4)
         results[gamma] = (rep.fitted_rate, target)
     ok = all(abs(fit - target) <= 0.25 for fit, target in results.values())
     detail = ", ".join(
@@ -57,7 +57,7 @@ def test_criterion_02_temporal_rates_1d():
             dim=1, gamma=gamma, space_level=9, time_steps=2**14,
             master_seed=ACCEPT_SEED, mode="final_time",
         )
-        rep = convergence_study(base, "time", [4, 5, 6, 7, 8, 9], 14, 12)
+        rep = convergence_study(plan_study(base, "time", [4, 5, 6, 7, 8, 9], 14), 12)
         results[gamma] = (rep.fitted_rate, target)
     ok = all(abs(fit - target) <= 0.25 for fit, target in results.values())
     detail = ", ".join(
@@ -71,7 +71,7 @@ def test_criterion_03_spatial_rate_2d():
         dim=2, gamma=0.5, space_level=6, time_steps=2**12,
         master_seed=ACCEPT_SEED, mode="final_time",
     )
-    rep = convergence_study(base, "space", [2, 3, 4], 6, 2)
+    rep = convergence_study(plan_study(base, "space", [2, 3, 4], 6), 2)
     ok = abs(rep.fitted_rate - 1.0) <= 0.3
     record(
         3,

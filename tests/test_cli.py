@@ -14,7 +14,7 @@ import pytest
 import scipy
 
 import spdelab
-from spdelab import cli, l0
+from spdelab import cli, convergence, l0
 from spdelab.cli import main
 from spdelab.driver import sample_driver
 from spdelab.exceptions import DomainError, NumericalError, SpdeLabError, StatisticalAlarm
@@ -128,6 +128,23 @@ class TestConvergenceCommand:
         assert err.startswith("validation error: ")
         assert BAD_CONFIG_MESSAGES["misspelled_axis"] in err
         assert not out.exists()
+
+    def test_each_study_is_planned_once(self, tmp_path, monkeypatch):
+        # the check's plans are the ones the studies run
+        calls = []
+        plan_study = convergence.plan_study
+
+        def counted(*args):
+            calls.append(args)
+            return plan_study(*args)
+
+        monkeypatch.setattr(cli, "plan_study", counted)
+        monkeypatch.setattr(convergence, "plan_study", counted)
+        doc = _with(SMALL_CONVERGENCE, gammas=[0.25, 0.75], coarse_levels=[0, 1],
+                    ref_level=1, time_exp=1, n_paths=1)
+        cfg = write_config(tmp_path, doc)
+        assert main(["convergence", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == 2
 
     def test_missing_key_is_validation_error(self, tmp_path, capsys):
         doc = dict(SMALL_CONVERGENCE)
@@ -436,10 +453,13 @@ def test_each_error_class_exits_with_its_code(error, tmp_path, capsys, monkeypat
     # one class per exit code: a new class needs its own except clause in main
     assert set(SpdeLabError.__subclasses__()) == set(EXIT_CODES)
 
-    def fail(cfg, out):
+    def fail(cfg, config, out):  # a run takes what its check returned
+        assert config == SchemeConfig(dim=1, gamma=0.5, space_level=2, time_steps=8,
+                                      master_seed=1)
         raise error("synthetic failure")
 
-    monkeypatch.setitem(cli.COMMANDS, "simulate", (lambda cfg: None, fail, "m.json"))
+    check, _run, _manifest = cli.COMMANDS["simulate"]
+    monkeypatch.setitem(cli.COMMANDS, "simulate", (check, fail, "m.json"))
     cfg = write_config(tmp_path, SMALL_SIMULATE)
     code, prefix = EXIT_CODES[error]
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == code
@@ -690,6 +710,13 @@ REJECTED_RUNS = {
     "convergence_n_paths_beyond_the_guard": (
         "convergence", _with(SMALL_CONVERGENCE, n_paths=2**40)
     ),
+    # 1,995 level-6 pencil factors: the guard fires on the first, which the
+    # check fetches before a dry run ends
+    "convergence_pencil_factors_beyond_the_guard": (
+        "convergence",
+        {"dim": 2, "gamma": 0.01, "axis": "space", "coarse_levels": [4, 5],
+         "ref_level": 6, "time_exp": 1, "n_paths": 1, "master_seed": 1},
+    ),
     # coarse time level -1 would run 2**-1 steps
     "convergence_negative_time_level": (
         "convergence",
@@ -713,6 +740,7 @@ REJECTED_RUN_MESSAGES = {
     "convergence_space_study_with_space_level": "axis 'space' sets 'space_level' from",
     "convergence_n_paths_beyond_the_guard": "'n_paths' must be an integer in [1, 1048576]",
     "convergence_repeated_gamma": "repeats a gamma",
+    "convergence_pencil_factors_beyond_the_guard": "1995 pencil factors of",
 }
 
 

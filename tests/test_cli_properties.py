@@ -10,13 +10,14 @@ working directory of its own.
 """
 
 import contextlib
+import csv
 import io
 import json
 import os
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
@@ -211,3 +212,63 @@ def test_a_config_exits_with_a_documented_code(command, data):
     doc = data.draw(configs(command))
     with _workdir() as root:
         _main(root, command, doc)
+
+
+def _run(root: Path, command: str, doc: dict, out: str) -> tuple[dict, dict] | None:
+    """The payload files and the manifest that a run of ``doc`` into ``out``
+    wrote, or None if it wrote no manifest; the manifest drops the facts of
+    the host and the output directory."""
+    _main(root, command, doc, "--out", out)
+    manifest = root / out / cli.COMMANDS[command][2]
+    if not manifest.exists():
+        return None
+    facts = json.loads(manifest.read_text())
+    del facts["wall_time_s"], facts["peak_rss_mb"], facts["config"]["out_dir"]
+    payload = {path.name: path.read_bytes()
+               for path in sorted((root / out).iterdir()) if path != manifest}
+    return payload, facts
+
+
+def _draws(payload: dict) -> dict:
+    """Each file of ``payload`` as rows, without the columns that name a seed."""
+    rows = {}
+    for name, data in payload.items():
+        rows[name] = data.decode().splitlines()
+        if name.endswith(".csv"):
+            table = list(csv.reader(rows[name]))
+            keep = [j for j, col in enumerate(table[0]) if col not in ("seed", "path_seed")]
+            rows[name] = [[row[j] for j in keep] for row in table]
+    return rows
+
+
+def _in_box(command: str):
+    """A config of ``command`` from its small box, with no ``out_dir``."""
+    return SMALL[command]().map(
+        lambda doc: {key: val for key, val in doc.items() if val is not ABSENT})
+
+
+@given(command=st.sampled_from(sorted(cli.SCHEMAS)), data=st.data())
+@_settings(max_examples=60)
+def test_a_rerun_writes_the_same_bytes(command, data):
+    doc = data.draw(_in_box(command))
+    with _workdir() as root:
+        first = _run(root, command, doc, "a")
+        assume(first is not None)
+        assert _run(root, command, doc, "b") == first
+
+
+@given(command=st.sampled_from(sorted(cli.SCHEMAS)), data=st.data())
+@_settings(max_examples=60)
+def test_another_master_seed_draws_other_payloads(command, data):
+    doc = data.draw(_in_box(command))
+    # every error of a study run only at its reference level is 0
+    assume(command != "convergence" or doc["coarse_levels"] != [doc["ref_level"]])
+    # path keys are master_seed + i; seeds 2^32 apart must not share their draws
+    delta = data.draw(st.one_of(st.sampled_from([1, 2**32]), st.integers(1, 2**62)))
+    seed = doc["master_seed"]
+    other = seed + delta if seed + delta <= 2**64 - 2**20 else seed - delta
+    with _workdir() as root:
+        first = _run(root, command, doc, "a")
+        second = _run(root, command, {**doc, "master_seed": other}, "b")
+        assume(first is not None and second is not None)
+        assert _draws(first[0]) != _draws(second[0])

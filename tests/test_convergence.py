@@ -154,7 +154,7 @@ def small_space_report() -> ConvergenceReport:
         dim=1, gamma=0.75, space_level=6, time_steps=2**8,
         master_seed=424242, mode="final_time",
     )
-    return convergence_study(base, "space", [2, 3, 4], 6, 2)
+    return convergence_study(plan_study(base, "space", [2, 3, 4], 6), 2)
 
 
 class TestConvergenceStudy:
@@ -163,7 +163,7 @@ class TestConvergenceStudy:
         rep = small_space_report
         assert len(rep.levels) == 3
         assert all(e > 0.0 for lv in rep.levels for e in lv.errors)
-        assert rep.n_paths == 2
+        assert len(rep.seeds) == 2
         assert rep.seeds == (424242, 424243)
 
     def test_monotone_mean_errors(self, small_space_report):
@@ -176,7 +176,7 @@ class TestConvergenceStudy:
             dim=1, gamma=0.5, space_level=5, time_steps=2**6,
             master_seed=11, mode="final_time",
         )
-        rep = convergence_study(base, "space", [2, 3, 4, 5], 5, 1)
+        rep = convergence_study(plan_study(base, "space", [2, 3, 4, 5], 5), 1)
         assert rep.levels[-1].saturated
         assert rep.levels[-1].mean_error <= 1e-9
         assert rep.fitted_rate is not None  # fit used the three coarse levels
@@ -207,8 +207,8 @@ class TestConvergenceStudy:
             dim=1, gamma=0.5, space_level=5, time_steps=2**6,
             master_seed=77, mode="final_time",
         )
-        a = convergence_study(base, "space", [2, 3], 5, 2)
-        b = convergence_study(base, "space", [2, 3], 5, 2)
+        a = convergence_study(plan_study(base, "space", [2, 3], 5), 2)
+        b = convergence_study(plan_study(base, "space", [2, 3], 5), 2)
         assert a == b
 
     def test_error_rows_shape(self, small_space_report):
@@ -218,7 +218,7 @@ class TestConvergenceStudy:
             for lv in rep.levels for seed, err in zip(rep.seeds, lv.errors)
         ]
         assert len(rows) == 6  # one per run: levels x paths
-        assert rep.axis == "space" and rep.gamma == 0.75
+        assert rep.plan.axis == "space" and rep.plan.ref.gamma == 0.75
         resolution, seed, err = rows[0]
         assert resolution == pytest.approx(0.25)
         assert seed == 424242
@@ -240,7 +240,7 @@ class TestConvergenceStudy:
                 dim=1, gamma=gamma, space_level=4, time_steps=2**4,
                 master_seed=3, mode="final_time",
             )
-            convergence_study(base, "space", [2, 3], 4, 1)
+            convergence_study(plan_study(base, "space", [2, 3], 4), 1)
         assert collections.Counter(sizes) == {5: 159, 9: 159, 17: 159, 31: 1}
 
     def test_worker_pool_matches_serial(self):
@@ -248,8 +248,8 @@ class TestConvergenceStudy:
             dim=1, gamma=0.5, space_level=4, time_steps=2**5,
             master_seed=31, mode="final_time",
         )
-        serial = convergence_study(base, "space", [2, 3], 4, 2, n_workers=1)
-        parallel = convergence_study(base, "space", [2, 3], 4, 2, n_workers=2)
+        serial = convergence_study(plan_study(base, "space", [2, 3], 4), 2, n_workers=1)
+        parallel = convergence_study(plan_study(base, "space", [2, 3], 4), 2, n_workers=2)
         assert serial == parallel
 
     @pytest.mark.parametrize(
@@ -282,9 +282,10 @@ class TestConvergenceStudy:
             dim=1, gamma=0.5, space_level=4, time_steps=2**4,
             master_seed=5, mode="final_time",
         )
-        report = convergence_study(base, "space", [2, 3], 4, n_paths, n_workers=n_workers)
+        plan = plan_study(base, "space", [2, 3], 4)
+        report = convergence_study(plan, n_paths, n_workers=n_workers)
         assert sizes == ([] if pool_size is None else [pool_size])
-        assert report == convergence_study(base, "space", [2, 3], 4, n_paths)
+        assert report == convergence_study(plan, n_paths)
 
 
 def test_path_errors_shares_noise_across_levels():
@@ -525,7 +526,7 @@ def test_study_needs_a_path():
         mode="final_time",
     )
     with pytest.raises(DomainError):
-        convergence_study(base, "space", [2, 3], 4, 0)
+        convergence_study(plan_study(base, "space", [2, 3], 4), 0)
 
 
 @pytest.mark.parametrize("n_workers", [0, -4])
@@ -535,4 +536,4 @@ def test_study_needs_a_worker(n_workers):
         mode="final_time",
     )
     with pytest.raises(DomainError):
-        convergence_study(base, "space", [2, 3], 4, 1, n_workers=n_workers)
+        convergence_study(plan_study(base, "space", [2, 3], 4), 1, n_workers=n_workers)

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from spdelab import l0
-from spdelab.convergence import convergence_study
+from spdelab.convergence import convergence_study, plan_study
 from spdelab.driver import sample_driver
 from spdelab.mesh import assemble, build_mesh
 from spdelab.noise import NoiseStream
@@ -63,7 +63,7 @@ def study_errors(name: str) -> dict:
             master_seed=MASTER_SEED,
             mode="final_time",
         )
-        report = convergence_study(base, axis, list(coarse), ref_level, N_PATHS)
+        report = convergence_study(plan_study(base, axis, list(coarse), ref_level), N_PATHS)
         out[repr(gamma)] = [list(lv.errors) for lv in report.levels]
     return out
 
