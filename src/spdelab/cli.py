@@ -40,7 +40,7 @@ from .convergence import StudyPlan, _cached_ops, convergence_study, plan_study
 from .exceptions import DomainError, NumericalError, StatisticalAlarm
 from .fracpow import make_spec, pencil_factors
 from .mesh import MAX_MODES, MAX_PATHS, MAX_TIME_EXP, assemble, build_mesh
-from .stepper import MODES, SchemeConfig, path_inputs
+from .stepper import MODES, SchemeConfig, _snapshot_stride, path_inputs
 from .svgplot import GuideLine, Series, loglog_svg
 
 STREAM_TAGS = {
@@ -196,6 +196,13 @@ def _scheme(cfg: dict, **fields) -> SchemeConfig:
 def _run_path(config: SchemeConfig, seed: int, **kw):
     """One path of ``config`` on the noise and driver of ``seed``."""
     return MODES[config.mode](config, *path_inputs(config, seed), **kw)
+
+
+def _check_snapshots(config: SchemeConfig, snapshot_level: int | None) -> None:
+    """The mesh-level and snapshot guards of a run of ``config``, checked
+    before anything is assembled."""
+    n_dof = build_mesh(config.dim, config.space_level).n_vertices
+    _snapshot_stride(config, snapshot_level, n_dof)
 
 
 def _check_out_dir(out: Path) -> None:
@@ -441,7 +448,8 @@ def cmd_verify(cfg: dict, mc_paths: int, out: Path) -> tuple[int, dict]:
 
 
 def check_holder(cfg: dict) -> SchemeConfig:
-    """The run of every seed, after the checks of its dyadic levels."""
+    """The run of every seed, after the checks of its dyadic levels and
+    snapshots."""
     if cfg["time_exp"] < cfg["m_max"]:
         raise DomainError("time_exp must be >= m_max to snapshot dyadic times")
     for lo, hi in (("m_min", "m_max"), ("bm_m_min", "bm_m_max")):
@@ -450,7 +458,9 @@ def check_holder(cfg: dict) -> SchemeConfig:
                 f"{lo} must lie in [0, {hi} - 3] to span 4 dyadic levels, "
                 f"got {lo} {cfg[lo]} and {hi} {cfg[hi]}"
             )
-    return _scheme(cfg, mode="final_time")
+    config = _scheme(cfg, mode="final_time")
+    _check_snapshots(config, cfg["m_max"])
+    return config
 
 
 def cmd_holder(cfg: dict, config: SchemeConfig, out: Path) -> tuple[int, dict]:
@@ -475,6 +485,13 @@ def cmd_holder(cfg: dict, config: SchemeConfig, out: Path) -> tuple[int, dict]:
     return EXIT_OK, {}
 
 
+def check_simulate(cfg: dict) -> SchemeConfig:
+    """The run, after the checks of its snapshots."""
+    config = _scheme(cfg)
+    _check_snapshots(config, cfg.get("snapshot_level"))
+    return config
+
+
 def cmd_simulate(cfg: dict, config: SchemeConfig, out: Path) -> tuple[int, dict]:
     state = _run_path(config, config.master_seed, snapshot_level=cfg.get("snapshot_level"))
     with open(_create(out / "final_state.txt"), "w", encoding="utf-8") as fh:
@@ -497,7 +514,7 @@ COMMANDS = {
     "convergence": (check_convergence, cmd_convergence, "manifest.json"),
     "verify": (check_verify, cmd_verify, "verify_manifest.json"),
     "holder": (check_holder, cmd_holder, "holder_manifest.json"),
-    "simulate": (_scheme, cmd_simulate, "simulate_manifest.json"),
+    "simulate": (check_simulate, cmd_simulate, "simulate_manifest.json"),
 }
 
 
@@ -509,7 +526,7 @@ def run_command(args) -> int:
     # created by the first write (_create), so a rejected run leaves nothing
     out = Path(cfg.get("out_dir", "."))
     _check_out_dir(out)
-    if getattr(args, "dry_run", False):
+    if args.dry_run:
         print(json.dumps(cfg, indent=2))
         return EXIT_OK
     t0 = time.perf_counter()
@@ -553,10 +570,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=str, default=None)
         p.add_argument("--seed", dest="master_seed", metavar="SEED", type=int)
         p.add_argument("--out", dest="out_dir", metavar="OUT", type=str)
+        p.add_argument("--dry-run", action="store_true")
         if name == "convergence":
             p.add_argument("--workers", dest="n_workers", metavar="WORKERS", type=int)
             p.add_argument("--axis", metavar="{space,time}", type=str)
-            p.add_argument("--dry-run", action="store_true")
         if name == "verify":
             p.add_argument("--paths", dest="n_paths", metavar="PATHS", type=int)
         p.set_defaults(func=run_command)

@@ -154,7 +154,9 @@ class _PencilSolver:
     every node in node order, ``COLOR_COLUMNS`` columns at a time, each
     chunk copied once F-ordered, the layout that ``dpttrs`` and SuperLU
     solve in; in 2-d wide blocks may differ from the whole block in the
-    last bits, while a 1-d solve equals its column-by-column solves.  In
+    last bits, while a 1-d solve equals its column-by-column solves.  Given
+    the mass matrix, it colors coefficient vectors in place: each chunk
+    takes its own load vectors and is overwritten by its result.  In
     1-d the pencil is diagonal in the DCT-I basis (``_dct_modes``), so a
     chunk of a block of ``DCT_COLUMNS`` or more columns is
     ``dct1(s * dct1(D^-1 g)) / (2N)``, ``s_j = q(lambda_j) / mu_j``.
@@ -176,21 +178,23 @@ class _PencilSolver:
         s = [scalar_qgamma(self._spec, (m + t) / m) / m for m, t in zip(mu, tau)]
         return np.array(s)[:, None] / (2 * mu.size - 2)
 
-    def apply(self, g: np.ndarray) -> np.ndarray:
+    def apply(self, g: np.ndarray, mass=None) -> np.ndarray:
         block = g.reshape(g.shape[0], -1)  # a column is a block of one
         cols = block.shape[1]
         dct = cols >= DCT_COLUMNS and self._mesh.dim == 1
-        out = np.zeros(block.shape, order="F")
+        out = np.empty(block.shape, order="F") if mass is None else block
         # a lone last column would take the one-column solve, which rounds
         # differently in 2-d; it joins the chunk before it
         edges = [*range(0, max(cols - 1, 1), COLOR_COLUMNS), cols]
         for lo, hi in zip(edges, edges[1:]):
-            part = np.asarray(block[:, lo:hi], order="F")
+            part = block[:, lo:hi] if mass is None else mass @ block[:, lo:hi]
+            part = np.asarray(part, order="F")
             acc = out[:, lo:hi]
             if dct:  # D^-1 part, then two transforms around the scaling
                 part = np.r_[2.0 * part[:1], part[1:-1], 2.0 * part[-1:]]
                 acc[...] = dct1(self._dct_scaling * dct1(part))
                 continue
+            acc[...] = 0.0
             for scale, factor in zip(self._scales, self._factors):
                 x = factor.solve(part)
                 x *= scale  # the roundings of acc += scale * x
@@ -199,23 +203,32 @@ class _PencilSolver:
 
 
 def apply_qgamma(
-    spec: QuadratureSpec, ops: FemOperators, g: np.ndarray
+    spec: QuadratureSpec, ops: FemOperators, g: np.ndarray, *, in_place: bool = False
 ) -> np.ndarray:
     """Apply the fractional-inverse quadrature to a load vector ``g``.
 
     Returns the coefficient vector of the result: the weighted sum of
     shifted-pencil solves for gamma in (0, 1), K^{-1} g for gamma = 1, and
     M^{-1} g for gamma = 0.  A 2-d ``g`` is treated as a batch of load
-    vectors in its columns.
+    vectors in its columns.  With ``in_place``, ``g`` holds coefficient
+    vectors instead and is overwritten with the result for their load
+    vectors ``ops.mass @ g``, bit for bit; for gamma in (0, 1) each chunk of
+    columns takes its own, so nothing of ``g``'s size is allocated.
     """
     g = np.asarray(g)
     if g.shape[0] != ops.n_dof:
         raise DomainError(
             f"operand has {g.shape[0]} entries, mesh has {ops.n_dof} vertices"
         )
-    if spec.is_identity:
-        return ops.cached("mass_factor", lambda: ops.factor(ops.mass)).solve(g)
-    if spec.is_full_inverse:
-        return ops.cached("a2_factor", lambda: ops.factor(ops.a2_matrix)).solve(g)
+    if spec.is_identity or spec.is_full_inverse:
+        # one solve of the whole block: 2-d multi-column solves round by width
+        key, matrix = (("mass_factor", ops.mass) if spec.is_identity
+                       else ("a2_factor", ops.a2_matrix))
+        solver = ops.cached(key, lambda: ops.factor(matrix))
+        if not in_place:
+            return solver.solve(g)
+        g[...] = solver.solve(ops.mass @ g)
+        return g
     key = ("quadrature", spec.gamma, spec.k)
-    return ops.cached(key, lambda: _PencilSolver(ops, spec)).apply(g)
+    solver = ops.cached(key, lambda: _PencilSolver(ops, spec))
+    return solver.apply(g, ops.mass if in_place else None)

@@ -12,11 +12,12 @@ ratios, never a specific constant.
 
 A Monte Carlo batch is drawn and integrated ``CHUNK_PATHS`` paths at a
 time, bit for bit as one whole-batch pass, by the one loop ``_batch``: a
-helper thread, joined with the batch, draws chunk k + 1 of the one keyed
-stream, in stream order, while the caller integrates chunk k.  A batch keeps
-per-path results, not paths: O(paths) and three chunk arrays.  A path's ``quad_var``
-is numpy's row sum of its own window terms, so no result depends on the
-batch size, the chunk size or the BLAS thread count.
+helper thread, joined with the batch, draws chunk k + 1 of the keyed Wiener
+and mark streams, each in stream order, while the caller integrates chunk k.
+A batch keeps per-path results, not paths or marks: O(paths) and its chunk
+buffers.  A path's ``quad_var`` is numpy's row sum of its own window terms,
+so no result depends on the batch size, the chunk size or the BLAS thread
+count.
 """
 
 from __future__ import annotations
@@ -38,6 +39,9 @@ MIN_PATHS = 1000
 #: Most Wiener increments (paths x steps x dim_q) one batch may draw: the
 #: 10x rerun of the default 1e5-path, 64-step check draws 6.4e7 of them.
 MAX_DRAWS = 2**26
+
+#: Most increment values that ``holder_exponent`` takes at a time (256 KB).
+INCREMENT_VALUES = 2**15
 
 #: Paths a batch draws and integrates at a time: at 64 steps the three chunk
 #: arrays in flight (two draws, the integral) fit a 2 MB L2 (4096: 50% slower).
@@ -121,8 +125,8 @@ def _batch(phi: ElementaryIntegrand, seed: int, n_paths: int):
     """Check the path count and the draw guard, then yield an iterator of the
     batch's ``(rows, marks, dw, x)`` chunks; ``x`` is the chunk's integral buffer.
 
-    Chunk k + 1 of the one keyed Wiener stream is drawn on a helper thread
-    (``rng.drawn_ahead``) while the caller uses chunk k; leaving the ``with``
+    Chunk k + 1 of the keyed Wiener and mark streams is drawn on a helper
+    thread (``rng.drawn_ahead``) while the caller uses chunk k; leaving the ``with``
     block, however it is left, joins the helper.
     """
     if n_paths < 1:
@@ -130,22 +134,27 @@ def _batch(phi: ElementaryIntegrand, seed: int, n_paths: int):
     dts = np.diff(phi.partition)
     check_draws(n_paths, dts.size, phi.dim_q)
     gen = keyed_generator(seed, L0_WIENER_TAG)
-    marks = keyed_generator(seed, L0_MARK_TAG).standard_normal(n_paths)
+    mark_gen = keyed_generator(seed, L0_MARK_TAG)
     root_dts = np.sqrt(dts)[:, None]
     chunks = [slice(k, min(k + CHUNK_PATHS, n_paths)) for k in range(0, n_paths, CHUNK_PATHS)]
     dw = np.empty((2, min(n_paths, CHUNK_PATHS), dts.size, phi.dim_q))
+    marks = np.empty((2, min(n_paths, CHUNK_PATHS)))
     x = np.empty((min(n_paths, CHUNK_PATHS), dts.size + 1, phi.dim_q))
-    # chunk k + 1 fills the buffer of chunk k - 1 while chunk k is used
-    bufs = [dw[k % 2, : rows.stop - rows.start] for k, rows in enumerate(chunks)]
+    # chunk k + 1 fills the buffers of chunk k - 1 while chunk k is used
+    bufs = [(dw[k % 2, :n], marks[k % 2, :n])
+            for k, n in enumerate(rows.stop - rows.start for rows in chunks)]
 
-    def fill(buf: np.ndarray) -> np.ndarray:
-        gen.standard_normal(out=buf)
-        buf *= root_dts
+    def fill(buf: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        # each stream in order, so the chunks of a stream are its whole-batch draw
+        chunk, chunk_marks = buf
+        gen.standard_normal(out=chunk)
+        chunk *= root_dts
+        mark_gen.standard_normal(out=chunk_marks)
         return buf
 
     with drawn_ahead(fill, bufs, True) as drawn:
-        yield ((rows, marks[rows], chunk, x[: len(chunk)])
-               for rows, chunk in zip(chunks, drawn))
+        yield ((rows, chunk_marks, chunk, x[: len(chunk)])
+               for rows, (chunk, chunk_marks) in zip(chunks, drawn))
 
 
 def _integrate(phi: ElementaryIntegrand, dw, marks, x) -> tuple[np.ndarray, np.ndarray]:
@@ -160,8 +169,11 @@ def _integrate(phi: ElementaryIntegrand, dw, marks, x) -> tuple[np.ndarray, np.n
     """
     inside = np.flatnonzero(phi.step_mask())
     s0, s1 = (inside[0], inside[-1] + 1) if inside.size else (0, 0)
-    w_left = np.zeros((len(dw), s1))  # first Wiener coordinate at left endpoints
-    if phi.family == "wiener_functional":  # the other families read its shape only
+    # first Wiener coordinate at the left endpoints; the other families read
+    # its shape only, which a zero-stride view gives without memory
+    w_left = np.broadcast_to(0.0, (len(dw), s1))
+    if phi.family == "wiener_functional":
+        w_left = np.zeros(w_left.shape)
         np.cumsum(dw[:, : max(s1 - 1, 0), 0], axis=1, out=w_left[:, 1:])
     scalars = phi.step_scalars(w_left[:, s0:], marks)
     window = x[:, s0 : s1 + 1]
@@ -300,7 +312,9 @@ def holder_exponent(snapshots, m_min: int, norm=None) -> HolderEstimate:
     log2 S(m) against m.  A level with S(m) = 0 marks the path as
     degenerate (e.g. constant in time) and no slope is fitted.  ``norm``,
     if given, maps a ``(k, n)`` block of increments, one per row, to their
-    k norms (e.g. ``FemOperators.m_norm``); it is called once per level.
+    k norms (e.g. ``FemOperators.m_norm``).  Each level's increments are
+    taken, and ``norm`` is called, on chunks of at most ``INCREMENT_VALUES``
+    values (one row at least); the maximum over the chunks is exact.
     """
     snapshots = np.asarray(snapshots, dtype=float)
     n_pts = snapshots.shape[0]
@@ -313,17 +327,20 @@ def holder_exponent(snapshots, m_min: int, norm=None) -> HolderEstimate:
         raise DomainError(f"need >= 4 dyadic levels, got m in [{m_min}, {m_max}]")
     ms = np.arange(m_min, m_max + 1)
     incs = np.empty(ms.size)
+    rows = max(1, INCREMENT_VALUES // math.prod(snapshots.shape[1:]))
     for i, m in enumerate(ms):
-        stride = 2 ** (m_max - m)
-        pts = snapshots[::stride]
-        diffs = np.diff(pts, axis=0)
-        if norm is not None:
-            norms = norm(diffs)
-        elif diffs.ndim == 1:
-            norms = np.abs(diffs)
-        else:
-            norms = np.linalg.norm(diffs, axis=1)
-        incs[i] = norms.max()
+        pts = snapshots[:: 2 ** (m_max - m)]
+        maxima = []
+        for lo in range(0, 2**m, rows):  # increments lo .. lo + rows - 1
+            diffs = np.diff(pts[lo : lo + rows + 1], axis=0)
+            if norm is not None:
+                norms = norm(diffs)
+            elif diffs.ndim == 1:
+                norms = np.abs(diffs)
+            else:
+                norms = np.linalg.norm(diffs, axis=1)
+            maxima.append(norms.max())
+        incs[i] = np.max(maxima)  # NaN, if any, as over the whole level
     if np.any(incs == 0.0):
         return HolderEstimate(
             exponent=float("nan"), degenerate=True, levels=ms, increments=incs

@@ -65,7 +65,8 @@ BLOCK_STEPS = 16
 # cost more than the draw saves (a 1-d level-10 sweep, 1,025 normals a step,
 # went 0.56 -> 0.8 s); from 2,049 on the helper pays
 DRAW_AHEAD_DOFS = 2048
-# values of the snapshot array (512 MiB); coloring holds about four such arrays
+# values of the snapshot array (512 MiB); coloring it in place adds chunk-sized
+# temporaries, or at gamma 1, solved whole, two more such arrays
 MAX_SNAPSHOT_VALUES = 2**26
 
 
@@ -195,12 +196,13 @@ class _Group:
         return states
 
     def color(self, i: int, raw: np.ndarray | None = None) -> np.ndarray:
-        # run i's raw states as columns (default: its final state), colored at once
+        # run i's raw states as columns (default: a copy of its final state),
+        # colored in place
         if raw is None:
-            raw = self.beta[self.system.offsets[i] : self.system.offsets[i + 1]]
-        if self.per_step or self.specs[i].is_identity:
-            return raw
-        return apply_qgamma(self.specs[i], self.ops[i], self.ops[i].mass @ raw)
+            raw = self.beta[self.system.offsets[i] : self.system.offsets[i + 1]].copy()
+        if not (self.per_step or self.specs[i].is_identity):
+            apply_qgamma(self.specs[i], self.ops[i], raw, in_place=True)
+        return raw
 
 
 def _sweep(
@@ -264,8 +266,8 @@ def _sweep(
 
     final = {i: g.color(k)  # run i -> its colored final state
              for g, m in zip(groups, grids.values()) for k, i in enumerate(m)}
-    if stride:  # in C order, so row-wise products do not round by layout
-        snaps = np.ascontiguousarray(main.color(0, snaps.T).T)
+    if stride:  # its rows stay C-ordered, so row-wise products do not round by layout
+        main.color(0, snaps.T)
     return PathState(
         alpha=final[0],
         snapshots=snaps,

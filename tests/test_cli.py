@@ -676,6 +676,11 @@ REJECTED_RUNS = {
         {"space_level": 2, "time_exp": 4, "m_max": 4, "m_min": 1, "n_seeds": 1,
          "n_modes": 10, "bm_m_min": 9, "bm_m_max": 10},
     ),
+    # 4,097 snapshots of 16,385 values, just above 2**26
+    "holder_snapshots_beyond_the_guard": (
+        "holder",
+        {"space_level": 14, "time_exp": 12, "m_max": 12, "n_seeds": 1, "n_modes": 10},
+    ),
     # a study's own checks: its runs, its plan, its mesh levels, its quadrature
     "convergence_dim_3": ("convergence", _with(SMALL_CONVERGENCE, dim=3)),
     "convergence_negative_gamma": (
@@ -741,6 +746,8 @@ REJECTED_RUN_MESSAGES = {
     "convergence_n_paths_beyond_the_guard": "'n_paths' must be an integer in [1, 1048576]",
     "convergence_repeated_gamma": "repeats a gamma",
     "convergence_pencil_factors_beyond_the_guard": "1995 pencil factors of",
+    "holder_snapshots_beyond_the_guard": "4097 snapshots of 16385 values exceed",
+    "simulate_snapshots_beyond_the_guard": "1048577 snapshots of 16385 values exceed",
 }
 
 
@@ -765,9 +772,7 @@ def test_holder_checks_levels_before_the_first_path(case, tmp_path, monkeypatch)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
 
-@pytest.mark.parametrize(
-    "case", sorted(case for case in REJECTED_RUNS if case.startswith("convergence"))
-)
+@pytest.mark.parametrize("case", sorted(REJECTED_RUNS))
 def test_dry_run_rejects_what_the_study_rejects(case, tmp_path, capsys):
     command, doc = REJECTED_RUNS[case]
     cfg = write_config(tmp_path, doc)

@@ -164,10 +164,11 @@ def _workdir():
             os.chdir(cwd)
 
 
-def _main(root: Path, command: str, doc: dict, *flags: str) -> int:
+def _main(root: Path, command: str, doc: dict, *flags: str) -> int | str:
     """``cli.main`` on ``doc``; the code must be documented, and a refused
     config or a dry run leaves no new path behind.  The one other exit 1 is
-    a ``verify`` check that ran and failed, which writes its report."""
+    a ``verify`` check that ran and failed, which writes its report; it
+    returns "refused" in place of the code 1 of a refused config."""
     (root / "config.json").write_text(json.dumps(doc))
     before = _paths(root)
     out, err = io.StringIO(), io.StringIO()
@@ -179,7 +180,7 @@ def _main(root: Path, command: str, doc: dict, *flags: str) -> int:
         assert command == "verify" and "FAIL: " in out.getvalue()
     elif code == 1 or "--dry-run" in flags:
         assert _paths(root) == before
-    return code
+    return "refused" if code == 1 and err.getvalue().startswith("validation error: ") else code
 
 
 def _settings(max_examples: int) -> settings:
@@ -196,14 +197,25 @@ def test_every_small_box_draws_its_schema(data):
         assert set(data.draw(SMALL[command]())) == set(schema) - {"out_dir"}
 
 
+def _dry_run_then_run(command: str, doc: dict) -> None:
+    """A config that ``--dry-run`` accepts is not refused when it runs."""
+    with _workdir() as root:
+        dry = _main(root, command, doc, "--dry-run")
+        code = _main(root, command, doc)
+        if dry == 0:
+            assert code != "refused"
+
+
 @given(doc=configs("convergence"))
 @_settings(max_examples=100)
 def test_a_convergence_config_that_dry_run_accepts_runs(doc):
-    with _workdir() as root:
-        dry = _main(root, "convergence", doc, "--dry-run")
-        code = _main(root, "convergence", doc)
-        if dry == 0:
-            assert code != 1
+    _dry_run_then_run("convergence", doc)
+
+
+@given(command=st.sampled_from(["verify", "holder", "simulate"]), data=st.data())
+@_settings(max_examples=90)
+def test_a_config_that_dry_run_accepts_runs(command, data):
+    _dry_run_then_run(command, data.draw(configs(command)))
 
 
 @given(command=st.sampled_from(["verify", "holder", "simulate"]), data=st.data())

@@ -230,16 +230,16 @@ def c_slice_oracle(spec, ops, g):
     """The quadrature of ``g`` in ``COLOR_COLUMNS`` chunks, a lone last column
     joining the chunk before it, each node solving a C-ordered slice."""
     solver = fracpow._PencilSolver(ops, spec)
-    g = np.ascontiguousarray(g)
-    out = np.zeros_like(g)
-    cols = g.shape[1]
+    block = np.ascontiguousarray(g.reshape(g.shape[0], -1))  # a column is a block of one
+    out = np.zeros_like(block)
+    cols = block.shape[1]
     edges = [*range(0, max(cols - 1, 1), fracpow.COLOR_COLUMNS), cols]
     for lo, hi in zip(edges, edges[1:]):
         for scale, factor in zip(solver._scales, solver._factors):
-            x = factor.solve(g[:, lo:hi])
+            x = factor.solve(block[:, lo:hi])
             x *= scale
             out[:, lo:hi] += x
-    return out
+    return out.reshape(g.shape)
 
 
 def assert_near_pencil_sum(got, expected):
@@ -255,17 +255,30 @@ def layouts(g):
     return np.ascontiguousarray(g), np.asfortranarray(g), strided[:, ::2]
 
 
-def final_time_run(steps_exp, snapshot_level):
-    """A 1-d level-3 final-time path of 2^steps_exp steps, with snapshots."""
-    ops = assemble(build_mesh(1, 3))
+def final_time_run(steps_exp, snapshot_level, dim=1, level=3):
+    """A final-time path of 2^steps_exp steps, with snapshots (1-d level 3)."""
+    ops = assemble(build_mesh(dim, level))
     cfg = stepper.SchemeConfig(
-        dim=1, gamma=0.75, space_level=3, time_steps=2**steps_exp, master_seed=4,
-        mode="final_time",
+        dim=dim, gamma=0.75, space_level=level, time_steps=2**steps_exp,
+        master_seed=4, mode="final_time",
     )
-    stream = NoiseStream(seed=4, fine_level=3, fine_steps=2**steps_exp)
+    stream = NoiseStream(seed=4, fine_level=level, fine_steps=2**steps_exp)
     return stepper.evolve_fast(
         cfg, stream, sample_driver(4, 20), ops=ops, snapshot_level=snapshot_level
     )
+
+
+def on_the_snapshot_path(oracle):
+    """A final-time run's ``apply_qgamma`` with ``oracle`` in its place: the
+    raw states it colors in place, the snapshots and the final state, are
+    overwritten with the oracle of their load vectors, ``M @ raw.T`` whole."""
+
+    def apply(spec, ops, raw, *, in_place):
+        assert in_place
+        raw[...] = oracle(spec, ops, ops.mass @ raw)
+        return raw
+
+    return apply
 
 
 class TestChunkedColoring:
@@ -282,22 +295,33 @@ class TestChunkedColoring:
             np.testing.assert_array_equal(got, whole_block_oracle(spec, ops, g))
 
     def test_1d_snapshots_equal_the_whole_block(self, monkeypatch):
-        # 513 snapshots: chunks of 256 and 257 columns
+        # 513 snapshots, colored in place in chunks of 256 and 257 columns
         chunked = final_time_run(9, 9)
-        monkeypatch.setattr(stepper, "apply_qgamma", whole_block_oracle)
+        monkeypatch.setattr(stepper, "apply_qgamma", on_the_snapshot_path(whole_block_oracle))
         whole = final_time_run(9, 9)
+        assert chunked.snapshots.flags.c_contiguous
         np.testing.assert_array_equal(chunked.snapshots, whole.snapshots)
         np.testing.assert_array_equal(chunked.alpha, whole.alpha)
 
     def test_1d_swept_snapshots_equal_dpttrs_solves(self, monkeypatch):
-        # 4,097 snapshots: a block of DCT_COLUMNS or more, colored in the
-        # DCT-I eigenbasis; the final state alone still takes dpttrs
+        # 4,097 snapshots: a block of DCT_COLUMNS or more, colored in place in
+        # the DCT-I eigenbasis; the final state alone still takes dpttrs
         wide = final_time_run(12, 12)
-        monkeypatch.setattr(stepper, "apply_qgamma", dpttrs_oracle)
+        monkeypatch.setattr(stepper, "apply_qgamma", on_the_snapshot_path(dpttrs_oracle))
         solved = final_time_run(12, 12)
         assert wide.snapshots.shape == (4097, 9)
         assert_near_pencil_sum(wide.snapshots, solved.snapshots)
         np.testing.assert_array_equal(wide.alpha, solved.alpha)
+
+    def test_2d_snapshots_equal_per_node_solves_of_c_slices(self, monkeypatch):
+        # 513 snapshots of a 2-d run, colored in place in chunks of 256 and 257
+        # columns, round like the chunks of the whole block M @ raw.T
+        chunked = final_time_run(9, 9, dim=2, level=2)
+        monkeypatch.setattr(stepper, "apply_qgamma", on_the_snapshot_path(c_slice_oracle))
+        sliced = final_time_run(9, 9, dim=2, level=2)
+        assert chunked.snapshots.shape == (513, 25)
+        np.testing.assert_array_equal(chunked.snapshots, sliced.snapshots)
+        np.testing.assert_array_equal(chunked.alpha, sliced.alpha)
 
     def test_wide_1d_blocks_make_no_dpttrs_call(self, monkeypatch):
         calls = []

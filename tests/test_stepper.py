@@ -309,9 +309,9 @@ def test_per_step_matches_step_loop(dim, gamma, level, snapshots, noise_mult):
 
 
 # 4,097 snapshots of 65 values, 2.1 MB: per-step mode holds the one array it
-# fills; final-time mode also its load vectors and their coloring (3.41
-# arrays in all)
-@pytest.mark.parametrize("mode,arrays", [("final_time", 3.5), ("per_step", 1.5)])
+# fills; final-time mode colors it in place, adding the load vectors and
+# transforms of one chunk at a time (1.41 arrays in all)
+@pytest.mark.parametrize("mode,arrays", [("final_time", 2.0), ("per_step", 1.5)])
 def test_snapshot_memory_is_bounded(mode, arrays):
     ops = assemble(build_mesh(1, 6))
     cfg = SchemeConfig(
