@@ -39,7 +39,7 @@ from .checks import assembly_checks
 from .convergence import StudyPlan, _cached_ops, convergence_study, plan_study
 from .exceptions import DomainError, NumericalError, StatisticalAlarm
 from .fracpow import make_spec, pencil_factors
-from .mesh import MAX_MODES, MAX_PATHS, MAX_TIME_EXP, assemble, build_mesh
+from .mesh import MAX_MODES, MAX_PATHS, MAX_TIME_EXP, FemOperators, assemble, build_mesh
 from .stepper import MODES, SchemeConfig, _snapshot_stride, path_inputs
 from .svgplot import GuideLine, Series, loglog_svg
 
@@ -198,11 +198,19 @@ def _run_path(config: SchemeConfig, seed: int, **kw):
     return MODES[config.mode](config, *path_inputs(config, seed), **kw)
 
 
-def _check_snapshots(config: SchemeConfig, snapshot_level: int | None) -> None:
-    """The mesh-level and snapshot guards of a run of ``config``, checked
-    before anything is assembled."""
-    n_dof = build_mesh(config.dim, config.space_level).n_vertices
-    _snapshot_stride(config, snapshot_level, n_dof)
+def _check_run(config: SchemeConfig, snapshot_level=None, ops_of=None) -> FemOperators | None:
+    """The operators of a run of ``config``, after its mesh-level, snapshot
+    and pencil-memory guards; the last fetches the first pencil factor, which
+    stays cached in them for the run.  ``ops_of(dim, level)`` gives them, by
+    default assembled anew.  None, with nothing assembled, unless the run is
+    2-d with gamma in (0, 1), the one kind of run that factors pencils."""
+    level = (config.dim, config.space_level)
+    _snapshot_stride(config, snapshot_level, build_mesh(*level).n_vertices)
+    if config.dim != 2 or not 0.0 < config.gamma < 1.0:
+        return None
+    ops = ops_of(*level) if ops_of else assemble(build_mesh(*level))
+    next(pencil_factors(ops, make_spec(config.gamma, config.k)))
+    return ops
 
 
 def _check_out_dir(out: Path) -> None:
@@ -272,10 +280,8 @@ def check_convergence(cfg: dict) -> list[StudyPlan]:
         raise DomainError(f"axis {cfg['axis']!r} sets {own!r} from 'ref_level'; drop it")
     plans = [plan_study(_scheme(cfg, gamma=float(gamma), **ref), cfg["axis"],
                         cfg["coarse_levels"], cfg["ref_level"]) for gamma in cfg["gammas"]]
-    for config in (plan.ref for plan in plans):
-        if 0.0 < config.gamma < 1.0:  # its first factor stays cached for the run
-            ops = _cached_ops(config.dim, config.space_level)
-            next(pencil_factors(ops, make_spec(config.gamma, config.k)))
+    for plan in plans:  # on the operators that the study's paths take
+        _check_run(plan.ref, ops_of=_cached_ops)
     return plans
 
 
@@ -447,9 +453,9 @@ def cmd_verify(cfg: dict, mc_paths: int, out: Path) -> tuple[int, dict]:
     return EXIT_OK, facts
 
 
-def check_holder(cfg: dict) -> SchemeConfig:
-    """The run of every seed, after the checks of its dyadic levels and
-    snapshots."""
+def check_holder(cfg: dict) -> tuple[SchemeConfig, FemOperators | None]:
+    """The run of every seed and its checked operators (``_check_run``),
+    after the checks of its dyadic levels."""
     if cfg["time_exp"] < cfg["m_max"]:
         raise DomainError("time_exp must be >= m_max to snapshot dyadic times")
     for lo, hi in (("m_min", "m_max"), ("bm_m_min", "bm_m_max")):
@@ -459,12 +465,12 @@ def check_holder(cfg: dict) -> SchemeConfig:
                 f"got {lo} {cfg[lo]} and {hi} {cfg[hi]}"
             )
     config = _scheme(cfg, mode="final_time")
-    _check_snapshots(config, cfg["m_max"])
-    return config
+    return config, _check_run(config, cfg["m_max"])
 
 
-def cmd_holder(cfg: dict, config: SchemeConfig, out: Path) -> tuple[int, dict]:
-    ops = assemble(build_mesh(config.dim, config.space_level))
+def cmd_holder(cfg: dict, checked: tuple, out: Path) -> tuple[int, dict]:
+    config, ops = checked
+    ops = ops or assemble(build_mesh(config.dim, config.space_level))
     rows: list[tuple] = []
     spde_exps, bm_exps = [], []
     for i in range(cfg["n_seeds"]):
@@ -485,15 +491,16 @@ def cmd_holder(cfg: dict, config: SchemeConfig, out: Path) -> tuple[int, dict]:
     return EXIT_OK, {}
 
 
-def check_simulate(cfg: dict) -> SchemeConfig:
-    """The run, after the checks of its snapshots."""
+def check_simulate(cfg: dict) -> tuple[SchemeConfig, FemOperators | None]:
+    """The run and its checked operators (``_check_run``)."""
     config = _scheme(cfg)
-    _check_snapshots(config, cfg.get("snapshot_level"))
-    return config
+    return config, _check_run(config, cfg.get("snapshot_level"))
 
 
-def cmd_simulate(cfg: dict, config: SchemeConfig, out: Path) -> tuple[int, dict]:
-    state = _run_path(config, config.master_seed, snapshot_level=cfg.get("snapshot_level"))
+def cmd_simulate(cfg: dict, checked: tuple, out: Path) -> tuple[int, dict]:
+    config, ops = checked
+    state = _run_path(config, config.master_seed, ops=ops,
+                      snapshot_level=cfg.get("snapshot_level"))
     with open(_create(out / "final_state.txt"), "w", encoding="utf-8") as fh:
         fh.write("%.17g\n" * state.alpha.size % tuple(state.alpha.tolist()))
     outputs = ["final_state.txt"]

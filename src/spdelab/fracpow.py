@@ -17,7 +17,6 @@ so the gamma = 0 map is M^{-1}.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -32,19 +31,14 @@ from .mesh import DyadicMesh, FemOperators
 #: and 79,038 at k 0.25 and gamma 1e-3.
 MAX_NODES = 2**17
 
-#: Most stored entries of the pencil factors over all nodes of one spec,
+#: Most stored entries of the pencil factors over all nodes of one 2-d spec,
 #: 12 bytes each (3 GiB).  One 2-d level-7 pencil LU has about 1.07M entries,
 #: so about 250 nodes fit; 1,995 nodes (gamma 0.01, k 0.5) of level 6 do not.
-#: A 1-d LDLᵀ stores 2n - 1 numbers.
 MAX_PENCIL_NNZ = 2**28
 
 #: Columns of a block colored per pass: a node's right-hand side and solution
 #: then stay in cache, and a 2-d SuperLU solve costs less per column.
 COLOR_COLUMNS = 256
-
-#: Columns from which a 1-d block is colored in the DCT-I eigenbasis, off the pencil
-#: sum in the last bits; the narrower blocks of studies and steps keep every bit.
-DCT_COLUMNS = 2048
 
 
 @dataclass(frozen=True)
@@ -124,9 +118,9 @@ def _dct_modes(mesh: DyadicMesh) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pencil_factors(ops: FemOperators, spec: QuadratureSpec):
-    """The factor of each node of ``spec`` (gamma in (0, 1)) in node order,
-    each kept in ``ops.cached``; raises ``DomainError`` before the second is
-    fetched if all of them would hold more than ``MAX_PENCIL_NNZ`` entries."""
+    """The LU of each node of ``spec`` (gamma in (0, 1)) in node order, each
+    kept in ``ops.cached`` of 2-d operators; raises ``DomainError`` before the
+    second is fetched if all would hold more than ``MAX_PENCIL_NNZ`` entries."""
     factors = (
         ops.cached(("pencil", spec.k, j), lambda: _shift_factor(ops, y))
         for j, y in zip(range(-spec.n_neg, spec.n_pos + 1), spec.nodes)
@@ -142,63 +136,58 @@ def pencil_factors(ops: FemOperators, spec: QuadratureSpec):
 
 
 class _PencilSolver:
-    """The quadrature of one spec on one level: a scale and a factor per node.
+    """The quadrature of one spec on one level, ``COLOR_COLUMNS`` columns at
+    a time, by work fixed by the dimension when it is built.
 
     Built once per (operators, gamma, k) and reused across every time step
-    and path touching that level.  The shifted system at node ``y_j = j k``
-    does not depend on gamma, so its factor (``ops.factor``: an LDLᵀ in 1-d,
-    an LU in 2-d) is made once per (operators, k, j) through ``ops.cached``
-    and shared by every spec of that k (``pencil_factors``).  Positive
-    nodes are scaled as e^{-gamma y} (M + e^{-y} K)^{-1}, negative nodes as
-    e^{(1-gamma) y} (e^y M + K)^{-1}.  ``apply`` colors a block through
-    every node in node order, ``COLOR_COLUMNS`` columns at a time, each
-    chunk copied once F-ordered, the layout that ``dpttrs`` and SuperLU
-    solve in; in 2-d wide blocks may differ from the whole block in the
-    last bits, while a 1-d solve equals its column-by-column solves.  Given
-    the mass matrix, it colors coefficient vectors in place: each chunk
-    takes its own load vectors and is overwritten by its result.  In
-    1-d the pencil is diagonal in the DCT-I basis (``_dct_modes``), so a
-    chunk of a block of ``DCT_COLUMNS`` or more columns is
-    ``dct1(s * dct1(D^-1 g)) / (2N)``, ``s_j = q(lambda_j) / mu_j``.
+    and path touching that level.  In 1-d the pencil is diagonal in the
+    DCT-I basis (``_dct_modes``), so a chunk is colored as
+    ``dct1(s * dct1(D^-1 g)) / (2N)``, ``s_j = q(lambda_j) / mu_j``, and no
+    factor is built.  In 2-d it is the sum of one solve per node in node
+    order, positive nodes scaled as e^{-gamma y} (M + e^{-y} K)^{-1},
+    negative nodes as e^{(1-gamma) y} (e^y M + K)^{-1}; the LU of node
+    ``y_j = j k`` does not depend on gamma, so it is made once per
+    (operators, k, j) through ``ops.cached`` and shared by every spec of
+    that k (``pencil_factors``).  Each chunk is copied once F-ordered, the
+    layout SuperLU solves in; a wide 2-d block may differ from the whole
+    block in the last bits.  Given the mass matrix, it colors coefficient
+    vectors in place: each chunk takes its own load vectors and is
+    overwritten by its result.
     """
 
     def __init__(self, ops: FemOperators, spec: QuadratureSpec):
-        self._mesh, self._spec = ops.mesh, spec
-        c = spec.k * math.sin(math.pi * spec.gamma) / math.pi
-        self._scales = [
-            c * math.exp(-spec.gamma * y) if y >= 0.0
-            else c * math.exp((1.0 - spec.gamma) * y)
-            for y in spec.nodes
-        ]
-        self._factors = list(pencil_factors(ops, spec))
+        if ops.mesh.dim == 1:
+            mu, tau = _dct_modes(ops.mesh)
+            s = [scalar_qgamma(spec, (m + t) / m) / m for m, t in zip(mu, tau)]
+            scaling = np.array(s)[:, None] / (2 * mu.size - 2)
 
-    @functools.cached_property
-    def _dct_scaling(self) -> np.ndarray:  # s / (2N) as a column, made on first use
-        mu, tau = _dct_modes(self._mesh)
-        s = [scalar_qgamma(self._spec, (m + t) / m) / m for m, t in zip(mu, tau)]
-        return np.array(s)[:, None] / (2 * mu.size - 2)
+            def color(part, acc):  # D^-1 part, then two transforms around s / (2N)
+                part = np.r_[2.0 * part[:1], part[1:-1], 2.0 * part[-1:]]
+                acc[...] = dct1(scaling * dct1(part))
+        else:
+            c = spec.k * math.sin(math.pi * spec.gamma) / math.pi
+            scales = [c * math.exp(-spec.gamma * y if y >= 0.0 else (1.0 - spec.gamma) * y)
+                      for y in spec.nodes]
+            self._factors = factors = list(pencil_factors(ops, spec))
+
+            def color(part, acc):
+                acc[...] = 0.0
+                for scale, factor in zip(scales, factors):
+                    x = factor.solve(part)
+                    x *= scale  # the roundings of acc += scale * x
+                    acc += x
+        self._color = color  # not a bound method: no cycle outlives the operators
 
     def apply(self, g: np.ndarray, mass=None) -> np.ndarray:
         block = g.reshape(g.shape[0], -1)  # a column is a block of one
         cols = block.shape[1]
-        dct = cols >= DCT_COLUMNS and self._mesh.dim == 1
         out = np.empty(block.shape, order="F") if mass is None else block
         # a lone last column would take the one-column solve, which rounds
         # differently in 2-d; it joins the chunk before it
         edges = [*range(0, max(cols - 1, 1), COLOR_COLUMNS), cols]
         for lo, hi in zip(edges, edges[1:]):
             part = block[:, lo:hi] if mass is None else mass @ block[:, lo:hi]
-            part = np.asarray(part, order="F")
-            acc = out[:, lo:hi]
-            if dct:  # D^-1 part, then two transforms around the scaling
-                part = np.r_[2.0 * part[:1], part[1:-1], 2.0 * part[-1:]]
-                acc[...] = dct1(self._dct_scaling * dct1(part))
-                continue
-            acc[...] = 0.0
-            for scale, factor in zip(self._scales, self._factors):
-                x = factor.solve(part)
-                x *= scale  # the roundings of acc += scale * x
-                acc += x
+            self._color(np.asarray(part, order="F"), out[:, lo:hi])
         return out.reshape(g.shape)
 
 
@@ -208,12 +197,13 @@ def apply_qgamma(
     """Apply the fractional-inverse quadrature to a load vector ``g``.
 
     Returns the coefficient vector of the result: the weighted sum of
-    shifted-pencil solves for gamma in (0, 1), K^{-1} g for gamma = 1, and
-    M^{-1} g for gamma = 0.  A 2-d ``g`` is treated as a batch of load
-    vectors in its columns.  With ``in_place``, ``g`` holds coefficient
-    vectors instead and is overwritten with the result for their load
-    vectors ``ops.mass @ g``, bit for bit; for gamma in (0, 1) each chunk of
-    columns takes its own, so nothing of ``g``'s size is allocated.
+    shifted-pencil solves for gamma in (0, 1), in its closed form in 1-d,
+    K^{-1} g for gamma = 1, and M^{-1} g for gamma = 0.  A 2-d ``g`` is
+    treated as a batch of load vectors in its columns.  With ``in_place``,
+    ``g`` holds coefficient vectors instead and is overwritten with the
+    result for their load vectors ``ops.mass @ g``, bit for bit; for gamma
+    in (0, 1) each chunk of columns takes its own, so nothing of ``g``'s
+    size is allocated.
     """
     g = np.asarray(g)
     if g.shape[0] != ops.n_dof:

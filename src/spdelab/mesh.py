@@ -141,7 +141,7 @@ def mass_factor(mass: sp.spmatrix) -> sp.csr_matrix:
 
 class TridiagonalLDL:
     """The LDLᵀ of a symmetric positive definite tridiagonal matrix (LAPACK
-    ``dpttrf``) in its ``nnz = 2n - 1`` numbers, solved column by column (``dpttrs``)."""
+    ``dpttrf``) in its 2n - 1 numbers, solved column by column (``dpttrs``)."""
 
     def __init__(self, a: sp.spmatrix):
         coo = a.tocoo()
@@ -157,7 +157,6 @@ class TridiagonalLDL:
             raise NumericalError(
                 f"tridiagonal matrix is not positive definite (pivot {info} of {n})"
             )
-        self.nnz = 2 * n - 1
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """The solution for ``rhs``, which stays untouched."""
@@ -172,9 +171,9 @@ class FemOperators:
     and the lower Cholesky factor of M.  ``factor`` decides how every SPD
     system of the level is factored, and every factorization built from
     them lives in the one keyed cache behind ``cached``: the backward
-    Euler ``BlockSystem``s under ``("system", dt, others)``, the factor of
+    Euler ``BlockSystem``s under ``("system", dt, others)``, the 2-d LU of
     each shifted pencil under ``("pencil", k, j)``, shared by every gamma of
-    quadrature resolution k, the quadrature solvers that hold them under
+    quadrature resolution k, the quadrature solvers under
     ``("quadrature", gamma, k)``, the M and K factors, and each coarser
     level's operators and restriction under ``("coarse", level)``.  The
     object is immutable apart from that cache and safe to share across threads.
@@ -221,8 +220,8 @@ class FemOperators:
 
     def factor(self, a: sp.spmatrix, **options):
         """The factor of an SPD system ``a`` of this level's dimension, with
-        ``solve`` and ``nnz``: in 1-d the ``TridiagonalLDL`` of ``a``; in 2-d
-        its ``splu`` with ``lu_options``, updated by ``options``."""
+        ``solve``: in 1-d the ``TridiagonalLDL`` of ``a``; in 2-d its ``splu``
+        with ``lu_options``, updated by ``options``."""
         if self.mesh.dim == 1:
             return TridiagonalLDL(a)
         return splu(a.tocsc(), **{**self.lu_options, **options})

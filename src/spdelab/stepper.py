@@ -178,7 +178,7 @@ class _Group:
         if self.a is not None:
             g = restrict_increment(self.a, g)
         if self.per_step and not self.specs[0].is_identity:
-            # 1-d dpttrs solves each column on its own, so a block goes at once;
+            # the 1-d DCT-I colors each column on its own, so a block goes at once;
             # 2-d multi-column supernodal solves round differently: column by column
             main = self.ops[0]
             cols = [g] if main.mesh.dim == 1 else g.T

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import json
 import os
 import platform
@@ -14,10 +15,11 @@ import pytest
 import scipy
 
 import spdelab
-from spdelab import cli, convergence, l0
+from spdelab import cli, convergence, fracpow, l0
 from spdelab.cli import main
 from spdelab.driver import sample_driver
 from spdelab.exceptions import DomainError, NumericalError, SpdeLabError, StatisticalAlarm
+from spdelab.fracpow import make_spec
 from spdelab.mesh import assemble, build_mesh
 from spdelab.noise import NoiseStream
 from spdelab.stepper import SchemeConfig, evolve, evolve_fast
@@ -453,9 +455,9 @@ def test_each_error_class_exits_with_its_code(error, tmp_path, capsys, monkeypat
     # one class per exit code: a new class needs its own except clause in main
     assert set(SpdeLabError.__subclasses__()) == set(EXIT_CODES)
 
-    def fail(cfg, config, out):  # a run takes what its check returned
-        assert config == SchemeConfig(dim=1, gamma=0.5, space_level=2, time_steps=8,
-                                      master_seed=1)
+    def fail(cfg, checked, out):  # a run takes what its check returned
+        config = SchemeConfig(dim=1, gamma=0.5, space_level=2, time_steps=8, master_seed=1)
+        assert checked == (config, None)  # a 1-d run's check builds no operators
         raise error("synthetic failure")
 
     check, _run, _manifest = cli.COMMANDS["simulate"]
@@ -676,6 +678,13 @@ REJECTED_RUNS = {
         {"space_level": 2, "time_exp": 4, "m_max": 4, "m_min": 1, "n_seeds": 1,
          "n_modes": 10, "bm_m_min": 9, "bm_m_max": 10},
     ),
+    # 1,995 level-6 pencil factors: the guard fires on the first, which the
+    # check fetches before a dry run ends
+    "holder_pencil_factors_beyond_the_guard": (
+        "holder",
+        {"dim": 2, "gamma": 0.01, "space_level": 6, "time_exp": 4, "m_max": 4,
+         "m_min": 1, "n_seeds": 1, "n_modes": 10},
+    ),
     # 4,097 snapshots of 16,385 values, just above 2**26
     "holder_snapshots_beyond_the_guard": (
         "holder",
@@ -728,6 +737,9 @@ REJECTED_RUNS = {
         {"dim": 1, "axis": "time", "gammas": [0.5], "coarse_levels": [-1, 1, 2],
          "ref_level": 4, "space_level": 2, "n_paths": 1, "master_seed": 1},
     ),
+    "simulate_pencil_factors_beyond_the_guard": (
+        "simulate", _with(SMALL_SIMULATE, dim=2, gamma=0.01, space_level=6, time_exp=1)
+    ),
     # 2**20 + 1 snapshots of 16,385 values: 128 GiB
     "simulate_snapshots_beyond_the_guard": (
         "simulate",
@@ -746,6 +758,8 @@ REJECTED_RUN_MESSAGES = {
     "convergence_n_paths_beyond_the_guard": "'n_paths' must be an integer in [1, 1048576]",
     "convergence_repeated_gamma": "repeats a gamma",
     "convergence_pencil_factors_beyond_the_guard": "1995 pencil factors of",
+    "holder_pencil_factors_beyond_the_guard": "1995 pencil factors of",
+    "simulate_pencil_factors_beyond_the_guard": "1995 pencil factors of",
     "holder_snapshots_beyond_the_guard": "4097 snapshots of 16385 values exceed",
     "simulate_snapshots_beyond_the_guard": "1048577 snapshots of 16385 values exceed",
 }
@@ -783,6 +797,31 @@ def test_dry_run_rejects_what_the_study_rejects(case, tmp_path, capsys):
     assert captured.err.startswith("validation error: ")
     assert REJECTED_RUN_MESSAGES.get(case, "") in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,doc",
+    [
+        ("simulate", _with(SMALL_SIMULATE, dim=2)),
+        ("simulate", _with(SMALL_SIMULATE, dim=2, mode="final_time", snapshot_level=2)),
+        ("holder", {"dim": 2, "gamma": 0.5, "space_level": 2, "time_exp": 4,
+                    "m_max": 4, "m_min": 1, "n_seeds": 2, "n_modes": 10}),
+    ],
+    ids=["simulate_per_step", "simulate_final_time", "holder"],
+)
+def test_a_2d_run_factors_each_node_once(command, doc, tmp_path, monkeypatch):
+    # the check fetches the first node's factor on the operators the run takes
+    nodes = []
+    shift_factor = fracpow._shift_factor
+
+    def counted(ops, y):
+        nodes.append(y)
+        return shift_factor(ops, y)
+
+    monkeypatch.setattr(fracpow, "_shift_factor", counted)
+    cfg = write_config(tmp_path, doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert nodes == make_spec(0.5, 0.5).nodes.tolist()  # 81, in node order
 
 
 def test_the_highest_seed_keeps_every_path_key_below_2_64(tmp_path, capsys):
@@ -891,6 +930,29 @@ def test_readme_names_every_config_key():
     keys = re.findall(r'^\s*"(\w+)":', block, re.M)
     assert "dim" in keys
     assert set(keys) <= set(cli.SCHEMAS["convergence"])
+
+
+# the suffixes of the file names that README puts in backticks, as `name.suffix`
+FILE_SUFFIXES = {"csv", "json", "log", "md", "py", "svg", "toml", "txt"}
+
+
+def test_readme_names_resolve():
+    # every backticked `module.NAME`, a call or an index after it allowed, is
+    # an attribute of that spdelab module, so a deleted name cannot stay
+    # documented
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    names = set()
+    for span in re.findall(r"`([^`\n]+)`", readme):
+        name = re.fullmatch(r"([a-z_]\w*(?:\.[A-Za-z_]\w*)+)(\(.*\)|\[.*\])?", span)
+        if name and name[1].rsplit(".", 1)[1] not in FILE_SUFFIXES:
+            names.add(name[1])
+    assert {"fracpow.COLOR_COLUMNS", "cli.SCHEMAS", "spdelab.exceptions"} <= names
+    for name in sorted(names):
+        module, *attrs = name.removeprefix("spdelab.").split(".")
+        obj = importlib.import_module(f"spdelab.{module}")
+        for attr in attrs:
+            assert hasattr(obj, attr), name
+            obj = getattr(obj, attr)
 
 
 def test_manifest_config_round_trip(tmp_path):

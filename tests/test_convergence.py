@@ -225,7 +225,7 @@ class TestConvergenceStudy:
 
     def test_two_gammas_factor_each_shift_once_per_level(self, monkeypatch):
         # at k 0.5, gamma 0.25 and 0.75 have 107 quadrature nodes each and
-        # 55 in common: 159 pencil factors per level, not 214, and one
+        # 55 in common: 159 pencil factors per 2-d level, not 214, and one
         # factor of the backward Euler stack of levels 4, 2 and 3
         convergence._cached_ops.cache_clear()
         sizes = []
@@ -237,11 +237,11 @@ class TestConvergenceStudy:
         )
         for gamma in (0.25, 0.75):
             base = SchemeConfig(
-                dim=1, gamma=gamma, space_level=4, time_steps=2**4,
+                dim=2, gamma=gamma, space_level=4, time_steps=2**4,
                 master_seed=3, mode="final_time",
             )
             convergence_study(plan_study(base, "space", [2, 3], 4), 1)
-        assert collections.Counter(sizes) == {5: 159, 9: 159, 17: 159, 31: 1}
+        assert collections.Counter(sizes) == {25: 159, 81: 159, 289: 159, 395: 1}
 
     def test_worker_pool_matches_serial(self):
         base = SchemeConfig(

@@ -205,8 +205,8 @@ def _study_bytes(blas_threads: int) -> str:
 
 def test_1d_studies_do_not_depend_on_blas_threads():
     # the two-gamma space and time studies, the per-step path, which colors
-    # every step through the LAPACK pencil solves, and the BDG batches give
-    # the same bytes on 1 and 2 BLAS threads
+    # every step through numpy's FFT, and the BDG batches give the same bytes
+    # on 1 and 2 BLAS threads
     one = _study_bytes(1)
     assert [line.split()[0] for line in one.splitlines()] == [
         "space1d", "time1d", "per_step", "quad_var", "sup_norm", "bdg_ratios",

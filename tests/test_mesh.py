@@ -240,7 +240,6 @@ class TestTridiagonalLDL:
 
     def test_one_row(self):
         factor = TridiagonalLDL(sp.csr_matrix([[2.0]]))
-        assert factor.nnz == 1
         np.testing.assert_array_equal(factor.solve(np.array([3.0])), [1.5])
 
     def test_level_systems_are_exactly_symmetric(self):
@@ -248,7 +247,6 @@ class TestTridiagonalLDL:
             ops = assemble(build_mesh(1, level))
             for a in (ops.mass, ops.a2_matrix, ops.mass + 2.0**-14 * ops.stiffness):
                 np.testing.assert_array_equal(a.diagonal(1), a.diagonal(-1))
-            assert ops.factor(ops.mass).nnz == 2 * ops.n_dof - 1
 
     @pytest.mark.parametrize("cols", [2, 5, 12, 20])
     def test_block_solves_equal_column_solves(self, cols):
