@@ -44,12 +44,17 @@ def keyed_normal_rows(seed: int, tag: int, start: int, stop: int, n: int) -> np.
     reset to each block in turn, which is cheaper than one Philox per block.
     """
     gen = keyed_generator(seed, tag)
-    state = gen.bit_generator.state  # fresh: counter 0, empty buffer
+    bits = gen.bit_generator
+    state = bits.state  # fresh: counter 0, empty buffer
+    # the same words as Python ints, which the state setter reads in a third
+    # of the time it takes for the entries of uint64 arrays
+    state["state"] = {k: v.tolist() for k, v in state["state"].items()}
+    state["buffer"] = state["buffer"].tolist()
     counter = state["state"]["counter"]
     out = np.empty((stop - start, n))
     for i in range(stop - start):
         counter[2] = (start + i) & _MASK64
-        gen.bit_generator.state = state
+        bits.state = state
         gen.standard_normal(out=out[i])
     return out
 

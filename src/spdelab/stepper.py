@@ -9,7 +9,8 @@ carrying its sqrt(dt) scaling), ``b_n`` the scalar driver sampled at the
 left endpoint, and ``Q`` the fractional-inverse quadrature.
 
 Both modes run one sweep over the fine steps of the noise stream in blocks
-of ``BLOCK_STEPS``.  A block draws its fine increments, each from its own
+of ``max(BLOCK_STEPS, BLOCK_VALUES // n)`` steps, for the ``n`` normals of a
+fine step.  A block draws its fine increments, each from its own
 key, in one ``L_M @ R`` product, and sums them into the steps of every
 coarser time grid in one running sum (in fine-step order, bit-identical to
 ``aggregate_increment``; a step still open at the end of a block carries
@@ -19,9 +20,12 @@ block k (``rng.drawn_ahead``); the keyed draw and the sparse product
 release the GIL and give the same bits on any thread.  The runs sharing a
 time grid advance as one group, whose state stacks theirs: it restricts
 its completed sums to every run's mesh in one product, takes their
-backward Euler steps one by one with one block-diagonal solve each and
-checks all their residuals at once, per run, so it holds at most
-``BLOCK_STEPS`` states.  The modes differ only in where ``Q`` is applied:
+backward Euler steps one by one with one block-diagonal solve each
+(``BlockSystem.advance``) and checks all their residuals at once, per run,
+so it holds at most one block of states.  Each row of a block is keyed by
+its step, the products and the restriction act column by column, open sums
+carry over and the 1-d coloring takes each column on its own, so no bit
+depends on the block size.  The modes differ only in where ``Q`` is applied:
 
 * ``evolve`` (``per_step``) colors each completed increment, ``M Q g_n``,
   one at a time before its solve.
@@ -58,8 +62,13 @@ from .rng import drawn_ahead
 # this name, so the binding stays
 from .noise import aggregate_increment  # noqa: F401
 
-# fine steps drawn, colored and solved per block of the sweep
+# a block of the sweep draws, colors and solves max(BLOCK_STEPS, BLOCK_VALUES
+# // n) fine steps of n normals each: on a small mesh its fixed costs (a keyed
+# generator, sparse products, a residual check) would outweigh its steps, while
+# larger blocks slowed the sweeps of 1-d from level 9 and 2-d from level 5,
+# which keep 16 steps (64-step blocks: a 1-d level-9 path 0.55 -> 0.68 s)
 BLOCK_STEPS = 16
+BLOCK_VALUES = 2**13
 # normals per fine step (columns of the mass factor) from which a helper
 # thread draws the next block: below it the switches between the two threads
 # cost more than the draw saves (a 1-d level-10 sweep, 1,025 normals a step,
@@ -171,10 +180,8 @@ class _Group:
         states."""
         n0 = m0 // self.ratio
         n1 = n0 + g.shape[1]
-        system = self.system
-        states = np.empty((n1 - n0, system.offsets[-1]))
         if n1 == n0:
-            return states
+            return np.empty((0, self.system.offsets[-1]))
         if self.a is not None:
             g = restrict_increment(self.a, g)
         if self.per_step and not self.specs[0].is_identity:
@@ -185,14 +192,9 @@ class _Group:
             g = np.column_stack(
                 [main.mass @ apply_qgamma(self.specs[0], main, c) for c in cols]
             )
-        bg = g * self.b[n0:n1]
-        rhs = np.empty_like(states)
-        beta = self.beta
-        for j in range(n1 - n0):
-            rhs[j] = system.mass @ beta + bg[:, j]
-            beta = states[j] = system.solve(rhs[j])
-        system.check(states, rhs)
-        self.beta = beta
+        states, rhs = self.system.advance(self.beta, g * self.b[n0:n1])
+        self.system.check(states, rhs)
+        self.beta = states[-1].copy()
         return states
 
     def color(self, i: int, raw: np.ndarray | None = None) -> np.ndarray:
@@ -239,8 +241,9 @@ def _sweep(
     acc = np.zeros((len(summed), ops.n_dof))
     # row k holds the state after k * stride steps, row 0 the zero initial state
     snaps = np.zeros((config.time_steps // stride + 1, ops.n_dof)) if stride else None
-    blocks = [(m0, min(m0 + BLOCK_STEPS, stream.fine_steps))
-              for m0 in range(0, stream.fine_steps, BLOCK_STEPS)]
+    steps = max(BLOCK_STEPS, BLOCK_VALUES // ops.mass_chol.shape[1])
+    blocks = [(m0, min(m0 + steps, stream.fine_steps))
+              for m0 in range(0, stream.fine_steps, steps)]
     with drawn_ahead(
         lambda block: noise.fine_increments(stream, *block, ops.mass_chol),
         blocks,
@@ -260,9 +263,11 @@ def _sweep(
             states = main.take(m0, sums.get(main, f))[:, : ops.n_dof]
             for group in groups[1:]:
                 group.take(m0, sums.get(group, f))
-            for j, n in enumerate(range(m0 // main.ratio, m1 // main.ratio)):
-                if stride and (n + 1) % stride == 0:
-                    snaps[(n + 1) // stride] = states[j]
+            if stride:  # the states after a multiple of stride steps
+                n0 = m0 // main.ratio  # the block's first step
+                k0 = n0 // stride + 1  # the first row after it
+                rows = states[k0 * stride - 1 - n0 :: stride]
+                snaps[k0 : k0 + len(rows)] = rows
 
     final = {i: g.color(k)  # run i -> its colored final state
              for g, m in zip(groups, grids.values()) for k, i in enumerate(m)}

@@ -381,6 +381,7 @@ SWEEP_STUDIES = {
 
 
 @pytest.mark.parametrize("name,gamma", _sweep_cases(SWEEP_STUDIES))
+@pytest.mark.usefixtures("blocks_of_16")
 def test_one_sweep_matches_per_level_runs(name, gamma):
     plan = _sweep_plan(*SWEEP_STUDIES[name], gamma)
     for seed in (17, 18):
@@ -403,6 +404,7 @@ FINER_STREAMS = {
 
 
 @pytest.mark.parametrize("name,gamma", _sweep_cases(FINER_STREAMS))
+@pytest.mark.usefixtures("blocks_of_16")
 def test_sweep_on_a_finer_stream_matches_per_level_runs(name, gamma):
     *study, noise_steps = FINER_STREAMS[name]
     plan = _sweep_plan(*study, gamma)

@@ -430,6 +430,24 @@ def test_stacked_solves_match_each_level(dim, fine, coarse, dt):
             )
 
 
+@pytest.mark.parametrize("dim,fine,coarse", [(1, 5, (0, 2, 3)), (1, 9, ()), (2, 3, (1, 2))])
+def test_advance_matches_a_step_loop(dim, fine, coarse):
+    # in 1-d the product from the stack's diagonals adds as a CSR row does,
+    # so every right-hand side and state equals a loop over mass @ beta
+    levels = [assemble(build_mesh(dim, lv)) for lv in (fine, *coarse)]
+    system = levels[0].system(2.0**-6, tuple(levels[1:]))
+    rng = np.random.default_rng(5)
+    beta = rng.standard_normal(system.offsets[-1])
+    loads = rng.standard_normal((system.offsets[-1], 40))
+    states, rhs = system.advance(beta, loads)
+    assert states.shape == rhs.shape == (40, system.offsets[-1])
+    for j in range(40):
+        r = system.mass @ beta + loads[:, j]
+        beta = system.solve(r)
+        np.testing.assert_array_equal(rhs[j], r)
+        np.testing.assert_array_equal(states[j], beta)
+
+
 def counted_factors(monkeypatch):
     """Record (kind, size) of every factor and incomplete LU from now on."""
     import spdelab.mesh as mesh_module

@@ -292,6 +292,7 @@ def raw_step_loop(cfg, stream, drv, ops):
 # sweep's 16-step blocks and leaves a short last block; ratio 32 carries each
 # step's partial sum across two blocks
 @pytest.mark.parametrize("noise_mult", [1, 3, 4, 32])
+@pytest.mark.usefixtures("blocks_of_16")
 def test_per_step_matches_step_loop(dim, gamma, level, snapshots, noise_mult):
     ops = assemble(build_mesh(dim, level))
     cfg = SchemeConfig(
@@ -334,6 +335,7 @@ def test_snapshot_memory_is_bounded(mode, arrays):
 
 
 @pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.usefixtures("blocks_of_16")
 def test_per_step_colors_a_1d_block_in_one_call(dim, monkeypatch):
     # 64 steps are 4 blocks of 16: one coloring per block in 1-d, one per
     # step in 2-d, whose multi-column solves round differently
@@ -348,6 +350,58 @@ def test_per_step_colors_a_1d_block_in_one_call(dim, monkeypatch):
     stream = NoiseStream(seed=3, fine_level=2, fine_steps=64)
     evolve(cfg, stream, sample_driver(3, 50))
     assert len(calls) == (4 if dim == 1 else 64)
+
+
+def _study_errors(dim, axis, coarse, ref, level, steps):
+    base = SchemeConfig(dim=dim, gamma=0.5, space_level=level, time_steps=steps,
+                        master_seed=3, mode="final_time")
+    return convergence.path_errors(convergence.plan_study(base, axis, coarse, ref), 3)
+
+
+def _states(dim, gamma, level, steps, mode, snapshot_level):
+    cfg = SchemeConfig(dim=dim, gamma=gamma, space_level=level, time_steps=steps,
+                       master_seed=4, mode=mode)
+    out = MODES[mode](cfg, NoiseStream(4, level, steps), sample_driver(4, 50),
+                      snapshot_level=snapshot_level)
+    return np.vstack([out.alpha, out.snapshots])
+
+
+# blocks by default: 1-d level 5, 33 normals a step, 248 steps (the 2^10
+# steps end in a short block, and steps of the 2^3 and 2^5 time grids
+# straddle block edges); level 4, 481; 2-d level 3, 101
+VALUE_SIZED_RUNS = {
+    "space1d": lambda: _study_errors(1, "space", [2, 3, 4], 5, 5, 2**10),
+    "time1d": lambda: _study_errors(1, "time", [3, 5, 7], 10, 5, 2**10),
+    "per_step1d": lambda: _states(1, 0.5, 4, 2**11, "per_step", 7),
+    # the shape of criterion 09: final time, a snapshot at every step
+    "every_step1d": lambda: _states(1, 0.75, 5, 2**10, "final_time", 10),
+    "per_step2d": lambda: _states(2, 0.5, 3, 2**8, "per_step", 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_SIZED_RUNS))
+def test_value_sized_blocks_give_the_same_bits(name, monkeypatch):
+    run = VALUE_SIZED_RUNS[name]
+    default = run()
+    monkeypatch.setattr(stepper, "BLOCK_VALUES", 0)
+    np.testing.assert_array_equal(run(), default)
+
+
+def test_blocks_grow_only_where_a_step_is_small(monkeypatch):
+    sizes = []  # steps of every block drawn
+    real = noise.fine_increments
+
+    def recorded(stream, start, stop, l_mass):
+        sizes.append(stop - start)
+        return real(stream, start, stop, l_mass)
+
+    monkeypatch.setattr(noise, "fine_increments", recorded)
+    for dim, level, blocks_of_16 in ((1, 5, False), (1, 9, True), (2, 6, True)):
+        sizes.clear()
+        cfg = SchemeConfig(dim=dim, gamma=1.0, space_level=level, time_steps=2**9,
+                           master_seed=2, mode="final_time")
+        evolve_fast(cfg, NoiseStream(2, level, 2**9), sample_driver(2, 50))
+        assert (sizes[0] == 16) == blocks_of_16 and sizes[0] >= 16
 
 
 # a 1-d run of level ``level`` on the operators of another level, and of
@@ -391,6 +445,7 @@ class TestCoupledRuns:
             out.coupled[0], evolve_fast(other, stream, drv, ops=ops3).alpha
         )
 
+    @pytest.mark.usefixtures("blocks_of_16")
     def test_straddling_steps_match_a_step_loop(self, ops3):
         # on 48 fine steps, grids of 16, 12 and 3 steps (ratios 3, 4 and 16)
         # put step edges inside the 16-step blocks and carry open sums
@@ -469,6 +524,7 @@ class SpoiledSolve:
 
 @pytest.mark.parametrize("mode", sorted(MODES))
 @pytest.mark.parametrize("bad", [0, 5, 15, 16, 31])
+@pytest.mark.usefixtures("blocks_of_16")
 def test_guard_checks_every_solve_of_a_block(mode, bad, monkeypatch):
     # 32 steps are two blocks of 16; solve 5 is the 6th of the first block
     ops = assemble(build_mesh(1, 3))
@@ -497,6 +553,7 @@ def test_guard_skips_zero_right_hand_sides(mode, quiet3):
 
 
 @pytest.mark.parametrize("spoiled", [False, True])
+@pytest.mark.usefixtures("blocks_of_16")
 def test_guard_checks_each_run_of_a_group(spoiled, monkeypatch):
     # a level-6 run with coupled levels 2..5 on its time grid is one stacked
     # group; solve 21 is the 6th of the second block of 16.  Spoiling the
@@ -552,6 +609,7 @@ def test_guard_checks_each_run_of_a_group(spoiled, monkeypatch):
     assert rel(x, rhs) <= SOLVER_TOL
 
 
+@pytest.mark.usefixtures("blocks_of_16")
 class TestDrawAhead:
     """A sweep of at least ``DRAW_AHEAD_DOFS`` normals a step draws block k + 1
     on a helper thread while it steps block k; the tests force the helper on
