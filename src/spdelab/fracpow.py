@@ -9,7 +9,7 @@ with nodes ``y_j = j k`` for ``j = -M_neg .. N_pos``.  The node counts grow
 like 1/k^2 so the truncation error matches the discretization error of the
 trapezoid rule, giving a total error of order ``exp(-pi^2 / (2 k))``.
 
-Endpoints are handled by convention: gamma = 0 is the identity and gamma = 1
+Endpoints are one-node quadratures: gamma = 0 is the identity and gamma = 1
 the full inverse of K.  In all cases the input is the load-vector
 representation of the operand and the output its coefficient representation,
 so the gamma = 0 map is M^{-1}.
@@ -140,23 +140,22 @@ class _PencilSolver:
     a time, by work fixed by the dimension when it is built.
 
     Built once per (operators, gamma, k) and reused across every time step
-    and path touching that level.  In 1-d the pencil is diagonal in the
-    DCT-I basis (``_dct_modes``), so a chunk is colored as
+    and path touching that level.  For gamma in (0, 1), the 1-d pencil is
+    diagonal in the DCT-I basis (``_dct_modes``), so a chunk is colored as
     ``dct1(s * dct1(D^-1 g)) / (2N)``, ``s_j = q(lambda_j) / mu_j``, and no
-    factor is built.  In 2-d it is the sum of one solve per node in node
+    factor is built; the 2-d one is the sum of one solve per node in node
     order, positive nodes scaled as e^{-gamma y} (M + e^{-y} K)^{-1},
-    negative nodes as e^{(1-gamma) y} (e^y M + K)^{-1}; the LU of node
-    ``y_j = j k`` does not depend on gamma, so it is made once per
-    (operators, k, j) through ``ops.cached`` and shared by every spec of
-    that k (``pencil_factors``).  Each chunk is copied once F-ordered, the
-    layout SuperLU solves in; a wide 2-d block may differ from the whole
-    block in the last bits.  Given the mass matrix, it colors coefficient
-    vectors in place: each chunk takes its own load vectors and is
-    overwritten by its result.
+    negative nodes as e^{(1-gamma) y} (e^y M + K)^{-1}, each node's LU, free
+    of gamma, shared by every spec of that k (``pencil_factors``).  Gamma 0
+    and 1 are one node of weight 1 in both dimensions: one solve with the
+    factor of M or K, made once per operators for every k.  Each chunk is
+    copied once F-ordered, as SuperLU and LAPACK solve it; a wide 2-d block
+    may differ from the whole block in the last bits.  Given the mass matrix,
+    it colors coefficient vectors in place, chunk by chunk.
     """
 
     def __init__(self, ops: FemOperators, spec: QuadratureSpec):
-        if ops.mesh.dim == 1:
+        if ops.mesh.dim == 1 and spec.nodes.size:
             mu, tau = _dct_modes(ops.mesh)
             s = [scalar_qgamma(spec, (m + t) / m) / m for m, t in zip(mu, tau)]
             scaling = np.array(s)[:, None] / (2 * mu.size - 2)
@@ -164,7 +163,7 @@ class _PencilSolver:
             def color(part, acc):  # D^-1 part, then two transforms around s / (2N)
                 part = np.r_[2.0 * part[:1], part[1:-1], 2.0 * part[-1:]]
                 acc[...] = dct1(scaling * dct1(part))
-        else:
+        elif spec.nodes.size:
             c = spec.k * math.sin(math.pi * spec.gamma) / math.pi
             scales = [c * math.exp(-spec.gamma * y if y >= 0.0 else (1.0 - spec.gamma) * y)
                       for y in spec.nodes]
@@ -176,6 +175,13 @@ class _PencilSolver:
                     x = factor.solve(part)
                     x *= scale  # the roundings of acc += scale * x
                     acc += x
+        else:  # gamma 0 or 1: one node of weight 1, so the sum is one solve
+            key, matrix = (("mass_factor", ops.mass) if spec.is_identity
+                           else ("a2_factor", ops.a2_matrix))
+            one = ops.cached(key, lambda: ops.factor(matrix))
+
+            def color(part, acc):
+                acc[...] = one.solve(part)
         self._color = color  # not a bound method: no cycle outlives the operators
 
     def apply(self, g: np.ndarray, mass=None) -> np.ndarray:
@@ -186,8 +192,9 @@ class _PencilSolver:
         # differently in 2-d; it joins the chunk before it
         edges = [*range(0, max(cols - 1, 1), COLOR_COLUMNS), cols]
         for lo, hi in zip(edges, edges[1:]):
-            part = block[:, lo:hi] if mass is None else mass @ block[:, lo:hi]
-            self._color(np.asarray(part, order="F"), out[:, lo:hi])
+            part = block[:, lo:hi]  # a view first, so no chunk outlives its pass
+            part = np.asarray(part if mass is None else mass @ part, order="F")
+            self._color(part, out[:, lo:hi])
         return out.reshape(g.shape)
 
 
@@ -201,24 +208,14 @@ def apply_qgamma(
     K^{-1} g for gamma = 1, and M^{-1} g for gamma = 0.  A 2-d ``g`` is
     treated as a batch of load vectors in its columns.  With ``in_place``,
     ``g`` holds coefficient vectors instead and is overwritten with the
-    result for their load vectors ``ops.mass @ g``, bit for bit; for gamma
-    in (0, 1) each chunk of columns takes its own, so nothing of ``g``'s
-    size is allocated.
+    result for their load vectors ``ops.mass @ g``, bit for bit; each chunk
+    of columns takes its own, so nothing of ``g``'s size is allocated.
     """
     g = np.asarray(g)
     if g.shape[0] != ops.n_dof:
         raise DomainError(
             f"operand has {g.shape[0]} entries, mesh has {ops.n_dof} vertices"
         )
-    if spec.is_identity or spec.is_full_inverse:
-        # one solve of the whole block: 2-d multi-column solves round by width
-        key, matrix = (("mass_factor", ops.mass) if spec.is_identity
-                       else ("a2_factor", ops.a2_matrix))
-        solver = ops.cached(key, lambda: ops.factor(matrix))
-        if not in_place:
-            return solver.solve(g)
-        g[...] = solver.solve(ops.mass @ g)
-        return g
     key = ("quadrature", spec.gamma, spec.k)
     solver = ops.cached(key, lambda: _PencilSolver(ops, spec))
     return solver.apply(g, ops.mass if in_place else None)

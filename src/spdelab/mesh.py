@@ -170,13 +170,14 @@ class FemOperators:
     constants lie in its kernel), the second-operator matrix K = M + T,
     and the lower Cholesky factor of M.  ``factor`` decides how every SPD
     system of the level is factored, and every factorization built from
-    them lives in the one keyed cache behind ``cached``: the backward
-    Euler ``BlockSystem``s under ``("system", dt, others)``, the 2-d LU of
-    each shifted pencil under ``("pencil", k, j)``, shared by every gamma of
-    quadrature resolution k, the quadrature solvers under
-    ``("quadrature", gamma, k)``, the M and K factors, and each coarser
-    level's operators and restriction under ``("coarse", level)``.  The
-    object is immutable apart from that cache and safe to share across threads.
+    them lives in the one keyed cache behind ``cached``: the backward Euler
+    ``BlockSystem``s under ``("system", dt, others)``, the 2-d LU of each
+    shifted pencil under ``("pencil", k, j)``, shared by every gamma of k,
+    the M and K factors of gamma 0 and 1 under ``"mass_factor"`` and
+    ``"a2_factor"``, shared by every k, the quadrature solvers under
+    ``("quadrature", gamma, k)``, and each coarser level's operators and
+    restriction under ``("coarse", level)``.  The object is immutable apart
+    from that cache and safe to share across threads.
     """
 
     #: the SuperLU options of every 2-d factor: the symmetric minimum-degree

@@ -75,7 +75,7 @@ BLOCK_VALUES = 2**13
 # went 0.56 -> 0.8 s); from 2,049 on the helper pays
 DRAW_AHEAD_DOFS = 2048
 # values of the snapshot array (512 MiB); coloring it in place adds chunk-sized
-# temporaries, or at gamma 1, solved whole, two more such arrays
+# temporaries at every gamma
 MAX_SNAPSHOT_VALUES = 2**26
 
 
@@ -185,8 +185,8 @@ class _Group:
         if self.a is not None:
             g = restrict_increment(self.a, g)
         if self.per_step and not self.specs[0].is_identity:
-            # the 1-d DCT-I colors each column on its own, so a block goes at once;
-            # 2-d multi-column supernodal solves round differently: column by column
+            # 1-d colors each column on its own (DCT-I, or dpttrs at gamma 1): a block
+            # at once; 2-d multi-column supernodal solves round differently: by column
             main = self.ops[0]
             cols = [g] if main.mesh.dim == 1 else g.T
             g = np.column_stack(

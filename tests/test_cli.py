@@ -904,20 +904,26 @@ def test_manifest_records_the_run_facts(command, tmp_path):
     assert 1 < manifest["peak_rss_mb"] < 4096
 
 
-def test_readme_gives_the_verify_and_holder_defaults():
-    # each key with a default is named with it in parentheses: `key` (default, ...)
+def test_readme_gives_every_config_default():
+    # each key with a default is named with it in parentheses, `key` (default,
+    # ...), in the text of verify, holder and simulate, and with a comment,
+    # "key": ... // default ..., in the documented convergence config
     readme = (Path(__file__).parent.parent / "README.md").read_text()
-    for command in ("verify", "holder"):
-        (text,) = re.findall(rf"^`{command}` \(every key optional\):(.*?)\n\n", readme,
+    (block,) = re.findall(r"```jsonc\n(.*?)```", readme, re.S)
+    given = {"convergence": dict(re.findall(r'^\s*"(\w+)":.*// default ([^,:]+)', block,
+                                            re.M))}
+    for command in ("verify", "holder", "simulate"):
+        (text,) = re.findall(rf"^`{command}`(?: \(every key optional\))?:(.*?)\n\n", readme,
                              re.S | re.M)
-        given = dict(re.findall(r"`(\w+)`\s+\((\[[^\]]*\]|[^,)]+)", text))
-        for key, (_type, default) in cli.SCHEMAS[command].items():
-            if default is None:  # an optional key that stays absent: out_dir
+        given[command] = dict(re.findall(r"`(\w+)`\s+\((\[[^\]]*\]|[^,)]+)", text))
+    for command, schema in cli.SCHEMAS.items():
+        for key, (_type, default) in schema.items():
+            if default is None or default is cli.REQUIRED:  # out_dir stays absent
                 continue
-            assert key in given, (command, key)
+            assert key in given[command], (command, key)
             # through JSON, as a config file gives it: a tuple reads as a list
             expected = json.loads(json.dumps(default))
-            assert json.loads(given[key]) == expected, (command, key)
+            assert json.loads(given[command][key]) == expected, (command, key)
 
 
 def test_readme_names_every_config_key():

@@ -404,6 +404,46 @@ class TestChunkedColoring:
         assert np.all(err <= 1e-12 * np.linalg.norm(expected, axis=0))
 
 
+def endpoint_factor(gamma, ops):
+    """The factor of M (gamma 0) or K (gamma 1), made anew."""
+    return ops.factor(ops.a2_matrix if gamma else ops.mass)
+
+
+class TestEndpoints:
+    # gamma 0 and 1 are the quadrature of one node of weight 1: each chunk is
+    # one solve with the factor of M or of K, so a 1-d block of any width and
+    # a 2-d block of one chunk give the bits of one solve of the whole block
+    @pytest.mark.parametrize("gamma", [0.0, 1.0])
+    @pytest.mark.parametrize(
+        "dim,cols", [(1, None), (1, 1), (1, 256), (1, 257), (1, 513),
+                     (2, None), (2, 1), (2, 256)],
+    )
+    def test_a_block_is_one_solve(self, dim, cols, gamma):
+        ops = assemble(build_mesh(dim, 5 if dim == 1 else 4))
+        factor = endpoint_factor(gamma, ops)
+        rng = np.random.default_rng(cols)
+        coef = rng.standard_normal(ops.n_dof if cols is None else (ops.n_dof, cols))
+        load = ops.mass @ coef
+        spec = make_spec(gamma, 0.5)
+        np.testing.assert_array_equal(apply_qgamma(spec, ops, load), factor.solve(load))
+        apply_qgamma(spec, ops, coef, in_place=True)
+        np.testing.assert_array_equal(coef, factor.solve(load))
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.0])
+    def test_wide_2d_chunks_match_the_whole_block(self, gamma):
+        # 513 columns are colored as chunks of 256 and 257, whose supernodal
+        # solves may round unlike one solve of the whole block
+        ops = assemble(build_mesh(2, 4))
+        coef = np.random.default_rng(513).standard_normal((ops.n_dof, 513))
+        load = ops.mass @ coef
+        expected = endpoint_factor(gamma, ops).solve(load)
+        spec = make_spec(gamma, 0.5)
+        for got in (apply_qgamma(spec, ops, load),
+                    apply_qgamma(spec, ops, coef, in_place=True)):
+            err = np.linalg.norm(got - expected, axis=0)
+            assert np.all(err <= 1e-14 * np.linalg.norm(expected, axis=0))
+
+
 LD = np.longdouble
 PI_LD = np.arccos(LD(-1.0))
 
@@ -576,7 +616,21 @@ class TestSharedShifts:
                 apply_qgamma(spec, ops, g), fresh_ops_oracle(spec, ops, g)
             )
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_an_endpoint_factor_serves_every_k(self, dim, monkeypatch):
+        built = counted_factors(monkeypatch)
+        ops = assemble(build_mesh(dim, 3))
+        for k in (0.5, 0.25):
+            for in_place in (False, True):
+                g = np.ones((ops.n_dof, 3))
+                apply_qgamma(make_spec(1.0, k), ops, g, in_place=in_place)
+        assert len(built) == 1
+        apply_qgamma(make_spec(0.0, 0.5), ops, np.ones(ops.n_dof))
+        apply_qgamma(make_spec(0.0, 0.25), ops, np.ones(ops.n_dof), in_place=True)
+        assert len(built) == 2
+
     def test_1d_builds_no_factor(self, monkeypatch):
+        # the DCT-I colors every gamma in (0, 1); only gamma 0 and 1 factor
         built = counted_factors(monkeypatch)
         ops = assemble(build_mesh(1, 4))
         for gamma in (0.25, 0.5, 0.75):

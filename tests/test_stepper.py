@@ -309,18 +309,28 @@ def test_per_step_matches_step_loop(dim, gamma, level, snapshots, noise_mult):
         assert out.snapshots is None
 
 
-# 4,097 snapshots of 65 values, 2.1 MB: per-step mode holds the one array it
-# fills; final-time mode colors it in place, adding the load vectors and
-# transforms of one chunk at a time (1.41 arrays in all)
-@pytest.mark.parametrize("mode,arrays", [("final_time", 2.0), ("per_step", 1.5)])
-def test_snapshot_memory_is_bounded(mode, arrays):
-    ops = assemble(build_mesh(1, 6))
+# 4,097 snapshots of 65 values (1-d level 6), 2.1 MB, or of 81 (2-d level 3):
+# per-step mode holds the one array it fills; final-time mode colors it in
+# place, adding the load vectors and solves of one chunk at a time (1.49
+# arrays in all at gamma 0.75; 1.24 in 1-d and 1.19 in 2-d at gamma 1)
+@pytest.mark.parametrize(
+    "dim,level,gamma,mode,arrays",
+    [
+        pytest.param(1, 6, 0.75, "final_time", 2.0, id="final_time-2.0"),
+        pytest.param(1, 6, 0.75, "per_step", 1.5, id="per_step-1.5"),
+        pytest.param(1, 6, 1.0, "final_time", 2.0, id="1d-gamma1-final_time-2.0"),
+        pytest.param(2, 3, 1.0, "final_time", 2.0, id="2d-gamma1-final_time-2.0"),
+    ],
+)
+def test_snapshot_memory_is_bounded(dim, level, gamma, mode, arrays):
+    ops = assemble(build_mesh(dim, level))
     cfg = SchemeConfig(
-        dim=1, gamma=0.75, space_level=6, time_steps=2**12, master_seed=5, mode=mode
+        dim=dim, gamma=gamma, space_level=level, time_steps=2**12, master_seed=5,
+        mode=mode,
     )
 
     def run():
-        stream = NoiseStream(seed=5, fine_level=6, fine_steps=2**12)
+        stream = NoiseStream(seed=5, fine_level=level, fine_steps=2**12)
         return MODES[mode](cfg, stream, sample_driver(5), ops=ops, snapshot_level=12)
 
     run()  # factors the systems and the quadrature
@@ -330,7 +340,7 @@ def test_snapshot_memory_is_bounded(mode, arrays):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert snapshots.shape == (4097, 65)
+    assert snapshots.shape == (4097, ops.n_dof)
     assert peak < arrays * snapshots.nbytes
 
 
