@@ -175,6 +175,7 @@ class _PencilSolver:
                     x = factor.solve(part)
                     x *= scale  # the roundings of acc += scale * x
                     acc += x
+                    del x  # so no two nodes' solutions are alive at once
         else:  # gamma 0 or 1: one node of weight 1, so the sum is one solve
             key, matrix = (("mass_factor", ops.mass) if spec.is_identity
                            else ("a2_factor", ops.a2_matrix))

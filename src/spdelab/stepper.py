@@ -25,17 +25,17 @@ backward Euler steps one by one with one block-diagonal solve each
 so it holds at most one block of states.  Each row of a block is keyed by
 its step, the products and the restriction act column by column, open sums
 carry over and the 1-d coloring takes each column on its own, so no bit
-depends on the block size.  The modes differ only in where ``Q`` is applied:
+depends on the block size.  The sweep knows no gamma: it returns raw
+states, and the modes differ only in where ``Q`` is applied:
 
-* ``evolve`` (``per_step``) colors each completed increment, ``M Q g_n``,
-  one at a time before its solve.
-* ``evolve_fast`` (``final_time``) runs on raw increments and applies ``Q``
-  once to the load representation of each state it returns.  Because
-  K = M + T here, the coloring commutes with the time stepping; this cuts
-  the per-step cost from one shifted solve per quadrature node to a single
-  backward Euler solve.  ``evolve_fast`` also advances further runs, given
-  as ``SchemeConfig``s, on the same noise in the same sweep (``coupled``),
-  as a coupled convergence study needs.
+* ``evolve`` (``per_step``) hands the sweep its loads, each completed
+  increment colored, ``M Q g_n``, one at a time before its solve.
+* ``evolve_fast`` (``final_time``) colors what the sweep returns, the load
+  representation of each state once, in place.  Because K = M + T, ``Q``
+  commutes with the time stepping, and a step costs one backward Euler
+  solve, not one shifted solve per quadrature node.  It also advances
+  further runs (``coupled``) on the same noise in the same sweep, as a
+  coupled convergence study needs.
 
 Every run starts from u(0) = 0, the model's initial condition.
 
@@ -152,73 +152,55 @@ def _snapshot_stride(
 class _Group:
     """The runs of one sweep on one time grid, each on ``ops.coarse`` of its
     level, advanced as one state that stacks theirs in the order of its
-    ``system``, starting from zero; ``per_step`` colors each increment before
-    its solve (one run only).  ``b`` is the driver on the noise's grid,
+    ``system``, starting from zero.  ``b`` is the driver on the noise's grid,
     ``fine_steps + 1`` values."""
 
     def __init__(self, runs: list[SchemeConfig], ops: FemOperators,
-                 stream: NoiseStream, b: np.ndarray, per_step: bool = False):
+                 stream: NoiseStream, b: np.ndarray):
         cfg = runs[0]
         if stream.fine_steps % cfg.time_steps != 0:
             raise DomainError(f"time_steps {cfg.time_steps} does not divide "
                               f"reference fine_steps {stream.fine_steps}")
         levels = [ops.coarse(c.space_level) for c in runs]
-        self.ops = tuple(run_ops for run_ops, _a in levels)
-        self.specs = tuple(make_spec(c.gamma, c.k) for c in runs)
         # None: one run, on the stream's mesh; an identity block restricts exactly
         self.a = levels[0][1] if len(runs) == 1 else sp.vstack(
             [sp.identity(o.n_dof) if a is None else a for o, a in levels], "csr")
         self.ratio = stream.fine_steps // cfg.time_steps
         self.b = b[:-1 : self.ratio]  # at the left end of every step
-        self.system = self.ops[0].system(cfg.dt, self.ops[1:])
+        main, *others = (run_ops for run_ops, _a in levels)
+        self.system = main.system(cfg.dt, tuple(others))
         self.beta = np.zeros(self.system.offsets[-1])
-        self.per_step = per_step
 
-    def take(self, m0: int, g: np.ndarray) -> np.ndarray:
+    def take(self, m0: int, g: np.ndarray, load=None) -> np.ndarray:
         """Advance over the steps that fine steps ``m0`` on complete, whose
-        summed increments are the columns of ``g``; returns their stacked
-        states."""
+        summed increments are the columns of ``g``, each mapped by ``load``
+        if given; returns their stacked states."""
         n0 = m0 // self.ratio
         n1 = n0 + g.shape[1]
         if n1 == n0:
             return np.empty((0, self.system.offsets[-1]))
         if self.a is not None:
             g = restrict_increment(self.a, g)
-        if self.per_step and not self.specs[0].is_identity:
-            # 1-d colors each column on its own (DCT-I, or dpttrs at gamma 1): a block
-            # at once; 2-d multi-column supernodal solves round differently: by column
-            main = self.ops[0]
-            cols = [g] if main.mesh.dim == 1 else g.T
-            g = np.column_stack(
-                [main.mass @ apply_qgamma(self.specs[0], main, c) for c in cols]
-            )
+        if load is not None:
+            g = load(g)
         states, rhs = self.system.advance(self.beta, g * self.b[n0:n1])
         self.system.check(states, rhs)
         self.beta = states[-1].copy()
         return states
-
-    def color(self, i: int, raw: np.ndarray | None = None) -> np.ndarray:
-        # run i's raw states as columns (default: a copy of its final state),
-        # colored in place
-        if raw is None:
-            raw = self.beta[self.system.offsets[i] : self.system.offsets[i + 1]].copy()
-        if not (self.per_step or self.specs[i].is_identity):
-            apply_qgamma(self.specs[i], self.ops[i], raw, in_place=True)
-        return raw
 
 
 def _sweep(
     config: SchemeConfig,
     stream: NoiseStream,
     driver: ScalarDriver,
-    ops: FemOperators | None,
+    ops: FemOperators,
     snapshot_level: int | None,
     coupled: tuple,
-    per_step: bool,
+    load=None,
 ) -> PathState:
-    """Advance the main run and its coupled runs to t = 1 in one pass."""
-    if ops is None:
-        ops = assemble(build_mesh(config.dim, config.space_level))
+    """Advance the main run and its coupled runs to t = 1 in one pass; each
+    step's load is its summed increment, mapped by ``load`` if given (no
+    coupled runs).  Returns their states as they are, colored by no gamma."""
     if (ops.mesh.dim, ops.mesh.level) != (config.dim, config.space_level):
         raise DomainError(f"a {config.dim}-d level-{config.space_level} run got the "
                           f"operators of a {ops.mesh.dim}-d level {ops.mesh.level}")
@@ -232,8 +214,7 @@ def _sweep(
     for i, cfg in enumerate(runs):
         grids.setdefault(cfg.time_steps, []).append(i)
     b = eval_b_grid(driver, stream.fine_steps)
-    groups = [_Group([runs[i] for i in m], ops, stream, b, per_step)
-              for m in grids.values()]
+    groups = [_Group([runs[i] for i in m], ops, stream, b) for m in grids.values()]
     main = groups[0]
 
     # the running sum of the open step of every group coarser than the noise
@@ -260,7 +241,7 @@ def _sweep(
                         acc[a] = row
                     elif (m + 1) % g.ratio == 0:
                         sums[g][:, m // g.ratio - m0 // g.ratio] = acc[a]
-            states = main.take(m0, sums.get(main, f))[:, : ops.n_dof]
+            states = main.take(m0, sums.get(main, f), load)[:, : ops.n_dof]
             for group in groups[1:]:
                 group.take(m0, sums.get(group, f))
             if stride:  # the states after a multiple of stride steps
@@ -269,15 +250,11 @@ def _sweep(
                 rows = states[k0 * stride - 1 - n0 :: stride]
                 snaps[k0 : k0 + len(rows)] = rows
 
-    final = {i: g.color(k)  # run i -> its colored final state
-             for g, m in zip(groups, grids.values()) for k, i in enumerate(m)}
-    if stride:  # its rows stay C-ordered, so row-wise products do not round by layout
-        main.color(0, snaps.T)
-    return PathState(
-        alpha=final[0],
-        snapshots=snaps,
-        coupled=tuple(final[i] for i in range(1, len(runs))),
-    )
+    final = [None] * len(runs)  # run i -> its final state
+    for g, m in zip(groups, grids.values()):
+        for i, lo, hi in zip(m, g.system.offsets, g.system.offsets[1:]):
+            final[i] = g.beta[lo:hi].copy()
+    return PathState(alpha=final[0], snapshots=snaps, coupled=tuple(final[1:]))
 
 
 def evolve(
@@ -288,12 +265,23 @@ def evolve(
     ops: FemOperators | None = None,
     snapshot_level: int | None = None,
 ) -> PathState:
-    """Run the scheme to t = 1, coloring the noise at every step.
+    """Run the scheme to t = 1, handing the sweep each step's colored load
+    ``M Q g_n`` (at gamma 0, ``g_n`` itself).
 
     Optionally records the state at all dyadic times ``j * 2**-snapshot_level``
     (including t = 0) for trajectory regularity estimates.
     """
-    return _sweep(config, stream, driver, ops, snapshot_level, (), per_step=True)
+    ops = ops or assemble(build_mesh(config.dim, config.space_level))
+    spec = make_spec(config.gamma, config.k)
+
+    def load(g):
+        # 1-d colors each column on its own (DCT-I, or dpttrs at gamma 1): a block
+        # at once; 2-d multi-column supernodal solves round differently: by column
+        cols = [g] if ops.mesh.dim == 1 else g.T
+        return np.column_stack([ops.mass @ apply_qgamma(spec, ops, c) for c in cols])
+
+    return _sweep(config, stream, driver, ops, snapshot_level, (),
+                  None if spec.is_identity else load)
 
 
 def evolve_fast(
@@ -305,20 +293,29 @@ def evolve_fast(
     snapshot_level: int | None = None,
     coupled: tuple[SchemeConfig, ...] = (),
 ) -> PathState:
-    """Run the scheme on raw increments and color only where states are read.
+    """Run the scheme on raw increments and color the states the sweep returns.
 
-    Valid because K = M + T exactly, so the fractional-inverse quadrature
-    commutes with the backward Euler propagator; the colored state at any
-    step equals the quadrature applied to the raw state's load vector.
-    Snapshots are taken as in ``evolve``.
+    Valid because K = M + T exactly: the quadrature commutes with the
+    backward Euler propagator, so the colored state at any step is the
+    quadrature of the raw state's load vector.  Snapshots are as in ``evolve``.
 
     ``coupled`` lists further runs of the main run's dimension, at its level
     or coarser, driven by the same fine increments (restricted to each run's
-    mesh by ``ops.coarse``) and driver; all runs advance in one sweep that
-    draws every fine increment once.  Their colored final states are
-    returned in ``PathState.coupled``.  Snapshots belong to the main run only.
+    mesh by ``ops.coarse``) and driver, each drawn once in the one sweep.
+    Their final states, colored at their own gamma, are returned in
+    ``PathState.coupled``; snapshots belong to the main run only.
     """
-    return _sweep(config, stream, driver, ops, snapshot_level, coupled, per_step=False)
+    ops = ops or assemble(build_mesh(config.dim, config.space_level))
+    state = _sweep(config, stream, driver, ops, snapshot_level, coupled)
+    # each run's raw states as columns, colored in place; the snapshot rows
+    # stay C-ordered, so row-wise products do not round by layout
+    snaps = () if state.snapshots is None else (state.snapshots.T,)
+    raws = zip((config, *coupled, config), (state.alpha, *state.coupled, *snaps))
+    for cfg, raw in raws:
+        spec = make_spec(cfg.gamma, cfg.k)
+        if not spec.is_identity:
+            apply_qgamma(spec, ops.coarse(cfg.space_level)[0], raw, in_place=True)
+    return state
 
 
 # SchemeConfig.mode -> the entry point that runs it

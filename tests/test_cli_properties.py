@@ -17,17 +17,11 @@ import os
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, assume, event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
-from hypothesis.configuration import set_hypothesis_home_dir
 
 from spdelab import cli
 from spdelab.stepper import MODES
-
-# Hypothesis caches what it reads of local modules in its home directory,
-# .hypothesis in the working directory unless set, while it collects the tests
-_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-home-")
-set_hypothesis_home_dir(_HOME.name)
 
 ABSENT = object()  # the key is left out of the config
 
@@ -183,15 +177,8 @@ def _main(root: Path, command: str, doc: dict, *flags: str) -> int | str:
     return "refused" if code == 1 and err.getvalue().startswith("validation error: ") else code
 
 
-def _settings(max_examples: int) -> settings:
-    """Deterministic, with no example database written into the tree."""
-    return settings(derandomize=True, deadline=None, database=None,
-                    max_examples=max_examples,
-                    suppress_health_check=[HealthCheck.too_slow])
-
-
 @given(data=st.data())
-@_settings(max_examples=len(cli.SCHEMAS))
+@settings(max_examples=len(cli.SCHEMAS))
 def test_every_small_box_draws_its_schema(data):
     for command, schema in cli.SCHEMAS.items():
         assert set(data.draw(SMALL[command]())) == set(schema) - {"out_dir"}
@@ -207,19 +194,19 @@ def _dry_run_then_run(command: str, doc: dict) -> None:
 
 
 @given(doc=configs("convergence"))
-@_settings(max_examples=100)
+@settings(max_examples=100)
 def test_a_convergence_config_that_dry_run_accepts_runs(doc):
     _dry_run_then_run("convergence", doc)
 
 
 @given(command=st.sampled_from(["verify", "holder", "simulate"]), data=st.data())
-@_settings(max_examples=90)
+@settings(max_examples=90)
 def test_a_config_that_dry_run_accepts_runs(command, data):
     _dry_run_then_run(command, data.draw(configs(command)))
 
 
 @given(command=st.sampled_from(["verify", "holder", "simulate"]), data=st.data())
-@_settings(max_examples=150)
+@settings(max_examples=150)
 def test_a_config_exits_with_a_documented_code(command, data):
     doc = data.draw(configs(command))
     with _workdir() as root:
@@ -260,7 +247,7 @@ def _in_box(command: str):
 
 
 @given(command=st.sampled_from(sorted(cli.SCHEMAS)), data=st.data())
-@_settings(max_examples=60)
+@settings(max_examples=60)
 def test_a_rerun_writes_the_same_bytes(command, data):
     doc = data.draw(_in_box(command))
     with _workdir() as root:
@@ -270,7 +257,7 @@ def test_a_rerun_writes_the_same_bytes(command, data):
 
 
 @given(command=st.sampled_from(sorted(cli.SCHEMAS)), data=st.data())
-@_settings(max_examples=60)
+@settings(max_examples=60)
 def test_another_master_seed_draws_other_payloads(command, data):
     doc = data.draw(_in_box(command))
     # every error of a study run only at its reference level is 0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -552,6 +553,32 @@ def test_2d_factors_take_the_symmetric_order():
     for lu in lus:
         assert lu.nnz <= 210_000
         np.testing.assert_array_equal(lu.perm_r, lu.perm_c)
+
+
+def test_2d_node_sum_holds_one_node_solution_at_a_time():
+    # a chunk's node sum holds its F-ordered load and one node's solution, so
+    # coloring a 2-d block of 513 columns (chunks of 256 and 257) in place
+    # peaks about as gamma 1's one solve does: 1.17 blocks against 1.00, 1.50
+    # while each node's solution outlived the next node's solve
+    ops = assemble(build_mesh(2, 4))
+    coef = np.random.default_rng(513).standard_normal((ops.n_dof, 513))
+
+    def peak(gamma):
+        # less what outlives the call: a SuperLU solve may leave scipy-internal
+        # memory allocated, by a size that depends on the process's history
+        # (a quarter block after the whole suite, none in this module alone)
+        spec = make_spec(gamma, 0.5)
+        apply_qgamma(spec, ops, coef.copy(), in_place=True)  # factors the pencil
+        block = coef.copy()
+        tracemalloc.start()
+        try:
+            apply_qgamma(spec, ops, block, in_place=True)
+            kept, peak = tracemalloc.get_traced_memory()
+            return peak - kept
+        finally:
+            tracemalloc.stop()
+
+    assert peak(0.5) <= peak(1.0) + 0.25 * coef.nbytes
 
 
 def test_pencil_memory_guard(monkeypatch):

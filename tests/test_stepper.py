@@ -4,6 +4,7 @@ import importlib.util
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -483,6 +484,29 @@ class TestCoupledRuns:
         np.testing.assert_array_equal(out.alpha, colored[0][-1])
         for got, expected in zip(out.coupled, colored[1:]):
             np.testing.assert_array_equal(got, expected[-1])
+
+    @pytest.mark.usefixtures("blocks_of_16")
+    def test_the_sweep_returns_raw_states(self, ops3):
+        # the sweep knows no gamma: at gamma 0.75, with coupled runs of other
+        # gammas on coarser grids and meshes, it returns the states that
+        # evolve_fast returns at gamma 0, where coloring is the identity
+        drv = sample_driver(9, 50)
+        stream = NoiseStream(seed=9, fine_level=3, fine_steps=48)
+        runs = [
+            SchemeConfig(dim=1, gamma=gamma, space_level=level, time_steps=steps,
+                         master_seed=9, mode="final_time")
+            for gamma, level, steps in ((0.75, 3, 48), (0.5, 3, 12), (1.0, 2, 16),
+                                        (0.25, 2, 48))
+        ]
+        raw = stepper._sweep(runs[0], stream, drv, ops3, 3, tuple(runs[1:]))
+        zero = [replace(cfg, gamma=0.0) for cfg in runs]
+        expected = evolve_fast(zero[0], stream, drv, ops=ops3, snapshot_level=3,
+                               coupled=tuple(zero[1:]))
+        np.testing.assert_array_equal(raw.alpha, expected.alpha)
+        np.testing.assert_array_equal(raw.snapshots, expected.snapshots)
+        assert len(raw.coupled) == len(expected.coupled) == 3
+        for got, want in zip(raw.coupled, expected.coupled):
+            np.testing.assert_array_equal(got, want)
 
     def test_coupled_run_checks(self, ops3):
         drv = sample_driver(7, 50)
