@@ -160,9 +160,8 @@ class _PencilSolver:
             s = [scalar_qgamma(spec, (m + t) / m) / m for m, t in zip(mu, tau)]
             scaling = np.array(s)[:, None] / (2 * mu.size - 2)
 
-            def color(part, acc):  # D^-1 part, then two transforms around s / (2N)
-                part = np.r_[2.0 * part[:1], part[1:-1], 2.0 * part[-1:]]
-                acc[...] = dct1(scaling * dct1(part))
+            def color(part, acc):  # two transforms around s / (2N) of a D^-1 copy
+                acc[...] = dct1(scaling * dct1(np.r_[2 * part[:1], part[1:-1], 2 * part[-1:]]))
         elif spec.nodes.size:
             c = spec.k * math.sin(math.pi * spec.gamma) / math.pi
             scales = [c * math.exp(-spec.gamma * y if y >= 0.0 else (1.0 - spec.gamma) * y)

@@ -14,16 +14,15 @@ A Monte Carlo batch is drawn and integrated ``CHUNK_PATHS`` paths at a
 time, bit for bit as one whole-batch pass, by the one loop ``_batch``: a
 helper thread, joined with the batch, draws chunk k + 1 of the keyed Wiener
 and mark streams, each in stream order, while the caller integrates chunk k.
-A batch keeps per-path results, not paths or marks: O(paths) and its chunk
-buffers.  A path's ``quad_var`` is numpy's row sum of its own window terms,
-so no result depends on the batch size, the chunk size or the BLAS thread
-count.
+A batch keeps per-path results, not paths or marks, and no other array:
+``rng.drawn_ahead`` alone bounds the chunks in flight.  A path's ``quad_var``
+is numpy's row sum of its own window terms, so no result depends on the
+batch size, the chunk size or the BLAS thread count.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,14 +119,13 @@ def check_draws(n_paths: int, steps: int, dim_q: int) -> None:
         )
 
 
-@contextmanager
 def _batch(phi: ElementaryIntegrand, seed: int, n_paths: int):
-    """Check the path count and the draw guard, then yield an iterator of the
-    batch's ``(rows, marks, dw, x)`` chunks; ``x`` is the chunk's integral buffer.
+    """Check the path count and the draw guard, then return ``rng.drawn_ahead``
+    of the batch's ``(rows, marks, dw)`` chunks, each drawn into fresh arrays.
 
     Chunk k + 1 of the keyed Wiener and mark streams is drawn on a helper
-    thread (``rng.drawn_ahead``) while the caller uses chunk k; leaving the ``with``
-    block, however it is left, joins the helper.
+    thread while the caller uses chunk k; leaving the ``with`` block, however
+    it is left, joins the helper.
     """
     if n_paths < 1:
         raise DomainError(f"need at least one path, got {n_paths}")
@@ -137,29 +135,19 @@ def _batch(phi: ElementaryIntegrand, seed: int, n_paths: int):
     mark_gen = keyed_generator(seed, L0_MARK_TAG)
     root_dts = np.sqrt(dts)[:, None]
     chunks = [slice(k, min(k + CHUNK_PATHS, n_paths)) for k in range(0, n_paths, CHUNK_PATHS)]
-    dw = np.empty((2, min(n_paths, CHUNK_PATHS), dts.size, phi.dim_q))
-    marks = np.empty((2, min(n_paths, CHUNK_PATHS)))
-    x = np.empty((min(n_paths, CHUNK_PATHS), dts.size + 1, phi.dim_q))
-    # chunk k + 1 fills the buffers of chunk k - 1 while chunk k is used
-    bufs = [(dw[k % 2, :n], marks[k % 2, :n])
-            for k, n in enumerate(rows.stop - rows.start for rows in chunks)]
 
-    def fill(buf: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    def fill(rows: slice) -> tuple[slice, np.ndarray, np.ndarray]:
         # each stream in order, so the chunks of a stream are its whole-batch draw
-        chunk, chunk_marks = buf
-        gen.standard_normal(out=chunk)
-        chunk *= root_dts
-        mark_gen.standard_normal(out=chunk_marks)
-        return buf
+        dw = gen.standard_normal((rows.stop - rows.start, dts.size, phi.dim_q))
+        dw *= root_dts
+        return rows, mark_gen.standard_normal(rows.stop - rows.start), dw
 
-    with drawn_ahead(fill, bufs, True) as drawn:
-        yield ((rows, chunk_marks, chunk, x[: len(chunk)])
-               for rows, (chunk, chunk_marks) in zip(chunks, drawn))
+    return drawn_ahead(fill, chunks, True)
 
 
-def _integrate(phi: ElementaryIntegrand, dw, marks, x) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate one chunk of paths into ``x``; return their sup norms and
-    quadratic variations.
+def _integrate(phi: ElementaryIntegrand, dw, marks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Integrate one chunk of paths; return the paths at the partition points,
+    their sup norms and their quadratic variations.
 
     ``dw`` may be shared, so it is only read.  Only the steps ``s0 .. s1 - 1``
     of the support window are integrated: before them ``x`` is zero and
@@ -176,6 +164,7 @@ def _integrate(phi: ElementaryIntegrand, dw, marks, x) -> tuple[np.ndarray, np.n
         w_left = np.zeros(w_left.shape)
         np.cumsum(dw[:, : max(s1 - 1, 0), 0], axis=1, out=w_left[:, 1:])
     scalars = phi.step_scalars(w_left[:, s0:], marks)
+    x = np.empty((len(dw), dw.shape[1] + 1, phi.dim_q))
     window = x[:, s0 : s1 + 1]
     x[:, : s0 + 1] = 0.0
     np.multiply(scalars[:, :, None], dw[:, s0:s1], out=window[:, 1:])
@@ -188,7 +177,7 @@ def _integrate(phi: ElementaryIntegrand, dw, marks, x) -> tuple[np.ndarray, np.n
     # sqrt is monotone, so taking it after the max is exact; q = 1 needs no sum
     squares = np.square(window)
     sq_norms = squares[..., 0] if phi.dim_q == 1 else squares.sum(axis=2)
-    return np.sqrt(sq_norms.max(axis=1)), terms.sum(axis=1)
+    return x, np.sqrt(sq_norms.max(axis=1)), terms.sum(axis=1)
 
 
 def ito_integral_elementary(
@@ -197,9 +186,10 @@ def ito_integral_elementary(
     """The defining sum's terminal value, sup norm and quad_var, path by path."""
     with _batch(phi, seed, n_paths) as chunks:
         out = IntegralSample(np.empty((n_paths, phi.dim_q)), *np.empty((2, n_paths)))
-        for rows, marks, dw, x in chunks:
-            out.sup_norm[rows], out.quad_var[rows] = _integrate(phi, dw, marks, x)
+        for rows, marks, dw in chunks:
+            x, out.sup_norm[rows], out.quad_var[rows] = _integrate(phi, dw, marks)
             out.terminal[rows] = x[:, -1]
+            del x  # so two chunks' paths are never alive at once
     return out
 
 
@@ -283,9 +273,9 @@ def bdg_sum_ratio(
     def attempt(paths):
         with _batch(base, seed, paths) as chunks:
             sup_sum, qv_sum = np.zeros(paths), np.zeros(paths)
-            for rows, marks, dw, x in chunks:
+            for rows, marks, dw in chunks:
                 for phi in phis:
-                    sup, qv = _integrate(phi, dw, marks, x)
+                    sup, qv = _integrate(phi, dw, marks)[1:]
                     sup_sum[rows] += sup**p
                     qv_sum[rows] += qv ** (p / 2.0)
         lhs = float(np.mean(np.minimum(1.0, sup_sum)))

@@ -252,7 +252,7 @@ class TestVerifyCommand:
         assert draws == [("deterministic_const", 2, 1, 100_000)] + [
             (family, 65, seed, 100_000) for family in l0.FAMILIES for seed in (1, 102)
         ]
-        # per-path results of one batch at a time, never whole paths: 7.3 MB
+        # per-path results of one batch at a time, never whole paths: 6.3 MB
         assert peak < 9e6
 
     def test_a_degenerate_batch_logs_each_p_and_seed(self, tmp_path, monkeypatch):
@@ -302,6 +302,29 @@ class TestVerifyCommand:
         assert re.fullmatch(
             r"FAIL: isometry variance 2\.1\d+ off by more than 22\.4%", fails[0]
         )
+
+    @pytest.mark.parametrize(
+        "name,fake,fail",
+        [
+            # the spot value at p = 2, and the trend of the p = 1 values
+            ("dp_metric", lambda real: lambda s, p: real(s, p) + (p == 2.0) * 1e-9,
+             "dp_metric spot value"),
+            ("dp_metric", lambda real: lambda s, p: real(s, p) if p == 2.0 else 0.5,
+             "dp_metric monotone trend"),
+            # the block sums of 4 integrands only
+            ("bdg_sum_ratio",
+             lambda real: lambda phis, *a: float("inf") if len(phis) == 4 else real(phis, *a),
+             "bdg_sum_ratio not finite for m=4"),
+        ],
+        ids=["dp_spot", "dp_trend", "block_sum_not_finite"],
+    )
+    def test_each_failed_check_exits_1(self, tmp_path, monkeypatch, capsys, name, fake, fail):
+        monkeypatch.setattr(l0, name, fake(getattr(l0, name)))
+        args = ["verify", "--paths", "1000", "--out", str(tmp_path), "--seed", "1"]
+        assert main(args) == 1
+        fails = [ln for ln in capsys.readouterr().out.splitlines() if "FAIL" in ln]
+        assert fails == [f"FAIL: {fail}"]
+        assert (tmp_path / "verify_bdg.csv").exists()
 
     def test_seeds_beyond_int64_draw_distinct_samples(self, tmp_path):
         # seeds 2^63 and 2^63 + 5 share no Philox key

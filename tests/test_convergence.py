@@ -80,6 +80,10 @@ class TestTheoreticalRates:
         with pytest.raises(DomainError):
             theoretical_rates(0.0, 2)
 
+    def test_rejects_dim_3(self):
+        with pytest.raises(DomainError, match="dim must be 1 or 2, got 3"):
+            theoretical_rates(0.75, 3)
+
 
 class TestFitRate:
     def test_exact_slope_one(self):
@@ -137,6 +141,13 @@ class TestPlanStudy:
             plan_study(base, "space", [3, 5], 4)
         with pytest.raises(DomainError):
             plan_study(base, "space", [], 4)
+
+    def test_rejects_an_unknown_axis(self):
+        base = SchemeConfig(
+            dim=1, gamma=0.5, space_level=4, time_steps=16, master_seed=0
+        )
+        with pytest.raises(DomainError, match="axis must be 'space' or 'time', got 'mesh'"):
+            plan_study(base, "mesh", [2, 3], 4)
 
     @pytest.mark.parametrize("coarse", [[2, 2, 3], [3, 2, 4]])
     def test_levels_must_increase_strictly(self, coarse):

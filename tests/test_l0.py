@@ -55,14 +55,14 @@ def whole_batch_integral(phi, dw, marks):
 
 
 def integrated_paths(monkeypatch, phi, seed, n_paths):
-    """``ito_integral_elementary`` and every path that ``l0._integrate`` wrote
-    into the batch's chunk buffer, in chunk order."""
+    """``ito_integral_elementary`` and every path that ``l0._integrate``
+    returned, in chunk order."""
     real = l0._integrate
     paths = []
 
-    def recording(phi, dw, marks, x):
-        result = real(phi, dw, marks, x)
-        paths.append(x.copy())
+    def recording(phi, dw, marks):
+        result = real(phi, dw, marks)
+        paths.append(result[0])
         return result
 
     with monkeypatch.context() as patch:
@@ -137,6 +137,10 @@ class TestDpMetric:
         with pytest.raises(DomainError):
             l0.dp_metric(np.array([0.5]), 0.5)
 
+    def test_negative_sample_rejected(self):
+        with pytest.raises(DomainError, match="distance samples must be nonnegative"):
+            l0.dp_metric(np.array([0.5, -1e-300]), 1.0)
+
     @pytest.mark.parametrize("p", [1.0, 2.0])
     def test_triangle_inequality(self, p):
         # empirical d_p on common sample triples is itself a metric
@@ -163,6 +167,15 @@ class TestElementaryIntegrand:
             l0.ElementaryIntegrand(1, np.array([0.0, 0.6, 0.5, 1.0]), "wiener_functional")
         with pytest.raises(DomainError):
             l0.ElementaryIntegrand(1, np.array([0.0, 1.0]), "no_such_family")
+
+    @pytest.mark.parametrize("partition", [[0.0], [1.0], [[0.0, 1.0]]])
+    def test_needs_a_line_of_two_points(self, partition):
+        with pytest.raises(DomainError, match="at least two time points"):
+            l0.ElementaryIntegrand(1, np.array(partition), "deterministic_const")
+
+    def test_needs_a_dimension(self):
+        with pytest.raises(DomainError, match="dim_q must be >= 1, got 0"):
+            l0.ElementaryIntegrand(0, np.array([0.0, 1.0]), "deterministic_const")
 
     def test_support_mask(self):
         phi = l0.ElementaryIntegrand(
@@ -459,6 +472,10 @@ class TestBdgSumRatio:
     def test_all_zero_list(self):
         assert l0.bdg_sum_ratio([unit_integrand(scale=0.0)], 2.0, 1000) == 0.0
 
+    def test_empty_list_rejected(self):
+        with pytest.raises(DomainError, match="empty integrand list"):
+            l0.bdg_sum_ratio([], 2.0, 1000)
+
     def test_block_stability(self):
         ratios = [
             l0.bdg_sum_ratio(
@@ -628,3 +645,9 @@ def test_block_integrand_construction():
     masks = np.array([phi.step_mask() for phi in phis])
     assert masks.sum() == 32  # disjoint cover of all 32 subintervals
     assert np.all(masks.sum(axis=0) == 1)
+
+
+@pytest.mark.parametrize("n_blocks", [0, -1])
+def test_block_integrands_need_a_block(n_blocks):
+    with pytest.raises(DomainError, match=f"n_blocks must be >= 1, got {n_blocks}"):
+        l0.block_integrands("deterministic_const", n_blocks, 8)

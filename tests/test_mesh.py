@@ -284,6 +284,16 @@ class TestMassFactor:
         with pytest.raises(NumericalError, match="mass matrix is not positive definite"):
             mass_factor(bad)
 
+    def test_any_other_lapack_failure_is_numerical(self, monkeypatch):
+        # a failure that is not LinAlgError (here a ValueError, as scipy raises
+        # for a malformed band) maps to exit 2 too, with its own message
+        def broken(ab, lower):
+            raise ValueError("illegal value in 4th argument")
+
+        monkeypatch.setattr("spdelab.mesh.cholesky_banded", broken)
+        with pytest.raises(NumericalError, match="banded Cholesky failed: illegal value"):
+            mass_factor(sp.identity(4, format="csr"))
+
 
 class TestRestriction:
     def test_same_level_identity(self):

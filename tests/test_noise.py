@@ -18,6 +18,12 @@ def ops_level2():
     return assemble(build_mesh(1, 2))
 
 
+@pytest.mark.parametrize("steps", [0, -1])
+def test_a_stream_needs_a_fine_step(steps):
+    with pytest.raises(DomainError, match=f"fine_steps must be >= 1, got {steps}"):
+        NoiseStream(seed=1, fine_level=2, fine_steps=steps)
+
+
 class TestFineIncrement:
     def test_replay_bit_identical(self, ops_level2):
         stream = NoiseStream(seed=77, fine_level=2, fine_steps=8)

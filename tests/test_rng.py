@@ -1,12 +1,18 @@
+import threading
+import time
 import warnings
+import weakref
+from contextlib import nullcontext
 
 import numpy as np
+import pytest
 
 from spdelab.rng import (
     DRIVER_TAG,
     L0_MARK_TAG,
     L0_WIENER_TAG,
     WIENER_TAG,
+    drawn_ahead,
     keyed_generator,
     keyed_normal_rows,
     keyed_normals,
@@ -87,3 +93,86 @@ def test_rows_are_the_keyed_draws():
             np.testing.assert_array_equal(
                 keyed_normals(seed, WIENER_TAG, start + i, n), want
             )
+
+
+# drawn_ahead with a helper thread, which is all that bounds the chunks of a
+# Monte Carlo batch in flight: each test lets the helper run for a while
+# (PAUSE) wherever it could break the bound
+
+
+PAUSE = 0.02
+
+
+def test_drawn_ahead_draws_one_item_ahead():
+    # item k + 2 starts only once item k + 1 is asked for: the caller has
+    # asked for at least k + 2 items when it starts
+    asked = 0
+    started = []
+
+    def draw(k):
+        started.append((k, asked, threading.current_thread()))
+        return k
+
+    with drawn_ahead(draw, range(6), True) as drawn:
+        for k in range(6):
+            asked += 1
+            assert next(drawn) == k
+            time.sleep(PAUSE)
+            assert len(started) <= k + 2  # one item ahead at most
+    assert [(k, max(k, 1)) for k in range(6)] == [(k, n) for k, n, _ in started]
+    assert threading.main_thread() not in {t for _, _, t in started}
+
+
+def test_drawn_ahead_keeps_no_item_it_handed_over():
+    # by the next take, every item the caller dropped has died
+    refs = []
+    with drawn_ahead(lambda k: np.full(4, k), range(5), True) as drawn:
+        for k in range(5):
+            item = next(drawn)
+            assert item[0] == k
+            assert all(ref() is None for ref in refs)
+            refs.append(weakref.ref(item))
+            del item
+            time.sleep(PAUSE)
+        assert next(drawn, None) is None
+    assert len(refs) == 5 and all(ref() is None for ref in refs)
+
+
+@pytest.mark.parametrize("n_items", [4, 7])
+def test_drawn_ahead_raises_a_failed_draw_where_it_is_taken(n_items):
+    # item 3 fails, the last item or not: items 0-2 are handed over first
+    def draw(k):
+        if k == 3:
+            raise RuntimeError("item 3")
+        return k
+
+    taken = []
+    with pytest.raises(RuntimeError, match="item 3"):
+        with drawn_ahead(draw, range(n_items), True) as drawn:
+            for item in drawn:
+                taken.append(item)
+                time.sleep(PAUSE)
+    assert taken == [0, 1, 2]
+
+
+@pytest.mark.parametrize("leave", ["break", "raise"])
+def test_leaving_drawn_ahead_early_joins_the_helper(leave):
+    # leaving after item 0 lets item 1, already asked of the helper, finish,
+    # and starts no other
+    threads = []
+
+    def draw(k):
+        threads.append(threading.current_thread())
+        time.sleep(PAUSE)
+        return k
+
+    before = threading.active_count()
+    with pytest.raises(KeyError) if leave == "raise" else nullcontext():
+        with drawn_ahead(draw, range(10), True) as drawn:
+            for _ in drawn:
+                if leave == "raise":
+                    raise KeyError("caller")
+                break
+    assert len(threads) == 2
+    assert not any(t.is_alive() for t in threads)
+    assert threading.active_count() == before

@@ -67,6 +67,11 @@ class TestSchemeConfig:
                 dim=1, gamma=0.5, space_level=2, time_steps=2, master_seed=0, mode="x"
             )
 
+    @pytest.mark.parametrize("steps", [0, -4])
+    def test_rejects_no_time_steps(self, steps):
+        with pytest.raises(DomainError, match=f"time_steps must be >= 1, got {steps}"):
+            SchemeConfig(dim=1, gamma=0.5, space_level=2, time_steps=steps, master_seed=0)
+
 
 class TestStep:
     def test_zero_noise_zero_state(self, quiet3):
@@ -178,6 +183,13 @@ class TestEvolve:
         stream = NoiseStream(seed=1, fine_level=3, fine_steps=6)
         with pytest.raises(DomainError):
             evolve(cfg, stream, sample_driver(1), ops=ops3, snapshot_level=2)
+
+    @pytest.mark.parametrize("run", [evolve, evolve_fast])
+    def test_snapshot_level_must_be_nonnegative(self, ops3, run):
+        cfg = SchemeConfig(dim=1, gamma=0.5, space_level=3, time_steps=8, master_seed=1)
+        stream = NoiseStream(seed=1, fine_level=3, fine_steps=8)
+        with pytest.raises(DomainError, match="snapshot_level must be >= 0, got -1"):
+            run(cfg, stream, sample_driver(1), ops=ops3, snapshot_level=-1)
 
     def test_time_steps_must_divide_fine(self, ops3):
         cfg = SchemeConfig(dim=1, gamma=0.5, space_level=3, time_steps=3, master_seed=1)
@@ -313,26 +325,31 @@ def test_per_step_matches_step_loop(dim, gamma, level, snapshots, noise_mult):
 # 4,097 snapshots of 65 values (1-d level 6), 2.1 MB, or of 81 (2-d level 3):
 # per-step mode holds the one array it fills; final-time mode colors it in
 # place, adding the load vectors and solves of one chunk at a time (1.49
-# arrays in all at gamma 0.75; 1.24 in 1-d and 1.19 in 2-d at gamma 1)
+# arrays in all at gamma 0.75; 1.24 in 1-d and 1.19 in 2-d at gamma 1).  513
+# snapshots of 513 values (1-d level 9) are two chunks, whose DCT-I
+# temporaries weigh more against the array: 4.0 arrays at gamma 0.75
 @pytest.mark.parametrize(
-    "dim,level,gamma,mode,arrays",
+    "dim,level,gamma,mode,snapshot_level,arrays",
     [
-        pytest.param(1, 6, 0.75, "final_time", 2.0, id="final_time-2.0"),
-        pytest.param(1, 6, 0.75, "per_step", 1.5, id="per_step-1.5"),
-        pytest.param(1, 6, 1.0, "final_time", 2.0, id="1d-gamma1-final_time-2.0"),
-        pytest.param(2, 3, 1.0, "final_time", 2.0, id="2d-gamma1-final_time-2.0"),
+        pytest.param(1, 6, 0.75, "final_time", 12, 2.0, id="final_time-2.0"),
+        pytest.param(1, 6, 0.75, "per_step", 12, 1.5, id="per_step-1.5"),
+        pytest.param(1, 6, 1.0, "final_time", 12, 2.0, id="1d-gamma1-final_time-2.0"),
+        pytest.param(2, 3, 1.0, "final_time", 12, 2.0, id="2d-gamma1-final_time-2.0"),
+        pytest.param(1, 9, 0.75, "final_time", 9, 4.25, id="1d-513-final_time-4.25"),
     ],
 )
-def test_snapshot_memory_is_bounded(dim, level, gamma, mode, arrays):
+def test_snapshot_memory_is_bounded(dim, level, gamma, mode, snapshot_level, arrays):
     ops = assemble(build_mesh(dim, level))
+    steps = 2**snapshot_level
     cfg = SchemeConfig(
-        dim=dim, gamma=gamma, space_level=level, time_steps=2**12, master_seed=5,
+        dim=dim, gamma=gamma, space_level=level, time_steps=steps, master_seed=5,
         mode=mode,
     )
 
     def run():
-        stream = NoiseStream(seed=5, fine_level=level, fine_steps=2**12)
-        return MODES[mode](cfg, stream, sample_driver(5), ops=ops, snapshot_level=12)
+        stream = NoiseStream(seed=5, fine_level=level, fine_steps=steps)
+        return MODES[mode](cfg, stream, sample_driver(5), ops=ops,
+                           snapshot_level=snapshot_level)
 
     run()  # factors the systems and the quadrature
     tracemalloc.start()
@@ -341,7 +358,7 @@ def test_snapshot_memory_is_bounded(dim, level, gamma, mode, arrays):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert snapshots.shape == (4097, ops.n_dof)
+    assert snapshots.shape == (steps + 1, ops.n_dof)
     assert peak < arrays * snapshots.nbytes
 
 

@@ -1,10 +1,13 @@
-"""Properties of the sweep and the coloring on generated runs.
+"""Properties of the sweep, the coloring and the Monte Carlo chunks on
+generated runs.
 
 Plans, runs and blocks are drawn small, so that every example takes a few
 milliseconds: 1-d meshes up to level 5, 2-d up to level 3, at most 40 time
 steps, every admissible gamma of {0, 0.25, 0.5, 0.75, 1} and k 0.5 or 1.
 The sweep's block length is drawn too, from 1 to 8 steps, so that the steps
-of coarser runs straddle block edges; no bit depends on it.
+of coarser runs straddle block edges; no bit depends on it.  Likewise an
+``l0`` batch is drawn in chunks of 1 to 64 paths, and a Hölder level's
+increments a few rows at a time; no bit depends on either.
 """
 
 import numpy as np
@@ -12,8 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_convergence import _per_level_path_errors
+from test_l0 import (
+    whole_batch_bdg_ratio,
+    whole_batch_draw,
+    whole_batch_integral,
+    whole_batch_sum_ratio,
+)
 
-from spdelab import stepper
+from spdelab import l0, stepper
 from spdelab.convergence import path_errors, plan_study
 from spdelab.driver import sample_driver
 from spdelab.fracpow import apply_qgamma, make_spec
@@ -112,3 +121,78 @@ def test_in_place_coloring_equals_the_load_product(dim_gamma, level, k, seed, wi
     expected = apply_qgamma(spec, ops, ops.mass @ coef)
     apply_qgamma(spec, ops, coef, in_place=True)
     np.testing.assert_array_equal(coef, expected)
+
+
+@st.composite
+def chunked_batches(draw):
+    """A chunk size, a path count within one path of k chunks (k = 1..4) and
+    the integrand of the batch: any family, dim_q 1 or 2, 1-16 steps and a
+    support window of whole steps or none."""
+    chunk = draw(st.integers(1, 64))
+    n_paths = max(1, draw(st.integers(1, 4)) * chunk + draw(st.sampled_from([-1, 0, 1])))
+    steps = draw(st.integers(1, 16))
+    support = None
+    if draw(st.booleans()):
+        lo = draw(st.integers(0, steps - 1))
+        support = (lo / steps, draw(st.integers(lo + 1, steps)) / steps)
+    phi = l0.ElementaryIntegrand(
+        draw(st.sampled_from([1, 2])), np.linspace(0.0, 1.0, steps + 1),
+        draw(st.sampled_from(l0.FAMILIES)), 1.3, support,
+    )
+    return chunk, n_paths, phi
+
+
+@given(batch=chunked_batches(), seed=SEED, n_blocks=st.integers(1, 4),
+       block_steps=st.integers(1, 4))
+@settings(max_examples=800)
+def test_a_chunked_batch_equals_the_whole_batch(batch, seed, n_blocks, block_steps):
+    chunk, n_paths, phi = batch
+    phis = l0.block_integrands(phi.family, n_blocks, block_steps, phi.dim_q)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(l0, "CHUNK_PATHS", chunk)
+        mp.setattr(l0, "MIN_PATHS", 1)
+        sample = l0.ito_integral_elementary(phi, seed, n_paths)
+        ratios = l0.bdg_ratios(phi, [1.0, 2.0, 4.0], n_paths, seed)
+        sum_ratio = l0.bdg_sum_ratio(phis, 2.0, n_paths, seed)
+    x, sup, quad_var = whole_batch_integral(phi, *whole_batch_draw(phi, seed, n_paths))
+    np.testing.assert_array_equal(sample.terminal, x[:, -1])
+    np.testing.assert_array_equal(sample.sup_norm, sup)
+    np.testing.assert_array_equal(sample.quad_var, quad_var)
+    assert ratios == [whole_batch_bdg_ratio(phi, p, n_paths, seed) for p in (1.0, 2.0, 4.0)]
+    assert sum_ratio == whole_batch_sum_ratio(phis, 2.0, n_paths, seed)
+
+
+@st.composite
+def dyadic_paths(draw):
+    """2^m + 1 snapshots (m = 3..7) of scalars, or of the 2, 3 or 5 values of
+    a 1-d mesh of level 0-2, with the lowest level of a Hölder fit."""
+    m_max = draw(st.integers(3, 7))
+    level = draw(st.sampled_from([None, 0, 1, 2]))
+    shape = (2**m_max + 1,) if level is None else (2**m_max + 1, 2**level + 1)
+    path = np.random.default_rng(draw(SEED)).standard_normal(shape)
+    return path, draw(st.integers(0, m_max - 3)), level
+
+
+@given(run=dyadic_paths(), rows=st.integers(1, 4), spare=st.integers(0, 4),
+       with_norm=st.booleans())
+@settings(max_examples=500)
+def test_holder_chunks_equal_the_whole_level(run, rows, spare, with_norm):
+    # chunks of a few rows, and a few values more than whole rows
+    path, m_min, level = run
+    width = path[0].size
+    norm = assemble(build_mesh(1, level)).m_norm if with_norm and level is not None else None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(l0, "INCREMENT_VALUES", rows * width + spare % width)
+        est = l0.holder_exponent(path, m_min, norm=norm)
+    m_max = path.shape[0].bit_length() - 1
+    whole = []
+    for m in est.levels:
+        diffs = np.diff(path[:: 2 ** (m_max - m)], axis=0)
+        if norm is not None:
+            whole.append(norm(diffs).max())
+        else:
+            whole.append(np.abs(diffs).max() if diffs.ndim == 1
+                         else np.linalg.norm(diffs, axis=1).max())
+    np.testing.assert_array_equal(est.increments, whole)
+    slope, _ = np.polyfit(est.levels, np.log2(whole), 1)
+    assert est.exponent == -slope
