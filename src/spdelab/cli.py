@@ -287,7 +287,7 @@ def check_convergence(cfg: dict) -> list[StudyPlan]:
 
 def cmd_convergence(cfg: dict, plans: list[StudyPlan], out: Path) -> tuple[int, dict]:
     axis, dim = cfg["axis"], cfg["dim"]
-    reports = [convergence_study(plan, cfg["n_paths"], cfg["n_workers"]) for plan in plans]
+    reports = convergence_study(plans, cfg["n_paths"], cfg["n_workers"])
 
     _write_csv(
         out / "errors.csv",

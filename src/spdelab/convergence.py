@@ -4,10 +4,10 @@ A study fixes a reference resolution, simulates each path once at the
 reference and once per coarse level on the *same* driving noise, drawn on
 the reference's mesh and time grid (``stepper.path_inputs``) and summed and
 restricted to every coarse run, and measures the relative error at t = 1 in
-the reference mass norm.  One path is one sweep over the reference's time
-steps: ``evolve_fast`` advances the reference with every coarse run passed as
-``coupled``, so each fine increment is drawn once and the driver is evaluated
-once, on the reference's grid.  Every run starts from u(0) = 0.  Rates are
+the reference mass norm.  One path is one sweep (``stepper._sweep``) of the
+reference with every coarse run ``coupled``, so each fine increment is drawn
+and the driver evaluated once; as K = M + T, its raw states serve every gamma,
+each coloring copies of them.  Every run starts from u(0) = 0.  Rates are
 least-squares slopes in log2-log2 coordinates of the mean error against the
 resolution.
 """
@@ -27,7 +27,9 @@ from .exceptions import DomainError
 from .mesh import SOLVER_TOL, assemble, build_mesh
 # unused, but perfbench/tracing.py wraps the restriction under this name
 from .mesh import restriction_matrix  # noqa: F401
-from .stepper import SchemeConfig, evolve_fast, path_inputs
+from .stepper import SchemeConfig, _color, _sweep, path_inputs
+# unused, but perfbench/tracing.py wraps the final-time run under this name
+from .stepper import evolve_fast  # noqa: F401
 
 #: Mean errors below this are attributed to solver tolerance, not discretization.
 SATURATION_FLOOR = 10.0 * SOLVER_TOL
@@ -162,63 +164,73 @@ def _cached_ops(dim: int, level: int):
     return assemble(build_mesh(dim, level))
 
 
-def path_errors(plan: StudyPlan, seed: int) -> np.ndarray:
-    """Relative errors of every coarse run of one path against its reference.
+def _one_sweep(plans: tuple[StudyPlan, ...]) -> StudyPlan:
+    """The first of ``plans``; one sweep serves them if they differ only in gamma, k."""
+    if len({(p.axis, p.coarse, replace(p.ref, gamma=1.0, k=1.0)) for p in plans}) != 1:
+        raise DomainError("a sweep needs plans, differing only in ref.gamma and ref.k")
+    return plans[0]
 
-    The reference and all coarse runs advance in one ``evolve_fast`` sweep,
-    so each fine increment is drawn once per path; each coarse run steps on
-    the operators that the cached reference operators keep for its level.
-    """
-    ref = plan.ref
+
+def _seed_errors(plans: tuple[StudyPlan, ...], seed: int) -> np.ndarray:
+    """Relative errors of every coarse run of one path against its reference,
+    ``(len(plans), n_levels)``: one raw ``_sweep`` advances every run, each on
+    the cached reference operators' ``coarse`` level, and each plan colors
+    copies of their final states."""
+    ref = _one_sweep(plans).ref
     ref_ops = _cached_ops(ref.dim, ref.space_level)
-    coupled = tuple(
-        replace(ref, space_level=space_level, time_steps=time_steps)
-        for space_level, time_steps, _res, _label in plan.coarse
-    )
-    state = evolve_fast(ref, *path_inputs(ref, seed), ops=ref_ops, coupled=coupled)
-    return np.array(
-        [
-            relative_error(alpha, state.alpha, ref_ops.coarse(lv)[1], ref_ops.mass)
-            for alpha, (lv, _ts, _res, _label) in zip(state.coupled, plan.coarse)
-        ]
-    )
+    coupled = tuple(replace(ref, space_level=space_level, time_steps=time_steps)
+                    for space_level, time_steps, _res, _label in plans[0].coarse)
+    raw = _sweep(ref, *path_inputs(ref, seed), ref_ops, None, coupled)
+    runs = [ref_ops.coarse(c.space_level) for c in (ref, *coupled)]  # (ops, a) each
+    rows = []
+    for plan in plans:  # the raw states are shared: color copies
+        alpha, *states = finals = [x.copy() for x in (raw.alpha, *raw.coupled)]
+        for (ops, _a), x in zip(runs, finals):
+            _color(plan.ref, ops, x)
+        rows.append([relative_error(x, alpha, a, ref_ops.mass)
+                     for x, (_ops, a) in zip(states, runs[1:])])
+    return np.array(rows)
+
+
+def path_errors(plan: StudyPlan, seed: int) -> np.ndarray:
+    """Relative errors of every coarse run of one path of ``plan``."""
+    return _seed_errors((plan,), seed)[0]
 
 
 def convergence_study(
-    plan: StudyPlan, n_paths: int, n_workers: int = 1
-) -> ConvergenceReport:
-    """Run the coupled convergence study of ``plan`` and fit the empirical rate.
+    plans: tuple[StudyPlan, ...], n_paths: int, n_workers: int = 1
+) -> list[ConvergenceReport]:
+    """Run the coupled convergence study of each of ``plans`` on one sweep per
+    path (``_seed_errors``) and fit its empirical rate; one report per plan.
 
-    Path seeds are ``plan.ref.master_seed + i``; results are reduced in seed
+    Path seeds are ``ref.master_seed + i``; results are reduced in seed
     order, so reruns with the same master seed are bit-identical.  Levels
     whose mean error sits at the solver-tolerance floor are flagged as
     saturated and excluded from the fit.
     """
     if n_paths < 1 or n_workers < 1:
         raise DomainError(f"n_paths {n_paths} and n_workers {n_workers} must be >= 1")
-    space_rate, time_rate = theoretical_rates(plan.ref.gamma, plan.ref.dim)
-    seeds = tuple(plan.ref.master_seed + i for i in range(n_paths))
+    seeds = tuple(_one_sweep(plans).ref.master_seed + i for i in range(n_paths))
 
     # a fork pool starts all its workers at once; outputs do not depend on them
     workers = min(n_workers, n_paths, os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_path = list(pool.map(path_errors, [plan] * n_paths, seeds))
+            per_seed = list(pool.map(_seed_errors, [plans] * n_paths, seeds))
     else:
-        per_path = [path_errors(plan, s) for s in seeds]
-    errors = np.array(per_path)  # (n_paths, n_levels)
+        per_seed = [_seed_errors(plans, s) for s in seeds]
 
-    levels = []
-    for (_sl, _ts, resolution, _label), per_level in zip(plan.coarse, errors.T):
-        mean = float(per_level.mean())
-        levels.append(LevelResult(resolution, tuple(per_level.tolist()), mean,
-                                  saturated=mean < SATURATION_FLOOR))
-
-    usable = [(lv.resolution, lv.mean_error) for lv in levels if not lv.saturated]
-    return ConvergenceReport(
-        plan=plan,
-        levels=tuple(levels),
-        fitted_rate=fit_rate(usable) if len(usable) >= 3 else None,
-        theoretical_rate=space_rate if plan.axis == "space" else time_rate,
-        seeds=seeds,
-    )
+    reports = []
+    for i, plan in enumerate(plans):
+        errors = np.array([rows[i] for rows in per_seed])  # (n_paths, n_levels)
+        levels = []
+        for (_sl, _ts, resolution, _label), per_level in zip(plan.coarse, errors.T):
+            mean = float(per_level.mean())
+            levels.append(LevelResult(resolution, tuple(per_level.tolist()), mean,
+                                      saturated=mean < SATURATION_FLOOR))
+        usable = [(lv.resolution, lv.mean_error) for lv in levels if not lv.saturated]
+        rates = theoretical_rates(plan.ref.gamma, plan.ref.dim)  # (space, time)
+        reports.append(ConvergenceReport(
+            plan, tuple(levels), fit_rate(usable) if len(usable) >= 3 else None,
+            rates[0 if plan.axis == "space" else 1], seeds))
+    return reports

@@ -31,11 +31,11 @@ states, and the modes differ only in where ``Q`` is applied:
 * ``evolve`` (``per_step``) hands the sweep its loads, each completed
   increment colored, ``M Q g_n``, one at a time before its solve.
 * ``evolve_fast`` (``final_time``) colors what the sweep returns, the load
-  representation of each state once, in place.  Because K = M + T, ``Q``
-  commutes with the time stepping, and a step costs one backward Euler
-  solve, not one shifted solve per quadrature node.  It also advances
-  further runs (``coupled``) on the same noise in the same sweep, as a
-  coupled convergence study needs.
+  representation of each state once, in place (``_color``).  Because
+  K = M + T, ``Q`` commutes with the time stepping, and a step costs one
+  backward Euler solve, not one shifted solve per quadrature node.  A
+  convergence study sweeps its coarse runs (``coupled``) with its reference
+  and colors their raw final states at each of its gammas the same way.
 
 Every run starts from u(0) = 0, the model's initial condition.
 
@@ -115,7 +115,7 @@ class SchemeConfig:
 @dataclass(frozen=True)
 class PathState:
     """What one run produced: its nodal coefficients at t = 1 and, where
-    asked for, its snapshots and the final states of its coupled runs."""
+    asked for, its snapshots and (``_sweep`` only) its coupled runs' raw finals."""
 
     alpha: np.ndarray
     snapshots: np.ndarray | None = None  # (n_snapshots, n_dof) at dyadic times
@@ -206,8 +206,6 @@ def _sweep(
                           f"operators of a {ops.mesh.dim}-d level {ops.mesh.level}")
     if stream.fine_level != config.space_level:
         raise DomainError("the main run must be on the stream's fine level")
-    if any(c.dim != config.dim for c in coupled):
-        raise DomainError("every coupled run must have the main run's dimension")
     stride = _snapshot_stride(config, snapshot_level, ops.n_dof)
     runs = [config, *coupled]
     grids: dict[int, list[int]] = {}  # time steps -> its runs, the main run first
@@ -291,31 +289,26 @@ def evolve_fast(
     *,
     ops: FemOperators | None = None,
     snapshot_level: int | None = None,
-    coupled: tuple[SchemeConfig, ...] = (),
 ) -> PathState:
     """Run the scheme on raw increments and color the states the sweep returns.
 
     Valid because K = M + T exactly: the quadrature commutes with the
     backward Euler propagator, so the colored state at any step is the
     quadrature of the raw state's load vector.  Snapshots are as in ``evolve``.
-
-    ``coupled`` lists further runs of the main run's dimension, at its level
-    or coarser, driven by the same fine increments (restricted to each run's
-    mesh by ``ops.coarse``) and driver, each drawn once in the one sweep.
-    Their final states, colored at their own gamma, are returned in
-    ``PathState.coupled``; snapshots belong to the main run only.
     """
     ops = ops or assemble(build_mesh(config.dim, config.space_level))
-    state = _sweep(config, stream, driver, ops, snapshot_level, coupled)
-    # each run's raw states as columns, colored in place; the snapshot rows
-    # stay C-ordered, so row-wise products do not round by layout
-    snaps = () if state.snapshots is None else (state.snapshots.T,)
-    raws = zip((config, *coupled, config), (state.alpha, *state.coupled, *snaps))
-    for cfg, raw in raws:
-        spec = make_spec(cfg.gamma, cfg.k)
-        if not spec.is_identity:
-            apply_qgamma(spec, ops.coarse(cfg.space_level)[0], raw, in_place=True)
+    state = _sweep(config, stream, driver, ops, snapshot_level, ())
+    _color(config, ops, state.alpha)
+    if state.snapshots is not None:  # as columns, so no row is rounded by layout
+        _color(config, ops, state.snapshots.T)
     return state
+
+
+def _color(config: SchemeConfig, ops: FemOperators, raw: np.ndarray) -> None:
+    """Color ``raw`` (a raw state, or states as columns) in place at ``config``'s Q."""
+    spec = make_spec(config.gamma, config.k)
+    if not spec.is_identity:
+        apply_qgamma(spec, ops, raw, in_place=True)
 
 
 # SchemeConfig.mode -> the entry point that runs it

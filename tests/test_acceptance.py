@@ -7,6 +7,7 @@ adjusted to fit, so a red line means the criterion genuinely failed.
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -34,14 +35,18 @@ def record(num: int, desc: str, ok: bool, detail: str = ""):
 
 def test_criterion_01_spatial_rates_1d():
     # reference level 9, dt = 2^-14, coarse levels 2..6, 4 paths
-    results = {}
-    for gamma, target in ((0.25, 1.0), (0.75, 2.0)):
-        base = SchemeConfig(
-            dim=1, gamma=gamma, space_level=9, time_steps=2**14,
-            master_seed=ACCEPT_SEED, mode="final_time",
-        )
-        rep = convergence_study(plan_study(base, "space", [2, 3, 4, 5, 6], 9), 4)
-        results[gamma] = (rep.fitted_rate, target)
+    # gamma -> target rate; both gammas in one study, one sweep per path
+    targets = {0.25: 1.0, 0.75: 2.0}
+    base = SchemeConfig(
+        dim=1, gamma=0.25, space_level=9, time_steps=2**14,
+        master_seed=ACCEPT_SEED, mode="final_time",
+    )
+    plans = [plan_study(replace(base, gamma=g), "space", [2, 3, 4, 5, 6], 9)
+             for g in targets]
+    results = {
+        gamma: (rep.fitted_rate, target)
+        for (gamma, target), rep in zip(targets.items(), convergence_study(plans, 4))
+    }
     ok = all(abs(fit - target) <= 0.25 for fit, target in results.values())
     detail = ", ".join(
         f"gamma={g}: fitted {fit:.3f} vs {t}" for g, (fit, t) in results.items()
@@ -51,14 +56,18 @@ def test_criterion_01_spatial_rates_1d():
 
 def test_criterion_02_temporal_rates_1d():
     # reference dt = 2^-14, coarse dt in {2^-4 .. 2^-9}, mesh level 9
-    results = {}
-    for gamma, target in ((0.25, 0.5), (0.75, 1.0)):
-        base = SchemeConfig(
-            dim=1, gamma=gamma, space_level=9, time_steps=2**14,
-            master_seed=ACCEPT_SEED, mode="final_time",
-        )
-        rep = convergence_study(plan_study(base, "time", [4, 5, 6, 7, 8, 9], 14), 12)
-        results[gamma] = (rep.fitted_rate, target)
+    # gamma -> target rate; both gammas in one study, one sweep per path
+    targets = {0.25: 0.5, 0.75: 1.0}
+    base = SchemeConfig(
+        dim=1, gamma=0.25, space_level=9, time_steps=2**14,
+        master_seed=ACCEPT_SEED, mode="final_time",
+    )
+    plans = [plan_study(replace(base, gamma=g), "time", [4, 5, 6, 7, 8, 9], 14)
+             for g in targets]
+    results = {
+        gamma: (rep.fitted_rate, target)
+        for (gamma, target), rep in zip(targets.items(), convergence_study(plans, 12))
+    }
     ok = all(abs(fit - target) <= 0.25 for fit, target in results.values())
     detail = ", ".join(
         f"gamma={g}: fitted {fit:.3f} vs {t}" for g, (fit, t) in results.items()
@@ -71,7 +80,7 @@ def test_criterion_03_spatial_rate_2d():
         dim=2, gamma=0.5, space_level=6, time_steps=2**12,
         master_seed=ACCEPT_SEED, mode="final_time",
     )
-    rep = convergence_study(plan_study(base, "space", [2, 3, 4], 6), 2)
+    [rep] = convergence_study([plan_study(base, "space", [2, 3, 4], 6)], 2)
     ok = abs(rep.fitted_rate - 1.0) <= 0.3
     record(
         3,

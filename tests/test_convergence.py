@@ -165,7 +165,8 @@ def small_space_report() -> ConvergenceReport:
         dim=1, gamma=0.75, space_level=6, time_steps=2**8,
         master_seed=424242, mode="final_time",
     )
-    return convergence_study(plan_study(base, "space", [2, 3, 4], 6), 2)
+    [report] = convergence_study([plan_study(base, "space", [2, 3, 4], 6)], 2)
+    return report
 
 
 class TestConvergenceStudy:
@@ -187,7 +188,7 @@ class TestConvergenceStudy:
             dim=1, gamma=0.5, space_level=5, time_steps=2**6,
             master_seed=11, mode="final_time",
         )
-        rep = convergence_study(plan_study(base, "space", [2, 3, 4, 5], 5), 1)
+        [rep] = convergence_study([plan_study(base, "space", [2, 3, 4, 5], 5)], 1)
         assert rep.levels[-1].saturated
         assert rep.levels[-1].mean_error <= 1e-9
         assert rep.fitted_rate is not None  # fit used the three coarse levels
@@ -202,14 +203,16 @@ class TestConvergenceStudy:
         )
         coarse = [replace(ref, time_steps=2**exp) for exp in (2, 3, 4)]
         ops = assemble(build_mesh(1, 5))
-        state = stepper.evolve_fast(
-            ref, *stepper.path_inputs(ref, 5), ops=ops,
-            coupled=(replace(ref, time_steps=2**8), *coarse),
+        raw = stepper._sweep(
+            ref, *stepper.path_inputs(ref, 5), ops, None,
+            (replace(ref, time_steps=2**8), *coarse),
         )
-        half, *runs = state.coupled
+        full, half, *runs = (raw.alpha, *raw.coupled)
+        for x in (full, half, *runs):  # every run on the reference mesh
+            stepper._color(ref, ops, x)
         errs = {
             exp: np.array([relative_error(a, alpha, None, ops.mass) for a in runs])
-            for exp, alpha in ((8, half), (9, state.alpha))
+            for exp, alpha in ((8, half), (9, full))
         }
         assert np.all(np.abs(errs[9] - errs[8]) < errs[8])
 
@@ -218,8 +221,8 @@ class TestConvergenceStudy:
             dim=1, gamma=0.5, space_level=5, time_steps=2**6,
             master_seed=77, mode="final_time",
         )
-        a = convergence_study(plan_study(base, "space", [2, 3], 5), 2)
-        b = convergence_study(plan_study(base, "space", [2, 3], 5), 2)
+        a = convergence_study([plan_study(base, "space", [2, 3], 5)], 2)
+        b = convergence_study([plan_study(base, "space", [2, 3], 5)], 2)
         assert a == b
 
     def test_error_rows_shape(self, small_space_report):
@@ -246,12 +249,13 @@ class TestConvergenceStudy:
             lambda self, a, **options: sizes.append(a.shape[0])
             or factor(self, a, **options),
         )
-        for gamma in (0.25, 0.75):
-            base = SchemeConfig(
-                dim=2, gamma=gamma, space_level=4, time_steps=2**4,
-                master_seed=3, mode="final_time",
-            )
-            convergence_study(plan_study(base, "space", [2, 3], 4), 1)
+        base = SchemeConfig(
+            dim=2, gamma=0.25, space_level=4, time_steps=2**4,
+            master_seed=3, mode="final_time",
+        )
+        convergence_study(
+            [plan_study(replace(base, gamma=g), "space", [2, 3], 4) for g in (0.25, 0.75)], 1
+        )
         assert collections.Counter(sizes) == {25: 159, 81: 159, 289: 159, 395: 1}
 
     def test_worker_pool_matches_serial(self):
@@ -259,8 +263,9 @@ class TestConvergenceStudy:
             dim=1, gamma=0.5, space_level=4, time_steps=2**5,
             master_seed=31, mode="final_time",
         )
-        serial = convergence_study(plan_study(base, "space", [2, 3], 4), 2, n_workers=1)
-        parallel = convergence_study(plan_study(base, "space", [2, 3], 4), 2, n_workers=2)
+        plans = [plan_study(replace(base, gamma=g), "space", [2, 3], 4) for g in (0.5, 1.0)]
+        serial = convergence_study(plans, 2, n_workers=1)
+        parallel = convergence_study(plans, 2, n_workers=2)
         assert serial == parallel
 
     @pytest.mark.parametrize(
@@ -293,10 +298,86 @@ class TestConvergenceStudy:
             dim=1, gamma=0.5, space_level=4, time_steps=2**4,
             master_seed=5, mode="final_time",
         )
-        plan = plan_study(base, "space", [2, 3], 4)
-        report = convergence_study(plan, n_paths, n_workers=n_workers)
+        plans = [plan_study(base, "space", [2, 3], 4)]
+        reports = convergence_study(plans, n_paths, n_workers=n_workers)
         assert sizes == ([] if pool_size is None else [pool_size])
-        assert report == convergence_study(plan, n_paths)
+        assert reports == convergence_study(plans, n_paths)
+
+
+# name -> (dim, axis, coarse levels, ref level, space level, time steps) and
+# the (gamma, k) of each plan of one study, gamma 0 and 1 included where
+# admissible (gamma 0 is not in 2-d)
+MULTI_GAMMA_STUDIES = {
+    "space1d": ((1, "space", [2, 3, 4], 5, 5, 2**5),
+                ((0.0, 0.5), (0.25, 0.5), (0.75, 1.0), (1.0, 0.5))),
+    "time1d": ((1, "time", [2, 3, 4], 6, 4, 2**6), ((1.0, 1.0), (0.5, 0.5), (0.0, 0.5))),
+    "space2d": ((2, "space", [1, 2, 3], 3, 3, 2**4), ((0.25, 0.5), (1.0, 0.5), (0.5, 1.0))),
+}
+
+
+def _multi_gamma_plans(name):
+    (dim, axis, coarse, ref, space_level, time_steps), specs = MULTI_GAMMA_STUDIES[name]
+    return [
+        plan_study(
+            SchemeConfig(dim=dim, gamma=gamma, space_level=space_level,
+                         time_steps=time_steps, master_seed=40, k=k,
+                         mode="final_time", n_modes=100),
+            axis, coarse, ref,
+        )
+        for gamma, k in specs
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(MULTI_GAMMA_STUDIES))
+def test_a_multi_gamma_study_equals_per_gamma_path_errors(name):
+    plans = _multi_gamma_plans(name)
+    reports = convergence_study(plans, 2)
+    assert [rep.plan for rep in reports] == plans  # one report per plan, in order
+    for plan, rep in zip(plans, reports):
+        assert rep.seeds == (40, 41)
+        per_path = np.array([path_errors(plan, seed) for seed in rep.seeds])
+        np.testing.assert_array_equal([lv.errors for lv in rep.levels], per_path.T)
+        assert rep == convergence_study([plan], 2)[0]
+
+
+def test_a_two_gamma_study_sweeps_each_path_once(monkeypatch):
+    seeds = []  # the noise seed of every sweep
+    sweep = convergence._sweep
+
+    def counting(config, stream, *args):
+        seeds.append(stream.seed)
+        return sweep(config, stream, *args)
+
+    monkeypatch.setattr(convergence, "_sweep", counting)
+    reports = convergence_study(_multi_gamma_plans("space1d")[1:3], 3)
+    assert len(reports) == 2
+    assert seeds == [40, 41, 42]
+
+
+def _one_gamma_plan(**changes):
+    base = SchemeConfig(dim=1, gamma=0.5, space_level=4, time_steps=2**4,
+                        master_seed=0, mode="final_time")
+    axis, coarse = changes.pop("axis", "space"), changes.pop("coarse", [2, 3])
+    return plan_study(replace(base, **changes), axis, coarse, 4)
+
+
+# name -> plans that no one sweep serves
+NOT_ONE_SWEEP = {
+    "none": [],
+    "coarse levels": [_one_gamma_plan(), _one_gamma_plan(gamma=0.25, coarse=[2, 4])],
+    "master seed": [_one_gamma_plan(), _one_gamma_plan(gamma=0.25, master_seed=1)],
+    "axis": [_one_gamma_plan(), _one_gamma_plan(gamma=0.25, axis="time")],
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_ONE_SWEEP))
+def test_a_study_takes_plans_that_differ_only_in_gamma_and_k(name, monkeypatch):
+    monkeypatch.setattr(convergence, "_sweep", None)  # raises before any sweep
+    plans = NOT_ONE_SWEEP[name]
+    for run in (lambda: convergence_study(plans, 2),
+                lambda: convergence._seed_errors(tuple(plans), 0)):
+        with pytest.raises(DomainError, match="differing only in ref.gamma and ref.k"):
+            run()
 
 
 def test_path_errors_shares_noise_across_levels():
@@ -491,7 +572,8 @@ def test_paths_of_a_plan_assemble_each_level_once(monkeypatch):
 def _final_states(plan, seed, noise_steps):
     """(operators, colored final state) of the reference and of every coupled
     run of one path on a stream of ``noise_steps`` fine steps, on operators
-    assembled afresh."""
+    assembled afresh: one raw sweep, each final state colored on its own
+    level's operators."""
     ref = plan.ref
     fine = assemble(build_mesh(ref.dim, ref.space_level))
     coupled = tuple(
@@ -500,9 +582,12 @@ def _final_states(plan, seed, noise_steps):
     )
     stream = NoiseStream(seed=seed, fine_level=ref.space_level, fine_steps=noise_steps)
     drv = sample_driver(seed, ref.n_modes)
-    state = stepper.evolve_fast(ref, stream, drv, ops=fine, coupled=coupled)
-    runs = zip((fine.coarse(c.space_level)[0] for c in coupled), state.coupled)
-    return [(fine, state.alpha), *runs]
+    raw = stepper._sweep(ref, stream, drv, fine, None, coupled)
+    runs = [(fine, raw.alpha),
+            *zip((fine.coarse(c.space_level)[0] for c in coupled), raw.coupled)]
+    for ops, alpha in runs:
+        stepper._color(ref, ops, alpha)
+    return runs
 
 
 # axis -> (coarse levels, reference level) of a level-9 path of 2^12 fine steps
@@ -539,7 +624,7 @@ def test_study_needs_a_path():
         mode="final_time",
     )
     with pytest.raises(DomainError):
-        convergence_study(plan_study(base, "space", [2, 3], 4), 0)
+        convergence_study([plan_study(base, "space", [2, 3], 4)], 0)
 
 
 @pytest.mark.parametrize("n_workers", [0, -4])
@@ -549,4 +634,4 @@ def test_study_needs_a_worker(n_workers):
         mode="final_time",
     )
     with pytest.raises(DomainError):
-        convergence_study(plan_study(base, "space", [2, 3], 4), 1, n_workers=n_workers)
+        convergence_study([plan_study(base, "space", [2, 3], 4)], 1, n_workers=n_workers)

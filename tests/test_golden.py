@@ -13,6 +13,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -51,21 +52,23 @@ BLAS_PATHS = 12_293
 
 
 def study_errors(name: str) -> dict:
-    """Per-path errors, one list per coarse level, keyed by gamma."""
+    """Per-path errors, one list per coarse level, keyed by gamma; the gammas
+    of a study run in one ``convergence_study``, one sweep per path."""
     dim, axis, gammas, coarse, ref_level, space_level, time_exp = STUDIES[name]
-    out = {}
-    for gamma in gammas:
-        base = SchemeConfig(
-            dim=dim,
-            gamma=gamma,
-            space_level=space_level,
-            time_steps=2**time_exp,
-            master_seed=MASTER_SEED,
-            mode="final_time",
-        )
-        report = convergence_study(plan_study(base, axis, list(coarse), ref_level), N_PATHS)
-        out[repr(gamma)] = [list(lv.errors) for lv in report.levels]
-    return out
+    base = SchemeConfig(
+        dim=dim,
+        gamma=gammas[0],
+        space_level=space_level,
+        time_steps=2**time_exp,
+        master_seed=MASTER_SEED,
+        mode="final_time",
+    )
+    plans = [plan_study(replace(base, gamma=g), axis, list(coarse), ref_level)
+             for g in gammas]
+    return {
+        repr(report.plan.ref.gamma): [list(lv.errors) for lv in report.levels]
+        for report in convergence_study(plans, N_PATHS)
+    }
 
 
 def path_outputs(name: str) -> dict:

@@ -446,6 +446,18 @@ def test_operators_must_be_those_of_the_run_mesh(level, ops_dim, ops_level, mode
         MODES[mode](cfg, stream, sample_driver(2, 50), ops=ops)
 
 
+def coupled_sweep(runs, stream, drv, ops, snapshot_level=None):
+    """One sweep of ``runs[0]`` with ``runs[1:]`` coupled, each final state
+    colored at its own run's gamma and k on its level's operators and the
+    snapshots at the main run's, as a convergence study colors them."""
+    out = stepper._sweep(runs[0], stream, drv, ops, snapshot_level, tuple(runs[1:]))
+    for cfg, raw in zip(runs, (out.alpha, *out.coupled)):
+        stepper._color(cfg, ops.coarse(cfg.space_level)[0], raw)
+    if out.snapshots is not None:
+        stepper._color(runs[0], ops, out.snapshots.T)
+    return out
+
+
 class TestCoupledRuns:
     def test_no_coupled_runs_by_default(self, ops3):
         cfg = SchemeConfig(
@@ -465,7 +477,7 @@ class TestCoupledRuns:
         other = SchemeConfig(
             dim=1, gamma=0.75, space_level=3, time_steps=4, master_seed=6
         )
-        out = evolve_fast(main, stream, drv, ops=ops3, coupled=(other,))
+        out = coupled_sweep([main, other], stream, drv, ops3)
         np.testing.assert_array_equal(
             out.alpha, evolve_fast(main, stream, drv, ops=ops3).alpha
         )
@@ -488,10 +500,7 @@ class TestCoupledRuns:
             )
             for gamma, steps in grids
         ]
-        out = evolve_fast(
-            runs[0], stream, drv, ops=ops3, snapshot_level=4,
-            coupled=tuple(runs[1:]),
-        )
+        out = coupled_sweep(runs, stream, drv, ops3, snapshot_level=4)
         states = [raw_step_loop(cfg, stream, drv, ops3) for cfg in runs]
         colored = [
             apply_qgamma(make_spec(cfg.gamma, cfg.k), ops3, ops3.mass @ raw.T).T
@@ -506,7 +515,7 @@ class TestCoupledRuns:
     def test_the_sweep_returns_raw_states(self, ops3):
         # the sweep knows no gamma: at gamma 0.75, with coupled runs of other
         # gammas on coarser grids and meshes, it returns the states that
-        # evolve_fast returns at gamma 0, where coloring is the identity
+        # coloring leaves at gamma 0, where it is the identity
         drv = sample_driver(9, 50)
         stream = NoiseStream(seed=9, fine_level=3, fine_steps=48)
         runs = [
@@ -517,8 +526,7 @@ class TestCoupledRuns:
         ]
         raw = stepper._sweep(runs[0], stream, drv, ops3, 3, tuple(runs[1:]))
         zero = [replace(cfg, gamma=0.0) for cfg in runs]
-        expected = evolve_fast(zero[0], stream, drv, ops=ops3, snapshot_level=3,
-                               coupled=tuple(zero[1:]))
+        expected = coupled_sweep(zero, stream, drv, ops3, snapshot_level=3)
         np.testing.assert_array_equal(raw.alpha, expected.alpha)
         np.testing.assert_array_equal(raw.snapshots, expected.snapshots)
         assert len(raw.coupled) == len(expected.coupled) == 3
@@ -538,13 +546,10 @@ class TestCoupledRuns:
             "finer than the stream": SchemeConfig(
                 dim=1, gamma=0.5, space_level=4, time_steps=8, master_seed=7
             ),
-            "other dimension": SchemeConfig(
-                dim=2, gamma=0.5, space_level=3, time_steps=8, master_seed=7
-            ),
         }
         for what, cfg in bad.items():
             with pytest.raises(DomainError):
-                evolve_fast(main, stream, drv, ops=ops3, coupled=(cfg,))
+                stepper._sweep(main, stream, drv, ops3, None, (cfg,))
 
     @pytest.mark.parametrize("mode", sorted(MODES))
     def test_main_run_must_be_on_the_stream_level(self, ops3, mode):
@@ -638,7 +643,7 @@ def test_guard_checks_each_run_of_a_group(spoiled, monkeypatch):
 
     def run():
         stream = NoiseStream(seed=8, fine_level=6, fine_steps=32)
-        evolve_fast(cfg[6], stream, sample_driver(8, 50), ops=ops, coupled=coupled)
+        stepper._sweep(cfg[6], stream, sample_driver(8, 50), ops, None, coupled)
 
     def rel(x, rhs, part=slice(None)):
         res = system.matrix @ x - rhs
@@ -681,17 +686,21 @@ class TestDrawAhead:
 
     @staticmethod
     def runs_2d():
-        # a coupled 2-d space study path and a per-step 2-d run with
-        # snapshots, 4 blocks of 16 steps each
+        # a coupled 2-d space study path and a per-step and a final-time 2-d
+        # run with snapshots, 4 blocks of 16 steps each
         plan = convergence.plan_study(
             SchemeConfig(dim=2, gamma=0.5, space_level=4, time_steps=64,
                          master_seed=3, mode="final_time"),
             "space", [1, 2, 3], 4,
         )
         cfg = SchemeConfig(dim=2, gamma=0.5, space_level=3, time_steps=64, master_seed=3)
-        out = evolve(cfg, NoiseStream(3, 3, 64), sample_driver(3, 50), snapshot_level=4)
-        return [convergence.path_errors(plan, 3).tobytes(), out.alpha.tobytes(),
-                out.snapshots.tobytes()]
+        # looked up in stepper at call time, where perfbench/tracing.py wraps them
+        runs = [run(replace(cfg, mode=mode), NoiseStream(3, 3, 64), sample_driver(3, 50),
+                    snapshot_level=4)
+                for mode, run in (("per_step", stepper.evolve),
+                                  ("final_time", stepper.evolve_fast))]
+        return [convergence.path_errors(plan, 3).tobytes(),
+                *(x.tobytes() for out in runs for x in (out.alpha, out.snapshots))]
 
     def test_the_helper_gives_the_same_bits(self, monkeypatch):
         threads = self.record_draws(monkeypatch)
@@ -707,7 +716,7 @@ class TestDrawAhead:
         finally:
             sys.setswitchinterval(interval)
         assert threading.active_count() == before
-        assert len(threads) == 8 and threading.main_thread() not in threads
+        assert len(threads) == 12 and threading.main_thread() not in threads
         assert ahead == on_caller
 
     def test_the_threshold_counts_the_normals_of_a_step(self, monkeypatch):

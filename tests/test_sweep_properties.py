@@ -5,10 +5,14 @@ Plans, runs and blocks are drawn small, so that every example takes a few
 milliseconds: 1-d meshes up to level 5, 2-d up to level 3, at most 40 time
 steps, every admissible gamma of {0, 0.25, 0.5, 0.75, 1} and k 0.5 or 1.
 The sweep's block length is drawn too, from 1 to 8 steps, so that the steps
-of coarser runs straddle block edges; no bit depends on it.  Likewise an
+of coarser runs straddle block edges; no bit depends on it.  One sweep of a
+study serves 1-3 plans that differ in gamma and k; no bit depends on which
+plans share it.  Likewise an
 ``l0`` batch is drawn in chunks of 1 to 64 paths, and a Hölder level's
 increments a few rows at a time; no bit depends on either.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +26,7 @@ from test_l0 import (
     whole_batch_sum_ratio,
 )
 
-from spdelab import l0, stepper
+from spdelab import convergence, l0, stepper
 from spdelab.convergence import path_errors, plan_study
 from spdelab.driver import sample_driver
 from spdelab.fracpow import apply_qgamma, make_spec
@@ -74,6 +78,27 @@ def test_path_errors_equal_per_level_runs(plan, seed, block):
     np.testing.assert_array_equal(
         swept, _per_level_path_errors(plan, seed, plan.ref.time_steps)
     )
+
+
+@st.composite
+def gamma_plans(draw):
+    """1-3 plans of one generated study, each at an admissible gamma and a k."""
+    plan = draw(plans())
+    specs = draw(st.lists(st.tuples(st.sampled_from(GAMMAS[plan.ref.dim - 1 :]), K),
+                          min_size=1, max_size=3))
+    return tuple(replace(plan, ref=replace(plan.ref, gamma=g, k=k)) for g, k in specs)
+
+
+@given(study=gamma_plans(), seed=SEED, block=BLOCK)
+@settings(max_examples=150)
+def test_one_sweep_serves_every_gamma(study, seed, block):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stepper, "BLOCK_STEPS", block)
+        mp.setattr(stepper, "BLOCK_VALUES", 0)
+        rows = convergence._seed_errors(study, seed)
+        one_by_one = [path_errors(plan, seed) for plan in study]
+    assert rows.shape == (len(study), len(study[0].coarse))
+    np.testing.assert_array_equal(rows, one_by_one)
 
 
 @st.composite
