@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .exceptions import DomainError
-from .mesh import SOLVER_TOL, assemble, build_mesh
+from .mesh import MAX_PATHS, SOLVER_TOL, assemble, build_mesh
 # unused, but perfbench/tracing.py wraps the restriction under this name
 from .mesh import restriction_matrix  # noqa: F401
 from .stepper import SchemeConfig, _color, _sweep, path_inputs
@@ -203,14 +203,17 @@ def convergence_study(
     """Run the coupled convergence study of each of ``plans`` on one sweep per
     path (``_seed_errors``) and fit its empirical rate; one report per plan.
 
-    Path seeds are ``ref.master_seed + i``; results are reduced in seed
-    order, so reruns with the same master seed are bit-identical.  Levels
-    whose mean error sits at the solver-tolerance floor are flagged as
-    saturated and excluded from the fit.
+    Path seeds are ``ref.master_seed + i``, all below 2^64; results are
+    reduced in seed order, so reruns with the same master seed are
+    bit-identical.  Levels whose mean error sits at the solver-tolerance
+    floor are flagged as saturated and excluded from the fit.
     """
-    if n_paths < 1 or n_workers < 1:
-        raise DomainError(f"n_paths {n_paths} and n_workers {n_workers} must be >= 1")
-    seeds = tuple(_one_sweep(plans).ref.master_seed + i for i in range(n_paths))
+    if not 1 <= n_paths <= MAX_PATHS or n_workers < 1:
+        raise DomainError(f"n_paths {n_paths} not in [1, {MAX_PATHS}] or n_workers {n_workers} < 1")
+    seed = _one_sweep(plans).ref.master_seed
+    if seed + n_paths > 2**64:  # path keys are 64-bit: larger seeds alias
+        raise DomainError(f"path seeds {seed} + i, i < {n_paths}, pass 2^64")
+    seeds = tuple(range(seed, seed + n_paths))
 
     # a fork pool starts all its workers at once; outputs do not depend on them
     workers = min(n_workers, n_paths, os.cpu_count() or 1)

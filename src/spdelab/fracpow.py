@@ -8,11 +8,11 @@ exponential-substitution quadrature: for gamma in (0, 1),
 with nodes ``y_j = j k`` for ``j = -M_neg .. N_pos``.  The node counts grow
 like 1/k^2 so the truncation error matches the discretization error of the
 trapezoid rule, giving a total error of order ``exp(-pi^2 / (2 k))``.
-
 Endpoints are one-node quadratures: gamma = 0 is the identity and gamma = 1
-the full inverse of K.  In all cases the input is the load-vector
-representation of the operand and the output its coefficient representation,
-so the gamma = 0 map is M^{-1}.
+the full inverse of K.  The input is the load-vector representation of the
+operand and the output its coefficient representation, so the gamma = 0 map
+is M^{-1}.  ``apply_qgamma`` colors through the one ``_coloring`` that a
+level's operators cache per (gamma, k): a closed form in 1-d, solves in 2-d.
 """
 
 from __future__ import annotations
@@ -135,67 +135,48 @@ def pencil_factors(ops: FemOperators, spec: QuadratureSpec):
     yield from factors
 
 
-class _PencilSolver:
-    """The quadrature of one spec on one level, ``COLOR_COLUMNS`` columns at
-    a time, by work fixed by the dimension when it is built.
+def _coloring(ops: FemOperators, spec: QuadratureSpec):
+    """``color(part, acc)``, which writes the quadrature of ``part`` to ``acc``.
 
-    Built once per (operators, gamma, k) and reused across every time step
-    and path touching that level.  For gamma in (0, 1), the 1-d pencil is
-    diagonal in the DCT-I basis (``_dct_modes``), so a chunk is colored as
-    ``dct1(s * dct1(D^-1 g)) / (2N)``, ``s_j = q(lambda_j) / mu_j``, and no
-    factor is built; the 2-d one is the sum of one solve per node in node
-    order, positive nodes scaled as e^{-gamma y} (M + e^{-y} K)^{-1},
-    negative nodes as e^{(1-gamma) y} (e^y M + K)^{-1}, each node's LU, free
-    of gamma, shared by every spec of that k (``pencil_factors``).  Gamma 0
-    and 1 are one node of weight 1 in both dimensions: one solve with the
-    factor of M or K, made once per operators for every k.  Each chunk is
-    copied once F-ordered, as SuperLU and LAPACK solve it; a wide 2-d block
-    may differ from the whole block in the last bits.  Given the mass matrix,
-    it colors coefficient vectors in place, chunk by chunk.
+    For gamma in (0, 1), the 1-d pencil is diagonal in the DCT-I basis
+    (``_dct_modes``), so ``part`` is colored as ``dct1(s * dct1(D^-1 g)) /
+    (2N)``, ``s_j = q(lambda_j) / mu_j``, and no factor is built; the 2-d one
+    is the sum of one solve per node in node order, positive nodes scaled as
+    e^{-gamma y} (M + e^{-y} K)^{-1}, negative nodes as e^{(1-gamma) y}
+    (e^y M + K)^{-1}, each node's LU, free of gamma, shared by every spec of
+    that k (``pencil_factors``).  Gamma 0 and 1 are one node of weight 1 in
+    both dimensions: one solve with the factor of M or K, made once per
+    operators for every k.  ``color`` holds no reference to ``ops``, so no
+    cycle outlives the operators that cache it.
     """
+    if ops.mesh.dim == 1 and spec.nodes.size:
+        mu, tau = _dct_modes(ops.mesh)
+        s = [scalar_qgamma(spec, (m + t) / m) / m for m, t in zip(mu, tau)]
+        scaling = np.array(s)[:, None] / (2 * mu.size - 2)
 
-    def __init__(self, ops: FemOperators, spec: QuadratureSpec):
-        if ops.mesh.dim == 1 and spec.nodes.size:
-            mu, tau = _dct_modes(ops.mesh)
-            s = [scalar_qgamma(spec, (m + t) / m) / m for m, t in zip(mu, tau)]
-            scaling = np.array(s)[:, None] / (2 * mu.size - 2)
+        def color(part, acc):  # two transforms around s / (2N) of a D^-1 copy
+            acc[...] = dct1(scaling * dct1(np.r_[2 * part[:1], part[1:-1], 2 * part[-1:]]))
+    elif spec.nodes.size:
+        c = spec.k * math.sin(math.pi * spec.gamma) / math.pi
+        scales = [c * math.exp(-spec.gamma * y if y >= 0.0 else (1.0 - spec.gamma) * y)
+                  for y in spec.nodes]
+        factors = list(pencil_factors(ops, spec))
 
-            def color(part, acc):  # two transforms around s / (2N) of a D^-1 copy
-                acc[...] = dct1(scaling * dct1(np.r_[2 * part[:1], part[1:-1], 2 * part[-1:]]))
-        elif spec.nodes.size:
-            c = spec.k * math.sin(math.pi * spec.gamma) / math.pi
-            scales = [c * math.exp(-spec.gamma * y if y >= 0.0 else (1.0 - spec.gamma) * y)
-                      for y in spec.nodes]
-            self._factors = factors = list(pencil_factors(ops, spec))
+        def color(part, acc):
+            acc[...] = 0.0
+            for scale, factor in zip(scales, factors):
+                x = factor.solve(part)
+                x *= scale  # the roundings of acc += scale * x
+                acc += x
+                del x  # so no two nodes' solutions are alive at once
+    else:  # gamma 0 or 1: one node of weight 1, so the sum is one solve
+        key, matrix = (("mass_factor", ops.mass) if spec.is_identity
+                       else ("a2_factor", ops.a2_matrix))
+        one = ops.cached(key, lambda: ops.factor(matrix))
 
-            def color(part, acc):
-                acc[...] = 0.0
-                for scale, factor in zip(scales, factors):
-                    x = factor.solve(part)
-                    x *= scale  # the roundings of acc += scale * x
-                    acc += x
-                    del x  # so no two nodes' solutions are alive at once
-        else:  # gamma 0 or 1: one node of weight 1, so the sum is one solve
-            key, matrix = (("mass_factor", ops.mass) if spec.is_identity
-                           else ("a2_factor", ops.a2_matrix))
-            one = ops.cached(key, lambda: ops.factor(matrix))
-
-            def color(part, acc):
-                acc[...] = one.solve(part)
-        self._color = color  # not a bound method: no cycle outlives the operators
-
-    def apply(self, g: np.ndarray, mass=None) -> np.ndarray:
-        block = g.reshape(g.shape[0], -1)  # a column is a block of one
-        cols = block.shape[1]
-        out = np.empty(block.shape, order="F") if mass is None else block
-        # a lone last column would take the one-column solve, which rounds
-        # differently in 2-d; it joins the chunk before it
-        edges = [*range(0, max(cols - 1, 1), COLOR_COLUMNS), cols]
-        for lo, hi in zip(edges, edges[1:]):
-            part = block[:, lo:hi]  # a view first, so no chunk outlives its pass
-            part = np.asarray(part if mass is None else mass @ part, order="F")
-            self._color(part, out[:, lo:hi])
-        return out.reshape(g.shape)
+        def color(part, acc):
+            acc[...] = one.solve(part)
+    return color
 
 
 def apply_qgamma(
@@ -205,17 +186,28 @@ def apply_qgamma(
 
     Returns the coefficient vector of the result: the weighted sum of
     shifted-pencil solves for gamma in (0, 1), in its closed form in 1-d,
-    K^{-1} g for gamma = 1, and M^{-1} g for gamma = 0.  A 2-d ``g`` is
-    treated as a batch of load vectors in its columns.  With ``in_place``,
-    ``g`` holds coefficient vectors instead and is overwritten with the
-    result for their load vectors ``ops.mass @ g``, bit for bit; each chunk
-    of columns takes its own, so nothing of ``g``'s size is allocated.
+    K^{-1} g for gamma = 1, and M^{-1} g for gamma = 0.  A 2-d ``g`` is a
+    batch of load vectors in its columns, colored ``COLOR_COLUMNS`` at a
+    time, each chunk copied once F-ordered, as SuperLU and LAPACK solve it; a
+    wide 2-d block may differ from the whole block in the last bits.  With
+    ``in_place``, ``g`` holds coefficient vectors instead and is overwritten
+    with the result for their load vectors ``ops.mass @ g``, bit for bit,
+    chunk by chunk, so nothing of ``g``'s size is allocated.
     """
     g = np.asarray(g)
     if g.shape[0] != ops.n_dof:
         raise DomainError(
             f"operand has {g.shape[0]} entries, mesh has {ops.n_dof} vertices"
         )
-    key = ("quadrature", spec.gamma, spec.k)
-    solver = ops.cached(key, lambda: _PencilSolver(ops, spec))
-    return solver.apply(g, ops.mass if in_place else None)
+    color = ops.cached(("quadrature", spec.gamma, spec.k), lambda: _coloring(ops, spec))
+    block = g.reshape(g.shape[0], -1)  # a column is a block of one
+    cols = block.shape[1]
+    out = block if in_place else np.empty(block.shape, order="F")
+    # a lone last column would take the one-column solve, which rounds
+    # differently in 2-d; it joins the chunk before it
+    edges = [*range(0, max(cols - 1, 1), COLOR_COLUMNS), cols]
+    for lo, hi in zip(edges, edges[1:]):
+        part = block[:, lo:hi]  # a view first, so no chunk outlives its pass
+        part = np.asarray(ops.mass @ part if in_place else part, order="F")
+        color(part, out[:, lo:hi])
+    return out.reshape(g.shape)

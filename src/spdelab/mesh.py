@@ -174,7 +174,7 @@ class FemOperators:
     ``BlockSystem``s under ``("system", dt, others)``, the 2-d LU of each
     shifted pencil under ``("pencil", k, j)``, shared by every gamma of k,
     the M and K factors of gamma 0 and 1 under ``"mass_factor"`` and
-    ``"a2_factor"``, shared by every k, the quadrature solvers under
+    ``"a2_factor"``, shared by every k, the quadrature colorings under
     ``("quadrature", gamma, k)``, and each coarser level's operators and
     restriction under ``("coarse", level)``.  The object is immutable apart
     from that cache and safe to share across threads.

@@ -103,6 +103,8 @@ class SchemeConfig:
             )
         if self.time_steps < 1:
             raise DomainError(f"time_steps must be >= 1, got {self.time_steps}")
+        if not 0 <= self.master_seed < 2**64:  # 64-bit rng keys: larger seeds alias
+            raise DomainError(f"master_seed must lie in [0, 2^64), got {self.master_seed}")
         make_spec(self.gamma, self.k)  # the rule for k and the node guard
         if self.mode not in MODES:
             raise DomainError(f"unknown mode {self.mode!r}")

@@ -18,7 +18,7 @@ from spdelab.convergence import (
 from spdelab.exceptions import DomainError
 from spdelab.driver import eval_b_grid, sample_driver
 from spdelab.fracpow import apply_qgamma, make_spec
-from spdelab.mesh import FemOperators, assemble, build_mesh, restriction_matrix
+from spdelab.mesh import MAX_PATHS, FemOperators, assemble, build_mesh, restriction_matrix
 from spdelab.noise import NoiseStream, aggregate_increment, restrict_increment
 from spdelab.rng import keyed_normal_rows
 from spdelab.stepper import SchemeConfig
@@ -635,3 +635,29 @@ def test_study_needs_a_worker(n_workers):
     )
     with pytest.raises(DomainError):
         convergence_study([plan_study(base, "space", [2, 3], 4)], 1, n_workers=n_workers)
+
+
+def _seed_plan(master_seed):
+    base = SchemeConfig(
+        dim=1, gamma=0.5, space_level=4, time_steps=2**6, master_seed=master_seed,
+        mode="final_time",
+    )
+    return plan_study(base, "space", [2, 3], 4)
+
+
+@pytest.mark.parametrize(
+    "master_seed,n_paths", [(2**64 - 1, 2), (2**64 - 3, 5), (0, MAX_PATHS + 1)]
+)
+def test_study_refuses_aliasing_path_seeds_before_any_path(master_seed, n_paths, monkeypatch):
+    # path keys keep a seed's low 64 bits: path seed 2^64 would rerun seed 0
+    def no_path(plans, seed):
+        pytest.fail(f"path seed {seed} ran")
+
+    monkeypatch.setattr(convergence, "_seed_errors", no_path)
+    with pytest.raises(DomainError):
+        convergence_study([_seed_plan(master_seed)], n_paths)
+
+
+def test_study_takes_the_last_64_bit_path_seeds():
+    [rep] = convergence_study([_seed_plan(2**64 - 2)], 2)
+    assert rep.seeds == (2**64 - 2, 2**64 - 1)

@@ -1,5 +1,8 @@
+import gc
+import inspect
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -190,21 +193,39 @@ class TestApplyQgamma:
             apply_qgamma(make_spec(0.5, 0.5), ops, np.ones(4))
 
     def test_solver_cache_reused(self, monkeypatch):
-        # the solver is built once per (operators, gamma, k), then reused
+        # the coloring is built once per (operators, gamma, k), then reused
         built = []
 
-        def counting_solver(ops, spec):
+        def counting_coloring(ops, spec):
             built.append((spec.gamma, spec.k))
-            return solver_class(ops, spec)
+            return coloring(ops, spec)
 
-        solver_class = fracpow._PencilSolver
-        monkeypatch.setattr(fracpow, "_PencilSolver", counting_solver)
+        coloring = fracpow._coloring
+        monkeypatch.setattr(fracpow, "_coloring", counting_coloring)
         ops = assemble(build_mesh(1, 3))
         first = apply_qgamma(make_spec(0.5, 0.5), ops, np.ones(ops.n_dof))
         again = apply_qgamma(make_spec(0.5, 0.5), ops, np.ones(ops.n_dof))
         np.testing.assert_array_equal(first, again)
         apply_qgamma(make_spec(0.25, 0.5), ops, np.ones(ops.n_dof))
         assert built == [(0.5, 0.5), (0.25, 0.5)]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("gamma", [0.5, 1.0])
+@pytest.mark.parametrize("in_place", [False, True])
+def test_no_coloring_keeps_its_operators_alive(dim, gamma, in_place):
+    # the operators cache the coloring; were it to reference them, the cycle
+    # would keep a level's matrices and factors alive until a collection
+    gc.disable()
+    try:
+        ops = assemble(build_mesh(dim, 3))
+        apply_qgamma(make_spec(gamma, 0.5), ops, np.ones((ops.n_dof, 3)), in_place=in_place)
+        coloring = ops.cached(("quadrature", gamma, 0.5), None)
+        refs = [weakref.ref(ops), weakref.ref(coloring)]
+        del ops, coloring
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def pencil_terms(spec, ops):
@@ -606,8 +627,7 @@ def counted_factors(monkeypatch):
 
 def fresh_ops_oracle(spec, ops, g):
     """The quadrature of ``g`` with every node of ``spec`` factored anew."""
-    fresh = assemble(ops.mesh)
-    return fracpow._PencilSolver(fresh, spec).apply(g)
+    return apply_qgamma(spec, assemble(ops.mesh), g)
 
 
 class TestSharedShifts:
@@ -621,14 +641,14 @@ class TestSharedShifts:
         assert len(built) == 107
         apply_qgamma(second, ops, np.ones(ops.n_dof))
         assert len(built) == 159
-        solvers = [
-            ops.cached(("quadrature", spec.gamma, spec.k), None)
-            for spec in (first, second)
-        ]
-        # node j sits at index j + 27 of the first spec and j + 79 of the second
-        for j in range(-27, 28):
-            assert solvers[0]._factors[j + 27] is solvers[1]._factors[j + 79]
-        assert len({id(f) for solver in solvers for f in solver._factors}) == 159
+        # each coloring holds, for its node j, the factor under ("pencil", k, j)
+        shared = {j: ops.cached(("pencil", 0.5, j), None) for j in range(-79, 80)}
+        for spec in (first, second):
+            coloring = ops.cached(("quadrature", spec.gamma, spec.k), None)
+            held = inspect.getclosurevars(coloring).nonlocals["factors"]
+            nodes = range(-spec.n_neg, spec.n_pos + 1)
+            assert all(f is shared[j] for j, f in zip(nodes, held, strict=True))
+        assert len({id(f) for f in shared.values()}) == 159
 
     @pytest.mark.parametrize(
         "dim,gammas,cols",

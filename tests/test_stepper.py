@@ -72,6 +72,13 @@ class TestSchemeConfig:
         with pytest.raises(DomainError, match=f"time_steps must be >= 1, got {steps}"):
             SchemeConfig(dim=1, gamma=0.5, space_level=2, time_steps=steps, master_seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+    def test_rejects_a_seed_beyond_64_bits(self, seed):
+        # rng keys keep a seed's low 64 bits, so 2^64 would alias seed 0
+        with pytest.raises(DomainError, match=rf"\[0, 2\^64\), got {seed}"):
+            SchemeConfig(dim=1, gamma=0.5, space_level=2, time_steps=2, master_seed=seed)
+        SchemeConfig(dim=1, gamma=0.5, space_level=2, time_steps=2, master_seed=2**64 - 1)
+
 
 class TestStep:
     def test_zero_noise_zero_state(self, quiet3):
