@@ -11,10 +11,11 @@ simulate         one path of the scheme, final state dumped as text
 Configuration is a JSON document checked against the command's table in
 ``SCHEMAS`` (see README), which rejects unknown keys; a flag overrides the
 config key that is its argparse ``dest``.  ``run_command`` runs every config
-command of ``COMMANDS`` and writes its manifest.  Exit codes: 0 success, 1
-validation failure or malformed command line, 2 numerical failure, 3
-statistical alarm.  Runs are reproducible from their manifest: the same
-config and master seed yield byte-identical CSV payloads.
+command of ``COMMANDS`` and writes its manifest; its check returns what the
+run takes, after all of the run's guards (``stepper.checked_ops``).  Exit
+codes: 0 success, 1 validation failure or malformed command line, 2
+numerical failure, 3 statistical alarm.  Runs are reproducible from their
+manifest: the same config and master seed yield byte-identical CSV payloads.
 """
 
 from __future__ import annotations
@@ -38,9 +39,8 @@ from . import __version__, l0, rng
 from .checks import assembly_checks
 from .convergence import StudyPlan, _cached_ops, convergence_study, plan_study
 from .exceptions import DomainError, NumericalError, StatisticalAlarm
-from .fracpow import make_spec, pencil_factors
-from .mesh import MAX_MODES, MAX_PATHS, MAX_TIME_EXP, FemOperators, assemble, build_mesh
-from .stepper import MODES, SchemeConfig, _snapshot_stride, path_inputs
+from .mesh import MAX_MODES, MAX_PATHS, MAX_TIME_EXP, FemOperators
+from .stepper import MODES, SchemeConfig, checked_ops, path_inputs
 from .svgplot import GuideLine, Series, loglog_svg
 
 STREAM_TAGS = {
@@ -198,21 +198,6 @@ def _run_path(config: SchemeConfig, seed: int, **kw):
     return MODES[config.mode](config, *path_inputs(config, seed), **kw)
 
 
-def _check_run(config: SchemeConfig, snapshot_level=None, ops_of=None) -> FemOperators | None:
-    """The operators of a run of ``config``, after its mesh-level, snapshot
-    and pencil-memory guards; the last fetches the first pencil factor, which
-    stays cached in them for the run.  ``ops_of(dim, level)`` gives them, by
-    default assembled anew.  None, with nothing assembled, unless the run is
-    2-d with gamma in (0, 1), the one kind of run that factors pencils."""
-    level = (config.dim, config.space_level)
-    _snapshot_stride(config, snapshot_level, build_mesh(*level).n_vertices)
-    if config.dim != 2 or not 0.0 < config.gamma < 1.0:
-        return None
-    ops = ops_of(*level) if ops_of else assemble(build_mesh(*level))
-    next(pencil_factors(ops, make_spec(config.gamma, config.k)))
-    return ops
-
-
 def _check_out_dir(out: Path) -> None:
     """Raise ``DomainError`` unless the nearest existing path among ``out`` and
     its parents is a writable directory, in which a run can create ``out``."""
@@ -281,7 +266,7 @@ def check_convergence(cfg: dict) -> list[StudyPlan]:
     plans = [plan_study(_scheme(cfg, gamma=float(gamma), **ref), cfg["axis"],
                         cfg["coarse_levels"], cfg["ref_level"]) for gamma in cfg["gammas"]]
     for plan in plans:  # on the operators that the study's paths take
-        _check_run(plan.ref, ops_of=_cached_ops)
+        checked_ops(plan.ref, ops=_cached_ops(plan.ref.dim, plan.ref.space_level))
     return plans
 
 
@@ -453,11 +438,9 @@ def cmd_verify(cfg: dict, mc_paths: int, out: Path) -> tuple[int, dict]:
     return EXIT_OK, facts
 
 
-def check_holder(cfg: dict) -> tuple[SchemeConfig, FemOperators | None]:
-    """The run of every seed and its checked operators (``_check_run``),
-    after the checks of its dyadic levels."""
-    if cfg["time_exp"] < cfg["m_max"]:
-        raise DomainError("time_exp must be >= m_max to snapshot dyadic times")
+def check_holder(cfg: dict) -> tuple[SchemeConfig, FemOperators]:
+    """The run of every seed and its checked operators (``checked_ops``: its
+    snapshots need time_exp >= m_max), after the checks of its dyadic levels."""
     for lo, hi in (("m_min", "m_max"), ("bm_m_min", "bm_m_max")):
         if not 0 <= cfg[lo] <= cfg[hi] - 3:
             raise DomainError(
@@ -465,12 +448,11 @@ def check_holder(cfg: dict) -> tuple[SchemeConfig, FemOperators | None]:
                 f"got {lo} {cfg[lo]} and {hi} {cfg[hi]}"
             )
     config = _scheme(cfg, mode="final_time")
-    return config, _check_run(config, cfg["m_max"])
+    return config, checked_ops(config, cfg["m_max"])
 
 
 def cmd_holder(cfg: dict, checked: tuple, out: Path) -> tuple[int, dict]:
     config, ops = checked
-    ops = ops or assemble(build_mesh(config.dim, config.space_level))
     rows: list[tuple] = []
     spde_exps, bm_exps = [], []
     for i in range(cfg["n_seeds"]):
@@ -491,10 +473,10 @@ def cmd_holder(cfg: dict, checked: tuple, out: Path) -> tuple[int, dict]:
     return EXIT_OK, {}
 
 
-def check_simulate(cfg: dict) -> tuple[SchemeConfig, FemOperators | None]:
-    """The run and its checked operators (``_check_run``)."""
+def check_simulate(cfg: dict) -> tuple[SchemeConfig, FemOperators]:
+    """The run and its checked operators (``checked_ops``)."""
     config = _scheme(cfg)
-    return config, _check_run(config, cfg.get("snapshot_level"))
+    return config, checked_ops(config, cfg.get("snapshot_level"))
 
 
 def cmd_simulate(cfg: dict, checked: tuple, out: Path) -> tuple[int, dict]:

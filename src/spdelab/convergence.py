@@ -27,7 +27,7 @@ from .exceptions import DomainError
 from .mesh import MAX_PATHS, SOLVER_TOL, assemble, build_mesh
 # unused, but perfbench/tracing.py wraps the restriction under this name
 from .mesh import restriction_matrix  # noqa: F401
-from .stepper import SchemeConfig, _color, _sweep, path_inputs
+from .stepper import SchemeConfig, _color, _sweep, checked_ops, path_inputs
 # unused, but perfbench/tracing.py wraps the final-time run under this name
 from .stepper import evolve_fast  # noqa: F401
 
@@ -178,6 +178,8 @@ def _seed_errors(plans: tuple[StudyPlan, ...], seed: int) -> np.ndarray:
     copies of their final states."""
     ref = _one_sweep(plans).ref
     ref_ops = _cached_ops(ref.dim, ref.space_level)
+    for plan in plans:  # every guard of its run, before the sweep
+        checked_ops(plan.ref, ops=ref_ops)
     coupled = tuple(replace(ref, space_level=space_level, time_steps=time_steps)
                     for space_level, time_steps, _res, _label in plans[0].coarse)
     raw = _sweep(ref, *path_inputs(ref, seed), ref_ops, None, coupled)
@@ -211,7 +213,7 @@ def convergence_study(
     if not 1 <= n_paths <= MAX_PATHS or n_workers < 1:
         raise DomainError(f"n_paths {n_paths} not in [1, {MAX_PATHS}] or n_workers {n_workers} < 1")
     seed = _one_sweep(plans).ref.master_seed
-    if seed + n_paths > 2**64:  # path keys are 64-bit: larger seeds alias
+    if seed + n_paths > 2**64:  # 64-bit path keys: refused here, not at a late path
         raise DomainError(f"path seeds {seed} + i, i < {n_paths}, pass 2^64")
     seeds = tuple(range(seed, seed + n_paths))
 

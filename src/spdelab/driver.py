@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainError
+from .mesh import MAX_MODES
 from .rng import DRIVER_TAG, keyed_normals
 
 DEFAULT_N_MODES = 1000
@@ -40,8 +41,8 @@ def sample_driver(seed: int, n_modes: int = DEFAULT_N_MODES) -> ScalarDriver:
     more modes extends the coefficient vector without changing the earlier
     entries.  The key domain is disjoint from the Wiener noise streams.
     """
-    if n_modes < 1:
-        raise DomainError(f"n_modes must be >= 1, got {n_modes}")
+    if not 1 <= n_modes <= MAX_MODES:  # MAX_MODES is a memory guard
+        raise DomainError(f"n_modes must lie in [1, {MAX_MODES}], got {n_modes}")
     coeffs = keyed_normals(seed, DRIVER_TAG, 0, n_modes + 1)
     return ScalarDriver(seed=seed, n_modes=n_modes, coeffs=coeffs)
 

@@ -118,9 +118,12 @@ def _dct_modes(mesh: DyadicMesh) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pencil_factors(ops: FemOperators, spec: QuadratureSpec):
-    """The LU of each node of ``spec`` (gamma in (0, 1)) in node order, each
-    kept in ``ops.cached`` of 2-d operators; raises ``DomainError`` before the
-    second is fetched if all would hold more than ``MAX_PENCIL_NNZ`` entries."""
+    """The LU of each node of ``spec`` in node order, each kept in ``ops.cached``,
+    for 2-d operators and gamma in (0, 1), the one kind of run that factors
+    pencils; raises ``DomainError`` before the second is fetched if all would
+    hold more than ``MAX_PENCIL_NNZ`` entries."""
+    if ops.mesh.dim == 1 or not spec.nodes.size:  # a closed form, or one solve
+        return
     factors = (
         ops.cached(("pencil", spec.k, j), lambda: _shift_factor(ops, y))
         for j, y in zip(range(-spec.n_neg, spec.n_pos + 1), spec.nodes)
@@ -149,18 +152,11 @@ def _coloring(ops: FemOperators, spec: QuadratureSpec):
     operators for every k.  ``color`` holds no reference to ``ops``, so no
     cycle outlives the operators that cache it.
     """
-    if ops.mesh.dim == 1 and spec.nodes.size:
-        mu, tau = _dct_modes(ops.mesh)
-        s = [scalar_qgamma(spec, (m + t) / m) / m for m, t in zip(mu, tau)]
-        scaling = np.array(s)[:, None] / (2 * mu.size - 2)
-
-        def color(part, acc):  # two transforms around s / (2N) of a D^-1 copy
-            acc[...] = dct1(scaling * dct1(np.r_[2 * part[:1], part[1:-1], 2 * part[-1:]]))
-    elif spec.nodes.size:
+    factors = list(pencil_factors(ops, spec))
+    if factors:
         c = spec.k * math.sin(math.pi * spec.gamma) / math.pi
         scales = [c * math.exp(-spec.gamma * y if y >= 0.0 else (1.0 - spec.gamma) * y)
                   for y in spec.nodes]
-        factors = list(pencil_factors(ops, spec))
 
         def color(part, acc):
             acc[...] = 0.0
@@ -169,6 +165,13 @@ def _coloring(ops: FemOperators, spec: QuadratureSpec):
                 x *= scale  # the roundings of acc += scale * x
                 acc += x
                 del x  # so no two nodes' solutions are alive at once
+    elif spec.nodes.size:  # 1-d
+        mu, tau = _dct_modes(ops.mesh)
+        s = [scalar_qgamma(spec, (m + t) / m) / m for m, t in zip(mu, tau)]
+        scaling = np.array(s)[:, None] / (2 * mu.size - 2)
+
+        def color(part, acc):  # two transforms around s / (2N) of a D^-1 copy
+            acc[...] = dct1(scaling * dct1(np.r_[2 * part[:1], part[1:-1], 2 * part[-1:]]))
     else:  # gamma 0 or 1: one node of weight 1, so the sum is one solve
         key, matrix = (("mass_factor", ops.mass) if spec.is_identity
                        else ("a2_factor", ops.a2_matrix))

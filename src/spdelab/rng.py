@@ -18,6 +18,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from .exceptions import DomainError
+
 _MASK64 = (1 << 64) - 1
 
 # Stream tags (arbitrary distinct 64-bit constants).
@@ -30,9 +32,11 @@ DP_SAMPLE_TAG = 0xD0  # |N(0, 1)| samples of verify's d_p metric check
 
 def keyed_generator(seed: int, tag: int) -> np.random.Generator:
     """Return a Generator whose output depends only on (seed, tag)."""
+    if not 0 <= seed <= _MASK64:  # a 64-bit key word: any other seed would alias one
+        raise DomainError(f"seed must lie in [0, 2^64), got {seed}")
     # uint64 key: numpy converts a Python int word >= 2^63 through float64,
-    # which would make distinct seeds (e.g. -1 and -2) share a key
-    key = np.array([seed & _MASK64, tag & _MASK64], dtype=np.uint64)
+    # which would make distinct seeds (e.g. 2^64 - 1 and 2^64 - 2) share a key
+    key = np.array([seed, tag & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

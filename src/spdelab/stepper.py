@@ -40,7 +40,8 @@ states, and the modes differ only in where ``Q`` is applied:
 Every run starts from u(0) = 0, the model's initial condition.
 
 ``path_inputs`` makes the noise and driver of one path from its key, and
-``MODES`` maps ``SchemeConfig.mode`` to its entry point.
+``MODES`` maps ``SchemeConfig.mode`` to its entry point.  A run checks itself
+before it sweeps: both modes and every study path first call ``checked_ops``.
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ import scipy.sparse as sp
 from . import noise
 from .driver import DEFAULT_N_MODES, ScalarDriver, eval_b_grid, sample_driver
 from .exceptions import DomainError
-from .fracpow import apply_qgamma, make_spec
-from .mesh import FemOperators, assemble, build_mesh
+from .fracpow import apply_qgamma, make_spec, pencil_factors
+from .mesh import MAX_TIME_EXP, FemOperators, assemble, build_mesh
 from .noise import NoiseStream, restrict_increment
 from .rng import drawn_ahead
 
@@ -103,7 +104,9 @@ class SchemeConfig:
             )
         if self.time_steps < 1:
             raise DomainError(f"time_steps must be >= 1, got {self.time_steps}")
-        if not 0 <= self.master_seed < 2**64:  # 64-bit rng keys: larger seeds alias
+        if self.time_steps > 2**MAX_TIME_EXP:  # a memory guard
+            raise DomainError(f"time_steps {self.time_steps} exceed the guard of 2^{MAX_TIME_EXP}")
+        if not 0 <= self.master_seed < 2**64:  # 64-bit rng keys (keyed_generator)
             raise DomainError(f"master_seed must lie in [0, 2^64), got {self.master_seed}")
         make_spec(self.gamma, self.k)  # the rule for k and the node guard
         if self.mode not in MODES:
@@ -149,6 +152,21 @@ def _snapshot_stride(
             f"{MAX_SNAPSHOT_VALUES} values"
         )
     return config.time_steps // n_snap
+
+
+def checked_ops(config: SchemeConfig, snapshot_level: int | None = None,
+                ops: FemOperators | None = None) -> FemOperators:
+    """``ops``, or the operators of ``config``'s mesh assembled anew, after every
+    guard that a run of ``config`` would otherwise meet only in its sweep: they
+    must be its mesh's, and its snapshots and pencil factors must fit; the first
+    factor (``pencil_factors``) is fetched and stays cached in them for the run."""
+    ops = ops or assemble(build_mesh(config.dim, config.space_level))
+    if (ops.mesh.dim, ops.mesh.level) != (config.dim, config.space_level):
+        raise DomainError(f"a {config.dim}-d level-{config.space_level} run got the "
+                          f"operators of a {ops.mesh.dim}-d level {ops.mesh.level}")
+    _snapshot_stride(config, snapshot_level, ops.n_dof)
+    next(pencil_factors(ops, make_spec(config.gamma, config.k)), None)
+    return ops
 
 
 class _Group:
@@ -203,9 +221,6 @@ def _sweep(
     """Advance the main run and its coupled runs to t = 1 in one pass; each
     step's load is its summed increment, mapped by ``load`` if given (no
     coupled runs).  Returns their states as they are, colored by no gamma."""
-    if (ops.mesh.dim, ops.mesh.level) != (config.dim, config.space_level):
-        raise DomainError(f"a {config.dim}-d level-{config.space_level} run got the "
-                          f"operators of a {ops.mesh.dim}-d level {ops.mesh.level}")
     if stream.fine_level != config.space_level:
         raise DomainError("the main run must be on the stream's fine level")
     stride = _snapshot_stride(config, snapshot_level, ops.n_dof)
@@ -271,7 +286,7 @@ def evolve(
     Optionally records the state at all dyadic times ``j * 2**-snapshot_level``
     (including t = 0) for trajectory regularity estimates.
     """
-    ops = ops or assemble(build_mesh(config.dim, config.space_level))
+    ops = checked_ops(config, snapshot_level, ops)
     spec = make_spec(config.gamma, config.k)
 
     def load(g):
@@ -298,7 +313,7 @@ def evolve_fast(
     backward Euler propagator, so the colored state at any step is the
     quadrature of the raw state's load vector.  Snapshots are as in ``evolve``.
     """
-    ops = ops or assemble(build_mesh(config.dim, config.space_level))
+    ops = checked_ops(config, snapshot_level, ops)
     state = _sweep(config, stream, driver, ops, snapshot_level, ())
     _color(config, ops, state.alpha)
     if state.snapshots is not None:  # as columns, so no row is rounded by layout

@@ -478,12 +478,19 @@ def test_each_error_class_exits_with_its_code(error, tmp_path, capsys, monkeypat
     # one class per exit code: a new class needs its own except clause in main
     assert set(SpdeLabError.__subclasses__()) == set(EXIT_CODES)
 
+    returned = []
+
+    def check(cfg):
+        returned.append(simulate_check(cfg))
+        return returned[-1]
+
     def fail(cfg, checked, out):  # a run takes what its check returned
         config = SchemeConfig(dim=1, gamma=0.5, space_level=2, time_steps=8, master_seed=1)
-        assert checked == (config, None)  # a 1-d run's check builds no operators
+        assert checked is returned[0] and checked[0] == config
+        assert (checked[1].mesh.dim, checked[1].mesh.level) == (1, 2)  # its operators
         raise error("synthetic failure")
 
-    check, _run, _manifest = cli.COMMANDS["simulate"]
+    simulate_check, _run, _manifest = cli.COMMANDS["simulate"]
     monkeypatch.setitem(cli.COMMANDS, "simulate", (check, fail, "m.json"))
     cfg = write_config(tmp_path, SMALL_SIMULATE)
     code, prefix = EXIT_CODES[error]

@@ -649,7 +649,7 @@ def _seed_plan(master_seed):
     "master_seed,n_paths", [(2**64 - 1, 2), (2**64 - 3, 5), (0, MAX_PATHS + 1)]
 )
 def test_study_refuses_aliasing_path_seeds_before_any_path(master_seed, n_paths, monkeypatch):
-    # path keys keep a seed's low 64 bits: path seed 2^64 would rerun seed 0
+    # path keys are 64-bit: path seed 2^64 is refused before the first path, not at it
     def no_path(plans, seed):
         pytest.fail(f"path seed {seed} ran")
 
@@ -661,3 +661,25 @@ def test_study_refuses_aliasing_path_seeds_before_any_path(master_seed, n_paths,
 def test_study_takes_the_last_64_bit_path_seeds():
     [rep] = convergence_study([_seed_plan(2**64 - 2)], 2)
     assert rep.seeds == (2**64 - 2, 2**64 - 1)
+
+
+def _refused_sweep(*args, **kwargs):
+    raise AssertionError("the run swept")
+
+
+# 1,995 level-6 pencil factors: the guard fires on the first, before any sweep
+_NO_PENCILS = SchemeConfig(dim=2, gamma=0.01, space_level=6, time_steps=2**4,
+                           master_seed=1, mode="final_time")
+
+
+@pytest.mark.parametrize("run", [
+    lambda: stepper.evolve(_NO_PENCILS, *stepper.path_inputs(_NO_PENCILS, 1)),
+    lambda: stepper.evolve_fast(_NO_PENCILS, *stepper.path_inputs(_NO_PENCILS, 1)),
+    lambda: path_errors(plan_study(_NO_PENCILS, "space", [4, 5], 6), 1),
+    lambda: convergence_study([plan_study(_NO_PENCILS, "space", [4, 5], 6)], 1),
+], ids=["evolve", "evolve_fast", "path_errors", "convergence_study"])
+def test_a_refused_run_does_no_sweep(run, monkeypatch):
+    monkeypatch.setattr(stepper, "_sweep", _refused_sweep)
+    monkeypatch.setattr(convergence, "_sweep", _refused_sweep)
+    with pytest.raises(DomainError, match="1995 pencil factors of"):
+        run()

@@ -8,6 +8,7 @@ from spdelab import stepper
 from spdelab.convergence import path_errors, plan_study
 from spdelab.driver import ScalarDriver, eval_b_grid, eval_f_grid, sample_driver
 from spdelab.exceptions import DomainError
+from spdelab.mesh import MAX_MODES
 from spdelab.stepper import SchemeConfig
 
 
@@ -54,6 +55,12 @@ class TestSampleDriver:
     def test_rejects_zero_modes(self):
         with pytest.raises(DomainError):
             sample_driver(1, 0)
+
+    def test_rejects_modes_beyond_the_guard(self):
+        # the memory guard of the schema's n_modes holds for library callers too
+        with pytest.raises(DomainError, match=rf"\[1, {MAX_MODES}\], got {MAX_MODES + 1}"):
+            sample_driver(1, MAX_MODES + 1)
+        assert sample_driver(1, MAX_MODES).coeffs.size == MAX_MODES + 1
 
 
 class TestEvalF:

@@ -7,6 +7,9 @@ from contextlib import nullcontext
 import numpy as np
 import pytest
 
+from spdelab import l0
+from spdelab.convergence import path_errors, plan_study
+from spdelab.exceptions import DomainError
 from spdelab.rng import (
     DRIVER_TAG,
     L0_MARK_TAG,
@@ -17,6 +20,7 @@ from spdelab.rng import (
     keyed_normal_rows,
     keyed_normals,
 )
+from spdelab.stepper import SchemeConfig
 
 
 def test_replay_identical():
@@ -62,13 +66,33 @@ def test_generator_is_standard_normal():
 
 def test_seeds_beyond_int64_disjoint():
     # key words >= 2^63 once went through float64, so these seeds collided
-    seeds = (-1, -2, 2**63, 2**63 + 5)
+    seeds = (2**64 - 1, 2**64 - 2, 2**63, 2**63 + 5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         draws = [keyed_normals(seed, WIENER_TAG, 0, 32) for seed in seeds]
     for i in range(len(draws)):
         for j in range(i + 1, len(draws)):
             assert not np.allclose(draws[i], draws[j])
+
+
+def _space_plan():
+    base = SchemeConfig(dim=1, gamma=0.5, space_level=4, time_steps=2**6, master_seed=0)
+    return plan_study(base, "space", [2, 3], 4)
+
+
+@pytest.mark.parametrize("draw", [
+    lambda: keyed_generator(2**64, WIENER_TAG),
+    lambda: keyed_normals(-1, WIENER_TAG, 0, 4),
+    lambda: path_errors(_space_plan(), 2**64),
+    lambda: l0.ito_integral_elementary(
+        l0.ElementaryIntegrand(dim_q=1, partition=np.array([0.0, 1.0]),
+                               family="deterministic_const"), -1, 4),
+    lambda: l0.brownian_path(-1, 4),
+], ids=["keyed_generator", "keyed_normals", "path_errors", "ito_integral", "brownian_path"])
+def test_a_key_outside_64_bits_is_refused(draw):
+    # keys were masked to 64 bits: seed 2^64 drew seed 0's path, -1 that of 2^64 - 1
+    with pytest.raises(DomainError, match=r"seed must lie in \[0, 2\^64\)"):
+        draw()
 
 
 def fresh_philox_normals(seed, tag, counter, n):

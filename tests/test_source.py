@@ -1,10 +1,14 @@
-"""Every name a module of ``src/spdelab`` imports is read there.
+"""Rules on what the modules of ``src/spdelab`` import.
 
-An import that nothing reads is dead code that a deletion left behind, with
-one exception: a binding that ``perfbench/tracing.py`` wraps under the name
-its caller looked up (``TARGETS``) must stay importable even after the
-module stops calling it.  The tracing file is loaded by path, read-only, as
-``test_bench_bindings.py`` loads it.
+Every name a module imports is read there.  An import that nothing reads is
+dead code that a deletion left behind, with one exception: a binding that
+``perfbench/tracing.py`` wraps under the name its caller looked up
+(``TARGETS``) must stay importable even after the module stops calling it.
+The tracing file is loaded by path, read-only, as ``test_bench_bindings.py``
+loads it.
+
+A private name (``_name``) crosses modules only where ``PRIVATE_IMPORTS``
+allows it: a decision that another module needs belongs behind a public one.
 """
 
 import ast
@@ -50,3 +54,28 @@ def test_every_import_is_read(path):
 def test_an_unread_import_is_caught():
     tree = ast.parse("import os\nimport numpy as np\nfrom math import pi, tau\nnp.sqrt(pi)\n")
     assert unread_imports(tree) == ["os", "tau"]
+
+
+# (importing module, private name) that may cross: the CLI's check takes the
+# operators a study's paths take, and a study sweeps and colors as a run does
+PRIVATE_IMPORTS = {("cli", "_cached_ops"), ("convergence", "_color"), ("convergence", "_sweep")}
+
+
+def private_imports(tree: ast.Module) -> list[str]:
+    """The ``_name``s, dunders aside, that ``tree`` imports from a module of its package."""
+    return [a.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level > 0
+            for a in node.names
+            if a.name.startswith("_") and not a.name.endswith("__")]
+
+
+def test_private_names_cross_modules_only_where_allowed():
+    crossing = {(path.stem, name) for path in SOURCES
+                for name in private_imports(ast.parse(path.read_text(encoding="utf-8")))}
+    assert crossing == PRIVATE_IMPORTS
+
+
+def test_a_private_import_is_caught():
+    tree = ast.parse("from . import __version__\nfrom .stepper import _sweep, evolve\n"
+                     "from os import _exit\n")
+    assert private_imports(tree) == ["_sweep"]

@@ -15,7 +15,7 @@ from spdelab import convergence, noise, stepper
 from spdelab.driver import ScalarDriver, eval_b_grid, sample_driver
 from spdelab.exceptions import DomainError, NumericalError
 from spdelab.fracpow import apply_qgamma, make_spec
-from spdelab.mesh import SOLVER_TOL, assemble, build_mesh
+from spdelab.mesh import MAX_TIME_EXP, SOLVER_TOL, assemble, build_mesh
 from spdelab.noise import NoiseStream, aggregate_increment, fine_increment
 from spdelab.stepper import MODES, SchemeConfig, evolve, evolve_fast
 
@@ -72,9 +72,17 @@ class TestSchemeConfig:
         with pytest.raises(DomainError, match=f"time_steps must be >= 1, got {steps}"):
             SchemeConfig(dim=1, gamma=0.5, space_level=2, time_steps=steps, master_seed=0)
 
+    @pytest.mark.parametrize("steps", [2**MAX_TIME_EXP + 1, 2**40])
+    def test_rejects_a_time_grid_beyond_the_guard(self, steps):
+        # the memory guard of the schema's time_exp holds for library callers too
+        with pytest.raises(DomainError, match=f"time_steps {steps} exceed the guard of 2"):
+            SchemeConfig(dim=1, gamma=0.5, space_level=2, time_steps=steps, master_seed=0)
+        SchemeConfig(dim=1, gamma=0.5, space_level=2, time_steps=2**MAX_TIME_EXP,
+                     master_seed=0)
+
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
     def test_rejects_a_seed_beyond_64_bits(self, seed):
-        # rng keys keep a seed's low 64 bits, so 2^64 would alias seed 0
+        # rng keys are 64-bit: 2^64 is refused when the config is made, not at a draw
         with pytest.raises(DomainError, match=rf"\[0, 2\^64\), got {seed}"):
             SchemeConfig(dim=1, gamma=0.5, space_level=2, time_steps=2, master_seed=seed)
         SchemeConfig(dim=1, gamma=0.5, space_level=2, time_steps=2, master_seed=2**64 - 1)
