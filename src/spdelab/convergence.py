@@ -217,8 +217,10 @@ def convergence_study(
         raise DomainError(f"path seeds {seed} + i, i < {n_paths}, pass 2^64")
     seeds = tuple(range(seed, seed + n_paths))
 
-    # a fork pool starts all its workers at once; outputs do not depend on them
-    workers = min(n_workers, n_paths, os.cpu_count() or 1)
+    # a fork pool starts all its workers at once, each forking a sweep's draw
+    # child, on the CPUs this process may run on; outputs do not depend on them
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(n_workers, n_paths, cpus or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_seed = list(pool.map(_seed_errors, [plans] * n_paths, seeds))

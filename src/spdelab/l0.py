@@ -142,7 +142,7 @@ def _batch(phi: ElementaryIntegrand, seed: int, n_paths: int):
         dw *= root_dts
         return rows, mark_gen.standard_normal(rows.stop - rows.start), dw
 
-    return drawn_ahead(fill, chunks, True)
+    return drawn_ahead(fill, chunks)
 
 
 def _integrate(phi: ElementaryIntegrand, dw, marks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -6,13 +6,18 @@ function of its key and counter start, so any increment can be regenerated
 in any order, on any worker, without storing a noise tape.  Distinct tags
 give statistically independent streams under one master seed; in particular
 the spatial Wiener noise and the scalar driver never share key material.
-Because a draw depends on nothing but its key and counter, a helper thread
-can draw the next block of a stream while the caller uses the current one
-(``drawn_ahead``) and produce the same bits.
+Because a draw depends on nothing but its key and counter, it gives the same
+bits wherever it runs: a helper thread draws the next chunk of a Monte Carlo
+batch while the caller integrates the current one (``drawn_ahead``), and a
+forked child process draws the blocks of a sweep and hands over their raw
+bytes through a pipe (``drawn_in_child``), without taking the caller's GIL.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
@@ -74,20 +79,15 @@ def keyed_normals(seed: int, tag: int, counter: int, n: int) -> np.ndarray:
 
 
 @contextmanager
-def drawn_ahead(draw, items, ahead: bool):
+def drawn_ahead(draw, items):
     """Yield an iterator of ``draw(item)`` for each of ``items``, in order.
 
-    With ``ahead``, one helper thread draws item k + 1 while the caller uses
-    item k: it is submitted only once the caller has taken item k, so at
-    most one item is drawn ahead, and no result is kept once it is handed
-    over.  An exception raised by ``draw`` reaches the caller when it takes
-    that item.  Leaving the ``with`` block, however it is left, joins the
-    helper.  Without ``ahead``, every item is drawn on the calling thread
-    when it is taken.
+    One helper thread draws item k + 1 while the caller uses item k: it is
+    submitted only once the caller has taken item k, so at most one item is
+    drawn ahead, and no result is kept once it is handed over.  An exception
+    raised by ``draw`` reaches the caller when it takes that item.  Leaving
+    the ``with`` block, however it is left, joins the helper.
     """
-    if not ahead:
-        yield map(draw, items)
-        return
 
     def one_ahead(helper):
         pending = None
@@ -104,3 +104,73 @@ def drawn_ahead(draw, items, ahead: bool):
 
     with ThreadPoolExecutor(max_workers=1) as helper:
         yield one_ahead(helper)
+
+
+@contextmanager
+def drawn_in_child(draw, items, shape):
+    """Yield an iterator of ``draw(item)`` for each of ``items``, in order,
+    each drawn in one forked child process.
+
+    ``draw(item)`` returns a C-ordered float64 array of ``shape(item)``.  The
+    child draws every item in turn and writes its raw bytes into a pipe,
+    whose capacity keeps it about one item ahead of the caller; the caller
+    reads each into a fresh array, with no pickling.  An exception raised by
+    ``draw`` reaches the caller, with its type and message, when it takes
+    that item.  Leaving the ``with`` block, however it is left, kills and
+    reaps the child; the child leaves by ``os._exit``, running no handler.
+    The child runs nothing but ``draw``, so ``draw`` must take no lock that
+    another thread of the caller may hold at the fork.
+    """
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        try:
+            os.close(r)
+            with open(w, "wb") as out:
+                for item in items:
+                    try:
+                        values = draw(item)
+                    except Exception as exc:
+                        failure = _pickled(exc)
+                        out.write(b"E" + len(failure).to_bytes(8, "little") + failure)
+                        break
+                    out.write(b"D")
+                    out.write(values.data)
+                    out.flush()  # the whole item, not its tail, before the next draw
+        finally:
+            os._exit(0)
+    os.close(w)
+    src = open(r, "rb")
+    try:
+        yield _read_draws(src, items, shape)
+    finally:  # a child that has ended waits to be reaped, so its pid is its own
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        src.close()
+
+
+def _pickled(exc: Exception) -> bytes:
+    """``exc`` pickled, or a ``RuntimeError`` naming it where it does not round-trip."""
+    try:
+        data = pickle.dumps(exc)
+        pickle.loads(data)
+        return data
+    except Exception:
+        return pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+
+
+def _read_draws(src, items, shape):
+    """The draws of ``items`` as ``drawn_in_child``'s child wrote them to ``src``."""
+    for item in items:
+        kind = src.read(1)
+        if kind == b"E":
+            raise pickle.loads(src.read(int.from_bytes(src.read(8), "little")))
+        values = np.empty(shape(item))
+        if kind != b"D" or src.readinto(values) != values.nbytes:
+            raise RuntimeError("the draw child ended before its last item")
+        yield values

@@ -14,10 +14,12 @@ fine step.  A block draws its fine increments, each from its own
 key, in one ``L_M @ R`` product, and sums them into the steps of every
 coarser time grid in one running sum (in fine-step order, bit-identical to
 ``aggregate_increment``; a step still open at the end of a block carries
-over).  When a fine step draws at least ``DRAW_AHEAD_DOFS`` normals, one
-helper thread computes the increments of block k + 1 while the sweep steps
-block k (``rng.drawn_ahead``); the keyed draw and the sparse product
-release the GIL and give the same bits on any thread.  The runs sharing a
+over).  When the sweep draws at least ``FORK_NORMALS`` normals in all (its
+fine steps times the normals of a step), a forked child process computes
+every block's increments in turn and hands over their raw bytes through a
+pipe, about one block ahead of the sweep (``rng.drawn_in_child``); the keyed
+draw and the sparse product give the same bits in any process, and the
+child takes none of the sweep's GIL.  The runs sharing a
 time grid advance as one group, whose state stacks theirs: it restricts
 its completed sums to every run's mesh in one product, takes their
 backward Euler steps one by one with one block-diagonal solve each
@@ -46,6 +48,8 @@ before it sweeps: both modes and every study path first call ``checked_ops``.
 
 from __future__ import annotations
 
+import os
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +61,7 @@ from .exceptions import DomainError
 from .fracpow import apply_qgamma, make_spec, pencil_factors
 from .mesh import MAX_TIME_EXP, FemOperators, assemble, build_mesh
 from .noise import NoiseStream, restrict_increment
-from .rng import drawn_ahead
+from .rng import drawn_in_child
 
 # unused here, but perfbench/tracing.py wraps the per-step aggregation under
 # this name, so the binding stays
@@ -70,11 +74,12 @@ from .noise import aggregate_increment  # noqa: F401
 # which keep 16 steps (64-step blocks: a 1-d level-9 path 0.55 -> 0.68 s)
 BLOCK_STEPS = 16
 BLOCK_VALUES = 2**13
-# normals per fine step (columns of the mass factor) from which a helper
-# thread draws the next block: below it the switches between the two threads
-# cost more than the draw saves (a 1-d level-10 sweep, 1,025 normals a step,
-# went 0.56 -> 0.8 s); from 2,049 on the helper pays
-DRAW_AHEAD_DOFS = 2048
+# normals of a sweep (fine steps x columns of the mass factor) from which it
+# draws its blocks in a forked child process: below it the fork, the reap and
+# the parent's copy-on-write faults cost about what the overlapped draw saves
+# (a 1-d level-9 final-time sweep of 2^18 normals, 14.8 -> 15.8 ms); from 2^19
+# on the child pays (27.3 -> 23.0 ms, and 69.9 -> 63.4 ms in 2-d at level 5)
+FORK_NORMALS = 2**19
 # values of the snapshot array (512 MiB); coloring it in place adds chunk-sized
 # temporaries at every gamma
 MAX_SNAPSHOT_VALUES = 2**26
@@ -240,11 +245,15 @@ def _sweep(
     steps = max(BLOCK_STEPS, BLOCK_VALUES // ops.mass_chol.shape[1])
     blocks = [(m0, min(m0 + steps, stream.fine_steps))
               for m0 in range(0, stream.fine_steps, steps)]
-    with drawn_ahead(
-        lambda block: noise.fine_increments(stream, *block, ops.mass_chol),
-        blocks,
-        ops.mass_chol.shape[1] >= DRAW_AHEAD_DOFS,
-    ) as drawn:
+
+    def draw(block):
+        return noise.fine_increments(stream, *block, ops.mass_chol)
+
+    if hasattr(os, "fork") and stream.fine_steps * ops.mass_chol.shape[1] >= FORK_NORMALS:
+        drawing = drawn_in_child(draw, blocks, lambda block: (ops.n_dof, block[1] - block[0]))
+    else:
+        drawing = nullcontext(map(draw, blocks))
+    with drawing as drawn:
         for (m0, m1), f in zip(blocks, drawn):
             sums = {
                 g: np.empty((ops.n_dof, m1 // g.ratio - m0 // g.ratio)) for g in summed

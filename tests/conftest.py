@@ -1,3 +1,4 @@
+import os
 import tempfile
 
 import pytest
@@ -26,3 +27,25 @@ def blocks_of_16(monkeypatch):
     mesh, for the tests that count blocks or put step edges inside them; by
     default a small mesh takes larger blocks, with the same bits."""
     monkeypatch.setattr(stepper, "BLOCK_VALUES", 0)
+
+
+@pytest.fixture
+def draws_on_the_caller(monkeypatch):
+    """Sweeps that draw on the calling thread whatever their size, for the
+    tests that count draws through a monkeypatched function: a sweep of
+    ``stepper.FORK_NORMALS`` normals or more would draw in a forked child,
+    whose counts never reach the test."""
+    monkeypatch.setattr(stepper, "FORK_NORMALS", 2**62)
+
+
+@pytest.fixture(autouse=True)
+def no_child_outlives_the_test():
+    """Fail a test that leaves a child process unreaped: a sweep's draw
+    child, a worker of a pool or a command's subprocess must all be reaped
+    by the time the test ends."""
+    yield
+    try:
+        pid, _status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    pytest.fail(f"a child process outlived the test ({'running' if pid == 0 else pid})")

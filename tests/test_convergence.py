@@ -276,7 +276,9 @@ class TestConvergenceStudy:
         self, monkeypatch, n_workers, n_paths, cpus, pool_size
     ):
         # a fork pool starts every worker at the first submit; this one
-        # records its size, starts no process and maps in this one
+        # records its size, starts no process and maps in this one.  ``cpus``
+        # is the size of this process's CPU affinity, on a host of 64 CPUs;
+        # None: neither the affinity nor the host's count is known
         sizes = []
 
         class RecordingPool:
@@ -293,7 +295,12 @@ class TestConvergenceStudy:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(convergence, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        if cpus is None:
+            monkeypatch.delattr("os.sched_getaffinity", raising=False)
+            monkeypatch.setattr("os.cpu_count", lambda: None)
+        else:
+            monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(cpus)))
+            monkeypatch.setattr("os.cpu_count", lambda: 64)
         base = SchemeConfig(
             dim=1, gamma=0.5, space_level=4, time_steps=2**4,
             master_seed=5, mode="final_time",
@@ -511,6 +518,7 @@ def test_sweep_on_a_finer_stream_matches_per_level_runs(name, gamma):
         )
 
 
+@pytest.mark.usefixtures("draws_on_the_caller")
 def test_path_draws_each_fine_increment_once(monkeypatch):
     draws = []  # the key block (fine step) of every row drawn
 

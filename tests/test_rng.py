@@ -1,3 +1,5 @@
+import os
+import signal
 import threading
 import time
 import warnings
@@ -16,6 +18,7 @@ from spdelab.rng import (
     L0_WIENER_TAG,
     WIENER_TAG,
     drawn_ahead,
+    drawn_in_child,
     keyed_generator,
     keyed_normal_rows,
     keyed_normals,
@@ -137,7 +140,7 @@ def test_drawn_ahead_draws_one_item_ahead():
         started.append((k, asked, threading.current_thread()))
         return k
 
-    with drawn_ahead(draw, range(6), True) as drawn:
+    with drawn_ahead(draw, range(6)) as drawn:
         for k in range(6):
             asked += 1
             assert next(drawn) == k
@@ -150,7 +153,7 @@ def test_drawn_ahead_draws_one_item_ahead():
 def test_drawn_ahead_keeps_no_item_it_handed_over():
     # by the next take, every item the caller dropped has died
     refs = []
-    with drawn_ahead(lambda k: np.full(4, k), range(5), True) as drawn:
+    with drawn_ahead(lambda k: np.full(4, k), range(5)) as drawn:
         for k in range(5):
             item = next(drawn)
             assert item[0] == k
@@ -172,7 +175,7 @@ def test_drawn_ahead_raises_a_failed_draw_where_it_is_taken(n_items):
 
     taken = []
     with pytest.raises(RuntimeError, match="item 3"):
-        with drawn_ahead(draw, range(n_items), True) as drawn:
+        with drawn_ahead(draw, range(n_items)) as drawn:
             for item in drawn:
                 taken.append(item)
                 time.sleep(PAUSE)
@@ -192,7 +195,7 @@ def test_leaving_drawn_ahead_early_joins_the_helper(leave):
 
     before = threading.active_count()
     with pytest.raises(KeyError) if leave == "raise" else nullcontext():
-        with drawn_ahead(draw, range(10), True) as drawn:
+        with drawn_ahead(draw, range(10)) as drawn:
             for _ in drawn:
                 if leave == "raise":
                     raise KeyError("caller")
@@ -200,3 +203,79 @@ def test_leaving_drawn_ahead_early_joins_the_helper(leave):
     assert len(threads) == 2
     assert not any(t.is_alive() for t in threads)
     assert threading.active_count() == before
+
+
+# drawn_in_child, which draws a sweep's blocks in a forked child: every test
+# ends with the child reaped
+
+
+def block(k):
+    return np.arange(6.0).reshape(2, 3) + k
+
+
+def test_drawn_in_child_hands_over_each_item_in_order():
+    items = list(range(40))  # 40 x 48 bytes, far within a pipe's capacity
+    with drawn_in_child(block, items, lambda k: (2, 3)) as drawn:
+        taken = list(drawn)
+    assert [x.tolist() for x in taken] == [block(k).tolist() for k in items]
+    assert all(x.flags.c_contiguous and x.flags.owndata for x in taken)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_drawn_in_child_draws_in_another_process():
+    parent = os.getpid()
+    with drawn_in_child(lambda k: np.full(1, float(os.getpid())), range(3),
+                        lambda k: (1,)) as drawn:
+        pids = {int(x[0]) for x in drawn}
+    assert len(pids) == 1 and parent not in pids
+
+
+class LocalError(Exception):
+    def __init__(self, code, where):  # pickles, but does not unpickle
+        super().__init__(f"code {code} at {where}")
+
+
+@pytest.mark.parametrize("error, want, message", [
+    (DomainError("item 3"), DomainError, "^item 3$"),
+    (KeyError("item 3"), KeyError, "item 3"),
+    (LocalError(7, "item 3"), RuntimeError, "^LocalError: code 7 at item 3$"),
+])
+def test_drawn_in_child_raises_a_failed_draw_where_it_is_taken(error, want, message):
+    # items 0-2 are handed over first; an exception that cannot make the trip
+    # arrives as a RuntimeError naming it
+    def draw(k):
+        if k == 3:
+            raise error
+        return block(k)
+
+    taken = []
+    with pytest.raises(want, match=message) as failure:
+        with drawn_in_child(draw, range(6), lambda k: (2, 3)) as drawn:
+            for item in drawn:
+                taken.append(item[0, 0])
+    assert type(failure.value) is want
+    assert taken == [0, 1, 2]
+
+
+@pytest.mark.parametrize("leave", ["break", "raise"])
+def test_leaving_drawn_in_child_early_kills_the_child(leave, monkeypatch):
+    # 200 blocks of 80 kB do not fit in the pipe, so the child still runs
+    # when the caller leaves after block 0: it is killed, then reaped
+    waited = []
+    waitpid = os.waitpid
+
+    def recorded(pid, options):
+        waited.append(waitpid(pid, options))
+        return waited[-1]
+
+    monkeypatch.setattr(os, "waitpid", recorded)
+    with pytest.raises(KeyError) if leave == "raise" else nullcontext():
+        with drawn_in_child(lambda k: np.zeros((100, 100)), range(200),
+                            lambda k: (100, 100)) as drawn:
+            for _ in drawn:
+                if leave == "raise":
+                    raise KeyError("caller")
+                break
+    [(_pid, status)] = waited
+    assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL

@@ -1,8 +1,8 @@
 import functools
 import importlib
 import importlib.util
-import sys
-import threading
+import os
+import signal
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -367,14 +367,19 @@ def test_snapshot_memory_is_bounded(dim, level, gamma, mode, snapshot_level, arr
                            snapshot_level=snapshot_level)
 
     run()  # factors the systems and the quadrature
+    # less what outlives the run once its snapshots are dropped: a SuperLU
+    # solve may leave scipy-internal memory allocated, by a size that depends
+    # on the process's history (2.5 MB after the sweep properties, none alone)
     tracemalloc.start()
     try:
         snapshots = run().snapshots
-        _, peak = tracemalloc.get_traced_memory()
+        shape, nbytes = snapshots.shape, snapshots.nbytes
+        del snapshots
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert snapshots.shape == (steps + 1, ops.n_dof)
-    assert peak < arrays * snapshots.nbytes
+    assert shape == (steps + 1, ops.n_dof)
+    assert peak - kept < arrays * nbytes
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -430,6 +435,7 @@ def test_value_sized_blocks_give_the_same_bits(name, monkeypatch):
     np.testing.assert_array_equal(run(), default)
 
 
+@pytest.mark.usefixtures("draws_on_the_caller")
 def test_blocks_grow_only_where_a_step_is_small(monkeypatch):
     sizes = []  # steps of every block drawn
     real = noise.fine_increments
@@ -682,117 +688,142 @@ def test_guard_checks_each_run_of_a_group(spoiled, monkeypatch):
 
 @pytest.mark.usefixtures("blocks_of_16")
 class TestDrawAhead:
-    """A sweep of at least ``DRAW_AHEAD_DOFS`` normals a step draws block k + 1
-    on a helper thread while it steps block k; the tests force the helper on
-    small meshes by lowering the threshold to 0."""
+    """A sweep of at least ``FORK_NORMALS`` normals (fine steps times normals a
+    step) draws its blocks in a forked child while it steps them; the tests
+    force the child on small meshes by lowering the threshold to 0.  Whatever
+    a child records reaches the test through a file opened for appending."""
 
     @staticmethod
-    def record_draws(monkeypatch):
-        # the thread of every block drawn, in the order drawn
-        threads = []
+    def record_draws(monkeypatch, log):
+        # the process of every block drawn, in the order drawn
         real = noise.fine_increments
 
         def recorded(*args):
-            threads.append(threading.current_thread())
+            with open(log, "a") as out:
+                out.write(f"{os.getpid()}\n")
             return real(*args)
 
         monkeypatch.setattr(noise, "fine_increments", recorded)
-        return threads
+        return lambda: [int(pid) for pid in log.read_text().split()] if log.exists() else []
 
     @staticmethod
-    def runs_2d():
-        # a coupled 2-d space study path and a per-step and a final-time 2-d
-        # run with snapshots, 4 blocks of 16 steps each
-        plan = convergence.plan_study(
-            SchemeConfig(dim=2, gamma=0.5, space_level=4, time_steps=64,
-                         master_seed=3, mode="final_time"),
-            "space", [1, 2, 3], 4,
-        )
+    def record_forks(monkeypatch):
+        # the pid of every child forked, seen in the parent
+        children = []
+        fork = os.fork
+
+        def recorded():
+            pid = fork()
+            if pid:
+                children.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", recorded)
+        return children
+
+    @staticmethod
+    def runs():
+        # a coupled 1-d and 2-d space study path, and a per-step and a
+        # final-time 2-d run with snapshots, 4 blocks of 16 steps each
+        errors = []
+        for dim, level in ((1, 5), (2, 4)):
+            plan = convergence.plan_study(
+                SchemeConfig(dim=dim, gamma=0.5, space_level=level, time_steps=64,
+                             master_seed=3, mode="final_time"),
+                "space", [1, 2, 3], level,
+            )
+            errors.append(convergence.path_errors(plan, 3).tobytes())
         cfg = SchemeConfig(dim=2, gamma=0.5, space_level=3, time_steps=64, master_seed=3)
         # looked up in stepper at call time, where perfbench/tracing.py wraps them
         runs = [run(replace(cfg, mode=mode), NoiseStream(3, 3, 64), sample_driver(3, 50),
                     snapshot_level=4)
                 for mode, run in (("per_step", stepper.evolve),
                                   ("final_time", stepper.evolve_fast))]
-        return [convergence.path_errors(plan, 3).tobytes(),
-                *(x.tobytes() for out in runs for x in (out.alpha, out.snapshots))]
+        return [*errors, *(x.tobytes() for out in runs for x in (out.alpha, out.snapshots))]
 
-    def test_the_helper_gives_the_same_bits(self, monkeypatch):
-        threads = self.record_draws(monkeypatch)
-        on_caller = self.runs_2d()  # 289 and 81 normals a step: below the threshold
-        assert threads and set(threads) == {threading.main_thread()}
-        threads.clear()
-        monkeypatch.setattr(stepper, "DRAW_AHEAD_DOFS", 0)
-        before = threading.active_count()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # interleaves the two threads often
-        try:
-            ahead = self.runs_2d()
-        finally:
-            sys.setswitchinterval(interval)
-        assert threading.active_count() == before
-        assert len(threads) == 12 and threading.main_thread() not in threads
-        assert ahead == on_caller
+    def test_the_helper_gives_the_same_bits(self, monkeypatch, tmp_path):
+        drawn = self.record_draws(monkeypatch, tmp_path / "draws")
+        children = self.record_forks(monkeypatch)
+        on_caller = self.runs()  # at most 64 x 289 normals: below the threshold
+        assert len(drawn()) == 16 and set(drawn()) == {os.getpid()} and not children
+        monkeypatch.setattr(stepper, "FORK_NORMALS", 0)
+        in_child = self.runs()
+        assert len(children) == 4  # one child a sweep, each drawing its 4 blocks
+        assert drawn()[16:] == [pid for pid in children for _ in range(4)]
+        assert in_child == on_caller
 
-    def test_the_threshold_counts_the_normals_of_a_step(self, monkeypatch):
-        threads = self.record_draws(monkeypatch)
+    def test_the_threshold_counts_the_normals_of_a_sweep(self, monkeypatch, tmp_path):
+        drawn = self.record_draws(monkeypatch, tmp_path / "draws")
+        children = self.record_forks(monkeypatch)
         ops = assemble(build_mesh(2, 3))  # 81 normals a step
-        cfg = SchemeConfig(dim=2, gamma=0.5, space_level=3, time_steps=32,
-                           master_seed=4, mode="final_time")
-        for dofs, on_main in ((82, True), (81, False)):
-            monkeypatch.setattr(stepper, "DRAW_AHEAD_DOFS", dofs)
-            threads.clear()
-            evolve_fast(cfg, NoiseStream(4, 3, 32), sample_driver(4, 50), ops=ops)
-            assert len(threads) == 2
-            assert (threading.main_thread() in threads) == on_main
+        for steps, threshold, forked in ((32, 2593, False), (32, 2592, True),
+                                         (64, 2592, True), (16, 2592, False)):
+            monkeypatch.setattr(stepper, "FORK_NORMALS", threshold)
+            cfg = SchemeConfig(dim=2, gamma=0.5, space_level=3, time_steps=steps,
+                               master_seed=4, mode="final_time")
+            children.clear()
+            before = len(drawn())
+            evolve_fast(cfg, NoiseStream(4, 3, steps), sample_driver(4, 50), ops=ops)
+            assert len(children) == forked
+            assert drawn()[before:] == [children[0] if forked else os.getpid()] * (steps // 16)
 
-    def test_a_failed_draw_reaches_the_caller(self, monkeypatch):
-        monkeypatch.setattr(stepper, "DRAW_AHEAD_DOFS", 0)
-        threads = []
-        real = noise.fine_increments
+    def test_a_failed_draw_reaches_the_caller(self, monkeypatch, tmp_path):
+        # the child's DomainError reaches the caller as a DomainError, with its
+        # message, when it takes the third block
+        monkeypatch.setattr(stepper, "FORK_NORMALS", 0)
+        drawn = self.record_draws(monkeypatch, tmp_path / "draws")
+        recorded = noise.fine_increments
 
         def failing_third(*args):
-            threads.append(threading.current_thread())
-            if len(threads) == 3:
-                raise RuntimeError("third block")
-            return real(*args)
+            if len(drawn()) == 2:
+                raise DomainError("third block")
+            return recorded(*args)
 
         monkeypatch.setattr(noise, "fine_increments", failing_third)
+        children = self.record_forks(monkeypatch)
         cfg = SchemeConfig(dim=2, gamma=0.5, space_level=3, time_steps=80,
                            master_seed=5, mode="final_time")
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match="third block"):
+        with pytest.raises(DomainError, match="^third block$") as failure:
             evolve_fast(cfg, NoiseStream(5, 3, 80), sample_driver(5, 50))
-        assert threading.active_count() == before
-        assert len(threads) == 3 and threading.main_thread() not in threads
+        assert type(failure.value) is DomainError
+        assert drawn() == children * 2 and len(children) == 1
 
     @pytest.mark.parametrize("mode", sorted(MODES))
-    def test_a_failed_solve_joins_the_helper(self, mode, monkeypatch):
-        # solve 5 of the first block fails its guard while the helper draws
-        # the second block, and no block beyond it
-        monkeypatch.setattr(stepper, "DRAW_AHEAD_DOFS", 0)
-        threads = self.record_draws(monkeypatch)
+    def test_a_failed_solve_reaps_the_child(self, mode, monkeypatch):
+        # solve 5 of the first block fails its guard while the child, 16
+        # blocks of 10 kB ahead of a 64 kB pipe, waits to write: it is killed
+        # and reaped before the error reaches the caller
+        monkeypatch.setattr(stepper, "FORK_NORMALS", 0)
+        children = self.record_forks(monkeypatch)
+        reaped = []
+        waitpid = os.waitpid
+
+        def recorded(pid, options):
+            reaped.append(waitpid(pid, options))
+            return reaped[-1]
+
+        monkeypatch.setattr(os, "waitpid", recorded)
         ops = assemble(build_mesh(2, 3))
-        cfg = SchemeConfig(dim=2, gamma=0.5, space_level=3, time_steps=64,
+        cfg = SchemeConfig(dim=2, gamma=0.5, space_level=3, time_steps=256,
                            master_seed=8, mode=mode)
         system = ops.system(cfg.dt)
         monkeypatch.setattr(system, "solve", SpoiledSolve(system.solve, 5))
-        before = threading.active_count()
         with pytest.raises(NumericalError):
-            MODES[mode](cfg, NoiseStream(8, 3, 64), sample_driver(8, 50), ops=ops)
-        assert threading.active_count() == before
-        assert len(threads) == 2
+            MODES[mode](cfg, NoiseStream(8, 3, 256), sample_driver(8, 50), ops=ops)
+        [(pid, status)] = reaped
+        assert [pid] == children
+        assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
 
     def test_one_block_is_drawn_ahead(self, monkeypatch):
-        # 64 blocks of 16 x 1,025 values (131 kB); drawing on the helper adds
-        # about 3 such arrays to the peak (a block, its normals and its
-        # product), where keeping every drawn block would add 60
+        # 64 blocks of 16 x 1,025 values (131 kB); drawing in the child leaves
+        # the parent one fresh block at a time to hold, where keeping every
+        # drawn block would add 60 to its peak
         ops = assemble(build_mesh(1, 10))
         cfg = SchemeConfig(dim=1, gamma=0.5, space_level=10, time_steps=2**10,
                            master_seed=6, mode="final_time")
 
-        def peak(dofs):
-            monkeypatch.setattr(stepper, "DRAW_AHEAD_DOFS", dofs)
+        def peak(threshold):
+            monkeypatch.setattr(stepper, "FORK_NORMALS", threshold)
             tracemalloc.start()
             try:
                 evolve_fast(cfg, NoiseStream(6, 10, 2**10), sample_driver(6, 50), ops=ops)
@@ -802,21 +833,22 @@ class TestDrawAhead:
 
         peak(0)  # factors the system and the quadrature
         block = stepper.BLOCK_STEPS * ops.n_dof * 8
-        assert peak(0) < peak(ops.n_dof + 1) + 4 * block
+        assert peak(0) < peak(2**62) + 4 * block
 
-    def test_traced_functions_stay_on_the_main_thread(self, monkeypatch):
-        # perfbench/tracing.py keeps one stack of open spans, so a function it
-        # wraps must not run on the helper thread
+    def test_traced_functions_stay_in_the_calling_process(self, monkeypatch, tmp_path):
+        # perfbench/tracing.py keeps its spans in the calling process, so a
+        # function it wraps must not run in the draw child
         path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
         spec = importlib.util.spec_from_file_location("perfbench_tracing_targets", path)
         tracing = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tracing)
-        threads = {}
+        log = tmp_path / "calls"
 
         def recorded(name, fn):
             @functools.wraps(fn)
             def call(*args, **kwargs):
-                threads.setdefault(name, set()).add(threading.current_thread())
+                with open(log, "a") as out:
+                    out.write(f"{name} {os.getpid()}\n")
                 return fn(*args, **kwargs)
             return call
 
@@ -826,8 +858,11 @@ class TestDrawAhead:
             for part in parts:
                 owner = getattr(owner, part)
             monkeypatch.setattr(owner, leaf, recorded(name, getattr(owner, leaf)))
-        monkeypatch.setattr(stepper, "DRAW_AHEAD_DOFS", 0)
-        self.runs_2d()
-        assert {"driver.eval_b_grid", "noise.restrict_increment",
-                "fracpow.apply_qgamma", "stepper.evolve_fast"} <= set(threads)
-        assert set().union(*threads.values()) == {threading.main_thread()}
+        monkeypatch.setattr(stepper, "FORK_NORMALS", 0)
+        children = self.record_forks(monkeypatch)
+        self.runs()
+        calls = [line.split() for line in log.read_text().splitlines()]
+        assert len(children) == 4
+        assert {"driver.eval_b_grid", "noise.restrict_increment", "fracpow.apply_qgamma",
+                "stepper.evolve_fast"} <= {name for name, _pid in calls}
+        assert {int(pid) for _name, pid in calls} == {os.getpid()}
