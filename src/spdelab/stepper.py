@@ -18,8 +18,9 @@ over).  When the sweep draws at least ``FORK_NORMALS`` normals in all (its
 fine steps times the normals of a step), a forked child process computes
 every block's increments in turn and hands over their raw bytes through a
 pipe, about one block ahead of the sweep (``rng.drawn_in_child``); the keyed
-draw and the sparse product give the same bits in any process, and the
-child takes none of the sweep's GIL.  The runs sharing a
+draw and the sparse product give the same bits in any process, so the sweep
+draws any block the child did not hand over whole itself, and the child
+takes none of the sweep's GIL.  The runs sharing a
 time grid advance as one group, whose state stacks theirs: it restricts
 its completed sums to every run's mesh in one product, takes their
 backward Euler steps one by one with one block-diagonal solve each
@@ -48,7 +49,6 @@ before it sweeps: both modes and every study path first call ``checked_ops``.
 
 from __future__ import annotations
 
-import os
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -249,7 +249,7 @@ def _sweep(
     def draw(block):
         return noise.fine_increments(stream, *block, ops.mass_chol)
 
-    if hasattr(os, "fork") and stream.fine_steps * ops.mass_chol.shape[1] >= FORK_NORMALS:
+    if stream.fine_steps * ops.mass_chol.shape[1] >= FORK_NORMALS:
         drawing = drawn_in_child(draw, blocks, lambda block: (ops.n_dof, block[1] - block[0]))
     else:
         drawing = nullcontext(map(draw, blocks))

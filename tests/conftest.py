@@ -1,5 +1,6 @@
 import os
 import tempfile
+import threading
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -49,3 +50,16 @@ def no_child_outlives_the_test():
     except ChildProcessError:  # no child at all
         return
     pytest.fail(f"a child process outlived the test ({'running' if pid == 0 else pid})")
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_the_test():
+    """Fail a test that leaves a thread running that was not alive before
+    it: the one thread of the package, a Monte Carlo batch's helper, is
+    joined before the batch returns, so no other thread of the caller can
+    hold a lock when a sweep forks its draw child."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate() if t not in before and t.is_alive()]
+    if left:
+        pytest.fail(f"a thread outlived the test ({', '.join(left)})")

@@ -239,11 +239,11 @@ class LocalError(Exception):
 @pytest.mark.parametrize("error, want, message", [
     (DomainError("item 3"), DomainError, "^item 3$"),
     (KeyError("item 3"), KeyError, "item 3"),
-    (LocalError(7, "item 3"), RuntimeError, "^LocalError: code 7 at item 3$"),
+    (LocalError(7, "item 3"), LocalError, "^code 7 at item 3$"),
 ])
 def test_drawn_in_child_raises_a_failed_draw_where_it_is_taken(error, want, message):
-    # items 0-2 are handed over first; an exception that cannot make the trip
-    # arrives as a RuntimeError naming it
+    # items 0-2 are handed over first; item 3 never arrives, so the caller
+    # draws it itself and raises its exception, of any class
     def draw(k):
         if k == 3:
             raise error

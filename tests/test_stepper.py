@@ -768,8 +768,8 @@ class TestDrawAhead:
             assert drawn()[before:] == [children[0] if forked else os.getpid()] * (steps // 16)
 
     def test_a_failed_draw_reaches_the_caller(self, monkeypatch, tmp_path):
-        # the child's DomainError reaches the caller as a DomainError, with its
-        # message, when it takes the third block
+        # the third block fails in the child, which hands over two: the caller
+        # draws the third itself, and its DomainError, with its message, is raised
         monkeypatch.setattr(stepper, "FORK_NORMALS", 0)
         drawn = self.record_draws(monkeypatch, tmp_path / "draws")
         recorded = noise.fine_increments
@@ -787,6 +787,44 @@ class TestDrawAhead:
             evolve_fast(cfg, NoiseStream(5, 3, 80), sample_driver(5, 50))
         assert type(failure.value) is DomainError
         assert drawn() == children * 2 and len(children) == 1
+
+    def test_a_killed_child_leaves_the_bits(self, monkeypatch, tmp_path):
+        # each child kills itself at its third block, as a signal from outside
+        # would: the caller draws that block and the fourth itself, and reaps it
+        on_caller = self.runs()
+        monkeypatch.setattr(stepper, "FORK_NORMALS", 0)
+        drawn = self.record_draws(monkeypatch, tmp_path / "draws")
+        recorded = noise.fine_increments
+        test = os.getpid()
+
+        def killed_third(*args):
+            if os.getpid() != test and drawn().count(os.getpid()) == 2:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return recorded(*args)
+
+        monkeypatch.setattr(noise, "fine_increments", killed_third)
+        children = self.record_forks(monkeypatch)
+        reaped = []
+        waitpid = os.waitpid
+
+        def reaping(pid, options):
+            reaped.append(waitpid(pid, options))
+            return reaped[-1]
+
+        monkeypatch.setattr(os, "waitpid", reaping)
+        assert self.runs() == on_caller
+        assert len(children) == 4
+        assert drawn() == [pid for child in children for pid in (child, child, test, test)]
+        assert [pid for pid, _status in reaped] == children
+        assert all(os.WTERMSIG(status) == signal.SIGKILL for _pid, status in reaped)
+
+    def test_without_fork_the_sweep_draws_itself(self, monkeypatch, tmp_path):
+        on_caller = self.runs()
+        monkeypatch.setattr(stepper, "FORK_NORMALS", 0)
+        monkeypatch.delattr(os, "fork")
+        drawn = self.record_draws(monkeypatch, tmp_path / "draws")
+        assert self.runs() == on_caller
+        assert drawn() == [os.getpid()] * 16
 
     @pytest.mark.parametrize("mode", sorted(MODES))
     def test_a_failed_solve_reaps_the_child(self, mode, monkeypatch):
