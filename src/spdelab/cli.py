@@ -455,8 +455,7 @@ def cmd_holder(cfg: dict, checked: tuple, out: Path) -> tuple[int, dict]:
     config, ops = checked
     rows: list[tuple] = []
     spde_exps, bm_exps = [], []
-    for i in range(cfg["n_seeds"]):
-        seed = cfg["master_seed"] + i
+    for seed in rng.path_keys(cfg["master_seed"], cfg["n_seeds"]):
         state = _run_path(config, seed, ops=ops, snapshot_level=cfg["m_max"])
         est = l0.holder_exponent(state.snapshots, cfg["m_min"], norm=ops.m_norm)
         rows.append(("spde", seed, est.exponent))

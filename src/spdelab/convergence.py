@@ -27,6 +27,7 @@ from .exceptions import DomainError
 from .mesh import MAX_PATHS, SOLVER_TOL, assemble, build_mesh
 # unused, but perfbench/tracing.py wraps the restriction under this name
 from .mesh import restriction_matrix  # noqa: F401
+from .rng import path_keys
 from .stepper import SchemeConfig, _color, _sweep, checked_ops, path_inputs
 # unused, but perfbench/tracing.py wraps the final-time run under this name
 from .stepper import evolve_fast  # noqa: F401
@@ -205,20 +206,18 @@ def convergence_study(
     """Run the coupled convergence study of each of ``plans`` on one sweep per
     path (``_seed_errors``) and fit its empirical rate; one report per plan.
 
-    Path seeds are ``ref.master_seed + i``, all below 2^64; results are
-    reduced in seed order, so reruns with the same master seed are
-    bit-identical.  Levels whose mean error sits at the solver-tolerance
-    floor are flagged as saturated and excluded from the fit.
+    Path seeds are ``rng.path_keys(ref.master_seed, n_paths)``, refused
+    before the first path if any leaves [0, 2^64); results are reduced in
+    seed order, so reruns with the same master seed are bit-identical.
+    Levels whose mean error sits at the solver-tolerance floor are flagged as
+    saturated and excluded from the fit.
     """
     if not 1 <= n_paths <= MAX_PATHS or n_workers < 1:
         raise DomainError(f"n_paths {n_paths} not in [1, {MAX_PATHS}] or n_workers {n_workers} < 1")
-    seed = _one_sweep(plans).ref.master_seed
-    if seed + n_paths > 2**64:  # 64-bit path keys: refused here, not at a late path
-        raise DomainError(f"path seeds {seed} + i, i < {n_paths}, pass 2^64")
-    seeds = tuple(range(seed, seed + n_paths))
+    seeds = tuple(path_keys(_one_sweep(plans).ref.master_seed, n_paths))
 
-    # a fork pool starts all its workers at once, each forking a sweep's draw
-    # child, on the CPUs this process may run on; outputs do not depend on them
+    # a fork pool starts all its workers at once on the CPUs this process may run
+    # on, and a large sweep in a worker forks a draw child; outputs depend on neither
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(n_workers, n_paths, cpus or 1)
     if workers > 1:

@@ -6,16 +6,17 @@ function of its key and counter start, so any increment can be regenerated
 in any order, on any worker, without storing a noise tape.  Distinct tags
 give statistically independent streams under one master seed; in particular
 the spatial Wiener noise and the scalar driver never share key material.
-Because a draw depends on nothing but its key and counter, it gives the same
-bits wherever it runs: a helper thread draws the next chunk of a Monte Carlo
-batch while the caller integrates the current one (``drawn_ahead``), and a
-forked child process draws the blocks of a sweep and hands over their raw
-bytes through a pipe (``drawn_in_child``), without taking the caller's GIL;
-the caller redraws any block that the child did not hand over whole.
+Path ``i`` of a run is keyed by its master seed + ``i`` (``path_keys``).
+A draw depends on nothing but its key and counter, so it gives the same bits
+wherever it runs: a helper thread draws the next chunk of a Monte Carlo batch
+while the caller integrates the current one (``drawn_ahead``), and a forked
+child draws the blocks of a large sweep and hands over their raw bytes through
+a pipe (``drawn_in_child``), without taking the caller's GIL.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import signal
 from concurrent.futures import ThreadPoolExecutor
@@ -34,6 +35,13 @@ L0_WIENER_TAG = 0x4C30574945523031  # finite-dimensional Wiener paths (analysis)
 L0_MARK_TAG = 0x4C304D41524B3031  # time-zero marks for analysis integrands
 DP_SAMPLE_TAG = 0xD0  # |N(0, 1)| samples of verify's d_p metric check
 
+# values of all the items (a sweep: fine steps x normals a step) from which
+# drawn_in_child draws them in a forked child: below it the fork, the reap and
+# the parent's copy-on-write faults cost about what the overlapped draw saves
+# (a 1-d level-9 final-time sweep of 2^18 normals, 14.8 -> 15.8 ms); from 2^19
+# on the child pays (27.3 -> 23.0 ms, and 69.9 -> 63.4 ms in 2-d at level 5)
+FORK_VALUES = 2**19
+
 
 def keyed_generator(seed: int, tag: int) -> np.random.Generator:
     """Return a Generator whose output depends only on (seed, tag)."""
@@ -43,6 +51,15 @@ def keyed_generator(seed: int, tag: int) -> np.random.Generator:
     # which would make distinct seeds (e.g. 2^64 - 1 and 2^64 - 2) share a key
     key = np.array([seed, tag & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def path_keys(master_seed: int, n: int) -> range:
+    """The keys of ``n`` paths under ``master_seed``: path ``i`` is keyed by
+    ``master_seed + i``.  Every key is a 64-bit word (``keyed_generator``), so
+    keys outside [0, 2^64) are refused here, before any path runs."""
+    if not 0 <= master_seed <= 2**64 - n:
+        raise DomainError(f"path seeds {master_seed} + i, i < {n}, are negative or pass 2^64")
+    return range(master_seed, master_seed + n)
 
 
 def keyed_normal_rows(seed: int, tag: int, start: int, stop: int, n: int) -> np.ndarray:
@@ -108,23 +125,24 @@ def drawn_ahead(draw, items):
 
 @contextmanager
 def drawn_in_child(draw, items, shape):
-    """Yield an iterator of ``draw(item)`` for each of ``items``, in order,
-    each drawn ahead in one forked child process or, where it does not hand
-    the item over, by the caller.
+    """Yield an iterator of ``draw(item)`` for each of the sequence ``items``,
+    in order, drawn ahead in one forked child process if they hold at least
+    ``FORK_VALUES`` values in all and ``os.fork`` exists, else by the caller.
 
     ``draw(item)`` returns a C-ordered float64 array of ``shape(item)``, and
     must be a pure function of ``item``: the child draws every item in turn
-    and writes its raw bytes into a pipe, whose capacity keeps it about one
-    item ahead of the caller, which reads each into a fresh array.  From the
-    first item that does not arrive whole (a draw that failed in the child, a
-    child killed from outside, or no ``os.fork`` at all) the caller draws that
-    item and every later one itself, so a failed draw raises its exception
-    in the caller.  Leaving the ``with`` block, however it is left, kills and
-    reaps the child; the child leaves by ``os._exit``, running no handler.
-    The child runs nothing but ``draw``, so ``draw`` must take no lock that
-    another thread of the caller may hold at the fork.
+    and writes its raw bytes into a pipe, which the caller reads into fresh
+    arrays.  The child draws item k + 1 while the caller uses item k, and as
+    an item may be larger than the pipe (64 KiB), hands it over only as the
+    caller reads it.  From the first item that does not arrive whole (a draw
+    that failed in the child, or a child killed from outside) the caller
+    draws that item and every later one itself, so a failed draw raises its
+    exception in the caller.  Leaving the ``with`` block, however it is left,
+    kills and reaps the child; the child leaves by ``os._exit``, running no
+    handler.  The child runs nothing but ``draw``, so ``draw`` must take no
+    lock that another thread of the caller may hold at the fork.
     """
-    if not hasattr(os, "fork"):
+    if not hasattr(os, "fork") or sum(math.prod(shape(item)) for item in items) < FORK_VALUES:
         yield map(draw, items)
         return
     r, w = os.pipe()

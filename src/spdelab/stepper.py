@@ -10,25 +10,20 @@ left endpoint, and ``Q`` the fractional-inverse quadrature.
 
 Both modes run one sweep over the fine steps of the noise stream in blocks
 of ``max(BLOCK_STEPS, BLOCK_VALUES // n)`` steps, for the ``n`` normals of a
-fine step.  A block draws its fine increments, each from its own
-key, in one ``L_M @ R`` product, and sums them into the steps of every
-coarser time grid in one running sum (in fine-step order, bit-identical to
+fine step.  A block draws its fine increments, each from its own key, in one
+``L_M @ R`` product, and sums them into the steps of every coarser time grid
+in one running sum (in fine-step order, bit-identical to
 ``aggregate_increment``; a step still open at the end of a block carries
-over).  When the sweep draws at least ``FORK_NORMALS`` normals in all (its
-fine steps times the normals of a step), a forked child process computes
-every block's increments in turn and hands over their raw bytes through a
-pipe, about one block ahead of the sweep (``rng.drawn_in_child``); the keyed
-draw and the sparse product give the same bits in any process, so the sweep
-draws any block the child did not hand over whole itself, and the child
-takes none of the sweep's GIL.  The runs sharing a
-time grid advance as one group, whose state stacks theirs: it restricts
-its completed sums to every run's mesh in one product, takes their
-backward Euler steps one by one with one block-diagonal solve each
-(``BlockSystem.advance``) and checks all their residuals at once, per run,
-so it holds at most one block of states.  Each row of a block is keyed by
-its step, the products and the restriction act column by column, open sums
-carry over and the 1-d coloring takes each column on its own, so no bit
-depends on the block size.  The sweep knows no gamma: it returns raw
+over).  ``rng.drawn_in_child`` decides whether a forked child draws the
+blocks; the keyed draw and the sparse product give the same bits in any
+process.  The runs sharing a time grid advance as one group, whose state
+stacks theirs: it restricts its completed sums to every run's mesh in one
+product, takes their backward Euler steps one by one with one block-diagonal
+solve each (``BlockSystem.advance``) and checks all their residuals at once,
+per run, so it holds at most one block of states.  Each row of a block is
+keyed by its step, the products and the restriction act column by column,
+open sums carry over and the 1-d coloring takes each column on its own, so
+no bit depends on the block size.  The sweep knows no gamma: it returns raw
 states, and the modes differ only in where ``Q`` is applied:
 
 * ``evolve`` (``per_step``) hands the sweep its loads, each completed
@@ -49,7 +44,6 @@ before it sweeps: both modes and every study path first call ``checked_ops``.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,12 +68,6 @@ from .noise import aggregate_increment  # noqa: F401
 # which keep 16 steps (64-step blocks: a 1-d level-9 path 0.55 -> 0.68 s)
 BLOCK_STEPS = 16
 BLOCK_VALUES = 2**13
-# normals of a sweep (fine steps x columns of the mass factor) from which it
-# draws its blocks in a forked child process: below it the fork, the reap and
-# the parent's copy-on-write faults cost about what the overlapped draw saves
-# (a 1-d level-9 final-time sweep of 2^18 normals, 14.8 -> 15.8 ms); from 2^19
-# on the child pays (27.3 -> 23.0 ms, and 69.9 -> 63.4 ms in 2-d at level 5)
-FORK_NORMALS = 2**19
 # values of the snapshot array (512 MiB); coloring it in place adds chunk-sized
 # temporaries at every gamma
 MAX_SNAPSHOT_VALUES = 2**26
@@ -249,11 +237,7 @@ def _sweep(
     def draw(block):
         return noise.fine_increments(stream, *block, ops.mass_chol)
 
-    if stream.fine_steps * ops.mass_chol.shape[1] >= FORK_NORMALS:
-        drawing = drawn_in_child(draw, blocks, lambda block: (ops.n_dof, block[1] - block[0]))
-    else:
-        drawing = nullcontext(map(draw, blocks))
-    with drawing as drawn:
+    with drawn_in_child(draw, blocks, lambda block: (ops.n_dof, block[1] - block[0])) as drawn:
         for (m0, m1), f in zip(blocks, drawn):
             sums = {
                 g: np.empty((ops.n_dof, m1 // g.ratio - m0 // g.ratio)) for g in summed

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from spdelab import stepper
+from spdelab import rng, stepper
 
 # Hypothesis caches what it reads of local modules in its home directory,
 # .hypothesis in the working directory unless set, while it collects the tests
@@ -34,9 +34,9 @@ def blocks_of_16(monkeypatch):
 def draws_on_the_caller(monkeypatch):
     """Sweeps that draw on the calling thread whatever their size, for the
     tests that count draws through a monkeypatched function: a sweep of
-    ``stepper.FORK_NORMALS`` normals or more would draw in a forked child,
+    ``rng.FORK_VALUES`` normals or more would draw in a forked child,
     whose counts never reach the test."""
-    monkeypatch.setattr(stepper, "FORK_NORMALS", 2**62)
+    monkeypatch.setattr(rng, "FORK_VALUES", 2**62)
 
 
 @pytest.fixture(autouse=True)

@@ -15,7 +15,7 @@ import pytest
 import scipy
 
 import spdelab
-from spdelab import cli, convergence, fracpow, l0
+from spdelab import cli, convergence, fracpow, l0, rng
 from spdelab.cli import main
 from spdelab.driver import sample_driver
 from spdelab.exceptions import DomainError, NumericalError, SpdeLabError, StatisticalAlarm
@@ -1030,6 +1030,20 @@ def test_simulate_runs_its_scheme_config(mode, run, tmp_path):
     np.testing.assert_array_equal(
         _values(tmp_path / "snapshots.txt"), state.snapshots.ravel()
     )
+
+
+def test_every_command_keys_its_paths_by_rng_path_keys(tmp_path):
+    holder = {**SCHEME, "time_exp": 4, "m_max": 4, "m_min": 1, "n_seeds": 3,
+              "master_seed": 2**40}
+    assert main(["holder", "--config", write_config(tmp_path, holder, "holder.json"),
+                 "--out", str(tmp_path / "holder")]) == 0
+    rows = (tmp_path / "holder" / "holder.csv").read_text().splitlines()[1:]
+    assert [int(row.split(",")[1]) for row in rows[::2]] == list(rng.path_keys(2**40, 3))
+    out = tmp_path / "convergence"
+    assert main(["convergence", "--config", write_config(tmp_path, SMALL_CONVERGENCE),
+                 "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["seeds"] == list(rng.path_keys(99, 2))
 
 
 def test_holder_runs_its_scheme_config(tmp_path):

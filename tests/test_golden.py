@@ -1,5 +1,6 @@
 """Golden outputs of small coupled studies, single paths and their analysis,
-pinned at rtol 1e-12.
+pinned exactly: JSON keeps each float's exact value, and every entry gives the
+same bits on 1 and 2 BLAS threads.
 
 A change that is meant to preserve realizations must keep this green.  A
 change that is meant to alter them regenerates the fixture once, and says
@@ -153,19 +154,17 @@ def test_study_errors_match_golden(golden, name):
     got = study_errors(name)
     assert sorted(got) == sorted(want)
     for gamma, levels in want.items():
-        np.testing.assert_allclose(got[gamma], levels, rtol=1e-12, atol=0.0)
+        np.testing.assert_array_equal(got[gamma], levels)
 
 
 @pytest.mark.parametrize("name", sorted(PATHS))
 def test_path_matches_golden(golden, name):
     want = golden["paths"][name]
     got = path_outputs(name)
-    np.testing.assert_allclose(got["alpha"], want["alpha"], rtol=1e-12, atol=0.0)
+    np.testing.assert_array_equal(got["alpha"], want["alpha"])
     assert (got["snapshots"] is None) == (want["snapshots"] is None)
     if want["snapshots"] is not None:
-        np.testing.assert_allclose(
-            got["snapshots"], want["snapshots"], rtol=1e-12, atol=0.0
-        )
+        np.testing.assert_array_equal(got["snapshots"], want["snapshots"])
 
 
 def test_analysis_matches_golden(golden):
@@ -173,11 +172,9 @@ def test_analysis_matches_golden(golden):
     got = analysis_outputs()
     assert sorted(got["bdg_ratio"]) == sorted(want["bdg_ratio"]) == sorted(l0.FAMILIES)
     for key in ("holder_exponent", "bdg_sum_ratio"):
-        np.testing.assert_allclose(got[key], want[key], rtol=1e-12, atol=0.0)
+        assert got[key] == want[key], key
     for family, ratio in want["bdg_ratio"].items():
-        np.testing.assert_allclose(
-            got["bdg_ratio"][family], ratio, rtol=1e-12, atol=0.0
-        )
+        assert got["bdg_ratio"][family] == ratio, family
 
 
 def _study_bytes(blas_threads: int) -> str:

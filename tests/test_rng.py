@@ -9,7 +9,7 @@ from contextlib import nullcontext
 import numpy as np
 import pytest
 
-from spdelab import l0
+from spdelab import l0, rng
 from spdelab.convergence import path_errors, plan_study
 from spdelab.exceptions import DomainError
 from spdelab.rng import (
@@ -22,6 +22,7 @@ from spdelab.rng import (
     keyed_generator,
     keyed_normal_rows,
     keyed_normals,
+    path_keys,
 )
 from spdelab.stepper import SchemeConfig
 
@@ -76,6 +77,18 @@ def test_seeds_beyond_int64_disjoint():
     for i in range(len(draws)):
         for j in range(i + 1, len(draws)):
             assert not np.allclose(draws[i], draws[j])
+
+
+def test_path_keys_run_up_to_the_last_64_bit_key():
+    assert path_keys(2**64 - 2, 2) == range(2**64 - 2, 2**64)
+    assert path_keys(7, 3) == range(7, 10)
+
+
+@pytest.mark.parametrize("master_seed, n", [(2**64 - 1, 2), (-1, 2), (-5, 20)])
+def test_path_keys_outside_64_bits_are_refused(master_seed, n):
+    # key 2^64 would alias key 0, and key -1 key 2^64 - 1
+    with pytest.raises(DomainError, match=rf"^path seeds {master_seed} \+ i, i < {n}, "):
+        path_keys(master_seed, n)
 
 
 def _space_plan():
@@ -209,10 +222,18 @@ def test_leaving_drawn_ahead_early_joins_the_helper(leave):
 # ends with the child reaped
 
 
+@pytest.fixture
+def forks_any_size(monkeypatch):
+    """A child for items of any size: these tests take far fewer than
+    ``rng.FORK_VALUES`` values, which the caller would draw itself."""
+    monkeypatch.setattr(rng, "FORK_VALUES", 0)
+
+
 def block(k):
     return np.arange(6.0).reshape(2, 3) + k
 
 
+@pytest.mark.usefixtures("forks_any_size")
 def test_drawn_in_child_hands_over_each_item_in_order():
     items = list(range(40))  # 40 x 48 bytes, far within a pipe's capacity
     with drawn_in_child(block, items, lambda k: (2, 3)) as drawn:
@@ -223,6 +244,7 @@ def test_drawn_in_child_hands_over_each_item_in_order():
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.usefixtures("forks_any_size")
 def test_drawn_in_child_draws_in_another_process():
     parent = os.getpid()
     with drawn_in_child(lambda k: np.full(1, float(os.getpid())), range(3),
@@ -231,11 +253,26 @@ def test_drawn_in_child_draws_in_another_process():
     assert len(pids) == 1 and parent not in pids
 
 
+def test_drawn_in_child_forks_from_fork_values_in_all(monkeypatch):
+    # three items of 2 x 3 values, 18 in all: below the threshold the caller
+    # draws them, and from it one child draws them all
+    def pids(threshold):
+        monkeypatch.setattr(rng, "FORK_VALUES", threshold)
+        with drawn_in_child(lambda k: np.full((2, 3), float(os.getpid())), [0, 1, 2],
+                            lambda k: (2, 3)) as drawn:
+            return [int(x[0, 0]) for x in drawn]
+
+    assert pids(19) == [os.getpid()] * 3
+    forked = pids(18)
+    assert len(set(forked)) == 1 and forked[0] != os.getpid()
+
+
 class LocalError(Exception):
     def __init__(self, code, where):  # pickles, but does not unpickle
         super().__init__(f"code {code} at {where}")
 
 
+@pytest.mark.usefixtures("forks_any_size")
 @pytest.mark.parametrize("error, want, message", [
     (DomainError("item 3"), DomainError, "^item 3$"),
     (KeyError("item 3"), KeyError, "item 3"),
@@ -258,6 +295,7 @@ def test_drawn_in_child_raises_a_failed_draw_where_it_is_taken(error, want, mess
     assert taken == [0, 1, 2]
 
 
+@pytest.mark.usefixtures("forks_any_size")
 @pytest.mark.parametrize("leave", ["break", "raise"])
 def test_leaving_drawn_in_child_early_kills_the_child(leave, monkeypatch):
     # 200 blocks of 80 kB do not fit in the pipe, so the child still runs

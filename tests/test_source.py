@@ -9,6 +9,9 @@ loads it.
 
 A private name (``_name``) crosses modules only where ``PRIVATE_IMPORTS``
 allows it: a decision that another module needs belongs behind a public one.
+
+Each kind of process or thread that src starts has one owner (``STARTERS``),
+so a budget of the host's CPUs has exactly those sites to govern.
 """
 
 import ast
@@ -79,3 +82,32 @@ def test_a_private_import_is_caught():
     tree = ast.parse("from . import __version__\nfrom .stepper import _sweep, evolve\n"
                      "from os import _exit\n")
     assert private_imports(tree) == ["_sweep"]
+
+
+# the name that starts each kind of process or thread src starts -> the one
+# module that starts it: the draw child and the Monte Carlo helper thread, and
+# a study's worker pool
+STARTERS = {"fork": "rng", "ThreadPoolExecutor": "rng", "ProcessPoolExecutor": "convergence"}
+# names that start a process or a thread in other ways, which src does not use
+OTHER_STARTERS = {"forkpty", "posix_spawn", "Popen", "Process", "Thread"}
+
+
+def started(tree: ast.Module) -> set[str]:
+    """The names of ``STARTERS`` and ``OTHER_STARTERS`` that ``tree`` reads,
+    as a name (``ThreadPoolExecutor``) or an attribute (``os.fork``)."""
+    read = {n.attr if isinstance(n, ast.Attribute) else n.id for n in ast.walk(tree)
+            if isinstance(n, (ast.Attribute, ast.Name)) and isinstance(n.ctx, ast.Load)}
+    return read & (STARTERS.keys() | OTHER_STARTERS)
+
+
+def test_every_process_or_thread_src_starts_has_one_owner():
+    found = {(path.stem, name) for path in SOURCES
+             for name in started(ast.parse(path.read_text(encoding="utf-8")))}
+    assert found == {(owner, name) for name, owner in STARTERS.items()}
+
+
+def test_a_process_or_thread_start_is_caught():
+    tree = ast.parse("import os, threading\nfrom concurrent import futures\n"
+                     "if hasattr(os, 'fork'):\n    os.fork()\n"
+                     "threading.Thread(target=print)\nfutures.ProcessPoolExecutor()\n")
+    assert started(tree) == {"fork", "Thread", "ProcessPoolExecutor"}

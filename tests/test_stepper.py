@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from spdelab import convergence, noise, stepper
+from spdelab import convergence, noise, rng, stepper
 from spdelab.driver import ScalarDriver, eval_b_grid, sample_driver
 from spdelab.exceptions import DomainError, NumericalError
 from spdelab.fracpow import apply_qgamma, make_spec
@@ -688,8 +688,8 @@ def test_guard_checks_each_run_of_a_group(spoiled, monkeypatch):
 
 @pytest.mark.usefixtures("blocks_of_16")
 class TestDrawAhead:
-    """A sweep of at least ``FORK_NORMALS`` normals (fine steps times normals a
-    step) draws its blocks in a forked child while it steps them; the tests
+    """A sweep of at least ``rng.FORK_VALUES`` normals (fine steps times normals
+    a step) draws its blocks in a forked child while it steps them; the tests
     force the child on small meshes by lowering the threshold to 0.  Whatever
     a child records reaches the test through a file opened for appending."""
 
@@ -746,7 +746,7 @@ class TestDrawAhead:
         children = self.record_forks(monkeypatch)
         on_caller = self.runs()  # at most 64 x 289 normals: below the threshold
         assert len(drawn()) == 16 and set(drawn()) == {os.getpid()} and not children
-        monkeypatch.setattr(stepper, "FORK_NORMALS", 0)
+        monkeypatch.setattr(rng, "FORK_VALUES", 0)
         in_child = self.runs()
         assert len(children) == 4  # one child a sweep, each drawing its 4 blocks
         assert drawn()[16:] == [pid for pid in children for _ in range(4)]
@@ -758,7 +758,7 @@ class TestDrawAhead:
         ops = assemble(build_mesh(2, 3))  # 81 normals a step
         for steps, threshold, forked in ((32, 2593, False), (32, 2592, True),
                                          (64, 2592, True), (16, 2592, False)):
-            monkeypatch.setattr(stepper, "FORK_NORMALS", threshold)
+            monkeypatch.setattr(rng, "FORK_VALUES", threshold)
             cfg = SchemeConfig(dim=2, gamma=0.5, space_level=3, time_steps=steps,
                                master_seed=4, mode="final_time")
             children.clear()
@@ -770,7 +770,7 @@ class TestDrawAhead:
     def test_a_failed_draw_reaches_the_caller(self, monkeypatch, tmp_path):
         # the third block fails in the child, which hands over two: the caller
         # draws the third itself, and its DomainError, with its message, is raised
-        monkeypatch.setattr(stepper, "FORK_NORMALS", 0)
+        monkeypatch.setattr(rng, "FORK_VALUES", 0)
         drawn = self.record_draws(monkeypatch, tmp_path / "draws")
         recorded = noise.fine_increments
 
@@ -792,7 +792,7 @@ class TestDrawAhead:
         # each child kills itself at its third block, as a signal from outside
         # would: the caller draws that block and the fourth itself, and reaps it
         on_caller = self.runs()
-        monkeypatch.setattr(stepper, "FORK_NORMALS", 0)
+        monkeypatch.setattr(rng, "FORK_VALUES", 0)
         drawn = self.record_draws(monkeypatch, tmp_path / "draws")
         recorded = noise.fine_increments
         test = os.getpid()
@@ -820,7 +820,7 @@ class TestDrawAhead:
 
     def test_without_fork_the_sweep_draws_itself(self, monkeypatch, tmp_path):
         on_caller = self.runs()
-        monkeypatch.setattr(stepper, "FORK_NORMALS", 0)
+        monkeypatch.setattr(rng, "FORK_VALUES", 0)
         monkeypatch.delattr(os, "fork")
         drawn = self.record_draws(monkeypatch, tmp_path / "draws")
         assert self.runs() == on_caller
@@ -831,7 +831,7 @@ class TestDrawAhead:
         # solve 5 of the first block fails its guard while the child, 16
         # blocks of 10 kB ahead of a 64 kB pipe, waits to write: it is killed
         # and reaped before the error reaches the caller
-        monkeypatch.setattr(stepper, "FORK_NORMALS", 0)
+        monkeypatch.setattr(rng, "FORK_VALUES", 0)
         children = self.record_forks(monkeypatch)
         reaped = []
         waitpid = os.waitpid
@@ -861,7 +861,7 @@ class TestDrawAhead:
                            master_seed=6, mode="final_time")
 
         def peak(threshold):
-            monkeypatch.setattr(stepper, "FORK_NORMALS", threshold)
+            monkeypatch.setattr(rng, "FORK_VALUES", threshold)
             tracemalloc.start()
             try:
                 evolve_fast(cfg, NoiseStream(6, 10, 2**10), sample_driver(6, 50), ops=ops)
@@ -896,7 +896,7 @@ class TestDrawAhead:
             for part in parts:
                 owner = getattr(owner, part)
             monkeypatch.setattr(owner, leaf, recorded(name, getattr(owner, leaf)))
-        monkeypatch.setattr(stepper, "FORK_NORMALS", 0)
+        monkeypatch.setattr(rng, "FORK_VALUES", 0)
         children = self.record_forks(monkeypatch)
         self.runs()
         calls = [line.split() for line in log.read_text().splitlines()]
